@@ -13,9 +13,7 @@ from .modularity import (CouplingPolicy, ResolutionPolicy, ScoreReport, ScoreTer
 from .detect import (DetectConfig, DetectResult, MultilayerObjective,
                      MultisliceObjective, aggregate_majority, generalized_louvain,
                      louvain_layer, nmi)
-from .synthbench import (PlantedSpec, best_partition_exhaustive,
-                         multilayer_modularity_direct, planted_multilayer,
-                         save_planted)
+from .synthbench import PlantedSpec, planted_multilayer, save_planted
 
 __version__ = "0.1.0"
 
@@ -32,7 +30,6 @@ __all__ = [
     "symmetric_coupling", "time_aware_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
     "aggregate_majority", "generalized_louvain", "louvain_layer", "nmi",
-    "PlantedSpec", "best_partition_exhaustive", "multilayer_modularity_direct",
-    "planted_multilayer", "save_planted",
+    "PlantedSpec", "planted_multilayer", "save_planted",
     "__version__",
 ]

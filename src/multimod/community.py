@@ -137,13 +137,6 @@ class CommunityStructure:
     def internal_degree(self, c: int, layer) -> int:
         return self._dint[c].get(self.net.layer_index(layer), 0)
 
-    def flat_entities(self, c: int) -> frozenset:
-        """Entities with at least one occurrence in community ``c``."""
-        return frozenset(self.net.entity_ids[ei] for ei in self._flat[c])
-
-    def instance_count(self, c: int, entity) -> int:
-        return self._flat[c].get(self.net.entity_index(entity), 0)
-
     def coupled_instance_pairs(self, c: int) -> int:
         """Unordered pairs of same-entity occurrences inside community ``c``."""
         return sum(n * (n - 1) // 2 for n in self._flat[c].values())

@@ -8,6 +8,13 @@ and a layer are fused into super-node blocks and the moving continues at the
 coarser granularity. Gains are exact objective differences computed from
 integer per-community aggregates, so the objective never decreases.
 
+One gain engine serves both objectives: a shared base keeps each
+community's projections, flattened membership and degrees and applies the
+moves, and each objective adds only its own counters and gain formula
+(projection intersections and redundant-pair counts for the multilayer
+score, a constant per-pair coupling for the multislice score). The
+reported objective is always re-scored through the scoring module.
+
 Also here: a single-layer Louvain wrapper, the per-layer aggregation
 baseline with majority voting, and normalized mutual information.
 """
@@ -22,7 +29,8 @@ from .community import CommunityStructure
 from .errors import InputError, PolicyError
 from .mlgraph import LayerOrdering, MultilayerNetwork, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, distance_penalty,
-                         multilayer_modularity, multislice_modularity)
+                         multilayer_modularity, multislice_modularity,
+                         multislice_parameters)
 
 _EMPTY = frozenset()
 
@@ -68,19 +76,17 @@ class DetectResult:
 
 
 class _Comm:
-    """Mutable per-community aggregates; all counters are exact integers."""
+    """Mutable per-community aggregates; all counters are exact integers.
+    ``inter`` and ``nrp`` stay empty under the multislice objective."""
 
-    __slots__ = ("tuples", "proj", "flat", "deg", "dint", "inter", "nrp", "cpairs")
+    __slots__ = ("proj", "flat", "deg", "inter", "nrp")
 
     def __init__(self):
-        self.tuples = set()     # {(e, l)}
         self.proj = {}          # l -> set(e)
         self.flat = {}          # e -> occurrence count
         self.deg = {}           # l -> int
-        self.dint = {}          # l -> int
         self.inter = {}         # (i, j) i < j -> |proj[i] & proj[j]|
         self.nrp = {}           # l -> redundant pairs supported by l
-        self.cpairs = 0         # same-entity occurrence pairs
 
 
 class _Unit:
@@ -96,16 +102,7 @@ class _Unit:
         self.degsum = degsum    # their total intra-layer degree
 
 
-class _Patch:
-    __slots__ = ("ddint", "ddeg", "dinter", "flat_step", "dnrp", "dcpairs")
-
-    def __init__(self, ddint=0, ddeg=0, dinter=None, flat_step=None, dnrp=None, dcpairs=0):
-        self.ddint = ddint
-        self.ddeg = ddeg
-        self.dinter = dinter or {}
-        self.flat_step = flat_step
-        self.dnrp = dnrp or {}
-        self.dcpairs = dcpairs
+_NO_PATCH = ({}, {})
 
 
 def _make_unit(net, layer, entities):
@@ -134,11 +131,70 @@ def _redundant_pair_adjacency(net):
     return {e: tuple(ps) for e, ps in rp.items()}
 
 
-class _MultilayerEngine:
-    """Exact gain evaluation for the multilayer objective."""
+class _Engine:
+    """Community bookkeeping shared by both objectives. A subclass supplies
+    ``_delta(comm, unit, removing)``: the exact objective change of the move
+    and its patch, the pending ``(dinter, dnrp)`` changes ``apply`` commits."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def new_comm(self, tuples):
+        comm = _Comm()
+        for e, l in tuples:
+            comm.proj.setdefault(l, set()).add(e)
+            comm.flat[e] = comm.flat.get(e, 0) + 1
+        for l, proj in comm.proj.items():
+            adj = self.net.adj_idx(l)
+            comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
+        return comm
+
+    def _ddint(self, comm, unit, removing):
+        """Change of the community's internal degree in the unit's layer."""
+        adj = self.net.adj_idx(unit.layer)
+        proj_l = comm.proj.get(unit.layer, _EMPTY)
+        k_s = sum(len(adj.get(v, _EMPTY) & proj_l) for v in unit.entities)
+        if removing:
+            return -(2 * k_s - 2 * unit.within)
+        return 2 * (k_s + unit.within)
+
+    def remove_eval(self, comm, unit):
+        return self._delta(comm, unit, removing=True)
+
+    def insert_eval(self, comm, unit):
+        return self._delta(comm, unit, removing=False)
+
+    def apply(self, comm, unit, patch, removing):
+        l = unit.layer
+        if removing:
+            comm.proj[l].difference_update(unit.entities)
+            if not comm.proj[l]:
+                del comm.proj[l]
+            for v in unit.entities:
+                comm.flat[v] -= 1
+                if comm.flat[v] == 0:
+                    del comm.flat[v]
+            comm.deg[l] -= unit.degsum
+        else:
+            comm.proj.setdefault(l, set()).update(unit.entities)
+            for v in unit.entities:
+                comm.flat[v] = comm.flat.get(v, 0) + 1
+            comm.deg[l] = comm.deg.get(l, 0) + unit.degsum
+        dinter, dnrp = patch
+        for lj, dv in dinter.items():
+            key = (l, lj) if l < lj else (lj, l)
+            comm.inter[key] = comm.inter.get(key, 0) + dv
+        for lj, dv in dnrp.items():
+            comm.nrp[lj] = comm.nrp.get(lj, 0) + dv
+
+
+class _MultilayerEngine(_Engine):
+    """Exact gains of the multilayer objective: projection intersections
+    (``inter``) and redundant-pair counts (``nrp``) on top of the shared
+    bookkeeping."""
 
     def __init__(self, net, objective):
-        self.net = net
+        super().__init__(net)
         self.resolution = objective.resolution
         self.coupling = objective.coupling
         ordering = objective.ordering if objective.ordering is not None else net.ordering
@@ -151,10 +207,8 @@ class _MultilayerEngine:
 
         ell = net.num_layers
         self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
-        self.vinter = {}
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                self.vinter[(a, b)] = len(net.presence_idx(a) & net.presence_idx(b))
+        self.vinter = {(a, b): len(net.presence_idx(a) & net.presence_idx(b))
+                       for a in range(ell) for b in range(a + 1, ell)}
         # ordered valid pairings as (i, j, penalty) records
         self.records = []
         ids = net.layer_ids
@@ -170,19 +224,10 @@ class _MultilayerEngine:
                          for l in range(ell)}
 
     def new_comm(self, tuples):
-        comm = _Comm()
-        for e, l in tuples:
-            comm.tuples.add((e, l))
-            comm.proj.setdefault(l, set()).add(e)
-            comm.flat[e] = comm.flat.get(e, 0) + 1
-        for l, proj in comm.proj.items():
-            adj = self.net.adj_idx(l)
-            comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
-            comm.dint[l] = sum(len(adj.get(v, _EMPTY) & proj) for v in proj)
+        comm = super().new_comm(tuples)
         layers = sorted(comm.proj)
-        for a in range(len(layers)):
-            for b in range(a + 1, len(layers)):
-                i, j = layers[a], layers[b]
+        for a, i in enumerate(layers):
+            for j in layers[a + 1:]:
                 comm.inter[(i, j)] = len(comm.proj[i] & comm.proj[j])
         if self.redundancy:
             added = set()
@@ -224,17 +269,9 @@ class _MultilayerEngine:
     def _delta(self, comm, unit, removing):
         l = unit.layer
         S = unit.entities
-        adj = self.net.adj_idx(l)
-        proj_l = comm.proj.get(l, _EMPTY)
-        k_s = sum(len(adj.get(v, _EMPTY) & proj_l) for v in S)
-        if removing:
-            ddint = -(2 * k_s - 2 * unit.within)
-            ddeg = -unit.degsum
-            psize_delta = -len(S)
-        else:
-            ddint = 2 * (k_s + unit.within)
-            ddeg = unit.degsum
-            psize_delta = len(S)
+        ddint = self._ddint(comm, unit, removing)
+        ddeg = -unit.degsum if removing else unit.degsum
+        psize_delta = -len(S) if removing else len(S)
 
         dinter = {}
         for lj, pj in comm.proj.items():
@@ -245,28 +282,20 @@ class _MultilayerEngine:
                 dinter[lj] = -cnt if removing else cnt
 
         dnrp = {}
-        flat_step = []
-        if removing:
-            flat_step = [v for v in S if comm.flat.get(v, 0) == 1]
-        else:
-            flat_step = [v for v in S if comm.flat.get(v, 0) == 0]
-        if self.redundancy and flat_step:
-            if removing:
-                gone = set()
-                for v in flat_step:
-                    gone.add(v)
-                    for u, sl in self.rp_adj.get(v, ()):
-                        if comm.flat.get(u, 0) > 0 and u not in gone:
-                            for lj in sl:
-                                dnrp[lj] = dnrp.get(lj, 0) - 1
-            else:
-                added = set()
-                for v in flat_step:
-                    for u, sl in self.rp_adj.get(v, ()):
-                        if comm.flat.get(u, 0) > 0 or u in added:
-                            for lj in sl:
-                                dnrp[lj] = dnrp.get(lj, 0) + 1
-                    added.add(v)
+        if self.redundancy:
+            # a redundant pair counts while both ends are in the flattened
+            # community; only entities entering or leaving it change that
+            sign = -1 if removing else 1
+            moved = set()
+            for v in S:
+                if comm.flat.get(v, 0) != (1 if removing else 0):
+                    continue
+                for u, sl in self.rp_adj.get(v, ()):
+                    # partner in the community before the move xor already moved
+                    if (comm.flat.get(u, 0) > 0) != (u in moved):
+                        for lj in sl:
+                            dnrp[lj] = dnrp.get(lj, 0) + sign
+                moved.add(v)
 
         # objective delta; fixed layer order keeps float accumulation reproducible
         affected = sorted({l, *dnrp})
@@ -287,133 +316,33 @@ class _MultilayerEngine:
                 d_coup += after - before
 
         dq = (ddint - d_null / self.norm + self.beta * d_coup) / self.norm
-        patch = _Patch(ddint, ddeg, dinter, flat_step, dnrp)
-        return dq, patch
-
-    def remove_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=True)
-
-    def insert_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=False)
-
-    def apply(self, comm, unit, patch, removing):
-        l = unit.layer
-        if removing:
-            comm.tuples.difference_update(unit.tuples)
-            comm.proj[l].difference_update(unit.entities)
-            if not comm.proj[l]:
-                del comm.proj[l]
-            for v in unit.entities:
-                comm.flat[v] -= 1
-                if comm.flat[v] == 0:
-                    del comm.flat[v]
-        else:
-            comm.tuples.update(unit.tuples)
-            comm.proj.setdefault(l, set()).update(unit.entities)
-            for v in unit.entities:
-                comm.flat[v] = comm.flat.get(v, 0) + 1
-        comm.dint[l] = comm.dint.get(l, 0) + patch.ddint
-        comm.deg[l] = comm.deg.get(l, 0) + patch.ddeg
-        for lj, dv in patch.dinter.items():
-            key = (l, lj) if l < lj else (lj, l)
-            comm.inter[key] = comm.inter.get(key, 0) + dv
-        for lj, dv in patch.dnrp.items():
-            comm.nrp[lj] = comm.nrp.get(lj, 0) + dv
-
-    def rescore(self, net, cs):
-        objective = multilayer_modularity(net, cs, self.resolution, self.coupling)
-        return objective.total
+        return dq, (dinter, dnrp)
 
 
-class _MultisliceEngine:
-    """Exact gain evaluation for the multislice objective."""
+class _MultisliceEngine(_Engine):
+    """Exact gains of the multislice objective: a per-layer gamma null model
+    and a constant omega per same-entity occurrence pair."""
 
     def __init__(self, net, objective):
-        self.net = net
-        ell = net.num_layers
-        gamma = objective.gamma
-        if isinstance(gamma, (int, float)):
-            self.gammas = [float(gamma)] * ell
-        else:
-            self.gammas = [float(g) for g in gamma]
-            if len(self.gammas) != ell:
-                raise PolicyError(f"expected {ell} per-layer gamma values")
-        if any(g < 0 for g in self.gammas):
-            raise PolicyError("gamma must be >= 0")
-        if objective.omega < 0:
-            raise PolicyError("omega must be >= 0")
+        super().__init__(net)
+        self.gammas, self.norm = multislice_parameters(net, objective.gamma, objective.omega)
         self.omega = float(objective.omega)
-        for li, layer in enumerate(net.layer_ids):
-            if net.presence_idx(li) and not net.edges_idx(li):
-                raise InputError(
-                    f"layer {layer!r} has assigned occurrences but no edges; "
-                    f"its null model is undefined")
-        self.two_e = [2 * len(net.edges_idx(l)) for l in range(ell)]
-        from .modularity import coupling_pair_total
-        self.norm = 2 * net.num_edges() + 2 * self.omega * coupling_pair_total(net)
-        self.gamma_arg = objective.gamma
-
-    def new_comm(self, tuples):
-        comm = _Comm()
-        for e, l in tuples:
-            comm.tuples.add((e, l))
-            comm.proj.setdefault(l, set()).add(e)
-            comm.flat[e] = comm.flat.get(e, 0) + 1
-        for l, proj in comm.proj.items():
-            adj = self.net.adj_idx(l)
-            comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
-            comm.dint[l] = sum(len(adj.get(v, _EMPTY) & proj) for v in proj)
-        comm.cpairs = sum(n * (n - 1) // 2 for n in comm.flat.values())
-        return comm
+        self.two_e = [2 * len(net.edges_idx(l)) for l in range(net.num_layers)]
 
     def _delta(self, comm, unit, removing):
         l = unit.layer
         S = unit.entities
-        adj = self.net.adj_idx(l)
-        proj_l = comm.proj.get(l, _EMPTY)
-        k_s = sum(len(adj.get(v, _EMPTY) & proj_l) for v in S)
+        ddint = self._ddint(comm, unit, removing)
+        d_old = comm.deg.get(l, 0)
         if removing:
-            ddint = -(2 * k_s - 2 * unit.within)
-            ddeg = -unit.degsum
+            d_new = d_old - unit.degsum
             dcpairs = -sum(comm.flat.get(v, 0) - 1 for v in S)
         else:
-            ddint = 2 * (k_s + unit.within)
-            ddeg = unit.degsum
+            d_new = d_old + unit.degsum
             dcpairs = sum(comm.flat.get(v, 0) for v in S)
-        d_old = comm.deg.get(l, 0)
-        d_new = d_old + ddeg
         d_null = self.gammas[l] * (d_new * d_new - d_old * d_old) / self.two_e[l]
         dq = (ddint - d_null + 2.0 * self.omega * dcpairs) / self.norm
-        return dq, _Patch(ddint, ddeg, None, None, None, dcpairs)
-
-    def remove_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=True)
-
-    def insert_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=False)
-
-    def apply(self, comm, unit, patch, removing):
-        l = unit.layer
-        if removing:
-            comm.tuples.difference_update(unit.tuples)
-            comm.proj[l].difference_update(unit.entities)
-            if not comm.proj[l]:
-                del comm.proj[l]
-            for v in unit.entities:
-                comm.flat[v] -= 1
-                if comm.flat[v] == 0:
-                    del comm.flat[v]
-        else:
-            comm.tuples.update(unit.tuples)
-            comm.proj.setdefault(l, set()).update(unit.entities)
-            for v in unit.entities:
-                comm.flat[v] = comm.flat.get(v, 0) + 1
-        comm.dint[l] = comm.dint.get(l, 0) + patch.ddint
-        comm.deg[l] = comm.deg.get(l, 0) + patch.ddeg
-        comm.cpairs += patch.dcpairs
-
-    def rescore(self, net, cs):
-        return multislice_modularity(net, cs, self.gamma_arg, self.omega)
+        return dq, _NO_PATCH
 
 
 def _build_engine(net, objective):
@@ -421,6 +350,16 @@ def _build_engine(net, objective):
         return _MultilayerEngine(net, objective)
     if isinstance(objective, MultisliceObjective):
         return _MultisliceEngine(net, objective)
+    raise PolicyError(f"unknown objective {objective!r}")
+
+
+def _rescore(net, cs, objective) -> float:
+    """Value of ``cs`` under ``objective``, computed by the scoring module."""
+    if isinstance(objective, MultilayerObjective):
+        return multilayer_modularity(net, cs, objective.resolution, objective.coupling,
+                                     objective.ordering).total
+    if isinstance(objective, MultisliceObjective):
+        return multislice_modularity(net, cs, objective.gamma, objective.omega)
     raise PolicyError(f"unknown objective {objective!r}")
 
 
@@ -491,7 +430,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                     continue
                 engine.apply(comms[src], unit, patch_rem, removing=True)
                 engine.apply(comms[best_cid], unit, best_patch, removing=False)
-                if not comms[src].tuples:
+                if not comms[src].flat:
                     del comms[src]
                 for t in unit.tuples:
                     assign[t] = best_cid
@@ -511,7 +450,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
                   for (e, l), cid in assign.items()}
     cs = CommunityStructure(net, assignment)
-    objective = engine.rescore(net, cs)
+    objective = _rescore(net, cs, config.objective)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=objective, passes=passes, moves=moves)
 
@@ -524,6 +463,14 @@ def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
     return build_network(entities=entities, layers=[layer], edges=edges, presence=presence)
 
 
+def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
+    if net.num_edges(layer) == 0:
+        raise InputError(f"layer {layer!r} has no edges")
+    config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
+                          seed=seed, max_passes=max_passes, min_gain=min_gain)
+    return generalized_louvain(_single_layer_network(net, layer), config)
+
+
 def louvain_layer(net: MultilayerNetwork, layer, seed: int = 0,
                   max_passes: int = 50, min_gain: float = 1e-9) -> dict:
     """Classic Louvain partition of one layer's graph (node -> community).
@@ -531,12 +478,7 @@ def louvain_layer(net: MultilayerNetwork, layer, seed: int = 0,
     Runs the generalized optimizer on the layer in isolation; with a single
     layer and no coupling the objective reduces to classic modularity.
     """
-    if net.num_edges(layer) == 0:
-        raise InputError(f"layer {layer!r} has no edges")
-    sub = _single_layer_network(net, layer)
-    config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
-                          seed=seed, max_passes=max_passes, min_gain=min_gain)
-    return generalized_louvain(sub, config).partition
+    return _layer_louvain(net, layer, seed, max_passes, min_gain).partition
 
 
 def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:
@@ -550,13 +492,8 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
 
-    sub_results = []
-    for layer in net.layer_ids:
-        sub = _single_layer_network(net, layer)
-        cfg = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
-                           seed=config.seed, max_passes=config.max_passes,
-                           min_gain=config.min_gain)
-        sub_results.append(generalized_louvain(sub, cfg))
+    sub_results = [_layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
+                   for layer in net.layer_ids]
 
     proto = {}  # global label -> set of entities seen with it so far
     next_label = 0
@@ -600,8 +537,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
         partition[entity] = min(votes, key=lambda g: (-votes[g], g))
 
     cs = CommunityStructure.from_entity_partition(net, partition)
-    engine = _build_engine(net, config.objective)
-    objective = engine.rescore(net, cs)
+    objective = _rescore(net, cs, config.objective)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=objective,
                         passes=sum(r.passes for r in sub_results),

@@ -175,19 +175,13 @@ def coupling_pair_total(net: MultilayerNetwork) -> int:
     return total
 
 
-def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
-                          gamma=1.0, omega: float = 0.0) -> float:
-    """Multislice modularity with constant inter-layer coupling weight.
+def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
+    """Validate multislice parameters against ``net``.
 
-    Args:
-        gamma: per-layer resolution, a scalar broadcast to all layers or a
-            sequence with one value per layer (dense layer order).
-        omega: coupling weight applied to every unordered layer pair sharing
-            an entity's occurrences.
-
-    Each layer uses its own null model, so any layer that contains assigned
-    occurrences but no edges is an error. The normalization adds twice the
-    omega-weighted coupling edge count to twice the intra-layer edge count.
+    Returns the per-layer gamma list (a scalar is broadcast) and the
+    normalization: twice the intra-layer edge count plus twice the
+    omega-weighted coupling edge count. Each layer uses its own null model,
+    so any layer that contains assigned occurrences but no edges is an error.
     """
     ell = net.num_layers
     if isinstance(gamma, (int, float)):
@@ -205,8 +199,22 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
             raise InputError(
                 f"layer {layer!r} has assigned occurrences but no edges; "
                 f"its null model is undefined")
+    return gammas, 2 * net.num_edges() + 2 * float(omega) * coupling_pair_total(net)
 
-    norm = 2 * net.num_edges() + 2 * omega * coupling_pair_total(net)
+
+def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
+                          gamma=1.0, omega: float = 0.0) -> float:
+    """Multislice modularity with constant inter-layer coupling weight.
+
+    Args:
+        gamma: per-layer resolution, a scalar broadcast to all layers or a
+            sequence with one value per layer (dense layer order).
+        omega: coupling weight applied to every unordered layer pair sharing
+            an entity's occurrences.
+
+    Parameters are checked by :func:`multislice_parameters`.
+    """
+    gammas, norm = multislice_parameters(net, gamma, omega)
     community_sums = []
     for c in cs.communities():
         layer_terms = []

@@ -1,29 +1,19 @@
-"""Synthetic multilayer networks with planted communities, plus brute-force
-evaluators used as independent checks by the test suite.
+"""Synthetic multilayer networks with planted communities.
 
 The planted generator draws each layer as an independent planted-partition
 graph over the entities present in that layer, with one shared ground-truth
-entity partition. The direct evaluator recomputes the multilayer score by
-literal nested summation with no caching, and the exhaustive searcher
-enumerates set partitions of the occurrence set outright; both are guarded
-against instances too large for that treatment.
+entity partition.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .community import CommunityStructure, write_flat_partition
-from .errors import GuardError, InputError
+from .community import write_flat_partition
+from .errors import InputError
 from .mlgraph import (LayerOrdering, MultilayerNetwork, PairingScheme,
                       build_network, write_network)
-from .modularity import CouplingPolicy, ResolutionPolicy, distance_penalty
-
-_DIRECT_PAIR_GUARD = 10_000
-_EXHAUSTIVE_TUPLE_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -91,167 +81,3 @@ def save_planted(net: MultilayerNetwork, planted: dict, network_path, labels_pat
     """Write the generated network and its planted labels as a sidecar file."""
     write_network(net, network_path)
     write_flat_partition(planted, labels_path)
-
-
-# -- literal evaluation of the multilayer score ------------------------------------
-
-
-def _literal_degree(net, ei, li) -> int:
-    return sum(1 for u, v in net.edges_idx(li) if ei in (u, v))
-
-
-def _literal_pairings(net, li, ordering):
-    ids = net.layer_ids
-    if not ordering.is_natural:
-        return [net.layer_index(l) for l in ids if l != ids[li]]
-    pos = ordering.position(ids[li])
-    if ordering.scheme is PairingScheme.ADJACENT:
-        succ = ordering.sequence[pos + 1:pos + 2]
-    else:
-        succ = ordering.sequence[pos + 1:]
-    return [net.layer_index(l) for l in succ]
-
-
-def multilayer_modularity_direct(net: MultilayerNetwork, cs: CommunityStructure,
-                                 resolution: ResolutionPolicy | None = None,
-                                 coupling: CouplingPolicy | None = None,
-                                 ordering: LayerOrdering | None = None) -> float:
-    """Multilayer modularity by literal nested summation.
-
-    Degrees, projections, redundant pairs and coupling values are all
-    recomputed in place from the raw edge lists, with no shared caches, so
-    this serves as an independent check of the optimized scorer. Guarded to
-    networks with at most 10^4 occurrence pairs.
-    """
-    resolution = ResolutionPolicy.constant(1.0) if resolution is None else resolution
-    coupling = CouplingPolicy.none() if coupling is None else coupling
-    ordering = net.ordering if ordering is None else ordering
-    n_tuples = net.num_tuples()
-    if n_tuples * n_tuples > _DIRECT_PAIR_GUARD:
-        raise GuardError(f"direct evaluation guard exceeded ({n_tuples} occurrences)")
-    if net.num_edges() == 0:
-        raise InputError("multilayer modularity is undefined on an edgeless network")
-
-    beta = coupling.beta
-    ell = net.num_layers
-
-    # total degree, by enumeration
-    norm = 0
-    for li in range(ell):
-        for ei in net.presence_idx(li):
-            norm += _literal_degree(net, ei, li)
-    if beta:
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                pa = _literal_pairings(net, a, ordering)
-                pb = _literal_pairings(net, b, ordering)
-                if b in pa or a in pb:
-                    norm += 2 * len(net.presence_idx(a) & net.presence_idx(b))
-
-    assign = {(net.entity_index(e), net.layer_index(l)): c
-              for (e, l), c in cs.as_assignment().items()}
-    k = cs.num_communities
-
-    total = 0.0
-    for c in range(k):
-        flat = {ei for (ei, li), cc in assign.items() if cc == c}
-        # supporting layers of every linked pair inside the flattened community
-        pair_layers = {}
-        for li in range(ell):
-            for u, v in net.edges_idx(li):
-                if u in flat and v in flat:
-                    pair_layers.setdefault((u, v), set()).add(li)
-        for li in range(ell):
-            dint = 0
-            d = 0
-            for u, v in net.edges_idx(li):
-                if assign.get((u, li)) == c and assign.get((v, li)) == c:
-                    dint += 2
-            for ei in net.presence_idx(li):
-                if assign.get((ei, li)) == c:
-                    d += _literal_degree(net, ei, li)
-            if resolution.kind == "constant":
-                gamma = resolution.gamma
-            else:
-                nrp = sum(1 for ls in pair_layers.values() if len(ls) >= 2 and li in ls)
-                gamma = 2.0 / (1.0 + math.log2(1.0 + nrp))
-            coup = 0.0
-            if beta:
-                proj_i = {ei for ei in net.presence_idx(li) if assign.get((ei, li)) == c}
-                for lj in _literal_pairings(net, li, ordering):
-                    proj_j = {ei for ei in net.presence_idx(lj) if assign.get((ei, lj)) == c}
-                    shared_nodes = len(net.presence_idx(li) & net.presence_idx(lj))
-                    if shared_nodes == 0:
-                        continue
-                    sym = Fraction(len(proj_i & proj_j), shared_nodes)
-                    if coupling.kind == "symmetric":
-                        value = float(sym)
-                    elif coupling.kind == "asym-inner":
-                        if not proj_i:
-                            value = 0.0
-                        else:
-                            value = float(sym * Fraction(len(net.presence_idx(li)), len(proj_i)))
-                    else:
-                        if not proj_j:
-                            value = 0.0
-                        else:
-                            value = float(sym * Fraction(len(net.presence_idx(lj)), len(proj_j)))
-                    if coupling.time_aware:
-                        dist = abs(ordering.position(net.layer_ids[lj])
-                                   - ordering.position(net.layer_ids[li]))
-                        value *= distance_penalty(dist)
-                    coup += value
-            total += dint - gamma * d * d / norm + beta * coup
-    return total / norm
-
-
-# -- exhaustive optimum over tiny instances ------------------------------------------
-
-
-def _restricted_growth_strings(n: int, max_blocks: int):
-    """All set partitions of range(n) as restricted-growth strings, in
-    lexicographic order, with at most ``max_blocks`` blocks."""
-    code = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            yield tuple(code)
-            return
-        for c in range(min(used + 1, max_blocks)):
-            code[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
-
-
-def best_partition_exhaustive(net: MultilayerNetwork,
-                              resolution: ResolutionPolicy | None = None,
-                              coupling: CouplingPolicy | None = None,
-                              ordering: LayerOrdering | None = None,
-                              max_communities: int | None = None):
-    """Exhaustive optimum of the multilayer score over occurrence partitions.
-
-    Returns (assignment, best_score) where assignment maps each (entity, layer)
-    occurrence to a community index. Ties resolve to the lexicographically
-    smallest restricted-growth string. Guarded to at most 12 occurrences.
-    """
-    tuples = list(net.tuples())
-    if len(tuples) > _EXHAUSTIVE_TUPLE_GUARD:
-        raise GuardError(
-            f"exhaustive search guard exceeded ({len(tuples)} occurrences, limit "
-            f"{_EXHAUSTIVE_TUPLE_GUARD})")
-    if max_communities is None:
-        max_communities = len(tuples)
-
-    from .modularity import multilayer_modularity
-
-    best_code = None
-    best_value = None
-    for code in _restricted_growth_strings(len(tuples), max_communities):
-        assignment = {tuples[i]: code[i] for i in range(len(tuples))}
-        cs = CommunityStructure(net, assignment)
-        value = multilayer_modularity(net, cs, resolution, coupling, ordering).total
-        if best_value is None or value > best_value:
-            best_value = value
-            best_code = code
-    return {tuples[i]: best_code[i] for i in range(len(tuples))}, best_value

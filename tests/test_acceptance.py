@@ -13,6 +13,7 @@ from fractions import Fraction
 import multimod as mm
 from multimod.cli import main as cli_main
 
+from _brute import best_partition_exhaustive, multilayer_modularity_direct
 from _gen import natural_orderings, random_multilayer, random_single_layer, random_structure
 from conftest import ORDERED3_PARTITION, build_ordered3
 
@@ -72,8 +73,8 @@ def test_criterion_3_oracle_equivalence():
                 for coupling in couplings:
                     fast = mm.multilayer_modularity(net, cs, resolution, coupling,
                                                     ordering).total
-                    slow = mm.multilayer_modularity_direct(net, cs, resolution, coupling,
-                                                           ordering)
+                    slow = multilayer_modularity_direct(net, cs, resolution, coupling,
+                                                        ordering)
                     assert abs(fast - slow) <= 1e-12
                     checks += 1
     elapsed = time.time() - started
@@ -190,7 +191,7 @@ def test_criterion_5_detection_recovery():
             objective=mm.MultilayerObjective(resolution=resolution, coupling=coupling),
             seed=seed)
         found = mm.generalized_louvain(tiny, cfg)
-        _, best = mm.best_partition_exhaustive(tiny, resolution, coupling)
+        _, best = best_partition_exhaustive(tiny, resolution, coupling)
         assert found.objective <= best + 1e-12
         if found.objective >= 0.95 * best - 1e-12:
             near_optimal += 1

@@ -10,7 +10,10 @@ import pytest
 import multimod as mm
 from multimod.errors import InputError
 
-from _gen import random_multilayer
+from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
+
+from _brute import best_partition_exhaustive
+from _gen import natural_orderings, random_multilayer
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -32,7 +35,7 @@ class TestLouvainLayer:
         q = mm.newman_modularity(two_triangles.layer_graph("L"), part)
         assert q == pytest.approx(0.5)
         # exhaustive optimum over all partitions confirms 0.5 is the best
-        _, qstar = mm.best_partition_exhaustive(two_triangles)
+        _, qstar = best_partition_exhaustive(two_triangles)
         assert qstar == pytest.approx(0.5, abs=1e-12)
         assert q <= qstar + 1e-12
 
@@ -41,7 +44,7 @@ class TestLouvainLayer:
         net = mm.build_network(layers=["L"], edges=edges)
         part = mm.louvain_layer(net, "L", seed=1)
         assert len(set(part.values())) == 1
-        _, qstar = mm.best_partition_exhaustive(net)
+        _, qstar = best_partition_exhaustive(net)
         q = mm.newman_modularity(net.layer_graph("L"), part)
         assert q == pytest.approx(qstar, abs=1e-12)
 
@@ -66,7 +69,7 @@ class TestGeneralizedLouvain:
             groups.setdefault(c, set()).add(e)
         assert sorted(map(sorted, groups.values())) == [[0, 1, 2], [3, 4, 5]]
         # matches the exhaustive optimum restricted to three communities
-        _, qstar = mm.best_partition_exhaustive(
+        _, qstar = best_partition_exhaustive(
             twin_triangle_layers, mm.ResolutionPolicy.constant(1),
             mm.CouplingPolicy.symmetric(), max_communities=3)
         assert res.objective == pytest.approx(qstar, abs=1e-12)
@@ -123,7 +126,7 @@ class TestGeneralizedLouvain:
         while checked < 15:
             net = random_multilayer(rng, max_tuples=8, max_layers=3)
             res = mm.generalized_louvain(net, constant_symmetric(seed=checked))
-            _, qstar = mm.best_partition_exhaustive(
+            _, qstar = best_partition_exhaustive(
                 net, mm.ResolutionPolicy.constant(1), mm.CouplingPolicy.symmetric())
             assert res.objective <= qstar + 1e-12
             checked += 1
@@ -144,9 +147,66 @@ class TestGeneralizedLouvain:
         with pytest.raises(InputError):
             mm.generalized_louvain(net, constant_symmetric())
 
+    def test_objective_reported_under_objective_ordering(self):
+        # the network is natural-adjacent; the objective overrides it with
+        # an unordered pairing, which changes the normalization
+        spec = mm.PlantedSpec(entities=30, communities=3, layers=3,
+                              p_in=0.6, p_out=0.05, presence=0.9, seed=8)
+        net, _ = mm.planted_multilayer(spec)
+        assert net.ordering.is_natural
+        unordered = mm.LayerOrdering.unordered()
+        objective = mm.MultilayerObjective(resolution=mm.ResolutionPolicy.constant(1),
+                                           coupling=mm.CouplingPolicy.symmetric(),
+                                           ordering=unordered)
+        for method in (mm.generalized_louvain, mm.aggregate_majority):
+            res = method(net, mm.DetectConfig(objective=objective, seed=1))
+            expected = mm.multilayer_modularity(net, res.structure, objective.resolution,
+                                                objective.coupling, unordered).total
+            under_net = mm.multilayer_modularity(net, res.structure, objective.resolution,
+                                                 objective.coupling).total
+            assert expected != under_net
+            assert res.objective == expected
+
 
 class TestIncrementalGains:
     """Engine gains must equal exact objective differences, move by move."""
+
+    @staticmethod
+    def check_moves(rng, net, engine, rescore):
+        """Move random single occurrences between two communities and check
+        each gain against ``rescore`` and the live aggregates against a
+        from-scratch rebuild of the same split."""
+        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+        split = {t: rng.randrange(2) for t in occurrences}
+        comms = {c: engine.new_comm([t for t in occurrences if split[t] == c])
+                 for c in (0, 1)}
+
+        def score():
+            assignment = {(net.entity_ids[e], net.layer_ids[l]): split[(e, l)]
+                          for e, l in occurrences}
+            return rescore(mm.CommunityStructure(net, assignment))
+
+        for _ in range(25):
+            t = rng.choice(occurrences)
+            src = split[t]
+            dst = 1 - src
+            if sum(1 for x in split.values() if x == src) == 1:
+                continue  # keep both communities nonempty for rescoring
+            before = score()
+            unit = _make_unit(net, t[1], (t[0],))
+            dq_r, patch_r = engine.remove_eval(comms[src], unit)
+            dq_i, patch_i = engine.insert_eval(comms[dst], unit)
+            engine.apply(comms[src], unit, patch_r, removing=True)
+            engine.apply(comms[dst], unit, patch_i, removing=False)
+            split[t] = dst
+            assert dq_r + dq_i == pytest.approx(score() - before, abs=1e-12)
+            # incremental aggregates must match a from-scratch rebuild
+            for c in (0, 1):
+                rebuilt = engine.new_comm([o for o in occurrences if split[o] == c])
+                for field in ("proj", "flat", "deg", "inter", "nrp"):
+                    live = {k: v for k, v in getattr(comms[c], field).items() if v}
+                    fresh = {k: v for k, v in getattr(rebuilt, field).items() if v}
+                    assert live == fresh
 
     @pytest.mark.parametrize("resolution,coupling", [
         (mm.ResolutionPolicy.constant(1), mm.CouplingPolicy.symmetric()),
@@ -155,46 +215,43 @@ class TestIncrementalGains:
         (mm.ResolutionPolicy.constant(0.5), mm.CouplingPolicy.asym_outer()),
     ])
     def test_gains_match_rescoring(self, resolution, coupling):
-        from multimod.detect import _MultilayerEngine, _make_unit
-
         rng = random.Random(73)
         for _ in range(8):
             net = random_multilayer(rng)
             objective = mm.MultilayerObjective(resolution=resolution, coupling=coupling)
-            engine = _MultilayerEngine(net, objective)
-            occurrences = [(net.entity_index(e), net.layer_index(l))
-                           for e, l in net.tuples()]
-            split = {t: rng.randrange(2) for t in occurrences}
-            comms = {c: engine.new_comm([t for t in occurrences if split[t] == c])
-                     for c in (0, 1)}
+            self.check_moves(rng, net, _MultilayerEngine(net, objective),
+                             lambda cs: mm.multilayer_modularity(net, cs, resolution,
+                                                                 coupling).total)
 
-            def score():
-                assignment = {(net.entity_ids[e], net.layer_ids[l]): split[(e, l)]
-                              for e, l in occurrences}
-                cs = mm.CommunityStructure(net, assignment)
-                return mm.multilayer_modularity(net, cs, resolution, coupling).total
+    def test_time_aware_gains_under_objective_ordering(self):
+        # the network itself is unordered: the natural order comes only
+        # through MultilayerObjective.ordering
+        rng = random.Random(79)
+        resolution = mm.ResolutionPolicy.redundancy()
+        coupling = mm.CouplingPolicy.asym_outer(time_aware=True)
+        for _ in range(8):
+            net = random_multilayer(rng)
+            assert not net.ordering.is_natural
+            for ordering in natural_orderings(net):
+                objective = mm.MultilayerObjective(resolution=resolution, coupling=coupling,
+                                                   ordering=ordering)
+                self.check_moves(rng, net, _MultilayerEngine(net, objective),
+                                 lambda cs: mm.multilayer_modularity(
+                                     net, cs, resolution, coupling, ordering).total)
 
-            for _ in range(25):
-                t = rng.choice(occurrences)
-                src = split[t]
-                dst = 1 - src
-                if sum(1 for x in split.values() if x == src) == 1:
-                    continue  # keep both communities nonempty for rescoring
-                before = score()
-                unit = _make_unit(net, t[1], (t[0],))
-                dq_r, patch_r = engine.remove_eval(comms[src], unit)
-                dq_i, patch_i = engine.insert_eval(comms[dst], unit)
-                engine.apply(comms[src], unit, patch_r, removing=True)
-                engine.apply(comms[dst], unit, patch_i, removing=False)
-                split[t] = dst
-                assert dq_r + dq_i == pytest.approx(score() - before, abs=1e-12)
-                # incremental aggregates must match a from-scratch rebuild
-                for c in (0, 1):
-                    rebuilt = engine.new_comm(sorted(comms[c].tuples))
-                    for field in ("deg", "dint", "inter", "nrp"):
-                        live = {k: v for k, v in getattr(comms[c], field).items() if v}
-                        fresh = {k: v for k, v in getattr(rebuilt, field).items() if v}
-                        assert live == fresh
+    def test_multislice_gains_match_rescoring(self):
+        rng = random.Random(83)
+        checked = 0
+        while checked < 8:
+            net = random_multilayer(rng)
+            if any(net.presence_idx(l) and not net.edges_idx(l)
+                   for l in range(net.num_layers)):
+                continue  # the layer-local null model needs an edge per layer
+            gammas = [rng.choice((0.5, 1.0, 1.5)) for _ in net.layer_ids]
+            objective = mm.MultisliceObjective(gamma=gammas, omega=0.7)
+            self.check_moves(rng, net, _MultisliceEngine(net, objective),
+                             lambda cs: mm.multislice_modularity(net, cs, gammas, 0.7))
+            checked += 1
 
 
 class TestAggregateMajority:

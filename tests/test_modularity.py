@@ -10,9 +10,7 @@ import pytest
 
 import multimod as mm
 from multimod.errors import InputError, PolicyError
-from multimod.synthbench import multilayer_modularity_direct
-
-from _brute import multislice_direct, newman_direct
+from _brute import multilayer_modularity_direct, multislice_direct, newman_direct
 from _gen import natural_orderings, random_multilayer, random_single_layer, random_structure
 
 

@@ -1,4 +1,4 @@
-"""Planted generator and brute-force evaluators."""
+"""Planted generator, and the brute-force oracles of tests/_brute.py."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import pytest
 
 import multimod as mm
 from multimod.errors import GuardError, InputError
+
+from _brute import (_restricted_growth_strings, best_partition_exhaustive,
+                    multilayer_modularity_direct)
 
 
 class TestPlantedGenerator:
@@ -84,12 +87,12 @@ class TestDirectEvaluator:
         net, planted = mm.planted_multilayer(spec)
         cs = mm.CommunityStructure.from_entity_partition(net, planted)
         with pytest.raises(GuardError):
-            mm.multilayer_modularity_direct(net, cs)
+            multilayer_modularity_direct(net, cs)
 
     def test_single_layer_matches_newman(self, two_triangles):
         part = {e: (0 if e < 3 else 1) for e in two_triangles.entity_ids}
         cs = mm.CommunityStructure.from_entity_partition(two_triangles, part)
-        direct = mm.multilayer_modularity_direct(two_triangles, cs)
+        direct = multilayer_modularity_direct(two_triangles, cs)
         assert direct == pytest.approx(
             mm.newman_modularity(two_triangles.layer_graph("L"), part), abs=1e-12)
 
@@ -97,15 +100,15 @@ class TestDirectEvaluator:
         net = mm.build_network(layers=["x", "y"],
                                edges=[("x", "a", "b"), ("y", "c", "d")])
         cs = mm.CommunityStructure.from_entity_partition(net, dict.fromkeys("abcd", 0))
-        with_coupling = mm.multilayer_modularity_direct(
+        with_coupling = multilayer_modularity_direct(
             net, cs, coupling=mm.CouplingPolicy.symmetric())
-        without = mm.multilayer_modularity_direct(net, cs)
+        without = multilayer_modularity_direct(net, cs)
         assert with_coupling == pytest.approx(without, abs=1e-12)
 
 
 class TestExhaustiveSearch:
     def test_two_triangles(self, two_triangles):
-        assign, qstar = mm.best_partition_exhaustive(two_triangles)
+        assign, qstar = best_partition_exhaustive(two_triangles)
         assert qstar == pytest.approx(0.5, abs=1e-12)
         blocks = {}
         for (e, l), c in assign.items():
@@ -115,7 +118,7 @@ class TestExhaustiveSearch:
     def test_single_clique_single_block(self):
         edges = [("L", u, v) for u in range(4) for v in range(u + 1, 4)]
         net = mm.build_network(layers=["L"], edges=edges)
-        assign, qstar = mm.best_partition_exhaustive(net)
+        assign, qstar = best_partition_exhaustive(net)
         assert len(set(assign.values())) == 1
         assert qstar == pytest.approx(0.0, abs=1e-12)
 
@@ -126,16 +129,15 @@ class TestExhaustiveSearch:
         # 13 occurrences after dropping one presence entry
         assert net.num_tuples() == 13
         with pytest.raises(GuardError):
-            mm.best_partition_exhaustive(net)
+            best_partition_exhaustive(net)
 
     def test_max_communities_restriction(self, two_triangles):
-        _, q_two = mm.best_partition_exhaustive(two_triangles, max_communities=2)
-        _, q_all = mm.best_partition_exhaustive(two_triangles)
+        _, q_two = best_partition_exhaustive(two_triangles, max_communities=2)
+        _, q_all = best_partition_exhaustive(two_triangles)
         assert q_two <= q_all + 1e-15
 
     def test_enumeration_is_complete(self):
         # Bell(4) = 15 partitions of a 4-occurrence instance
-        from multimod.synthbench import _restricted_growth_strings
         codes = list(_restricted_growth_strings(4, 4))
         assert len(codes) == 15
         assert codes[0] == (0, 0, 0, 0)
@@ -154,6 +156,6 @@ def test_objective_never_beats_exhaustive():
                                              coupling=mm.CouplingPolicy.symmetric()),
             seed=trial)
         res = mm.generalized_louvain(net, config)
-        _, qstar = mm.best_partition_exhaustive(
+        _, qstar = best_partition_exhaustive(
             net, mm.ResolutionPolicy.constant(1), mm.CouplingPolicy.symmetric())
         assert res.objective <= qstar + 1e-12
