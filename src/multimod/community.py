@@ -19,13 +19,14 @@ from .mlgraph import MultilayerNetwork
 
 def supporting_layers(net: MultilayerNetwork, u, v) -> frozenset:
     """Layers in which the entity pair (u, v) is linked."""
-    ui = net.entity_index(u)
-    vi = net.entity_index(v)
-    out = set()
-    for li, layer in enumerate(net.layer_ids):
-        if vi in net.adj_idx(li).get(ui, ()):
-            out.add(layer)
-    return frozenset(out)
+    partners = net.partner_layers_idx(net.entity_index(u))
+    return frozenset(net.layer_ids[li] for li in partners.get(net.entity_index(v), ()))
+
+
+def log_decay(x) -> float:
+    """``2 / (1 + log2(1 + x))``, the decay of the redundancy resolution and
+    of the time-aware distance penalty: 2 at 0, 1 at 1, then towards 0."""
+    return 2.0 / (1.0 + math.log2(1.0 + x))
 
 
 class CommunityStructure:
@@ -151,11 +152,10 @@ class CommunityStructure:
             return cached
         flat = self._flat[c]
         pairs = {}
-        for li in range(self.net.num_layers):
-            for u, v in self.net.edges_idx(li):
-                if u in flat and v in flat:
-                    pairs.setdefault((u, v), set()).add(li)
-        pairs = {p: frozenset(ls) for p, ls in pairs.items()}
+        for u in flat:
+            for v, layers in self.net.partner_layers_idx(u).items():
+                if u < v and v in flat:
+                    pairs[(u, v)] = frozenset(layers)
         self._pair_layers_cache[c] = pairs
         return pairs
 
@@ -189,8 +189,7 @@ class CommunityStructure:
         Equals 2 when the layer supports no redundant pair of the community
         and decays into (0, 1] as the count grows.
         """
-        nrp = self.redundant_pair_count(c, layer)
-        return 2.0 / (1.0 + math.log2(1.0 + nrp))
+        return log_decay(self.redundant_pair_count(c, layer))
 
     # -- flattening --------------------------------------------------------------
 

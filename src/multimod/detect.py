@@ -13,7 +13,9 @@ community's projections, flattened membership and degrees and applies the
 moves, and each objective adds only its own counters and gain formula
 (projection intersections and redundant-pair counts for the multilayer
 score, a constant per-pair coupling for the multislice score). The
-reported objective is always re-scored through the scoring module.
+multilayer gains read the scorer's coupling plan (``coupling_plan``) and the
+network's linked-pair query (``partner_layers_idx``). The reported
+objective is always re-scored through the scoring module.
 
 Also here: a single-layer Louvain wrapper, the per-layer aggregation
 baseline with majority voting, and normalized mutual information.
@@ -25,10 +27,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .community import CommunityStructure
+from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
 from .mlgraph import LayerOrdering, MultilayerNetwork, build_network
-from .modularity import (CouplingPolicy, ResolutionPolicy, distance_penalty,
+from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          multilayer_modularity, multislice_modularity,
                          multislice_parameters)
 
@@ -114,23 +116,6 @@ def _make_unit(net, layer, entities):
     return _Unit(layer, entities, tuple((v, layer) for v in entities), within, degsum)
 
 
-def _redundant_pair_adjacency(net):
-    """entity -> tuple of (partner, supporting layer indices) over pairs linked
-    in at least two layers."""
-    pair_layers = {}
-    for li in range(net.num_layers):
-        for u, v in net.edges_idx(li):
-            pair_layers.setdefault((u, v), []).append(li)
-    rp = {}
-    for (u, v), layers in pair_layers.items():
-        if len(layers) < 2:
-            continue
-        sl = tuple(layers)
-        rp.setdefault(u, []).append((v, sl))
-        rp.setdefault(v, []).append((u, sl))
-    return {e: tuple(ps) for e, ps in rp.items()}
-
-
 class _Engine:
     """Community bookkeeping shared by both objectives. A subclass supplies
     ``_delta(comm, unit, removing)``: the exact objective change of the move
@@ -197,31 +182,18 @@ class _MultilayerEngine(_Engine):
         super().__init__(net)
         self.resolution = objective.resolution
         self.coupling = objective.coupling
-        ordering = objective.ordering if objective.ordering is not None else net.ordering
-        if self.coupling.time_aware and not ordering.is_natural:
-            raise PolicyError("time-aware coupling requires a natural layer ordering")
-        self.beta = self.coupling.beta
-        self.norm = float(net.total_degree(beta=self.beta, ordering=ordering))
+        ordering, records = coupling_plan(net, self.coupling, objective.ordering)
+        self.norm = float(net.total_degree(beta=self.coupling.beta, ordering=ordering))
         self.redundancy = self.resolution.kind == "redundancy"
-        self.rp_adj = _redundant_pair_adjacency(net) if self.redundancy else {}
+        # entity -> (partner, supporting layers) over pairs linked in >= 2 layers
+        self.rp_adj = [[(u, sl) for u, sl in net.partner_layers_idx(v).items() if len(sl) >= 2]
+                       for v in range(net.num_entities)] if self.redundancy else None
 
         ell = net.num_layers
         self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
         self.vinter = {(a, b): len(net.presence_idx(a) & net.presence_idx(b))
                        for a in range(ell) for b in range(a + 1, ell)}
-        # ordered valid pairings as (i, j, penalty) records
-        self.records = []
-        ids = net.layer_ids
-        for i in range(ell):
-            for other in net.valid_pairings(ids[i], ordering):
-                j = net.layer_index(other)
-                penalty = 1.0
-                if self.coupling.time_aware:
-                    penalty = distance_penalty(abs(ordering.position(other)
-                                                   - ordering.position(ids[i])))
-                self.records.append((i, j, penalty))
-        self.touching = {l: [r for r in self.records if l in (r[0], r[1])]
-                         for l in range(ell)}
+        self.touching = {l: [r for r in records if l in (r[0], r[1])] for l in range(ell)}
 
     def new_comm(self, tuples):
         comm = super().new_comm(tuples)
@@ -232,7 +204,7 @@ class _MultilayerEngine(_Engine):
         if self.redundancy:
             added = set()
             for v in sorted(comm.flat):
-                for u, sl in self.rp_adj.get(v, ()):
+                for u, sl in self.rp_adj[v]:
                     if u in added:
                         for l in sl:
                             comm.nrp[l] = comm.nrp.get(l, 0) + 1
@@ -242,7 +214,7 @@ class _MultilayerEngine(_Engine):
     def _gamma(self, nrp):
         if not self.redundancy:
             return self.resolution.gamma
-        return 2.0 / (1.0 + math.log2(1.0 + nrp))
+        return log_decay(nrp)
 
     def _record_value(self, comm, rec, layer=None, psize_delta=0, dinter=None):
         """Coupling value of one (i, j, penalty) record, optionally with the
@@ -290,7 +262,7 @@ class _MultilayerEngine(_Engine):
             for v in S:
                 if comm.flat.get(v, 0) != (1 if removing else 0):
                     continue
-                for u, sl in self.rp_adj.get(v, ()):
+                for u, sl in self.rp_adj[v]:
                     # partner in the community before the move xor already moved
                     if (comm.flat.get(u, 0) > 0) != (u in moved):
                         for lj in sl:
@@ -308,14 +280,13 @@ class _MultilayerEngine(_Engine):
             d_null += g_new * d_new * d_new - g_old * d_old * d_old
 
         d_coup = 0.0
-        if self.beta:
-            for rec in self.touching[l]:
-                before = self._record_value(comm, rec)
-                after = self._record_value(comm, rec, layer=l,
-                                           psize_delta=psize_delta, dinter=dinter)
-                d_coup += after - before
+        for rec in self.touching[l]:
+            before = self._record_value(comm, rec)
+            after = self._record_value(comm, rec, layer=l,
+                                       psize_delta=psize_delta, dinter=dinter)
+            d_coup += after - before
 
-        dq = (ddint - d_null / self.norm + self.beta * d_coup) / self.norm
+        dq = (ddint - d_null / self.norm + d_coup) / self.norm
         return dq, (dinter, dnrp)
 
 
@@ -491,6 +462,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     for layer in net.layer_ids:
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
+    _build_engine(net, config.objective)  # rejects a bad objective before any Louvain run
 
     sub_results = [_layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
                    for layer in net.layer_ids]

@@ -182,6 +182,15 @@ class MultilayerNetwork:
     def entity_layers_idx(self, ei: int) -> frozenset:
         return self._entity_layers[ei]
 
+    def partner_layers_idx(self, ei: int) -> dict:
+        """Every entity linked to ``ei`` in some layer, mapped to the ascending
+        list of layer indices that link the pair. Computed on demand."""
+        out = {}
+        for li in sorted(self._entity_layers[ei]):
+            for u in self._adj[li].get(ei, ()):
+                out.setdefault(u, []).append(li)
+        return out
+
     # -- degree and pairing queries -----------------------------------------
 
     def intra_degree(self, entity, layer) -> int:
@@ -239,17 +248,10 @@ class MultilayerNetwork:
         A coupling edge joins the two occurrences of one entity in a valid
         layer pair and is counted once regardless of direction.
         """
-        if beta == 0:
-            return 0
         ordering = self.ordering if ordering is None else ordering
-        if not ordering.is_natural:
-            total = 0
-            for a in range(len(self._layer_ids)):
-                for b in range(a + 1, len(self._layer_ids)):
-                    total += len(self._presence[a] & self._presence[b])
-            return total
-        # under a natural ordering every valid pairing is one-directional
-        return self.coupling_count(beta, ordering)
+        total = self.coupling_count(beta, ordering)
+        # unordered layers pair both ways, a natural ordering pairs each pair once
+        return total if ordering.is_natural else total // 2
 
     def total_degree(self, beta: int = 1, ordering: LayerOrdering | None = None) -> int:
         """Total degree of the multilayer graph, couplings included.

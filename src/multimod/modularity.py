@@ -6,7 +6,9 @@ across every unordered layer pair with a constant weight and keeps a
 layer-local null model. ``multilayer_modularity`` normalizes globally,
 lets the resolution factor vary per layer and community, and scores the
 inter-layer couplings through community projections, optionally restricted
-and penalized by a natural layer ordering.
+and penalized by a natural layer ordering. Which layer pairs couple, their
+penalties and the natural-ordering check are decided once, in
+:func:`coupling_plan`, which the multilayer gain engine reads as well.
 
 Projection-based coupling values are returned as exact rationals; the
 composite scores are floats accumulated with ``math.fsum`` in a fixed order
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .community import CommunityStructure
+from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
 from .mlgraph import LayerGraph, LayerOrdering, MultilayerNetwork
 
@@ -259,34 +261,58 @@ def distance_penalty(distance: int) -> float:
     """Smooth decay factor for coupling layers ``distance`` positions apart."""
     if distance < 1:
         raise PolicyError("layer distance must be >= 1")
-    return 2.0 / (1.0 + math.log2(1.0 + distance))
+    return log_decay(distance)
+
+
+def _resolve_ordering(net: MultilayerNetwork, ordering: LayerOrdering | None,
+                      time_aware: bool) -> LayerOrdering:
+    """``ordering``, or the network's when None; time-aware coupling needs it
+    to be natural."""
+    ordering = net.ordering if ordering is None else ordering
+    if time_aware and not ordering.is_natural:
+        raise PolicyError("time-aware coupling requires a natural layer ordering")
+    return ordering
+
+
+def _time_penalty(ordering: LayerOrdering, layer_i, layer_j) -> float:
+    return distance_penalty(abs(ordering.position(layer_j) - ordering.position(layer_i)))
 
 
 def time_aware_coupling(cs: CommunityStructure, c: int, layer_i, layer_j,
                         ordering: LayerOrdering | None = None) -> float:
     """Asymmetric coupling scaled down by the positional distance of the two
     layers in the natural order; distance 1 applies no penalty."""
-    ordering = cs.net.ordering if ordering is None else ordering
-    if not ordering.is_natural:
-        raise PolicyError("time-aware coupling requires a natural layer ordering")
-    distance = abs(ordering.position(layer_j) - ordering.position(layer_i))
-    return float(asymmetric_coupling(cs, c, layer_i, layer_j)) * distance_penalty(distance)
+    ordering = _resolve_ordering(cs.net, ordering, time_aware=True)
+    return (float(asymmetric_coupling(cs, c, layer_i, layer_j))
+            * _time_penalty(ordering, layer_i, layer_j))
+
+
+def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy,
+                  ordering: LayerOrdering | None = None) -> tuple:
+    """The resolved ordering (None means the network's) and the layer pairs
+    ``coupling`` scores under it, as ``(i, j, penalty)`` records of dense
+    layer indices in source-major order; none under coupling ``none``. The
+    penalty is 1.0 unless the coupling is time-aware."""
+    ordering = _resolve_ordering(net, ordering, coupling.time_aware)
+    if not coupling.beta:
+        return ordering, []
+    records = []
+    for i, layer in enumerate(net.layer_ids):
+        for other in net.valid_pairings(layer, ordering):
+            penalty = _time_penalty(ordering, layer, other) if coupling.time_aware else 1.0
+            records.append((i, net.layer_index(other), penalty))
+    return ordering, records
 
 
 # -- multilayer modularity --------------------------------------------------------
 
 
-def _coupling_value(cs, c, layer, other, coupling, ordering) -> float:
-    if coupling.kind == "symmetric":
-        value = float(symmetric_coupling(cs, c, layer, other))
-    elif coupling.kind == "asym-inner":
-        value = float(asymmetric_coupling(cs, c, layer, other))
-    else:  # asym-outer
-        value = float(asymmetric_coupling(cs, c, other, layer))
-    if coupling.time_aware:
-        distance = abs(ordering.position(other) - ordering.position(layer))
-        value *= distance_penalty(distance)
-    return value
+def _coupling_value(cs, c, layer, other, kind) -> float:
+    if kind == "symmetric":
+        return float(symmetric_coupling(cs, c, layer, other))
+    if kind == "asym-inner":
+        return float(asymmetric_coupling(cs, c, layer, other))
+    return float(asymmetric_coupling(cs, c, other, layer))  # asym-outer
 
 
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -302,15 +328,16 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     counts the coupling edges the chosen policy actually admits.
 
     A single layer with constant resolution 1 and coupling ``none`` reduces
-    exactly to classic modularity.
+    exactly to classic modularity. On several layers the one-community
+    partition then scores ``1 - sum_l (m_l / m) ** 2`` (``1 - 1/L`` for L
+    layers of equal edge count m_l), a baseline to read ``q`` values against.
     """
     resolution = ResolutionPolicy.constant(1.0) if resolution is None else resolution
     coupling = CouplingPolicy.none() if coupling is None else coupling
-    ordering = net.ordering if ordering is None else ordering
     if net.num_edges() == 0:
         raise InputError("multilayer modularity is undefined on an edgeless network")
-    if coupling.time_aware and not ordering.is_natural:
-        raise PolicyError("time-aware coupling requires a natural layer ordering")
+    ordering, records = coupling_plan(net, coupling, ordering)
+    ids = net.layer_ids
 
     beta = coupling.beta
     norm = net.total_degree(beta=beta, ordering=ordering)
@@ -318,15 +345,12 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     community_sums = []
     for c in cs.communities():
         layer_terms = []
-        for layer in net.layer_ids:
+        for li, layer in enumerate(ids):
             intra = float(cs.internal_degree(c, layer))
             d = cs.degree(c, layer)
             null = resolution.value(cs, c, layer) * d * d / norm
-            coup = 0.0
-            if beta:
-                coup = math.fsum(
-                    _coupling_value(cs, c, layer, other, coupling, ordering)
-                    for other in net.valid_pairings(layer, ordering))
+            coup = math.fsum(_coupling_value(cs, c, layer, ids[j], coupling.kind) * penalty
+                             for i, j, penalty in records if i == li)
             terms.append(ScoreTerm(c, layer, intra, null, coup))
             layer_terms.append(intra - null + coup)
         community_sums.append(math.fsum(layer_terms))

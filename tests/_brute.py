@@ -88,6 +88,18 @@ def multislice_direct(net, assignment, gammas, omega):
 # -- literal evaluation of the multilayer score ------------------------------------
 
 
+def literal_pair_layers(net, flat) -> dict:
+    """Supporting layer indices of every entity-index pair (u, v), u < v,
+    inside ``flat`` that is linked somewhere, by scanning every layer's
+    edge list."""
+    pair_layers = {}
+    for li in range(net.num_layers):
+        for u, v in net.edges_idx(li):
+            if u in flat and v in flat:
+                pair_layers.setdefault((u, v), set()).add(li)
+    return pair_layers
+
+
 def _literal_degree(net, ei, li) -> int:
     return sum(1 for u, v in net.edges_idx(li) if ei in (u, v))
 
@@ -147,12 +159,7 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
     total = 0.0
     for c in range(k):
         flat = {ei for (ei, li), cc in assign.items() if cc == c}
-        # supporting layers of every linked pair inside the flattened community
-        pair_layers = {}
-        for li in range(ell):
-            for u, v in net.edges_idx(li):
-                if u in flat and v in flat:
-                    pair_layers.setdefault((u, v), set()).add(li)
+        pair_layers = literal_pair_layers(net, flat)
         for li in range(ell):
             dint = 0
             d = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -243,3 +244,59 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",
                                   "--step", "0"])
         assert code == 3
+
+
+# Outputs pinned on one seeded planted network: scores, optimizer trajectory
+# and written files must stay byte-identical across refactors. The `wrote`
+# lines and the manifest carry temporary paths and are left out.
+GOLDEN_SPEC = mm.PlantedSpec(entities=60, communities=4, layers=3, p_in=0.4,
+                             p_out=0.01, presence=0.85, seed=5)
+GOLDEN = {
+    "gl-qms": (
+        ["detect", "--objective", "qms", "--omega", "1"],
+        {"stdout": ["objective\t0.37431933626709", "communities\t38",
+                    "passes\t10", "moves\t136"],
+         "communities": "d94459b50ac02be7bb17244f8e3660d9e6d3ac8807fba4965b2524bbabd201d5",
+         "flat": "f43db3a5d9b2472bbb33510b0fb9603f21ecf0250285b1c3c54d8203713a9b1b"}),
+    "aggregate-qms": (
+        ["detect", "--method", "aggregate", "--objective", "qms", "--omega", "1"],
+        {"stdout": ["objective\t0.7533458648344477", "communities\t4",
+                    "passes\t28", "moves\t201"],
+         "communities": "771f2ec9de37e2fcaf4fd924abc0b942655641ac8d7e10952d2d8b4eed87619d",
+         "flat": "8409e9cd47826fcab2a898f694dc8dcd164064169e2b1eb1baaa7a9bed25b0f7"}),
+    "gl-q-redundancy": (
+        ["detect", "--objective", "q", "--resolution", "redundancy",
+         "--coupling", "asym-inner", "--time-aware", "--ordering", "natural-adjacent"],
+        {"stdout": ["objective\t0.7673426250406147", "communities\t2",
+                    "passes\t12", "moves\t201"],
+         "communities": "053f40b9ad8de6e1bf3ba9a3df847103d825025b1233ba95d672061d1dae0cc5",
+         "flat": "bbe888bafea788c8354810ff8332c86ee25ce9dfcfbb1382621a113f749f395c"}),
+    "score-q-redundancy": (
+        ["score", "--objective", "q", "--resolution", "redundancy",
+         "--coupling", "asym-outer", "--time-aware", "--ordering", "natural-pairwise"],
+        {"stdout": "f06acc33e1ceef0aa017039baa8be70614c4cb349a04a885e98334ff2bb03766"}),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(capsys, tmp_path, name):
+    argv, expected = GOLDEN[name]
+    net, planted = mm.planted_multilayer(GOLDEN_SPEC)
+    npath, lpath = tmp_path / "net.mlg", tmp_path / "planted.flat"
+    mm.save_planted(net, planted, npath, lpath)
+    command, *flags = argv
+    if command == "score":
+        code, out, _ = run(capsys, [command, str(npath), str(lpath), *flags])
+        got = {"stdout": _sha256(out.encode("utf-8"))}
+    else:
+        prefix = tmp_path / "run"
+        code, out, _ = run(capsys, [command, str(npath), *flags, "--out", str(prefix)])
+        got = {"stdout": [l for l in out.splitlines() if not l.startswith("wrote\t")],
+               "communities": _sha256((tmp_path / "run.communities").read_bytes()),
+               "flat": _sha256((tmp_path / "run.flat").read_bytes())}
+    assert code == 0
+    assert got == expected

@@ -10,6 +10,7 @@ import pytest
 import multimod as mm
 from multimod.errors import InputError
 
+from _brute import literal_pair_layers
 from _gen import random_multilayer, random_structure
 from conftest import ORDERED3_PARTITION
 
@@ -141,12 +142,19 @@ class TestLayerRedundantPairCount:
         for _ in range(50):
             net = random_multilayer(rng)
             cs = random_structure(rng, net)
+            ids = net.entity_ids
             for c in cs.communities():
                 _, p2 = cs.redundant_pairs(c)
                 per_layer = [cs.redundant_pair_count(c, l) for l in net.layer_ids]
                 assert all(v <= len(p2) for v in per_layer)
-                support = sum(len(mm.supporting_layers(net, u, v)) for u, v in p2)
-                assert sum(per_layer) == support
+                flat = {net.entity_index(e) for e, _ in cs.members(c)}
+                literal = literal_pair_layers(net, flat)
+                for (u, v), layers in literal.items():
+                    assert mm.supporting_layers(net, ids[u], ids[v]) == {
+                        net.layer_ids[li] for li in layers}
+                redundant = {pair: layers for pair, layers in literal.items() if len(layers) >= 2}
+                assert p2 == {(ids[u], ids[v]) for u, v in redundant}
+                assert sum(per_layer) == sum(len(layers) for layers in redundant.values())
 
 
 class TestRedundancyResolution:

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import multimod as mm
-from multimod.errors import InputError
+from multimod.errors import InputError, PolicyError
 
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
@@ -292,6 +292,20 @@ class TestAggregateMajority:
                                presence=[("b", 0)])
         with pytest.raises(InputError):
             mm.aggregate_majority(net, constant_symmetric())
+
+    @pytest.mark.parametrize("objective", [
+        mm.MultisliceObjective(gamma=[1.0, 1.0], omega=0.5),
+        mm.MultilayerObjective(coupling=mm.CouplingPolicy.asym_inner(time_aware=True)),
+    ], ids=["gamma-list-length", "time-aware-unordered"])
+    def test_objective_checked_before_layer_louvain(self, monkeypatch, objective):
+        def fail(*args, **kwargs):
+            raise AssertionError("per-layer Louvain ran before the objective was checked")
+
+        monkeypatch.setattr("multimod.detect._layer_louvain", fail)
+        edges = [(l, u, v) for l in ("a", "b", "c") for u, v in TRIANGLES]
+        net = mm.build_network(layers=["a", "b", "c"], edges=edges)
+        with pytest.raises(PolicyError):
+            mm.aggregate_majority(net, mm.DetectConfig(objective=objective))
 
 
 class TestNmi:

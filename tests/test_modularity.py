@@ -225,6 +225,13 @@ class TestMultilayerModularity:
         report = mm.multilayer_modularity(two_triangles, cs)
         q_ng = mm.newman_modularity(two_triangles.layer_graph("L"), part)
         assert report.total == pytest.approx(q_ng, abs=1e-12)
+        # on several layers the all-in-one partition scores 1 - sum_l (m_l / m)^2
+        net, _ = mm.planted_multilayer(mm.PlantedSpec(entities=40, communities=4, layers=3,
+                                                      p_in=0.5, p_out=0.05, seed=2))
+        one = mm.CommunityStructure.from_entity_partition(net, dict.fromkeys(net.entity_ids, 0))
+        m = net.num_edges()
+        baseline = 1 - sum((net.num_edges(l) / m) ** 2 for l in net.layer_ids)
+        assert mm.multilayer_modularity(net, one).total == pytest.approx(baseline, abs=1e-12)
 
     def test_twin_triangles_match_direct(self, twin_triangle_layers):
         net = twin_triangle_layers
