@@ -3,7 +3,8 @@
 The main routine is a Louvain-style greedy optimizer that assigns every
 (entity, layer) occurrence separately: occurrences are visited in seeded
 shuffled order and moved to the neighboring or coupled community with the
-best positive gain; once a full pass stalls, occurrences sharing a community
+best positive gain (one pass over the occurrence gathers its counts to every
+such community); once a full pass stalls, occurrences sharing a community
 and a layer are fused into super-node blocks and the moving continues at the
 coarser granularity. Gains are exact objective differences computed from
 integer per-community aggregates, so the objective never decreases.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .community import CommunityStructure, log_decay
@@ -107,6 +109,15 @@ class _Unit:
 _NO_PATCH = ({}, {})
 
 
+def _ddint(unit, k_s, removing):
+    """Change of a community's internal degree in the unit's layer, given
+    the unit's ``k_s`` edges into it (its own ``within`` edges count twice
+    in ``k_s`` when removing)."""
+    if removing:
+        return -(2 * k_s - 2 * unit.within)
+    return 2 * (k_s + unit.within)
+
+
 def _make_unit(net, layer, entities):
     entities = tuple(sorted(entities))
     adj = net.adj_idx(layer)
@@ -118,8 +129,9 @@ def _make_unit(net, layer, entities):
 
 class _Engine:
     """Community bookkeeping shared by both objectives. A subclass supplies
-    ``_delta(comm, unit, removing)``: the exact objective change of the move
-    and its patch, the pending ``(dinter, dnrp)`` changes ``apply`` commits."""
+    ``_delta(comm, unit, counts, removing)``: the exact objective change of
+    the move and its patch, the pending ``(dinter, dnrp)`` changes ``apply``
+    commits. ``counts`` are the community's entry in :meth:`gather`."""
 
     def __init__(self, net):
         self.net = net
@@ -134,20 +146,29 @@ class _Engine:
             comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
         return comm
 
-    def _ddint(self, comm, unit, removing):
-        """Change of the community's internal degree in the unit's layer."""
-        adj = self.net.adj_idx(unit.layer)
-        proj_l = comm.proj.get(unit.layer, _EMPTY)
-        k_s = sum(len(adj.get(v, _EMPTY) & proj_l) for v in unit.entities)
-        if removing:
-            return -(2 * k_s - 2 * unit.within)
-        return 2 * (k_s + unit.within)
+    def gather(self, unit, assign):
+        """Counts for every community the unit touches, in one pass over it:
+        ``[k_s, occ]``, where ``k_s`` is the number of the unit's edges into
+        the community in the unit's layer and ``occ`` maps each other layer
+        to how many of the unit's entities the community holds there
+        (Blondel et al. 2008). An untouched community reads as ``[0, {}]``."""
+        l = unit.layer
+        adj = self.net.adj_idx(l)
+        found = defaultdict(lambda: [0, {}])
+        for v in unit.entities:
+            for u in adj.get(v, _EMPTY):
+                found[assign[(u, l)]][0] += 1
+            for lj in self.net.entity_layers_idx(v):
+                if lj != l:
+                    occ = found[assign[(v, lj)]][1]
+                    occ[lj] = occ.get(lj, 0) + 1
+        return found
 
-    def remove_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=True)
+    def remove_eval(self, comm, unit, counts):
+        return self._delta(comm, unit, counts, removing=True)
 
-    def insert_eval(self, comm, unit):
-        return self._delta(comm, unit, removing=False)
+    def insert_eval(self, comm, unit, counts):
+        return self._delta(comm, unit, counts, removing=False)
 
     def apply(self, comm, unit, patch, removing):
         l = unit.layer
@@ -191,7 +212,7 @@ class _MultilayerEngine(_Engine):
 
         ell = net.num_layers
         self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
-        self.vinter = {(a, b): len(net.presence_idx(a) & net.presence_idx(b))
+        self.vinter = {(a, b): net.shared_count_idx(a, b)
                        for a in range(ell) for b in range(a + 1, ell)}
         self.touching = {l: [r for r in records if l in (r[0], r[1])] for l in range(ell)}
 
@@ -238,20 +259,14 @@ class _MultilayerEngine(_Engine):
             return 0.0
         return inter / vint * self.vsize[src] / psize * penalty
 
-    def _delta(self, comm, unit, removing):
+    def _delta(self, comm, unit, counts, removing):
         l = unit.layer
         S = unit.entities
-        ddint = self._ddint(comm, unit, removing)
+        k_s, occ = counts
+        ddint = _ddint(unit, k_s, removing)
         ddeg = -unit.degsum if removing else unit.degsum
         psize_delta = -len(S) if removing else len(S)
-
-        dinter = {}
-        for lj, pj in comm.proj.items():
-            if lj == l:
-                continue
-            cnt = sum(1 for v in S if v in pj)
-            if cnt:
-                dinter[lj] = -cnt if removing else cnt
+        dinter = {lj: -cnt for lj, cnt in occ.items()} if removing else occ
 
         dnrp = {}
         if self.redundancy:
@@ -300,17 +315,18 @@ class _MultisliceEngine(_Engine):
         self.omega = float(objective.omega)
         self.two_e = [2 * len(net.edges_idx(l)) for l in range(net.num_layers)]
 
-    def _delta(self, comm, unit, removing):
+    def _delta(self, comm, unit, counts, removing):
         l = unit.layer
-        S = unit.entities
-        ddint = self._ddint(comm, unit, removing)
+        k_s, occ = counts
+        ddint = _ddint(unit, k_s, removing)
         d_old = comm.deg.get(l, 0)
+        # occurrence pairs the unit's entities form with the community elsewhere
+        dcpairs = sum(occ.values())
         if removing:
             d_new = d_old - unit.degsum
-            dcpairs = -sum(comm.flat.get(v, 0) - 1 for v in S)
+            dcpairs = -dcpairs
         else:
             d_new = d_old + unit.degsum
-            dcpairs = sum(comm.flat.get(v, 0) for v in S)
         d_null = self.gammas[l] * (d_new * d_new - d_old * d_old) / self.two_e[l]
         dq = (ddint - d_null + 2.0 * self.omega * dcpairs) / self.norm
         return dq, _NO_PATCH
@@ -376,22 +392,16 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
             for ui in order:
                 unit = units[ui]
                 src = assign[unit.tuples[0]]
-                candidates = set()
-                for v, l in unit.tuples:
-                    for u in net.adj_idx(l).get(v, _EMPTY):
-                        candidates.add(assign[(u, l)])
-                    for lj in net.entity_layers_idx(v):
-                        if lj != l:
-                            candidates.add(assign[(v, lj)])
-                candidates.discard(src)
+                found = engine.gather(unit, assign)
+                candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     continue
-                dq_rem, patch_rem = engine.remove_eval(comms[src], unit)
+                dq_rem, patch_rem = engine.remove_eval(comms[src], unit, found[src])
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None
-                for cid in sorted(candidates):
-                    dq_ins, patch_ins = engine.insert_eval(comms[cid], unit)
+                for cid in candidates:
+                    dq_ins, patch_ins = engine.insert_eval(comms[cid], unit, found[cid])
                     gain = dq_rem + dq_ins
                     if gain > best_gain:
                         best_gain = gain

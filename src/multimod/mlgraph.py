@@ -13,7 +13,6 @@ the network and safe to call concurrently.
 from __future__ import annotations
 
 import statistics
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -112,6 +111,7 @@ class MultilayerNetwork:
         self._adj = adj                    # per layer: dict idx -> frozenset of idx
         self._edges = edges                # per layer: tuple of (u, v) with u < v
         self._entity_layers = entity_layers  # per entity: frozenset of layer indices
+        self._shared = {}                  # (a, b) a <= b -> shared entity count, on demand
         self.ordering = ordering
 
     # -- basic accessors ---------------------------------------------------
@@ -222,9 +222,15 @@ class MultilayerNetwork:
         return list(ordering.sequence[pos + 1:])
 
     def shared_entity_count(self, layer_a, layer_b) -> int:
-        ia = self.layer_index(layer_a)
-        ib = self.layer_index(layer_b)
-        return len(self._presence[ia] & self._presence[ib])
+        return self.shared_count_idx(self.layer_index(layer_a), self.layer_index(layer_b))
+
+    def shared_count_idx(self, ia: int, ib: int) -> int:
+        """Entities present in both layers; computed once per layer pair."""
+        key = (ia, ib) if ia <= ib else (ib, ia)
+        count = self._shared.get(key)
+        if count is None:
+            count = self._shared[key] = len(self._presence[ia] & self._presence[ib])
+        return count
 
     def coupling_count(self, beta: int = 1, ordering: LayerOrdering | None = None) -> int:
         """Total shared-entity count over all valid (ordered) pairings.
@@ -311,20 +317,48 @@ class MultilayerNetwork:
         )
 
 
+# Sources per bit-parallel BFS block: each node holds one int of this many
+# bits, about 512 bytes per node, where one block over all sources would need
+# n * n / 8 bytes.
+_SOURCE_BLOCK = 4096
+
+
 def _avg_path_length(adj, nodes) -> float:
+    """Mean shortest-path length over connected ordered pairs.
+
+    All sources of a block advance together (multi-source BFS, Then et al.,
+    PVLDB 8(4), 2014): bit ``s`` of ``reach[v]`` says that source ``s`` is
+    within the current number of hops of ``v``. Each level ORs the bits a
+    neighbour gained at the previous level into ``v``; only neighbours of
+    nodes that gained bits are visited. Every count is an exact integer, so
+    the result equals a per-source BFS.
+    """
+    index = {v: i for i, v in enumerate(nodes)}
+    nbrs = [[index[u] for u in adj.get(v, ())] for v in nodes]
+    n = len(nodes)
     total = 0
     pairs = 0
-    for s in nodes:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        total += sum(dist.values())
-        pairs += len(dist) - 1
+    for lo in range(0, n, _SOURCE_BLOCK):
+        hi = min(lo + _SOURCE_BLOCK, n)
+        reach = [0] * n
+        gained = {}  # node -> source bits first reached at the current level
+        for s in range(lo, hi):
+            reach[s] = gained[s] = 1 << (s - lo)
+        d = 0
+        while gained:
+            d += 1
+            offered = {}
+            for v, bits in gained.items():
+                for u in nbrs[v]:
+                    offered[u] = offered.get(u, 0) | bits
+            gained = {}
+            for u, bits in offered.items():
+                bits &= ~reach[u]
+                if bits:
+                    reach[u] |= bits
+                    gained[u] = bits
+                    total += d * bits.bit_count()
+        pairs += sum(r.bit_count() for r in reach) - (hi - lo)
     return total / pairs if pairs else 0.0
 
 
@@ -336,11 +370,7 @@ def _mean_clustering(adj, nodes) -> float:
         if k < 2:
             values.append(0.0)
             continue
-        nbl = list(nb)
-        links = 0
-        for i, u in enumerate(nbl):
-            au = adj[u]
-            links += sum(1 for w in nbl[i + 1:] if w in au)
+        links = sum(len(adj[u] & nb) for u in nb) // 2
         values.append(2 * links / (k * (k - 1)))
     return statistics.fmean(values)
 

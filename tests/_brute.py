@@ -10,12 +10,52 @@ guarded against instances too large for that treatment and raise
 from __future__ import annotations
 
 import math
+import statistics
+from collections import deque
 from fractions import Fraction
 
 import multimod as mm
 
 _DIRECT_PAIR_GUARD = 10_000
 _EXHAUSTIVE_TUPLE_GUARD = 12
+
+
+def literal_avg_path_length(adj, nodes) -> float:
+    """Mean shortest-path length over connected ordered pairs: one
+    dict-based BFS per source."""
+    total = 0
+    pairs = 0
+    for s in nodes:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj.get(u, ()):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        total += sum(dist.values())
+        pairs += len(dist) - 1
+    return total / pairs if pairs else 0.0
+
+
+def literal_mean_clustering(adj, nodes) -> float:
+    """Mean local clustering coefficient, counting neighbour links pair by
+    pair; nodes of degree < 2 contribute 0."""
+    values = []
+    for v in nodes:
+        nb = adj.get(v, frozenset())
+        k = len(nb)
+        if k < 2:
+            values.append(0.0)
+            continue
+        nbl = list(nb)
+        links = 0
+        for i, u in enumerate(nbl):
+            au = adj[u]
+            links += sum(1 for w in nbl[i + 1:] if w in au)
+        values.append(2 * links / (k * (k - 1)))
+    return statistics.fmean(values)
 
 
 def newman_direct(nodes, edges, partition):

@@ -275,6 +275,9 @@ GOLDEN = {
         ["score", "--objective", "q", "--resolution", "redundancy",
          "--coupling", "asym-outer", "--time-aware", "--ordering", "natural-pairwise"],
         {"stdout": "f06acc33e1ceef0aa017039baa8be70614c4cb349a04a885e98334ff2bb03766"}),
+    "stats": (
+        ["stats"],
+        {"stdout": "71f0eeafa274440f957b14fbc22d991893d89a66eb974d1a67ab1a057b65ebdc"}),
 }
 
 
@@ -289,7 +292,10 @@ def test_golden_outputs(capsys, tmp_path, name):
     npath, lpath = tmp_path / "net.mlg", tmp_path / "planted.flat"
     mm.save_planted(net, planted, npath, lpath)
     command, *flags = argv
-    if command == "score":
+    if command == "stats":
+        code, out, _ = run(capsys, [command, str(npath), *flags])
+        got = {"stdout": _sha256(out.encode("utf-8"))}
+    elif command == "score":
         code, out, _ = run(capsys, [command, str(npath), str(lpath), *flags])
         got = {"stdout": _sha256(out.encode("utf-8"))}
     else:

@@ -194,8 +194,9 @@ class TestIncrementalGains:
                 continue  # keep both communities nonempty for rescoring
             before = score()
             unit = _make_unit(net, t[1], (t[0],))
-            dq_r, patch_r = engine.remove_eval(comms[src], unit)
-            dq_i, patch_i = engine.insert_eval(comms[dst], unit)
+            found = engine.gather(unit, split)
+            dq_r, patch_r = engine.remove_eval(comms[src], unit, found[src])
+            dq_i, patch_i = engine.insert_eval(comms[dst], unit, found[dst])
             engine.apply(comms[src], unit, patch_r, removing=True)
             engine.apply(comms[dst], unit, patch_i, removing=False)
             split[t] = dst

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multimod as mm
+from multimod import mlgraph
 from multimod.errors import InputError
 
+from _brute import literal_avg_path_length, literal_mean_clustering
 from conftest import ordered3_network_text
 
 
@@ -206,6 +208,45 @@ class TestMonoplexStats:
         net = line_net(["L", "M"], [("L", 0, 1)])
         with pytest.raises(InputError):
             net.monoplex_stats("M")
+
+    @staticmethod
+    def random_layer(rng):
+        """A layer with several components, isolated nodes and, in layer
+        "N", a single node that is present without any edge."""
+        n = rng.randint(1, 40)
+        p = rng.choice((0.03, 0.08, 0.2))
+        edges = [("L", i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        presence = [("L", v) for v in range(n)] + [("N", n)]
+        return line_net(["L", "N"], edges, presence=presence)
+
+    def check_against_literal(self, net):
+        for layer in net.layer_ids:
+            li = net.layer_index(layer)
+            nodes = sorted(net.presence_idx(li))
+            adj = net.adj_idx(li)
+            s = net.monoplex_stats(layer)
+            assert s.avg_path_length == literal_avg_path_length(adj, nodes)
+            assert s.clustering_coefficient == literal_mean_clustering(adj, nodes)
+
+    def test_matches_literal_oracles(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            self.check_against_literal(self.random_layer(rng))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_matches_literal_oracles_over_several_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(mlgraph, "_SOURCE_BLOCK", block)
+        rng = random.Random(101 + block)
+        for _ in range(30):
+            self.check_against_literal(self.random_layer(rng))
+
+    @pytest.mark.parametrize("block", [4096, 3])
+    def test_path_graph_closed_form(self, monkeypatch, block):
+        monkeypatch.setattr(mlgraph, "_SOURCE_BLOCK", block)
+        for n in (2, 3, 10, 57):
+            net = line_net(["L"], [("L", i, i + 1) for i in range(n - 1)])
+            assert net.monoplex_stats("L").avg_path_length == (n + 1) / 3
 
 
 @settings(max_examples=40, deadline=None)
