@@ -9,14 +9,28 @@ and a layer are fused into super-node blocks and the moving continues at the
 coarser granularity. Gains are exact objective differences computed from
 integer per-community aggregates, so the objective never decreases.
 
+A visit whose outcome is already known is skipped: when an occurrence (or
+block) is evaluated and stays put, the communities it read are recorded
+with the move count, and later visits at the same granularity skip it
+until one of those communities changes. The skip is exact. A unit's gains
+depend only on the aggregates of its own and its candidate communities and
+on the assignments of its neighbours and of its entities' other
+occurrences. Each of those changes only through a move, and a move marks
+both communities it touches: the aggregates it changes, and the one an
+occurrence the unit read leaves. Community ids are never reused. Skipped
+visits would have moved nothing and gained nothing, and the shuffle still
+runs every pass, so the run is the same as without the skip.
+
 One gain engine serves both objectives: a shared base keeps each
 community's projections, flattened membership and degrees and applies the
 moves, and each objective adds only its own counters and gain formula
 (projection intersections and redundant-pair counts for the multilayer
 score, a constant per-pair coupling for the multislice score). The
-multilayer gains read the scorer's coupling plan (``coupling_plan``) and the
-network's linked-pair query (``partner_layers_idx``). The reported
-objective is always re-scored through the scoring module.
+multilayer gains read the scorer's coupling plan (``coupling_plan``),
+resolved once into per-layer coupling terms, and the network's linked-pair
+query (``partner_layers_idx``); redundancy decays come from a table indexed
+by the redundant-pair count. The reported objective is always re-scored
+through the scoring module.
 
 Also here: a single-layer Louvain wrapper, the per-layer aggregation
 baseline with majority voting, and normalized mutual information.
@@ -201,20 +215,30 @@ class _MultilayerEngine(_Engine):
 
     def __init__(self, net, objective):
         super().__init__(net)
-        self.resolution = objective.resolution
-        self.coupling = objective.coupling
-        ordering, records = coupling_plan(net, self.coupling, objective.ordering)
-        self.norm = float(net.total_degree(beta=self.coupling.beta, ordering=ordering))
-        self.redundancy = self.resolution.kind == "redundancy"
+        coupling = objective.coupling
+        ordering, records = coupling_plan(net, coupling, objective.ordering)
+        self.norm = float(net.total_degree(beta=coupling.beta, ordering=ordering))
+        self.gamma = objective.resolution.gamma
+        self.redundancy = objective.resolution.kind == "redundancy"
         # entity -> (partner, supporting layers) over pairs linked in >= 2 layers
         self.rp_adj = [[(u, sl) for u, sl in net.partner_layers_idx(v).items() if len(sl) >= 2]
                        for v in range(net.num_entities)] if self.redundancy else None
+        self.decay = []  # log_decay(n) at index n, extended on demand
 
-        ell = net.num_layers
-        self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
-        self.vinter = {(a, b): net.shared_count_idx(a, b)
-                       for a in range(ell) for b in range(a + 1, ell)}
-        self.touching = {l: [r for r in records if l in (r[0], r[1])] for l in range(ell)}
+        # the coupling records touching each layer, resolved once: (key,
+        # other layer, projection source, shared entities, source layer
+        # size, penalty); a pair sharing no entity always couples 0
+        self.symmetric = coupling.kind == "symmetric"
+        self.terms = [[] for _ in range(net.num_layers)]
+        for i, j, penalty in records:
+            vint = net.shared_count_idx(i, j)
+            if vint == 0:
+                continue
+            key = (i, j) if i < j else (j, i)
+            src = i if coupling.kind == "asym-inner" else j
+            vsize = len(net.presence_idx(src))
+            self.terms[i].append((key, j, src, vint, vsize, penalty))
+            self.terms[j].append((key, i, src, vint, vsize, penalty))
 
     def new_comm(self, tuples):
         comm = super().new_comm(tuples)
@@ -232,32 +256,11 @@ class _MultilayerEngine(_Engine):
                 added.add(v)
         return comm
 
-    def _gamma(self, nrp):
-        if not self.redundancy:
-            return self.resolution.gamma
-        return log_decay(nrp)
-
-    def _record_value(self, comm, rec, layer=None, psize_delta=0, dinter=None):
-        """Coupling value of one (i, j, penalty) record, optionally with the
-        pending projection-size and intersection deltas applied at `layer`."""
-        i, j, penalty = rec
-        key = (i, j) if i < j else (j, i)
-        vint = self.vinter[key]
-        if vint == 0:
-            return 0.0
-        inter = comm.inter.get(key, 0)
-        if dinter is not None and layer in key:
-            other = key[0] if key[1] == layer else key[1]
-            inter += dinter.get(other, 0)
-        if self.coupling.kind == "symmetric":
-            return inter / vint * penalty
-        src = i if self.coupling.kind == "asym-inner" else j
-        psize = len(comm.proj.get(src, _EMPTY))
-        if src == layer:
-            psize += psize_delta
-        if psize == 0:
-            return 0.0
-        return inter / vint * self.vsize[src] / psize * penalty
+    def _decay(self, n):
+        table = self.decay
+        if n >= len(table):
+            table.extend(log_decay(x) for x in range(len(table), n + 1))
+        return table[n]
 
     def _delta(self, comm, unit, counts, removing):
         l = unit.layer
@@ -290,16 +293,30 @@ class _MultilayerEngine(_Engine):
         for lj in affected:
             d_old = comm.deg.get(lj, 0)
             d_new = d_old + (ddeg if lj == l else 0)
-            g_old = self._gamma(comm.nrp.get(lj, 0))
-            g_new = self._gamma(comm.nrp.get(lj, 0) + dnrp.get(lj, 0))
+            if self.redundancy:
+                n_old = comm.nrp.get(lj, 0)
+                g_old = self._decay(n_old)
+                g_new = self._decay(n_old + dnrp.get(lj, 0))
+            else:
+                g_old = g_new = self.gamma
             d_null += g_new * d_new * d_new - g_old * d_old * d_old
 
         d_coup = 0.0
-        for rec in self.touching[l]:
-            before = self._record_value(comm, rec)
-            after = self._record_value(comm, rec, layer=l,
-                                       psize_delta=psize_delta, dinter=dinter)
-            d_coup += after - before
+        inter = comm.inter
+        if self.symmetric:
+            for key, other, _, vint, _, penalty in self.terms[l]:
+                n = inter.get(key, 0)
+                d_coup += (n + dinter.get(other, 0)) / vint * penalty - n / vint * penalty
+        else:
+            proj = comm.proj
+            for key, other, src, vint, vs, penalty in self.terms[l]:
+                n = inter.get(key, 0)
+                psize = len(proj.get(src, _EMPTY))
+                before = n / vint * vs / psize * penalty if psize else 0.0
+                if src == l:
+                    psize += psize_delta
+                after = (n + dinter.get(other, 0)) / vint * vs / psize * penalty if psize else 0.0
+                d_coup += after - before
 
         dq = (ddint - d_null / self.norm + d_coup) / self.norm
         return dq, (dinter, dnrp)
@@ -360,7 +377,13 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     When a full pass gains at most ``min_gain``, occurrences are fused into
     per-layer super-node blocks of their communities and the process repeats
     on the blocks, stopping once aggregation no longer coarsens anything (or
-    ``max_passes`` sweeps have run).
+    ``max_passes`` sweeps have run; no aggregation follows the last one).
+
+    A unit that was evaluated and stayed put is skipped on later visits at
+    the same granularity until one of the communities it read (its own and
+    every candidate) is changed by a move. Its outcome cannot differ before
+    then, so the skip changes no assignment, pass count, move count or
+    objective; the module docstring gives the argument.
 
     The reported objective is obtained by re-scoring the final structure
     through the scoring module, not from the incremental bookkeeping.
@@ -382,19 +405,25 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
 
     passes = 0
     moves = 0
-    while passes < config.max_passes:
+    changed = [0] * len(occurrences)  # community -> move count at its last change
+    while True:
         # local moving at the current granularity
+        stayed = [None] * len(units)  # unit -> (move count, communities) when it last stayed put
         while passes < config.max_passes:
             passes += 1
             order = list(range(len(units)))
             rng.shuffle(order)
             pass_gain = 0.0
             for ui in order:
+                seen = stayed[ui]
+                if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
+                    continue  # nothing it reads has changed: it stays again
                 unit = units[ui]
                 src = assign[unit.tuples[0]]
                 found = engine.gather(unit, assign)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
+                    stayed[ui] = (moves, (src,))
                     continue
                 dq_rem, patch_rem = engine.remove_eval(comms[src], unit, found[src])
                 best_gain = 0.0
@@ -408,6 +437,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                         best_cid = cid
                         best_patch = patch_ins
                 if best_cid is None:
+                    stayed[ui] = (moves, (src, *candidates))
                     continue
                 engine.apply(comms[src], unit, patch_rem, removing=True)
                 engine.apply(comms[best_cid], unit, best_patch, removing=False)
@@ -417,8 +447,11 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                     assign[t] = best_cid
                 pass_gain += best_gain
                 moves += 1
+                changed[src] = changed[best_cid] = moves
             if pass_gain <= config.min_gain:
                 break
+        if passes >= config.max_passes:
+            break
         # aggregate into per-layer super-nodes of the current communities
         blocks = {}
         for (e, l), cid in assign.items():

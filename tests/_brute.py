@@ -5,16 +5,26 @@ code or caching, so they stay independent of the optimized implementations
 they check. The multilayer direct evaluator and the exhaustive searcher are
 guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
+
+The literal gain engine and local-moving loop at the end are different in
+kind: they are the detector's earlier, unoptimised forms, built on its own
+bookkeeping, and serve to check that the optimised forms give bit-identical
+gains and runs.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from collections import deque
 from fractions import Fraction
 
 import multimod as mm
+from multimod.community import log_decay
+from multimod.detect import (_EMPTY, DetectResult, _build_engine, _ddint, _make_unit,
+                             _MultilayerEngine, _rescore)
+from multimod.modularity import coupling_plan
 
 _DIRECT_PAIR_GUARD = 10_000
 _EXHAUSTIVE_TUPLE_GUARD = 12
@@ -292,3 +302,174 @@ def best_partition_exhaustive(net: mm.MultilayerNetwork,
             best_value = value
             best_code = code
     return {tuples[i]: best_code[i] for i in range(len(tuples))}, best_value
+
+
+# -- literal gain evaluation and local moving --------------------------------------
+
+
+class LiteralMultilayerEngine(_MultilayerEngine):
+    """The multilayer gain engine with its gains evaluated the literal way:
+    every coupling record touching the moved layer is resolved anew per
+    call, before and after the move, and every decay is computed from the
+    logarithm. The bookkeeping (``new_comm``, ``gather``, ``apply``) is the
+    engine's own; only ``_delta`` is replaced, so the engine's ``dq`` and
+    patches must equal this one's exactly."""
+
+    def __init__(self, net, objective):
+        super().__init__(net, objective)
+        self.resolution = objective.resolution
+        self.coupling = objective.coupling
+        _, records = coupling_plan(net, self.coupling, objective.ordering)
+        ell = net.num_layers
+        self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
+        self.vinter = {(a, b): net.shared_count_idx(a, b)
+                       for a in range(ell) for b in range(a + 1, ell)}
+        self.touching = {l: [r for r in records if l in (r[0], r[1])] for l in range(ell)}
+
+    def _gamma(self, nrp):
+        if not self.redundancy:
+            return self.resolution.gamma
+        return log_decay(nrp)
+
+    def _record_value(self, comm, rec, layer=None, psize_delta=0, dinter=None):
+        """Coupling value of one (i, j, penalty) record, optionally with the
+        pending projection-size and intersection deltas applied at `layer`."""
+        i, j, penalty = rec
+        key = (i, j) if i < j else (j, i)
+        vint = self.vinter[key]
+        if vint == 0:
+            return 0.0
+        inter = comm.inter.get(key, 0)
+        if dinter is not None and layer in key:
+            other = key[0] if key[1] == layer else key[1]
+            inter += dinter.get(other, 0)
+        if self.coupling.kind == "symmetric":
+            return inter / vint * penalty
+        src = i if self.coupling.kind == "asym-inner" else j
+        psize = len(comm.proj.get(src, _EMPTY))
+        if src == layer:
+            psize += psize_delta
+        if psize == 0:
+            return 0.0
+        return inter / vint * self.vsize[src] / psize * penalty
+
+    def _delta(self, comm, unit, counts, removing):
+        l = unit.layer
+        S = unit.entities
+        k_s, occ = counts
+        ddint = _ddint(unit, k_s, removing)
+        ddeg = -unit.degsum if removing else unit.degsum
+        psize_delta = -len(S) if removing else len(S)
+        dinter = {lj: -cnt for lj, cnt in occ.items()} if removing else occ
+
+        dnrp = {}
+        if self.redundancy:
+            # a redundant pair counts while both ends are in the flattened
+            # community; only entities entering or leaving it change that
+            sign = -1 if removing else 1
+            moved = set()
+            for v in S:
+                if comm.flat.get(v, 0) != (1 if removing else 0):
+                    continue
+                for u, sl in self.rp_adj[v]:
+                    # partner in the community before the move xor already moved
+                    if (comm.flat.get(u, 0) > 0) != (u in moved):
+                        for lj in sl:
+                            dnrp[lj] = dnrp.get(lj, 0) + sign
+                moved.add(v)
+
+        # objective delta; fixed layer order keeps float accumulation reproducible
+        affected = sorted({l, *dnrp})
+        d_null = 0.0
+        for lj in affected:
+            d_old = comm.deg.get(lj, 0)
+            d_new = d_old + (ddeg if lj == l else 0)
+            g_old = self._gamma(comm.nrp.get(lj, 0))
+            g_new = self._gamma(comm.nrp.get(lj, 0) + dnrp.get(lj, 0))
+            d_null += g_new * d_new * d_new - g_old * d_old * d_old
+
+        d_coup = 0.0
+        for rec in self.touching[l]:
+            before = self._record_value(comm, rec)
+            after = self._record_value(comm, rec, layer=l,
+                                       psize_delta=psize_delta, dinter=dinter)
+            d_coup += after - before
+
+        dq = (ddint - d_null / self.norm + d_coup) / self.norm
+        return dq, (dinter, dnrp)
+
+
+def literal_generalized_louvain(net, config):
+    """Greedy local moving with aggregation, re-evaluating every unit on
+    every visit: ``generalized_louvain`` without the skip of units whose
+    neighbourhood did not change, and with the aggregation it builds and
+    throws away after the last allowed pass."""
+    if net.num_edges() == 0:
+        raise mm.InputError("cannot detect communities on an edgeless network")
+    engine = _build_engine(net, config.objective)
+    rng = random.Random(config.seed)
+
+    occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+    assign = {}
+    comms = {}
+    units = []
+    for cid, (e, l) in enumerate(occurrences):
+        unit = _make_unit(net, l, (e,))
+        units.append(unit)
+        assign[(e, l)] = cid
+        comms[cid] = engine.new_comm(unit.tuples)
+
+    passes = 0
+    moves = 0
+    while passes < config.max_passes:
+        # local moving at the current granularity
+        while passes < config.max_passes:
+            passes += 1
+            order = list(range(len(units)))
+            rng.shuffle(order)
+            pass_gain = 0.0
+            for ui in order:
+                unit = units[ui]
+                src = assign[unit.tuples[0]]
+                found = engine.gather(unit, assign)
+                candidates = sorted(c for c in found if c != src)
+                if not candidates:
+                    continue
+                dq_rem, patch_rem = engine.remove_eval(comms[src], unit, found[src])
+                best_gain = 0.0
+                best_cid = None
+                best_patch = None
+                for cid in candidates:
+                    dq_ins, patch_ins = engine.insert_eval(comms[cid], unit, found[cid])
+                    gain = dq_rem + dq_ins
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_cid = cid
+                        best_patch = patch_ins
+                if best_cid is None:
+                    continue
+                engine.apply(comms[src], unit, patch_rem, removing=True)
+                engine.apply(comms[best_cid], unit, best_patch, removing=False)
+                if not comms[src].flat:
+                    del comms[src]
+                for t in unit.tuples:
+                    assign[t] = best_cid
+                pass_gain += best_gain
+                moves += 1
+            if pass_gain <= config.min_gain:
+                break
+        # aggregate into per-layer super-nodes of the current communities
+        blocks = {}
+        for (e, l), cid in assign.items():
+            blocks.setdefault((cid, l), []).append(e)
+        if len(blocks) == len(units):
+            break
+        units = [_make_unit(net, l, members)
+                 for (cid, l), members in sorted(blocks.items())]
+
+    assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
+                  for (e, l), cid in assign.items()}
+    cs = mm.CommunityStructure(net, assignment)
+    objective = _rescore(net, cs, config.objective)
+    return DetectResult(structure=cs, partition=cs.flatten_majority(),
+                        objective=objective, passes=passes, moves=moves)

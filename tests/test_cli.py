@@ -246,9 +246,10 @@ class TestSweep:
         assert code == 3
 
 
-# Outputs pinned on one seeded planted network: scores, optimizer trajectory
+# Outputs pinned on seeded planted networks: scores, optimizer trajectory
 # and written files must stay byte-identical across refactors. The `wrote`
-# lines and the manifest carry temporary paths and are left out.
+# lines and the manifest carry temporary paths and are left out. A pin runs
+# on GOLDEN_SPEC unless GOLDEN_SPECS names a larger network for it.
 GOLDEN_SPEC = mm.PlantedSpec(entities=60, communities=4, layers=3, p_in=0.4,
                              p_out=0.01, presence=0.85, seed=5)
 GOLDEN = {
@@ -278,7 +279,24 @@ GOLDEN = {
     "stats": (
         ["stats"],
         {"stdout": "71f0eeafa274440f957b14fbc22d991893d89a66eb974d1a67ab1a057b65ebdc"}),
+    # on GOLDEN_LARGE_SPEC, where hundreds of units move over several passes
+    "gl-qms-large": (
+        ["detect", "--objective", "qms", "--omega", "1"],
+        {"stdout": ["objective\t0.20232270940017016", "communities\t239",
+                    "passes\t6", "moves\t562"],
+         "communities": "de565834b8bd0694dbc2b6870cf6cb4f4f2e092ce993952079440e2e94021c69",
+         "flat": "095c2f2c93e7cbb67adc1262d66c8adf31762435bd6c6148767667aecc56558a"}),
+    "gl-q-redundancy-large": (
+        ["detect", "--objective", "q", "--resolution", "redundancy",
+         "--coupling", "asym-inner", "--time-aware", "--ordering", "natural-adjacent"],
+        {"stdout": ["objective\t0.8426513887782361", "communities\t1",
+                    "passes\t15", "moves\t1352"],
+         "communities": "66790633671b82d7ae35e48bcef9d40ed142774f1a8ab1048961ba2cfc02c93e",
+         "flat": "da44bf7e8579ba6f688a5a4896a6aebc5ffb8a910631971447e926a956706b4f"}),
 }
+GOLDEN_LARGE_SPEC = mm.PlantedSpec(entities=250, communities=5, layers=4, p_in=0.2,
+                                   p_out=0.01, presence=0.8, seed=11)
+GOLDEN_SPECS = {"gl-qms-large": GOLDEN_LARGE_SPEC, "gl-q-redundancy-large": GOLDEN_LARGE_SPEC}
 
 
 def _sha256(data: bytes) -> str:
@@ -288,7 +306,7 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_outputs(capsys, tmp_path, name):
     argv, expected = GOLDEN[name]
-    net, planted = mm.planted_multilayer(GOLDEN_SPEC)
+    net, planted = mm.planted_multilayer(GOLDEN_SPECS.get(name, GOLDEN_SPEC))
     npath, lpath = tmp_path / "net.mlg", tmp_path / "planted.flat"
     mm.save_planted(net, planted, npath, lpath)
     command, *flags = argv

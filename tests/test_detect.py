@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import multimod as mm
+import multimod.detect as detect
 from multimod.errors import InputError, PolicyError
 
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
-from _brute import best_partition_exhaustive
+from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
+                    literal_generalized_louvain)
 from _gen import natural_orderings, random_multilayer
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -168,6 +171,96 @@ class TestGeneralizedLouvain:
             assert res.objective == expected
 
 
+    @staticmethod
+    def random_objective(rng, net):
+        if rng.random() < 0.5:
+            return mm.MultisliceObjective(
+                gamma=[rng.choice((0.5, 1.0, 1.5)) for _ in net.layer_ids],
+                omega=rng.choice((0.0, 0.3, 1.0, 2.0)))
+        kind = rng.choice(("none", "symmetric", "asym-inner", "asym-outer"))
+        ordering = rng.choice((None, *natural_orderings(net)))
+        time_aware = kind.startswith("asym") and ordering is not None and rng.random() < 0.5
+        if time_aware:
+            ordering = mm.LayerOrdering.natural(net.layer_ids, ordering.scheme, True)
+        resolution = rng.choice((mm.ResolutionPolicy.constant(rng.choice((0.5, 1.0))),
+                                 mm.ResolutionPolicy.redundancy()))
+        return mm.MultilayerObjective(resolution=resolution,
+                                      coupling=mm.CouplingPolicy(kind, time_aware),
+                                      ordering=ordering)
+
+    @staticmethod
+    def assert_same_run(net, config):
+        got = mm.generalized_louvain(net, config)
+        want = literal_generalized_louvain(net, config)
+        assert got.structure.as_assignment() == want.structure.as_assignment()
+        assert (got.passes, got.moves) == (want.passes, want.moves)
+        assert got.objective == want.objective
+
+    def test_matches_literal_loop(self):
+        # skipping units whose communities did not change must not alter the run
+        rng = random.Random(97)
+        checked = 0
+        while checked < 40:
+            spec = mm.PlantedSpec(entities=rng.randint(6, 60), communities=rng.randint(1, 5),
+                                  layers=rng.randint(1, 4), p_in=rng.uniform(0.1, 0.6),
+                                  p_out=rng.uniform(0.0, 0.05), presence=rng.uniform(0.5, 1.0),
+                                  seed=rng.randrange(10**6))
+            net, _ = mm.planted_multilayer(spec)
+            if any(not net.edges_idx(l) for l in range(net.num_layers)):
+                continue  # the multislice null model needs an edge per layer
+            config = mm.DetectConfig(objective=self.random_objective(rng, net),
+                                     seed=rng.randrange(100),
+                                     max_passes=rng.choice((1, 2, 3, 50)))
+            self.assert_same_run(net, config)
+            checked += 1
+
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_matches_literal_loop_on_planted(self, seed):
+        spec = mm.PlantedSpec(entities=200, communities=4, layers=3, p_in=0.15,
+                              p_out=0.01, presence=0.8, seed=seed)
+        net, _ = mm.planted_multilayer(spec)
+        redundancy = mm.MultilayerObjective(
+            resolution=mm.ResolutionPolicy.redundancy(),
+            coupling=mm.CouplingPolicy.asym_inner(time_aware=True),
+            ordering=mm.LayerOrdering.natural(net.layer_ids, mm.PairingScheme.ADJACENT, True))
+        for objective in (redundancy, mm.MultisliceObjective(gamma=1.0, omega=1.0)):
+            for run_seed in (0, seed):
+                self.assert_same_run(net, mm.DetectConfig(objective=objective, seed=run_seed))
+
+    @pytest.mark.parametrize("max_passes", [1, 3])
+    def test_stops_at_max_passes_without_aggregating(self, monkeypatch, max_passes):
+        spec = mm.PlantedSpec(entities=60, communities=3, layers=3, p_in=0.3,
+                              p_out=0.02, presence=0.8, seed=4)
+        net, _ = mm.planted_multilayer(spec)
+        # at max_passes 3 the first two passes stall and aggregate before the third
+        config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=1.0),
+                                 seed=2, max_passes=max_passes, min_gain=0.05)
+        want = literal_generalized_louvain(net, config)
+        assert want.passes == max_passes
+
+        events = []
+
+        class LoggedRandom(random.Random):
+            def shuffle(self, x):
+                events.append("pass")
+                super().shuffle(x)
+
+        def logged_make_unit(*args):
+            events.append("unit")
+            return make_unit(*args)
+
+        make_unit = detect._make_unit
+        monkeypatch.setattr(detect, "random", SimpleNamespace(Random=LoggedRandom))
+        monkeypatch.setattr(detect, "_make_unit", logged_make_unit)
+        got = mm.generalized_louvain(net, config)
+        assert got.structure.as_assignment() == want.structure.as_assignment()
+        assert (got.passes, got.moves, got.objective) == (want.passes, want.moves, want.objective)
+        assert events.count("pass") == max_passes
+        assert events[-1] == "pass"  # no unit is built after the last pass
+        aggregated = events.count("unit") > net.num_tuples()
+        assert aggregated == (max_passes == 3)
+
+
 class TestIncrementalGains:
     """Engine gains must equal exact objective differences, move by move."""
 
@@ -253,6 +346,62 @@ class TestIncrementalGains:
             self.check_moves(rng, net, _MultisliceEngine(net, objective),
                              lambda cs: mm.multislice_modularity(net, cs, gammas, 0.7))
             checked += 1
+
+    @staticmethod
+    def check_literal_gains(rng, net, objective):
+        """Move random blocks of one community's occurrences in one layer
+        between random communities and check that ``dq`` and both patches
+        equal the literal engine's bit for bit."""
+        engine = _MultilayerEngine(net, objective)
+        literal = LiteralMultilayerEngine(net, objective)
+        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+        k = rng.randint(2, 4)
+        split = {t: rng.randrange(k) for t in occurrences}
+        comms = {c: engine.new_comm([t for t in occurrences if split[t] == c])
+                 for c in range(k)}
+        for _ in range(30):
+            e, l = rng.choice(occurrences)
+            src = split[(e, l)]
+            dst = rng.choice([c for c in range(k) if c != src])
+            block = [f for f, m in occurrences
+                     if m == l and split[(f, m)] == src and (f == e or rng.random() < 0.4)]
+            unit = _make_unit(net, l, block)
+            found = engine.gather(unit, split)
+            removal = engine.remove_eval(comms[src], unit, found[src])
+            insertion = engine.insert_eval(comms[dst], unit, found[dst])
+            assert removal == literal.remove_eval(comms[src], unit, found[src])
+            assert insertion == literal.insert_eval(comms[dst], unit, found[dst])
+            engine.apply(comms[src], unit, removal[1], removing=True)
+            engine.apply(comms[dst], unit, insertion[1], removing=False)
+            for t in unit.tuples:
+                split[t] = dst
+
+    @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
+                                            mm.ResolutionPolicy.redundancy()])
+    @pytest.mark.parametrize("kind", ["none", "symmetric", "asym-inner", "asym-outer"])
+    @pytest.mark.parametrize("scheme", [None, mm.PairingScheme.ADJACENT,
+                                        mm.PairingScheme.PAIRWISE])
+    def test_gains_equal_literal_engine(self, resolution, kind, scheme):
+        rng = random.Random(89)
+        # layers a and b share no entity: a coupled pair whose value is always 0
+        disjoint = mm.build_network(
+            layers=["a", "b", "c"],
+            edges=[("a", 0, 1), ("a", 1, 2), ("a", 0, 2), ("b", 3, 4), ("b", 4, 5),
+                   ("c", 0, 1), ("c", 1, 3), ("c", 3, 4), ("c", 2, 5)],
+            presence=[("c", v) for v in range(6)])
+        assert disjoint.shared_count_idx(0, 1) == 0
+        spec = mm.PlantedSpec(entities=40, communities=3, layers=3, p_in=0.4,
+                              p_out=0.05, presence=0.8, seed=6)
+        networks = [disjoint, mm.planted_multilayer(spec)[0],
+                    *(random_multilayer(rng) for _ in range(6))]
+        time_aware = scheme is not None and kind.startswith("asym")
+        for net in networks:
+            ordering = (mm.LayerOrdering.unordered() if scheme is None else
+                        mm.LayerOrdering.natural(net.layer_ids, scheme, time_aware))
+            objective = mm.MultilayerObjective(resolution=resolution,
+                                               coupling=mm.CouplingPolicy(kind, time_aware),
+                                               ordering=ordering)
+            self.check_literal_gains(rng, net, objective)
 
 
 class TestAggregateMajority:
