@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
 
@@ -201,6 +202,9 @@ def cmd_sweep(args) -> int:
     default_start, default_stop = _SWEEP_RANGES[args.protocol]
     start = default_start if args.start is None else args.start
     stop = default_stop if args.stop is None else args.stop
+    for name, value in (("--start", start), ("--stop", stop), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise PolicyError(f"{name} must be a finite number")
     if args.step <= 0:
         raise PolicyError("--step must be > 0")
     if stop < start:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
-from .mlgraph import MultilayerNetwork
+from .mlgraph import MultilayerNetwork, check_ids, read_utf8
 
 
 def supporting_layers(net: MultilayerNetwork, u, v) -> frozenset:
@@ -222,7 +222,7 @@ class CommunityStructure:
 
 
 def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     extended = {}
     flat = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -263,12 +263,18 @@ def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
 
 
 def write_communities(cs: CommunityStructure, path) -> None:
-    """Write the extended (per occurrence) community file."""
+    """Write the extended (per occurrence) community file; an id the format
+    cannot hold is an :class:`InputError`."""
+    check_ids(cs.net.entity_ids, "entity")
+    check_ids(cs.net.layer_ids, "layer")
     lines = [f"{entity} {layer} {c}" for (entity, layer), c in cs.as_assignment().items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_flat_partition(partition: dict, path) -> None:
-    """Write a flattened community file from an entity partition."""
+    """Write a flattened community file from an entity partition; an id or
+    label the format cannot hold is an :class:`InputError`."""
+    check_ids(partition, "entity")
+    check_ids(dict.fromkeys(partition.values()), "community")
     lines = [f"{entity} {partition[entity]}" for entity in sorted(partition, key=str)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -29,8 +29,9 @@ score, a constant per-pair coupling for the multislice score). The
 multilayer gains read the scorer's coupling plan (``coupling_plan``),
 resolved once into per-layer coupling terms, and the network's linked-pair
 query (``partner_layers_idx``); redundancy decays come from a table indexed
-by the redundant-pair count. The reported objective is always re-scored
-through the scoring module.
+by the redundant-pair count. Each objective class builds its own engine
+(``gain_engine``) and scores a structure through the scoring module
+(``score``); the reported objective is always that score.
 
 Also here: a single-layer Louvain wrapper, the per-layer aggregation
 baseline with majority voting, and normalized mutual information.
@@ -60,6 +61,12 @@ class MultisliceObjective:
     gamma: object = 1.0  # scalar or per-layer sequence
     omega: float = 0.0
 
+    def gain_engine(self, net):
+        return _MultisliceEngine(net, self)
+
+    def score(self, net, cs) -> float:
+        return multislice_modularity(net, cs, self.gamma, self.omega)
+
 
 @dataclass(frozen=True)
 class MultilayerObjective:
@@ -68,6 +75,13 @@ class MultilayerObjective:
     resolution: ResolutionPolicy = field(default_factory=lambda: ResolutionPolicy.constant(1.0))
     coupling: CouplingPolicy = field(default_factory=CouplingPolicy.none)
     ordering: LayerOrdering | None = None  # defaults to the network's ordering
+
+    def gain_engine(self, net):
+        return _MultilayerEngine(net, self)
+
+    def score(self, net, cs) -> float:
+        return multilayer_modularity(net, cs, self.resolution, self.coupling,
+                                     self.ordering).total
 
 
 @dataclass(frozen=True)
@@ -78,8 +92,10 @@ class DetectConfig:
     min_gain: float = 1e-9
 
     def __post_init__(self):
-        if self.min_gain <= 0:
-            raise PolicyError("min_gain must be > 0")
+        if not isinstance(self.objective, (MultilayerObjective, MultisliceObjective)):
+            raise PolicyError(f"unknown objective {self.objective!r}")
+        if not (math.isfinite(self.min_gain) and self.min_gain > 0):
+            raise PolicyError("min_gain must be a finite number > 0")
         if self.max_passes < 1:
             raise PolicyError("max_passes must be >= 1")
 
@@ -110,12 +126,11 @@ class _Comm:
 class _Unit:
     """A movable block: one or more occurrences of a single layer."""
 
-    __slots__ = ("layer", "entities", "tuples", "within", "degsum")
+    __slots__ = ("layer", "entities", "within", "degsum")
 
-    def __init__(self, layer, entities, tuples, within, degsum):
+    def __init__(self, layer, entities, within, degsum):
         self.layer = layer
         self.entities = entities
-        self.tuples = tuples
         self.within = within    # edges among the block's entities in `layer`
         self.degsum = degsum    # their total intra-layer degree
 
@@ -138,27 +153,20 @@ def _make_unit(net, layer, entities):
     eset = set(entities)
     within = sum(len(adj.get(v, _EMPTY) & eset) for v in entities) // 2
     degsum = sum(len(adj.get(v, _EMPTY)) for v in entities)
-    return _Unit(layer, entities, tuple((v, layer) for v in entities), within, degsum)
+    return _Unit(layer, entities, within, degsum)
 
 
 class _Engine:
     """Community bookkeeping shared by both objectives. A subclass supplies
-    ``_delta(comm, unit, counts, removing)``: the exact objective change of
-    the move and its patch, the pending ``(dinter, dnrp)`` changes ``apply``
-    commits. ``counts`` are the community's entry in :meth:`gather`."""
+    ``delta(comm, unit, counts, removing)``: the exact objective change of
+    moving the unit out of (or into) ``comm``, and its patch, the pending
+    ``(dinter, dnrp)`` changes :meth:`apply` commits. ``counts`` are the
+    community's entry in :meth:`gather`. A singleton community is an empty
+    ``_Comm`` with its occurrence applied under ``_NO_PATCH``: one occurrence
+    has no intersections and no redundant pairs."""
 
     def __init__(self, net):
         self.net = net
-
-    def new_comm(self, tuples):
-        comm = _Comm()
-        for e, l in tuples:
-            comm.proj.setdefault(l, set()).add(e)
-            comm.flat[e] = comm.flat.get(e, 0) + 1
-        for l, proj in comm.proj.items():
-            adj = self.net.adj_idx(l)
-            comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
-        return comm
 
     def gather(self, unit, assign):
         """Counts for every community the unit touches, in one pass over it:
@@ -177,12 +185,6 @@ class _Engine:
                     occ = found[assign[(v, lj)]][1]
                     occ[lj] = occ.get(lj, 0) + 1
         return found
-
-    def remove_eval(self, comm, unit, counts):
-        return self._delta(comm, unit, counts, removing=True)
-
-    def insert_eval(self, comm, unit, counts):
-        return self._delta(comm, unit, counts, removing=False)
 
     def apply(self, comm, unit, patch, removing):
         l = unit.layer
@@ -240,29 +242,13 @@ class _MultilayerEngine(_Engine):
             self.terms[i].append((key, j, src, vint, vsize, penalty))
             self.terms[j].append((key, i, src, vint, vsize, penalty))
 
-    def new_comm(self, tuples):
-        comm = super().new_comm(tuples)
-        layers = sorted(comm.proj)
-        for a, i in enumerate(layers):
-            for j in layers[a + 1:]:
-                comm.inter[(i, j)] = len(comm.proj[i] & comm.proj[j])
-        if self.redundancy:
-            added = set()
-            for v in sorted(comm.flat):
-                for u, sl in self.rp_adj[v]:
-                    if u in added:
-                        for l in sl:
-                            comm.nrp[l] = comm.nrp.get(l, 0) + 1
-                added.add(v)
-        return comm
-
     def _decay(self, n):
         table = self.decay
         if n >= len(table):
             table.extend(log_decay(x) for x in range(len(table), n + 1))
         return table[n]
 
-    def _delta(self, comm, unit, counts, removing):
+    def delta(self, comm, unit, counts, removing):
         l = unit.layer
         S = unit.entities
         k_s, occ = counts
@@ -332,7 +318,7 @@ class _MultisliceEngine(_Engine):
         self.omega = float(objective.omega)
         self.two_e = [2 * len(net.edges_idx(l)) for l in range(net.num_layers)]
 
-    def _delta(self, comm, unit, counts, removing):
+    def delta(self, comm, unit, counts, removing):
         l = unit.layer
         k_s, occ = counts
         ddint = _ddint(unit, k_s, removing)
@@ -347,24 +333,6 @@ class _MultisliceEngine(_Engine):
         d_null = self.gammas[l] * (d_new * d_new - d_old * d_old) / self.two_e[l]
         dq = (ddint - d_null + 2.0 * self.omega * dcpairs) / self.norm
         return dq, _NO_PATCH
-
-
-def _build_engine(net, objective):
-    if isinstance(objective, MultilayerObjective):
-        return _MultilayerEngine(net, objective)
-    if isinstance(objective, MultisliceObjective):
-        return _MultisliceEngine(net, objective)
-    raise PolicyError(f"unknown objective {objective!r}")
-
-
-def _rescore(net, cs, objective) -> float:
-    """Value of ``cs`` under ``objective``, computed by the scoring module."""
-    if isinstance(objective, MultilayerObjective):
-        return multilayer_modularity(net, cs, objective.resolution, objective.coupling,
-                                     objective.ordering).total
-    if isinstance(objective, MultisliceObjective):
-        return multislice_modularity(net, cs, objective.gamma, objective.omega)
-    raise PolicyError(f"unknown objective {objective!r}")
 
 
 def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:
@@ -385,12 +353,12 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     then, so the skip changes no assignment, pass count, move count or
     objective; the module docstring gives the argument.
 
-    The reported objective is obtained by re-scoring the final structure
-    through the scoring module, not from the incremental bookkeeping.
+    The reported objective is the objective's ``score`` of the final
+    structure, through the scoring module, not the incremental bookkeeping.
     """
     if net.num_edges() == 0:
         raise InputError("cannot detect communities on an edgeless network")
-    engine = _build_engine(net, config.objective)
+    engine = config.objective.gain_engine(net)
     rng = random.Random(config.seed)
 
     occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
@@ -401,7 +369,8 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
         unit = _make_unit(net, l, (e,))
         units.append(unit)
         assign[(e, l)] = cid
-        comms[cid] = engine.new_comm(unit.tuples)
+        comms[cid] = _Comm()
+        engine.apply(comms[cid], unit, _NO_PATCH, removing=False)
 
     passes = 0
     moves = 0
@@ -419,18 +388,18 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
                     continue  # nothing it reads has changed: it stays again
                 unit = units[ui]
-                src = assign[unit.tuples[0]]
+                src = assign[(unit.entities[0], unit.layer)]
                 found = engine.gather(unit, assign)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     stayed[ui] = (moves, (src,))
                     continue
-                dq_rem, patch_rem = engine.remove_eval(comms[src], unit, found[src])
+                dq_rem, patch_rem = engine.delta(comms[src], unit, found[src], removing=True)
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None
                 for cid in candidates:
-                    dq_ins, patch_ins = engine.insert_eval(comms[cid], unit, found[cid])
+                    dq_ins, patch_ins = engine.delta(comms[cid], unit, found[cid], removing=False)
                     gain = dq_rem + dq_ins
                     if gain > best_gain:
                         best_gain = gain
@@ -443,8 +412,8 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 engine.apply(comms[best_cid], unit, best_patch, removing=False)
                 if not comms[src].flat:
                     del comms[src]
-                for t in unit.tuples:
-                    assign[t] = best_cid
+                for v in unit.entities:
+                    assign[(v, unit.layer)] = best_cid
                 pass_gain += best_gain
                 moves += 1
                 changed[src] = changed[best_cid] = moves
@@ -464,9 +433,9 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
                   for (e, l), cid in assign.items()}
     cs = CommunityStructure(net, assignment)
-    objective = _rescore(net, cs, config.objective)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=objective, passes=passes, moves=moves)
+                        objective=config.objective.score(net, cs),
+                        passes=passes, moves=moves)
 
 
 def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
@@ -505,7 +474,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     for layer in net.layer_ids:
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
-    _build_engine(net, config.objective)  # rejects a bad objective before any Louvain run
+    config.objective.gain_engine(net)  # rejects bad parameters before any Louvain run
 
     sub_results = [_layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
                    for layer in net.layer_ids]
@@ -552,9 +521,8 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
         partition[entity] = min(votes, key=lambda g: (-votes[g], g))
 
     cs = CommunityStructure.from_entity_partition(net, partition)
-    objective = _rescore(net, cs, config.objective)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=objective,
+                        objective=config.objective.score(net, cs),
                         passes=sum(r.passes for r in sub_results),
                         moves=sum(r.moves for r in sub_results))
 

@@ -12,6 +12,7 @@ the network and safe to call concurrently.
 
 from __future__ import annotations
 
+import re
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -464,7 +465,37 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
 #   %presence L u    entity u is present in layer L without requiring an edge
 #   %order L1 L2 ..  natural order over all layers (at most once)
 #   # ...            comment, also allowed after a record
-# Identifiers are arbitrary non-whitespace tokens.
+# Identifiers are arbitrary non-whitespace tokens without '#'; a layer id
+# does not start with '%'. Files are UTF-8.
+
+_UNWRITABLE = re.compile(r"[\s#]")  # \s: every character str.split() splits on
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; other bytes are an :class:`InputError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def check_ids(ids, kind: str, leads_record: bool = False) -> None:
+    """Raise :class:`InputError` for one of the distinct ``ids`` that the
+    text formats would not read back as written: empty, holding whitespace
+    or '#', written as the same token as another id (1 and '1'), or, when it
+    is a record's first token (``leads_record``), starting with '%'."""
+    written = set()
+    for x in ids:
+        text = str(x)
+        if not text or _UNWRITABLE.search(text) or (leads_record and text.startswith("%")):
+            rule = "a nonempty token without whitespace or '#'"
+            if leads_record:
+                rule += ", not starting with '%'"
+            raise InputError(f"cannot write {kind} id {x!r}: it must be {rule}")
+        if text in written:
+            raise InputError(f"cannot write {kind} id {x!r}: another {kind} id "
+                             f"is also written as {text!r}")
+        written.add(text)
 
 
 def parse_network_text(text: str):
@@ -519,7 +550,7 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
                           order when absent) with adjacent pairing
       "natural-pairwise"  same with pair-wise pairing
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     layers, edges, presences, order = parse_network_text(text)
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
@@ -537,7 +568,11 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
 
 
 def write_network(net: MultilayerNetwork, path) -> None:
-    """Write a network in the edge-list format; round-trips exactly."""
+    """Write a network in the edge-list format; reading it back gives the
+    same ids, presences and edges. An id the format cannot hold is an
+    :class:`InputError`, and nothing is written."""
+    check_ids(net.layer_ids, "layer", leads_record=True)
+    check_ids(net.entity_ids, "entity")
     lines = []
     if net.ordering.is_natural:
         lines.append("%order " + " ".join(str(l) for l in net.ordering.sequence))

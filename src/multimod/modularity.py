@@ -36,8 +36,8 @@ class ResolutionPolicy:
     def __post_init__(self):
         if self.kind not in ("constant", "redundancy"):
             raise PolicyError(f"unknown resolution policy {self.kind!r}")
-        if self.kind == "constant" and self.gamma < 0:
-            raise PolicyError("constant resolution requires gamma >= 0")
+        if self.kind == "constant" and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise PolicyError("constant resolution requires a finite gamma >= 0")
 
     @classmethod
     def constant(cls, gamma: float = 1.0) -> "ResolutionPolicy":
@@ -192,10 +192,10 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
         gammas = [float(g) for g in gamma]
         if len(gammas) != ell:
             raise PolicyError(f"expected {ell} per-layer gamma values, got {len(gammas)}")
-    if any(g < 0 for g in gammas):
-        raise PolicyError("gamma must be >= 0")
-    if omega < 0:
-        raise PolicyError("omega must be >= 0")
+    if not all(math.isfinite(g) and g >= 0 for g in gammas):
+        raise PolicyError("gamma must be a finite number >= 0")
+    if not (math.isfinite(omega) and omega >= 0):
+        raise PolicyError("omega must be a finite number >= 0")
     for li, layer in enumerate(net.layer_ids):
         if net.presence_idx(li) and not net.edges_idx(li):
             raise InputError(

@@ -6,10 +6,10 @@ they check. The multilayer direct evaluator and the exhaustive searcher are
 guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
-The literal gain engine and local-moving loop at the end are different in
-kind: they are the detector's earlier, unoptimised forms, built on its own
-bookkeeping, and serve to check that the optimised forms give bit-identical
-gains and runs.
+The community rebuild, literal gain engine and local-moving loop at the end
+are different in kind: they are the detector's earlier, unoptimised forms,
+built on its own bookkeeping, and serve to check that the optimised forms
+give the same aggregates and bit-identical gains and runs.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import multimod as mm
 from multimod.community import log_decay
-from multimod.detect import (_EMPTY, DetectResult, _build_engine, _ddint, _make_unit,
-                             _MultilayerEngine, _rescore)
+from multimod.detect import (_EMPTY, DetectResult, _Comm, _ddint, _make_unit,
+                             _MultilayerEngine)
 from multimod.modularity import coupling_plan
 
 _DIRECT_PAIR_GUARD = 10_000
@@ -307,13 +307,42 @@ def best_partition_exhaustive(net: mm.MultilayerNetwork,
 # -- literal gain evaluation and local moving --------------------------------------
 
 
+def new_comm(engine, tuples):
+    """The aggregates of a community holding the (entity index, layer index)
+    ``tuples``, rebuilt from scratch: what ``engine`` must hold after moving
+    them in one by one. The multilayer intersections and redundant pairs are
+    counted only for a multilayer engine."""
+    comm = _Comm()
+    for e, l in tuples:
+        comm.proj.setdefault(l, set()).add(e)
+        comm.flat[e] = comm.flat.get(e, 0) + 1
+    for l, proj in comm.proj.items():
+        adj = engine.net.adj_idx(l)
+        comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
+    if not isinstance(engine, _MultilayerEngine):
+        return comm
+    layers = sorted(comm.proj)
+    for a, i in enumerate(layers):
+        for j in layers[a + 1:]:
+            comm.inter[(i, j)] = len(comm.proj[i] & comm.proj[j])
+    if engine.redundancy:
+        added = set()
+        for v in sorted(comm.flat):
+            for u, sl in engine.rp_adj[v]:
+                if u in added:
+                    for l in sl:
+                        comm.nrp[l] = comm.nrp.get(l, 0) + 1
+            added.add(v)
+    return comm
+
+
 class LiteralMultilayerEngine(_MultilayerEngine):
     """The multilayer gain engine with its gains evaluated the literal way:
     every coupling record touching the moved layer is resolved anew per
     call, before and after the move, and every decay is computed from the
-    logarithm. The bookkeeping (``new_comm``, ``gather``, ``apply``) is the
-    engine's own; only ``_delta`` is replaced, so the engine's ``dq`` and
-    patches must equal this one's exactly."""
+    logarithm. The bookkeeping (``gather``, ``apply``) is the engine's own;
+    only ``delta`` is replaced, so the engine's ``dq`` and patches must
+    equal this one's exactly."""
 
     def __init__(self, net, objective):
         super().__init__(net, objective)
@@ -353,7 +382,7 @@ class LiteralMultilayerEngine(_MultilayerEngine):
             return 0.0
         return inter / vint * self.vsize[src] / psize * penalty
 
-    def _delta(self, comm, unit, counts, removing):
+    def delta(self, comm, unit, counts, removing):
         l = unit.layer
         S = unit.entities
         k_s, occ = counts
@@ -406,7 +435,7 @@ def literal_generalized_louvain(net, config):
     throws away after the last allowed pass."""
     if net.num_edges() == 0:
         raise mm.InputError("cannot detect communities on an edgeless network")
-    engine = _build_engine(net, config.objective)
+    engine = config.objective.gain_engine(net)
     rng = random.Random(config.seed)
 
     occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
@@ -417,7 +446,7 @@ def literal_generalized_louvain(net, config):
         unit = _make_unit(net, l, (e,))
         units.append(unit)
         assign[(e, l)] = cid
-        comms[cid] = engine.new_comm(unit.tuples)
+        comms[cid] = new_comm(engine, [(e, l)])
 
     passes = 0
     moves = 0
@@ -430,17 +459,17 @@ def literal_generalized_louvain(net, config):
             pass_gain = 0.0
             for ui in order:
                 unit = units[ui]
-                src = assign[unit.tuples[0]]
+                src = assign[(unit.entities[0], unit.layer)]
                 found = engine.gather(unit, assign)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     continue
-                dq_rem, patch_rem = engine.remove_eval(comms[src], unit, found[src])
+                dq_rem, patch_rem = engine.delta(comms[src], unit, found[src], removing=True)
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None
                 for cid in candidates:
-                    dq_ins, patch_ins = engine.insert_eval(comms[cid], unit, found[cid])
+                    dq_ins, patch_ins = engine.delta(comms[cid], unit, found[cid], removing=False)
                     gain = dq_rem + dq_ins
                     if gain > best_gain:
                         best_gain = gain
@@ -452,8 +481,8 @@ def literal_generalized_louvain(net, config):
                 engine.apply(comms[best_cid], unit, best_patch, removing=False)
                 if not comms[src].flat:
                     del comms[src]
-                for t in unit.tuples:
-                    assign[t] = best_cid
+                for v in unit.entities:
+                    assign[(v, unit.layer)] = best_cid
                 pass_gain += best_gain
                 moves += 1
             if pass_gain <= config.min_gain:
@@ -470,6 +499,6 @@ def literal_generalized_louvain(net, config):
     assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
                   for (e, l), cid in assign.items()}
     cs = mm.CommunityStructure(net, assignment)
-    objective = _rescore(net, cs, config.objective)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=objective, passes=passes, moves=moves)
+                        objective=config.objective.score(net, cs),
+                        passes=passes, moves=moves)

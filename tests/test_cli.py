@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,60 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",
                                   "--step", "0"])
         assert code == 3
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("argv", [
+        ["score", "NET", "COMM", "--objective", "qms", "--omega", "nan"],
+        ["score", "NET", "COMM", "--objective", "qms", "--omega", "inf"],
+        ["score", "NET", "COMM", "--objective", "qms", "--gamma", "nan"],
+        ["score", "NET", "COMM", "--resolution", "constant:nan"],
+        ["score", "NET", "COMM", "--resolution", "constant:inf"],
+        ["detect", "NET", "--min-gain", "nan", "--out", "OUT"],
+        ["detect", "NET", "--min-gain", "inf", "--out", "OUT"],
+        ["detect", "NET", "--objective", "qms", "--omega", "nan", "--out", "OUT"],
+        ["detect", "NET", "--method", "aggregate", "--objective", "qms", "--gamma", "inf",
+         "--out", "OUT"],
+        ["detect", "NET", "--resolution", "constant:nan", "--out", "OUT"],
+    ], ids=lambda argv: " ".join(argv[3 if argv[0] == "score" else 2:]))
+    def test_non_finite_parameters(self, capsys, tmp_path, triangle_files, argv):
+        npath, cpath = triangle_files
+        paths = {"NET": npath, "COMM": cpath, "OUT": str(tmp_path / "run")}
+        code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+        assert code == 3
+        assert "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--start", "nan"], ["--stop", "nan"], ["--step", "nan"], ["--step", "inf"],
+        ["--stop", "inf"], ["--start=-inf"],
+    ], ids=" ".join)
+    def test_sweep_non_finite_bounds(self, triangle_files, flags):
+        # a fresh process with a timeout: an unbounded sweep fails here
+        # instead of hanging the suite
+        src = Path(mm.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "multimod.cli", "sweep", *triangle_files,
+                               "--protocol", "omega", *flags],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert "must be a finite number" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_stats_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.mlg"
+        path.write_bytes(b"\xff\xfe L1 a b\n")
+        code, _, err = run(capsys, ["stats", str(path)])
+        assert code == 2
+        assert "bad.mlg: not UTF-8" in err
+
+    def test_score_communities_not_utf8(self, capsys, tmp_path, triangle_files):
+        cpath = tmp_path / "bad.comm"
+        cpath.write_bytes(b"a 0\nb \xe9\nc 0\n")
+        code, _, err = run(capsys, ["score", triangle_files[0], str(cpath)])
+        assert code == 2
+        assert "bad.comm: not UTF-8" in err
 
 
 # Outputs pinned on seeded planted networks: scores, optimizer trajectory

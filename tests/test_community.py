@@ -303,6 +303,42 @@ class TestCommunityFiles:
             mm.read_communities(string_net, path)
 
 
+    def test_not_utf8(self, tmp_path, string_net):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a \xff\nb 0\n")
+        with pytest.raises(InputError, match="c.txt: not UTF-8"):
+            mm.read_communities(string_net, path)
+
+    @pytest.mark.parametrize("entity", ["b#", "x y", "", "#"])
+    def test_unreadable_entity_ids_rejected(self, tmp_path, entity):
+        net = mm.build_network(layers=["L"], edges=[("L", "a", entity)])
+        cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0, entity: 0})
+        with pytest.raises(InputError, match="cannot write entity id"):
+            mm.write_communities(cs, tmp_path / "c.txt")
+        with pytest.raises(InputError, match="cannot write entity id"):
+            mm.write_flat_partition(cs.flatten_majority(), tmp_path / "c.flat")
+        assert not any(tmp_path.iterdir())
+
+    def test_unreadable_layer_and_label_rejected(self, tmp_path):
+        net = mm.build_network(layers=["L 2"], edges=[("L 2", "a", "b")])
+        cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0, "b": 0})
+        with pytest.raises(InputError, match="cannot write layer id 'L 2'"):
+            mm.write_communities(cs, tmp_path / "c.txt")
+        with pytest.raises(InputError, match="cannot write community id 'x#'"):
+            mm.write_flat_partition({"a": 0, "b": "x#"}, tmp_path / "c.flat")
+        with pytest.raises(InputError, match="also written as '0'"):
+            mm.write_flat_partition({"a": 0, "b": "0"}, tmp_path / "c.flat")
+        assert not any(tmp_path.iterdir())
+
+    def test_percent_ids_round_trip(self, tmp_path):
+        # a leading '%' marks a directive only in network files
+        net = mm.build_network(layers=["%L"], edges=[("%L", "%a", "b")])
+        cs = mm.CommunityStructure.from_entity_partition(net, {"%a": 0, "b": 1})
+        mm.write_communities(cs, tmp_path / "c.txt")
+        assert mm.read_communities(net, tmp_path / "c.txt").as_assignment() == \
+            cs.as_assignment()
+
+
 def test_ordered3_partition_labels(ordered3):
     cs = mm.CommunityStructure.from_entity_partition(ordered3, ORDERED3_PARTITION)
     assert cs.num_communities == 3

@@ -15,7 +15,7 @@ from multimod.errors import InputError, PolicyError
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
 from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
-                    literal_generalized_louvain)
+                    literal_generalized_louvain, new_comm)
 from _gen import natural_orderings, random_multilayer
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -271,7 +271,7 @@ class TestIncrementalGains:
         from-scratch rebuild of the same split."""
         occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
         split = {t: rng.randrange(2) for t in occurrences}
-        comms = {c: engine.new_comm([t for t in occurrences if split[t] == c])
+        comms = {c: new_comm(engine, [t for t in occurrences if split[t] == c])
                  for c in (0, 1)}
 
         def score():
@@ -288,15 +288,15 @@ class TestIncrementalGains:
             before = score()
             unit = _make_unit(net, t[1], (t[0],))
             found = engine.gather(unit, split)
-            dq_r, patch_r = engine.remove_eval(comms[src], unit, found[src])
-            dq_i, patch_i = engine.insert_eval(comms[dst], unit, found[dst])
+            dq_r, patch_r = engine.delta(comms[src], unit, found[src], removing=True)
+            dq_i, patch_i = engine.delta(comms[dst], unit, found[dst], removing=False)
             engine.apply(comms[src], unit, patch_r, removing=True)
             engine.apply(comms[dst], unit, patch_i, removing=False)
             split[t] = dst
             assert dq_r + dq_i == pytest.approx(score() - before, abs=1e-12)
             # incremental aggregates must match a from-scratch rebuild
             for c in (0, 1):
-                rebuilt = engine.new_comm([o for o in occurrences if split[o] == c])
+                rebuilt = new_comm(engine, [o for o in occurrences if split[o] == c])
                 for field in ("proj", "flat", "deg", "inter", "nrp"):
                     live = {k: v for k, v in getattr(comms[c], field).items() if v}
                     fresh = {k: v for k, v in getattr(rebuilt, field).items() if v}
@@ -347,6 +347,25 @@ class TestIncrementalGains:
                              lambda cs: mm.multislice_modularity(net, cs, gammas, 0.7))
             checked += 1
 
+    def test_singletons_equal_rebuild(self):
+        # a community starts as an empty _Comm with its occurrence applied
+        spec = mm.PlantedSpec(entities=40, communities=3, layers=3, p_in=0.4,
+                              p_out=0.05, presence=0.8, seed=6)
+        net, _ = mm.planted_multilayer(spec)
+        objectives = [mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                             coupling=mm.CouplingPolicy.symmetric()),
+                      mm.MultisliceObjective(gamma=1.0, omega=1.0)]
+        for objective in objectives:
+            engine = objective.gain_engine(net)
+            for e, l in net.tuples():
+                t = (net.entity_index(e), net.layer_index(l))
+                comm = detect._Comm()
+                engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH,
+                             removing=False)
+                rebuilt = new_comm(engine, [t])
+                for field in ("proj", "flat", "deg", "inter", "nrp"):
+                    assert getattr(comm, field) == getattr(rebuilt, field)
+
     @staticmethod
     def check_literal_gains(rng, net, objective):
         """Move random blocks of one community's occurrences in one layer
@@ -357,7 +376,7 @@ class TestIncrementalGains:
         occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
         k = rng.randint(2, 4)
         split = {t: rng.randrange(k) for t in occurrences}
-        comms = {c: engine.new_comm([t for t in occurrences if split[t] == c])
+        comms = {c: new_comm(engine, [t for t in occurrences if split[t] == c])
                  for c in range(k)}
         for _ in range(30):
             e, l = rng.choice(occurrences)
@@ -367,14 +386,14 @@ class TestIncrementalGains:
                      if m == l and split[(f, m)] == src and (f == e or rng.random() < 0.4)]
             unit = _make_unit(net, l, block)
             found = engine.gather(unit, split)
-            removal = engine.remove_eval(comms[src], unit, found[src])
-            insertion = engine.insert_eval(comms[dst], unit, found[dst])
-            assert removal == literal.remove_eval(comms[src], unit, found[src])
-            assert insertion == literal.insert_eval(comms[dst], unit, found[dst])
+            removal = engine.delta(comms[src], unit, found[src], removing=True)
+            insertion = engine.delta(comms[dst], unit, found[dst], removing=False)
+            assert removal == literal.delta(comms[src], unit, found[src], removing=True)
+            assert insertion == literal.delta(comms[dst], unit, found[dst], removing=False)
             engine.apply(comms[src], unit, removal[1], removing=True)
             engine.apply(comms[dst], unit, insertion[1], removing=False)
-            for t in unit.tuples:
-                split[t] = dst
+            for f in unit.entities:
+                split[(f, l)] = dst
 
     @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
                                             mm.ResolutionPolicy.redundancy()])
@@ -456,6 +475,20 @@ class TestAggregateMajority:
         net = mm.build_network(layers=["a", "b", "c"], edges=edges)
         with pytest.raises(PolicyError):
             mm.aggregate_majority(net, mm.DetectConfig(objective=objective))
+
+
+@pytest.mark.parametrize("method", [mm.generalized_louvain, mm.aggregate_majority])
+@pytest.mark.parametrize("objective", ["q", None, mm.ResolutionPolicy.redundancy()],
+                         ids=["str", "none", "policy"])
+def test_non_objective_rejected(twin_triangle_layers, method, objective):
+    with pytest.raises(PolicyError, match="unknown objective"):
+        method(twin_triangle_layers, mm.DetectConfig(objective=objective))
+
+
+@pytest.mark.parametrize("min_gain", [0.0, -1e-9, math.nan, math.inf])
+def test_min_gain_must_be_finite_and_positive(min_gain):
+    with pytest.raises(PolicyError, match="min_gain"):
+        mm.DetectConfig(min_gain=min_gain)
 
 
 class TestNmi:

@@ -309,3 +309,55 @@ class TestParsing:
     def test_duplicate_order(self):
         with pytest.raises(InputError, match="duplicate %order"):
             mm.parse_network_text("%order a b\n%order b a\n")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "net.mlg"
+        path.write_bytes(b"\xff\xfe L1 a b\n")
+        with pytest.raises(InputError, match="net.mlg: not UTF-8"):
+            mm.read_network(path)
+
+
+class TestWriteIds:
+    @staticmethod
+    def net_with(layer="L", entity="b"):
+        return mm.build_network(layers=[layer, "M"],
+                                edges=[(layer, "a", entity), ("M", "a", "c")],
+                                presence=[("M", entity)])
+
+    def test_round_trip_of_punctuated_ids(self, tmp_path):
+        net = self.net_with(layer="L%", entity="%b\u00e9")
+        path = tmp_path / "net.mlg"
+        mm.write_network(net, path)
+        again = mm.read_network(path)
+        assert set(again.layer_ids) == set(net.layer_ids)
+        assert set(again.entity_ids) == set(net.entity_ids)
+        for layer in net.layer_ids:
+            assert again.layer_entities(layer) == net.layer_entities(layer)
+            assert again.layer_graph(layer).adjacency == net.layer_graph(layer).adjacency
+
+    def test_hash_in_entity_does_not_round_trip(self, tmp_path):
+        # "L a b#" would read back as an edge to "b"
+        net = self.net_with(entity="b#")
+        assert mm.parse_network_text("L a b#\n")[1] == [("L", "a", "b")]
+        path = tmp_path / "net.mlg"
+        with pytest.raises(InputError, match="entity id 'b#'"):
+            mm.write_network(net, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("layer,entity", [
+        ("L", "x y"), ("L", "x\ty"), ("L", "x\u2028y"), ("L", ""),
+        ("%L", "b"), ("L#", "b"), ("L M2", "b"), ("", "b"),
+    ])
+    def test_unreadable_ids_rejected(self, tmp_path, layer, entity):
+        path = tmp_path / "net.mlg"
+        with pytest.raises(InputError, match="cannot write"):
+            mm.write_network(self.net_with(layer, entity), path)
+        assert not path.exists()
+
+    def test_ids_written_alike_rejected(self, tmp_path):
+        # 1 and "1" would read back as one entity
+        net = mm.build_network(layers=["L"], edges=[("L", 1, "a"), ("L", "1", "b")])
+        path = tmp_path / "net.mlg"
+        with pytest.raises(InputError, match="also written as '1'"):
+            mm.write_network(net, path)
+        assert not path.exists()

@@ -92,10 +92,10 @@ class TestMultislice:
     def test_parameter_validation(self, twin_triangle_layers):
         cs = mm.CommunityStructure.from_entity_partition(
             twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
-        with pytest.raises(PolicyError):
-            mm.multislice_modularity(twin_triangle_layers, cs, -0.5, 0.0)
-        with pytest.raises(PolicyError):
-            mm.multislice_modularity(twin_triangle_layers, cs, 1.0, -1.0)
+        for gamma, omega in [(-0.5, 0.0), (1.0, -1.0), (math.nan, 0.0), (math.inf, 0.0),
+                             ([1.0, math.nan], 0.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(PolicyError):
+                mm.multislice_modularity(twin_triangle_layers, cs, gamma, omega)
 
     def test_edgeless_layer_named_in_error(self):
         net = mm.build_network(layers=["x", "empty"], edges=[("x", "a", "b")],
@@ -216,6 +216,12 @@ class TestTimeAwareCoupling:
                             assert ta == asym
                         elif asym > 0:
                             assert ta < asym
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+def test_constant_resolution_must_be_finite_and_nonnegative(gamma):
+    with pytest.raises(PolicyError):
+        mm.ResolutionPolicy.constant(gamma)
 
 
 class TestMultilayerModularity:
