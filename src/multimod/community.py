@@ -29,6 +29,11 @@ def log_decay(x) -> float:
     return 2.0 / (1.0 + math.log2(1.0 + x))
 
 
+def _absent(entity, layer) -> InputError:
+    return InputError(f"assignment references ({entity!r}, {layer!r}) but the entity "
+                      f"is not present in that layer")
+
+
 class CommunityStructure:
     """Immutable partition of all present entity-layer pairs.
 
@@ -38,37 +43,42 @@ class CommunityStructure:
 
     def __init__(self, net: MultilayerNetwork, assignment):
         """``assignment`` maps every present (entity, layer) pair to a label."""
-        self.net = net
         idx_assign = {}
         for (entity, layer), label in assignment.items():
             ei = net.entity_index(entity)
             li = net.layer_index(layer)
             if ei not in net.presence_idx(li):
-                raise InputError(
-                    f"assignment references ({entity!r}, {layer!r}) but the entity "
-                    f"is not present in that layer")
+                raise _absent(entity, layer)
             if (ei, li) in idx_assign:
                 raise InputError(f"duplicate assignment for ({entity!r}, {layer!r})")
             idx_assign[(ei, li)] = label
+        self._build(net, idx_assign)
 
+    @classmethod
+    def _from_indices(cls, net: MultilayerNetwork, idx_assign) -> "CommunityStructure":
+        """Build from ``{(entity index, layer index): label}`` over present
+        occurrences only."""
+        cs = cls.__new__(cls)
+        cs._build(net, idx_assign)
+        return cs
+
+    def _build(self, net, idx_assign):
+        self.net = net
         labels = {}
-        assign = {}
+        assign = {}  # built in ascending (entity, layer) index order
         for ei in range(net.num_entities):
             for li in sorted(net.entity_layers_idx(ei)):
                 if (ei, li) not in idx_assign:
                     raise InputError(
                         f"unassigned occurrence ({net.entity_ids[ei]!r}, {net.layer_ids[li]!r})")
-                label = idx_assign[(ei, li)]
-                if label not in labels:
-                    labels[label] = len(labels)
-                assign[(ei, li)] = labels[label]
+                assign[(ei, li)] = labels.setdefault(idx_assign[(ei, li)], len(labels))
 
         self._assign = assign
         k = len(labels)
         self._members = [[] for _ in range(k)]
         self._proj = [dict() for _ in range(k)]
         self._flat = [dict() for _ in range(k)]
-        for (ei, li), c in sorted(assign.items()):
+        for (ei, li), c in assign.items():
             self._members[c].append((ei, li))
             self._proj[c].setdefault(li, set()).add(ei)
             self._flat[c][ei] = self._flat[c].get(ei, 0) + 1
@@ -92,12 +102,14 @@ class CommunityStructure:
     @classmethod
     def from_entity_partition(cls, net: MultilayerNetwork, partition) -> "CommunityStructure":
         """Expand an entity partition to every layer where the entity is present."""
-        assignment = {}
-        for entity, layer in net.tuples():
+        idx_assign = {}
+        for ei, entity in enumerate(net.entity_ids):
             if entity not in partition:
                 raise InputError(f"entity {entity!r} has no community assignment")
-            assignment[(entity, layer)] = partition[entity]
-        return cls(net, assignment)
+            label = partition[entity]
+            for li in net.entity_layers_idx(ei):
+                idx_assign[(ei, li)] = label
+        return cls._from_indices(net, idx_assign)
 
     # -- partition accessors -------------------------------------------------
 
@@ -223,25 +235,23 @@ class CommunityStructure:
 
 def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
     text = read_utf8(path)
-    extended = {}
+    extended = {}  # (entity index, layer index) -> label
     flat = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
         if len(tokens) == 3:
             if flat:
                 raise InputError(f"line {lineno}: extended record in a flattened file")
             entity, layer, label = tokens
             try:
-                net.entity_index(entity)
-                net.layer_index(layer)
+                key = (net.entity_index(entity), net.layer_index(layer))
             except KeyError as exc:
                 raise InputError(f"line {lineno}: {exc.args[0]}") from None
-            if (entity, layer) in extended:
+            if key in extended:
                 raise InputError(f"line {lineno}: duplicate assignment for ({entity}, {layer})")
-            extended[(entity, layer)] = label
+            extended[key] = label
         elif len(tokens) == 2:
             if extended:
                 raise InputError(f"line {lineno}: flattened record in an extended file")
@@ -253,10 +263,13 @@ def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
             if entity in flat:
                 raise InputError(f"line {lineno}: duplicate assignment for {entity}")
             flat[entity] = label
-        else:
+        elif tokens:
             raise InputError(f"line {lineno}: expected 2 or 3 tokens")
     if extended:
-        return CommunityStructure(net, extended)
+        for ei, li in extended:
+            if ei not in net.presence_idx(li):
+                raise _absent(net.entity_ids[ei], net.layer_ids[li])
+        return CommunityStructure._from_indices(net, extended)
     if flat:
         return CommunityStructure.from_entity_partition(net, flat)
     raise InputError("community file is empty")

@@ -316,7 +316,7 @@ class _MultisliceEngine(_Engine):
         super().__init__(net)
         self.gammas, self.norm = multislice_parameters(net, objective.gamma, objective.omega)
         self.omega = float(objective.omega)
-        self.two_e = [2 * len(net.edges_idx(l)) for l in range(net.num_layers)]
+        self.two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
 
     def delta(self, comm, unit, counts, removing):
         l = unit.layer

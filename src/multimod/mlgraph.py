@@ -12,8 +12,10 @@ the network and safe to call concurrently.
 
 from __future__ import annotations
 
+import codecs
 import re
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -103,14 +105,15 @@ class MultilayerNetwork:
     the constructor is internal.
     """
 
-    def __init__(self, entity_ids, layer_ids, presence, adj, edges, entity_layers, ordering):
+    def __init__(self, entity_ids, layer_ids, presence, adj, edge_counts, entity_layers,
+                 ordering):
         self._entity_ids = entity_ids
         self._entity_index = {e: i for i, e in enumerate(entity_ids)}
         self._layer_ids = layer_ids
         self._layer_index = {l: i for i, l in enumerate(layer_ids)}
         self._presence = presence          # per layer: frozenset of entity indices
         self._adj = adj                    # per layer: dict idx -> frozenset of idx
-        self._edges = edges                # per layer: tuple of (u, v) with u < v
+        self._edge_counts = edge_counts    # per layer: number of edges
         self._entity_layers = entity_layers  # per entity: frozenset of layer indices
         self._shared = {}                  # (a, b) a <= b -> shared entity count, on demand
         self.ordering = ordering
@@ -147,8 +150,8 @@ class MultilayerNetwork:
 
     def num_edges(self, layer=None) -> int:
         if layer is None:
-            return sum(len(e) for e in self._edges)
-        return len(self._edges[self.layer_index(layer)])
+            return sum(self._edge_counts)
+        return self._edge_counts[self.layer_index(layer)]
 
     def layer_entities(self, layer) -> frozenset:
         li = self.layer_index(layer)
@@ -178,7 +181,9 @@ class MultilayerNetwork:
         return self._adj[li]
 
     def edges_idx(self, li: int) -> tuple:
-        return self._edges[li]
+        """The layer's edges as sorted ``(u, v)`` index pairs with ``u < v``.
+        Derived from the adjacency on every call; count with ``num_edges``."""
+        return tuple(sorted((u, v) for u, nb in self._adj[li].items() for v in nb if u < v))
 
     def entity_layers_idx(self, ei: int) -> frozenset:
         return self._entity_layers[ei]
@@ -286,7 +291,7 @@ class MultilayerNetwork:
         m = self.num_edges()
         if m == 0:
             raise InputError("network has no edges")
-        return sum(len(e) / m for e in self._edges) / self.num_layers
+        return sum(count / m for count in self._edge_counts) / self.num_layers
 
     def layer_graph(self, layer) -> LayerGraph:
         li = self.layer_index(layer)
@@ -295,7 +300,7 @@ class MultilayerNetwork:
         nodes = tuple(self._entity_ids[i] for i in sorted(self._presence[li]))
         for n in nodes:
             adj.setdefault(n, frozenset())
-        return LayerGraph(layer, nodes, adj, len(self._edges[li]))
+        return LayerGraph(layer, nodes, adj, self._edge_counts[li])
 
     def monoplex_stats(self, layer) -> LayerStats:
         """Degree mean/std (population), average shortest-path length over
@@ -403,34 +408,33 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
         layer_list = list(ordering.sequence)
     layer_index = {l: i for i, l in enumerate(layer_list)}
 
-    entity_list = []
+    # entity id -> dense index, in first-seen order; setdefault interns with one lookup
     entity_index = {}
-
-    def intern(entity):
-        if entity not in entity_index:
-            entity_index[entity] = len(entity_list)
-            entity_list.append(entity)
-        return entity_index[entity]
-
+    intern = entity_index.setdefault
     for e in entities:
-        intern(e)
+        intern(e, len(entity_index))
 
     present = [set() for _ in layer_list]
-    edge_sets = [set() for _ in layer_list]
+    adj = [defaultdict(set) for _ in layer_list]
     for layer, entity in presence:
         if layer not in layer_index:
             raise InputError(f"presence declaration references unknown layer {layer!r}")
-        present[layer_index[layer]].add(intern(entity))
+        present[layer_index[layer]].add(intern(entity, len(entity_index)))
     for layer, u, v in edges:
-        if layer not in layer_index:
+        li = layer_index.get(layer)
+        if li is None:
             raise InputError(f"edge ({u!r}, {v!r}) references unknown layer {layer!r}")
-        ui, vi = intern(u), intern(v)
+        ui = intern(u, len(entity_index))
+        vi = intern(v, len(entity_index))
         if ui == vi:
             raise InputError(f"self-loop on {u!r} in layer {layer!r}")
-        li = layer_index[layer]
-        present[li].update((ui, vi))
-        edge_sets[li].add((min(ui, vi), max(ui, vi)))
+        a = adj[li]
+        a[ui].add(vi)
+        a[vi].add(ui)
+    for p, a in zip(present, adj):
+        p.update(a)  # every edge endpoint is present
 
+    entity_list = tuple(entity_index)
     entity_layers = [set() for _ in entity_list]
     for li, p in enumerate(present):
         for ei in p:
@@ -439,20 +443,12 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
         if not ls:
             raise InputError(f"entity {entity_list[ei]!r} is not present in any layer")
 
-    adj = []
-    for li in range(len(layer_list)):
-        a = {}
-        for u, v in edge_sets[li]:
-            a.setdefault(u, set()).add(v)
-            a.setdefault(v, set()).add(u)
-        adj.append({u: frozenset(nb) for u, nb in a.items()})
-
     return MultilayerNetwork(
-        entity_ids=tuple(entity_list),
+        entity_ids=entity_list,
         layer_ids=tuple(layer_list),
         presence=tuple(frozenset(p) for p in present),
-        adj=tuple(adj),
-        edges=tuple(tuple(sorted(es)) for es in edge_sets),
+        adj=tuple({u: frozenset(nb) for u, nb in a.items()} for a in adj),
+        edge_counts=tuple(sum(map(len, a.values())) // 2 for a in adj),
         entity_layers=tuple(frozenset(ls) for ls in entity_layers),
         ordering=ordering,
     )
@@ -466,17 +462,22 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
 #   %order L1 L2 ..  natural order over all layers (at most once)
 #   # ...            comment, also allowed after a record
 # Identifiers are arbitrary non-whitespace tokens without '#'; a layer id
-# does not start with '%'. Files are UTF-8.
+# does not start with '%'. Files are UTF-8; a leading byte-order mark is skipped.
 
 _UNWRITABLE = re.compile(r"[\s#]")  # \s: every character str.split() splits on
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file; other bytes are an :class:`InputError`."""
+    """The text of a UTF-8 file, without a leading byte-order mark; other
+    bytes are an :class:`InputError` that names the first bad byte's offset
+    in the file."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        # utf-8-sig counts offsets after the mark it strips
+        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise InputError(f"{path}: not UTF-8 text (byte {start})") from None
 
 
 def check_ids(ids, kind: str, leads_record: bool = False) -> None:
@@ -500,43 +501,37 @@ def check_ids(ids, kind: str, leads_record: bool = False) -> None:
 
 def parse_network_text(text: str):
     """Parse edge-list text into (layers, edges, presences, order or None)."""
-    layers = []
-    seen_layers = set()
+    layers = {}  # layer id -> None, in order of first mention
     edges = []
     presences = []
     order = None
-
-    def note_layer(l):
-        if l not in seen_layers:
-            seen_layers.add(l)
-            layers.append(l)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
-        if tokens[0] == "%order":
+        if not tokens:
+            continue
+        head = tokens[0]
+        if not head.startswith("%"):
+            if len(tokens) != 3:
+                raise InputError(f"line {lineno}: expected 3 tokens")
+            layers[head] = None
+            edges.append(tuple(tokens))
+        elif head == "%order":
             if order is not None:
                 raise InputError(f"line {lineno}: duplicate %order directive")
             if len(tokens) < 2:
                 raise InputError(f"line {lineno}: %order needs at least one layer")
             order = tuple(tokens[1:])
-            for l in order:
-                note_layer(l)
-        elif tokens[0] == "%presence":
+            layers.update(dict.fromkeys(order))
+        elif head == "%presence":
             if len(tokens) != 3:
                 raise InputError(f"line {lineno}: %presence expects 'L u'")
-            note_layer(tokens[1])
+            layers[tokens[1]] = None
             presences.append((tokens[1], tokens[2]))
-        elif tokens[0].startswith("%"):
-            raise InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
         else:
-            if len(tokens) != 3:
-                raise InputError(f"line {lineno}: expected 3 tokens")
-            note_layer(tokens[0])
-            edges.append((tokens[0], tokens[1], tokens[2]))
-    return layers, edges, presences, order
+            raise InputError(f"line {lineno}: unknown directive {head!r}")
+    return list(layers), edges, presences, order
 
 
 def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) -> MultilayerNetwork:
@@ -569,10 +564,18 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
 
 def write_network(net: MultilayerNetwork, path) -> None:
     """Write a network in the edge-list format; reading it back gives the
-    same ids, presences and edges. An id the format cannot hold is an
-    :class:`InputError`, and nothing is written."""
+    same ids, layer order, presences and edges. Each layer's presence lines
+    come before its edges, so layers are first mentioned in index order. An
+    id the format cannot hold, or a layer with no occurrence in an unordered
+    network (only ``%order`` names such a layer), is an :class:`InputError`,
+    and nothing is written."""
     check_ids(net.layer_ids, "layer", leads_record=True)
     check_ids(net.entity_ids, "entity")
+    if not net.ordering.is_natural:
+        for li, layer in enumerate(net.layer_ids):
+            if not net.presence_idx(li):
+                raise InputError(f"cannot write layer {layer!r}: it has no occurrence, "
+                                 f"and only a natural ordering keeps such a layer")
     lines = []
     if net.ordering.is_natural:
         lines.append("%order " + " ".join(str(l) for l in net.ordering.sequence))
@@ -581,7 +584,6 @@ def write_network(net: MultilayerNetwork, path) -> None:
         for ei in sorted(net.presence_idx(li)):
             if not adj.get(ei):
                 lines.append(f"%presence {layer} {net.entity_ids[ei]}")
-    for li, layer in enumerate(net.layer_ids):
         for u, v in net.edges_idx(li):
             lines.append(f"{layer} {net.entity_ids[u]} {net.entity_ids[v]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -197,7 +197,7 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     if not (math.isfinite(omega) and omega >= 0):
         raise PolicyError("omega must be a finite number >= 0")
     for li, layer in enumerate(net.layer_ids):
-        if net.presence_idx(li) and not net.edges_idx(li):
+        if net.presence_idx(li) and not net.num_edges(layer):
             raise InputError(
                 f"layer {layer!r} has assigned occurrences but no edges; "
                 f"its null model is undefined")
@@ -217,11 +217,12 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     Parameters are checked by :func:`multislice_parameters`.
     """
     gammas, norm = multislice_parameters(net, gamma, omega)
+    two_es = [2 * net.num_edges(layer) for layer in net.layer_ids]
     community_sums = []
     for c in cs.communities():
         layer_terms = []
         for li, layer in enumerate(net.layer_ids):
-            two_e = 2 * len(net.edges_idx(li))
+            two_e = two_es[li]
             if two_e == 0:
                 continue
             d = cs.degree(c, layer)

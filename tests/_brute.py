@@ -6,10 +6,11 @@ they check. The multilayer direct evaluator and the exhaustive searcher are
 guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
-The community rebuild, literal gain engine and local-moving loop at the end
-are different in kind: they are the detector's earlier, unoptimised forms,
-built on its own bookkeeping, and serve to check that the optimised forms
-give the same aggregates and bit-identical gains and runs.
+The edge-list parser and network builder, and the community rebuild,
+literal gain engine and local-moving loop at the end, are different in kind:
+they are earlier, unoptimised forms of the package's own code, and serve to
+check that the optimised forms give the same networks, aggregates, error
+messages and bit-identical gains and runs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,118 @@ def literal_mean_clustering(adj, nodes) -> float:
             links += sum(1 for w in nbl[i + 1:] if w in au)
         values.append(2 * links / (k * (k - 1)))
     return statistics.fmean(values)
+
+
+def literal_parse_network_text(text: str):
+    """The edge-list parser in its earlier form: strip each line, then split."""
+    layers = []
+    seen_layers = set()
+    edges = []
+    presences = []
+    order = None
+
+    def note_layer(l):
+        if l not in seen_layers:
+            seen_layers.add(l)
+            layers.append(l)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "%order":
+            if order is not None:
+                raise mm.InputError(f"line {lineno}: duplicate %order directive")
+            if len(tokens) < 2:
+                raise mm.InputError(f"line {lineno}: %order needs at least one layer")
+            order = tuple(tokens[1:])
+            for l in order:
+                note_layer(l)
+        elif tokens[0] == "%presence":
+            if len(tokens) != 3:
+                raise mm.InputError(f"line {lineno}: %presence expects 'L u'")
+            note_layer(tokens[1])
+            presences.append((tokens[1], tokens[2]))
+        elif tokens[0].startswith("%"):
+            raise mm.InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
+        else:
+            if len(tokens) != 3:
+                raise mm.InputError(f"line {lineno}: expected 3 tokens")
+            note_layer(tokens[0])
+            edges.append((tokens[0], tokens[1], tokens[2]))
+    return layers, edges, presences, order
+
+
+def literal_build_network(entities=(), layers=(), edges=(), ordering=None, presence=()) -> dict:
+    """The network builder in its earlier form, through a set of sorted edge
+    tuples per layer. Returns the fields it gave the network: ids, presence,
+    adjacency, sorted edge tuples, entity layers and ordering."""
+    layer_list = list(layers)
+    if len(set(layer_list)) != len(layer_list):
+        raise mm.InputError("duplicate layer id in layer declaration")
+    if not layer_list:
+        raise mm.InputError("a multilayer network needs at least one layer")
+    ordering = mm.LayerOrdering.unordered() if ordering is None else ordering
+    if ordering.is_natural:
+        if set(ordering.sequence) != set(layer_list) or len(ordering.sequence) != len(layer_list):
+            raise mm.InputError("layer ordering is not a permutation of the declared layers")
+        layer_list = list(ordering.sequence)
+    layer_index = {l: i for i, l in enumerate(layer_list)}
+
+    entity_list = []
+    entity_index = {}
+
+    def intern(entity):
+        if entity not in entity_index:
+            entity_index[entity] = len(entity_list)
+            entity_list.append(entity)
+        return entity_index[entity]
+
+    for e in entities:
+        intern(e)
+
+    present = [set() for _ in layer_list]
+    edge_sets = [set() for _ in layer_list]
+    for layer, entity in presence:
+        if layer not in layer_index:
+            raise mm.InputError(f"presence declaration references unknown layer {layer!r}")
+        present[layer_index[layer]].add(intern(entity))
+    for layer, u, v in edges:
+        if layer not in layer_index:
+            raise mm.InputError(f"edge ({u!r}, {v!r}) references unknown layer {layer!r}")
+        ui, vi = intern(u), intern(v)
+        if ui == vi:
+            raise mm.InputError(f"self-loop on {u!r} in layer {layer!r}")
+        li = layer_index[layer]
+        present[li].update((ui, vi))
+        edge_sets[li].add((min(ui, vi), max(ui, vi)))
+
+    entity_layers = [set() for _ in entity_list]
+    for li, p in enumerate(present):
+        for ei in p:
+            entity_layers[ei].add(li)
+    for ei, ls in enumerate(entity_layers):
+        if not ls:
+            raise mm.InputError(f"entity {entity_list[ei]!r} is not present in any layer")
+
+    adj = []
+    for li in range(len(layer_list)):
+        a = {}
+        for u, v in edge_sets[li]:
+            a.setdefault(u, set()).add(v)
+            a.setdefault(v, set()).add(u)
+        adj.append({u: frozenset(nb) for u, nb in a.items()})
+
+    return dict(
+        entity_ids=tuple(entity_list),
+        layer_ids=tuple(layer_list),
+        presence=tuple(frozenset(p) for p in present),
+        adj=tuple(adj),
+        edges=tuple(tuple(sorted(es)) for es in edge_sets),
+        entity_layers=tuple(frozenset(ls) for ls in entity_layers),
+        ordering=ordering,
+    )
 
 
 def newman_direct(nodes, edges, partition):

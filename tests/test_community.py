@@ -284,6 +284,38 @@ class TestCommunityFiles:
         cs = mm.read_communities(string_net, path)
         assert cs.num_communities == 2
 
+    @pytest.mark.parametrize("form", ["{e} L {c}", "{e} {c}"])
+    def test_byte_order_mark(self, tmp_path, string_net, form):
+        path = tmp_path / "c.txt"
+        lines = [form.format(e=e, c=0 if e in "abc" else 1) for e in string_net.entity_ids]
+        path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+        cs = mm.read_communities(string_net, path)
+        assert cs.num_communities == 2
+        assert cs.assignment_of("a", "L") == 0
+
+    @pytest.mark.parametrize("text,message", [
+        # the whole file is read before any occurrence is checked
+        ("c M 0\na L 0\na L 1\n", "line 3: duplicate assignment for (a, L)"),
+        ("c M 0\nd M 1\n",
+         "assignment references ('c', 'M') but the entity is not present in that layer"),
+        ("c M 0\na Z 0\n", "line 2: unknown layer 'Z'"),
+        ("a L 0\nghost Z 0\n", "line 2: unknown entity 'ghost'"),
+        ("a L 0\nb 0\nc M 0\n", "line 2: flattened record in an extended file"),
+        ("a 0\nghost\na 1\n", "line 2: expected 2 or 3 tokens"),
+        ("a 0\na 1\n", "line 2: duplicate assignment for a"),
+        ("a L 0\n", "unassigned occurrence ('a', 'M')"),
+        ("a 0\n", "entity 'b' has no community assignment"),
+        ("# only a comment\n\n", "community file is empty"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        net = mm.build_network(layers=["L", "M"], edges=[
+            ("L", "a", "b"), ("L", "b", "c"), ("L", "a", "c"), ("L", "d", "e"), ("M", "a", "b")])
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            mm.read_communities(net, path)
+        assert str(info.value) == message
+
     def test_mixed_forms_rejected(self, tmp_path, string_net):
         path = tmp_path / "c.txt"
         path.write_text("a L 0\nb 0\n", encoding="utf-8")

@@ -12,7 +12,8 @@ import multimod as mm
 from multimod import mlgraph
 from multimod.errors import InputError
 
-from _brute import literal_avg_path_length, literal_mean_clustering
+from _brute import (literal_avg_path_length, literal_build_network, literal_mean_clustering,
+                    literal_parse_network_text)
 from conftest import ordered3_network_text
 
 
@@ -317,6 +318,61 @@ class TestParsing:
             mm.read_network(path)
 
 
+class TestRoundTrip:
+    def test_unordered_layer_order_survives(self, tmp_path):
+        # a presence-only occurrence in the later layer once moved it first
+        net = mm.build_network(layers=["L%", "M"], edges=[("L%", "a", "b"), ("M", "a", "c")],
+                               presence=[("M", "lone")])
+        path = tmp_path / "net.mlg"
+        mm.write_network(net, path)
+        again = mm.read_network(path)
+        assert again.layer_ids == ("L%", "M")
+        assert again.entity_ids == net.entity_ids
+        for layer in net.layer_ids:
+            assert again.layer_entities(layer) == net.layer_entities(layer)
+            assert again.num_edges(layer) == net.num_edges(layer)
+
+    def test_layer_without_occurrence_refused_when_unordered(self, tmp_path):
+        net = mm.build_network(layers=["A", "B"], edges=[("A", "x", "y")])
+        path = tmp_path / "net.mlg"
+        with pytest.raises(InputError, match="cannot write layer 'B': it has no occurrence"):
+            mm.write_network(net, path)
+        assert not path.exists()
+
+    def test_layer_without_occurrence_kept_by_order(self, tmp_path):
+        net = mm.build_network(layers=["A", "B"], edges=[("A", "x", "y")],
+                               ordering=mm.LayerOrdering.natural(("A", "B")))
+        path = tmp_path / "net.mlg"
+        mm.write_network(net, path)
+        again = mm.read_network(path)
+        assert again.layer_ids == ("A", "B")
+        assert again.num_edges("A") == 1 and not again.layer_entities("B")
+
+
+class TestByteOrderMark:
+    BOM = "\ufeff"
+
+    def test_order_directive_after_mark(self, tmp_path):
+        path = tmp_path / "net.mlg"
+        path.write_text(self.BOM + "%order L1 L2\nL1 a b\nL2 a c\n", encoding="utf-8")
+        net = mm.read_network(path)
+        assert net.layer_ids == ("L1", "L2")
+        assert net.ordering.sequence == ("L1", "L2")
+
+    def test_edge_list_after_mark(self, tmp_path):
+        path = tmp_path / "net.mlg"
+        path.write_text(self.BOM + "L1 a b\nL1 b c\n", encoding="utf-8")
+        net = mm.read_network(path)
+        assert net.layer_ids == ("L1",)
+        assert net.num_edges("L1") == 2
+
+    def test_bad_byte_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "net.mlg"
+        path.write_bytes(self.BOM.encode("utf-8") + b"L1 a \xff\n")
+        with pytest.raises(InputError, match=r"net.mlg: not UTF-8 text \(byte 8\)"):
+            mm.read_network(path)
+
+
 class TestWriteIds:
     @staticmethod
     def net_with(layer="L", entity="b"):
@@ -361,3 +417,151 @@ class TestWriteIds:
         with pytest.raises(InputError, match="also written as '1'"):
             mm.write_network(net, path)
         assert not path.exists()
+
+
+# -- parse and build against the literal oracles ---------------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """The function's result, or the message of the InputError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+def _assert_same_network(net, fields):
+    """Every field of ``net`` equals the literal builder's ``fields``."""
+    assert net.entity_ids == fields["entity_ids"]
+    assert net.layer_ids == fields["layer_ids"]
+    assert net.ordering == fields["ordering"]
+    for li, layer in enumerate(net.layer_ids):
+        assert net.presence_idx(li) == fields["presence"][li]
+        assert net.adj_idx(li) == fields["adj"][li]
+        assert net.edges_idx(li) == fields["edges"][li]
+        assert net.num_edges(layer) == len(fields["edges"][li])
+    assert net.num_edges() == sum(len(e) for e in fields["edges"])
+    assert [net.entity_layers_idx(ei) for ei in range(net.num_entities)] == \
+        list(fields["entity_layers"])
+
+
+def _build_both(**kwargs):
+    """Build with the package and the oracle; equal networks or equal errors."""
+    net = _outcome(mm.build_network, **kwargs)
+    fields = _outcome(literal_build_network, **kwargs)
+    if isinstance(net, tuple) or isinstance(fields, tuple):
+        assert net == fields
+    else:
+        _assert_same_network(net, fields)
+    return net
+
+
+def _random_text(rng, faults=0):
+    """Random edge-list text: comments, blank lines, CRLF and tabs, edges
+    repeated in both directions, presence-only entities, and an optional
+    %order that may name a layer nothing else mentions. ``faults`` lines the
+    parser must reject are spliced in at random places."""
+    layers = [f"L{i}" for i in range(rng.randint(1, 4))]
+    entities = [f"e{i}" for i in range(rng.randint(2, 10))]
+    records = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if kind < 0.55:
+            layer = rng.choice(layers)
+            u, v = rng.sample(entities, 2)
+            records.append([layer, u, v])
+            if rng.random() < 0.3:
+                records.append([layer, v, u])
+            if rng.random() < 0.2:
+                records.append([layer, u, v])
+        elif kind < 0.8:
+            records.append(["%presence", rng.choice(layers), rng.choice(entities + ["lone"])])
+        else:
+            records.append([])
+    if rng.random() < 0.5:
+        sequence = layers + (["unmentioned"] if rng.random() < 0.5 else [])
+        rng.shuffle(sequence)
+        records.insert(rng.randint(0, len(records)), ["%order", *sequence])
+    bad = [["L0", "a"], ["%bogus", "x"], ["%presence", "L0"], ["%order"],
+           ["%order", "L0"], ["L0", "a", "b", "c"]]
+    for _ in range(faults):
+        records.insert(rng.randint(0, len(records)), rng.choice(bad))
+    lines = []
+    for tokens in records:
+        line = rng.choice(["", " ", "\t"]) + rng.choice([" ", "\t", " \t "]).join(tokens)
+        line += rng.choice(["", "", " ", "\t", " # trailing", "#x", " #"])
+        if not tokens and rng.random() < 0.5:
+            line = rng.choice(["# comment", "\t# indented", "#"])
+        lines.append(line)
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+class TestParseBuildOracle:
+    def test_text_matches_oracle(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            text = _random_text(rng)
+            parsed = mm.parse_network_text(text)
+            assert parsed == literal_parse_network_text(text)
+            layers, edges, presences, order = parsed
+            sequence = order if order is not None else tuple(layers)
+            for ordering in (None, mm.LayerOrdering.natural(sequence)):
+                _build_both(layers=layers, edges=edges, presence=presences, ordering=ordering)
+
+    def test_declared_int_and_tuple_ids_match_oracle(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            ids = [0, 1, 2, 7, (0, 1), (1, 0), ("a", 2), "x", "0"]
+            layers = rng.sample([0, "L", (1, "b")], rng.randint(1, 3))
+            edges = [(rng.choice(layers), *rng.sample(ids, 2)) for _ in range(rng.randint(1, 20))]
+            presence = [(rng.choice(layers), rng.choice(ids)) for _ in range(rng.randint(0, 4))]
+            used = {e for _, u, v in edges for e in (u, v)} | {e for _, e in presence}
+            declared = rng.sample(sorted(used, key=repr), rng.randint(0, len(used)))
+            ordering = mm.LayerOrdering.natural(rng.sample(layers, len(layers))) \
+                if rng.random() < 0.5 else None
+            net = _build_both(entities=declared, layers=layers, edges=edges, presence=presence,
+                              ordering=ordering)
+            assert net.entity_ids[:len(declared)] == tuple(declared)
+
+    def test_several_faults_raise_the_oracle_message(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            text = _random_text(rng, faults=rng.randint(1, 3))
+            assert _outcome(mm.parse_network_text, text) == \
+                _outcome(literal_parse_network_text, text)
+            layers = ["A", "B"]
+            edges = [("A", "a", "b"), ("B", "b", "c")]
+            faulty = [("A", "x", "x"), ("Z", "a", "b"), ("B", "c", "c"), ("Y", "q", "q")]
+            for _ in range(rng.randint(1, 3)):
+                edges.insert(rng.randint(0, len(edges)), rng.choice(faulty))
+            presence = rng.choice([[], [("A", "lone")], [("Q", "a"), ("A", "lone")]])
+            declared = rng.choice([[], ["ghost"], ["a", "ghost", "other"]])
+            ordering = rng.choice([None, mm.LayerOrdering.natural(("B", "A")),
+                                   mm.LayerOrdering.natural(("A",))])
+            layer_decl = rng.choice([layers, layers + ["A"], []])
+            _build_both(entities=declared, layers=layer_decl, edges=edges, presence=presence,
+                        ordering=ordering)
+
+
+def test_counting_callers_never_derive_edges(monkeypatch):
+    """Scores, both gain engines and detection count edges from the stored
+    per-layer counts; none of them builds the sorted edge tuples."""
+    net, _ = mm.planted_multilayer(mm.PlantedSpec(entities=40, communities=3, layers=3,
+                                                  p_in=0.4, p_out=0.05, seed=5))
+
+    def refuse(self, li):
+        raise AssertionError("edges_idx called")
+
+    monkeypatch.setattr(mm.MultilayerNetwork, "edges_idx", refuse)
+    cs = mm.CommunityStructure.from_entity_partition(
+        net, {e: i % 3 for i, e in enumerate(net.entity_ids)})
+    coupling = mm.CouplingPolicy("asym-inner", time_aware=True)
+    mm.multilayer_modularity(net, cs, mm.ResolutionPolicy.redundancy(), coupling)
+    mm.multislice_modularity(net, cs, 1.0, 0.5)
+    for objective in (mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                             coupling=coupling),
+                      mm.MultisliceObjective(gamma=1.0, omega=0.5)):
+        objective.gain_engine(net)
+        mm.generalized_louvain(net, mm.DetectConfig(objective=objective, seed=1))
+    assert net.edge_coverage() > 0
+    assert net.layer_graph(net.layer_ids[0]).edge_count == net.num_edges(net.layer_ids[0])
