@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import statistics
 import sys
 
@@ -142,6 +143,9 @@ def cmd_detect(args) -> int:
     objective = _detect_objective(args)
     config = DetectConfig(objective=objective, seed=args.seed,
                           max_passes=args.max_passes, min_gain=args.min_gain)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # fail before the detection, not after it
+        raise InputError(f"output directory {out_dir!r} does not exist")
     if args.method == "gl":
         result = generalized_louvain(net, config)
     else:

@@ -21,6 +21,10 @@ occurrence the unit read leaves. Community ids are never reused. Skipped
 visits would have moved nothing and gained nothing, and the shuffle still
 runs every pass, so the run is the same as without the skip.
 
+The assignment is one per-layer table, ``where[l][e]``: the community of
+entity ``e`` in layer ``l``. ``gather`` reads it, and the final structure
+and the aggregation blocks read it in occurrence order.
+
 One gain engine serves both objectives: a shared base keeps each
 community's projections, flattened membership and degrees and applies the
 moves, and each objective adds only its own counters and gain formula
@@ -28,10 +32,15 @@ moves, and each objective adds only its own counters and gain formula
 score, a constant per-pair coupling for the multislice score). The
 multilayer gains read the scorer's coupling plan (``coupling_plan``),
 resolved once into per-layer coupling terms, and the network's linked-pair
-query (``partner_layers_idx``); redundancy decays come from a table indexed
-by the redundant-pair count. Each objective class builds its own engine
-(``gain_engine``) and scores a structure through the scoring module
-(``score``); the reported objective is always that score.
+query (``partner_layers_idx``). Redundancy decays come from a table built
+at construction, up to the largest redundant-pair count any layer can
+reach. A gain adds only the terms a move can change. A coupling term whose
+intersection does not change is exactly +0.0, unless it is asymmetric with
+the moved layer as its source, and adding +0.0 to a sum that starts at
++0.0 changes nothing, so skipping those terms keeps every gain
+bit-identical. Each objective class builds its own engine (``gain_engine``)
+and scores a structure through the scoring module (``score``); the
+reported objective is always that score.
 
 Also here: a single-layer Louvain wrapper, the per-layer aggregation
 baseline with majority voting, and normalized mutual information.
@@ -41,7 +50,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .community import CommunityStructure, log_decay
@@ -168,22 +176,35 @@ class _Engine:
     def __init__(self, net):
         self.net = net
 
-    def gather(self, unit, assign):
+    def gather(self, unit, where):
         """Counts for every community the unit touches, in one pass over it:
         ``[k_s, occ]``, where ``k_s`` is the number of the unit's edges into
         the community in the unit's layer and ``occ`` maps each other layer
         to how many of the unit's entities the community holds there
-        (Blondel et al. 2008). An untouched community reads as ``[0, {}]``."""
+        (Blondel et al. 2008). ``where[l][e]`` is the community of entity
+        ``e`` in layer ``l``. A community the unit does not touch has no
+        entry; it reads as ``[0, {}]``."""
         l = unit.layer
         adj = self.net.adj_idx(l)
-        found = defaultdict(lambda: [0, {}])
+        here = where[l]
+        found = {}
         for v in unit.entities:
             for u in adj.get(v, _EMPTY):
-                found[assign[(u, l)]][0] += 1
+                c = here[u]
+                counts = found.get(c)
+                if counts is None:
+                    found[c] = [1, {}]
+                else:
+                    counts[0] += 1
             for lj in self.net.entity_layers_idx(v):
                 if lj != l:
-                    occ = found[assign[(v, lj)]][1]
-                    occ[lj] = occ.get(lj, 0) + 1
+                    c = where[lj][v]
+                    counts = found.get(c)
+                    if counts is None:
+                        found[c] = [0, {lj: 1}]
+                    else:
+                        occ = counts[1]
+                        occ[lj] = occ.get(lj, 0) + 1
         return found
 
     def apply(self, comm, unit, patch, removing):
@@ -223,15 +244,24 @@ class _MultilayerEngine(_Engine):
         self.gamma = objective.resolution.gamma
         self.redundancy = objective.resolution.kind == "redundancy"
         # entity -> (partner, supporting layers) over pairs linked in >= 2 layers
-        self.rp_adj = [[(u, sl) for u, sl in net.partner_layers_idx(v).items() if len(sl) >= 2]
-                       for v in range(net.num_entities)] if self.redundancy else None
-        self.decay = []  # log_decay(n) at index n, extended on demand
+        self.rp_adj = None
+        self.decay = None
+        if self.redundancy:
+            self.rp_adj = [[(u, sl) for u, sl in net.partner_layers_idx(v).items() if len(sl) >= 2]
+                           for v in range(net.num_entities)]
+            # log_decay(n) at index n, up to the most redundant pairs any
+            # layer can hold: every pair appears once from each end
+            most = sum(len(sl) for pairs in self.rp_adj for _, sl in pairs) // 2
+            self.decay = [log_decay(n) for n in range(most + 1)]
 
         # the coupling records touching each layer, resolved once: (key,
         # other layer, projection source, shared entities, source layer
-        # size, penalty); a pair sharing no entity always couples 0
+        # size, penalty); a pair sharing no entity always couples 0.
+        # ``own_terms`` keeps the asymmetric ones whose source is the layer
+        # itself: the only ones a move that changes no intersection can change
         self.symmetric = coupling.kind == "symmetric"
         self.terms = [[] for _ in range(net.num_layers)]
+        self.own_terms = [[] for _ in range(net.num_layers)]
         for i, j, penalty in records:
             vint = net.shared_count_idx(i, j)
             if vint == 0:
@@ -241,20 +271,28 @@ class _MultilayerEngine(_Engine):
             vsize = len(net.presence_idx(src))
             self.terms[i].append((key, j, src, vint, vsize, penalty))
             self.terms[j].append((key, i, src, vint, vsize, penalty))
-
-    def _decay(self, n):
-        table = self.decay
-        if n >= len(table):
-            table.extend(log_decay(x) for x in range(len(table), n + 1))
-        return table[n]
+            if not self.symmetric:
+                self.own_terms[src].append((key, j if src == i else i, src, vint, vsize, penalty))
 
     def delta(self, comm, unit, counts, removing):
+        """The exact objective change and patch of moving ``unit`` out of or
+        into ``comm``.
+
+        Terms that are exactly +0.0 are not added. A coupling term whose
+        intersection does not change (``dinter.get(other, 0) == 0``) has
+        the same float before and after the move, so it adds +0.0, under
+        symmetric coupling and under asymmetric coupling whose source
+        projection is not the moved layer; only ``own_terms`` remain when
+        ``dinter`` is empty. ``d_coup`` starts at +0.0, and a round-to-nearest
+        sum that starts from +0.0 never yields -0.0, so adding +0.0 changes
+        nothing. When no redundant-pair count changes, the null term is the
+        unit's layer's alone, read without a sort: it is never -0.0 (gamma
+        and every decay are >= 0), so it equals that sum from +0.0."""
         l = unit.layer
         S = unit.entities
         k_s, occ = counts
         ddint = _ddint(unit, k_s, removing)
         ddeg = -unit.degsum if removing else unit.degsum
-        psize_delta = -len(S) if removing else len(S)
         dinter = {lj: -cnt for lj, cnt in occ.items()} if removing else occ
 
         dnrp = {}
@@ -262,40 +300,55 @@ class _MultilayerEngine(_Engine):
             # a redundant pair counts while both ends are in the flattened
             # community; only entities entering or leaving it change that
             sign = -1 if removing else 1
-            moved = set()
-            for v in S:
-                if comm.flat.get(v, 0) != (1 if removing else 0):
-                    continue
-                for u, sl in self.rp_adj[v]:
-                    # partner in the community before the move xor already moved
-                    if (comm.flat.get(u, 0) > 0) != (u in moved):
-                        for lj in sl:
-                            dnrp[lj] = dnrp.get(lj, 0) + sign
-                moved.add(v)
+            flat = comm.flat
+            if len(S) == 1:
+                v = S[0]
+                if flat.get(v, 0) == (1 if removing else 0):
+                    for u, sl in self.rp_adj[v]:
+                        if u in flat:  # ``apply`` deletes zero counts
+                            for lj in sl:
+                                dnrp[lj] = dnrp.get(lj, 0) + sign
+            else:
+                moved = set()
+                for v in S:
+                    if flat.get(v, 0) != (1 if removing else 0):
+                        continue
+                    for u, sl in self.rp_adj[v]:
+                        # partner in the community before the move xor already moved
+                        if (flat.get(u, 0) > 0) != (u in moved):
+                            for lj in sl:
+                                dnrp[lj] = dnrp.get(lj, 0) + sign
+                    moved.add(v)
 
         # objective delta; fixed layer order keeps float accumulation reproducible
-        affected = sorted({l, *dnrp})
-        d_null = 0.0
-        for lj in affected:
-            d_old = comm.deg.get(lj, 0)
-            d_new = d_old + (ddeg if lj == l else 0)
-            if self.redundancy:
-                n_old = comm.nrp.get(lj, 0)
-                g_old = self._decay(n_old)
-                g_new = self._decay(n_old + dnrp.get(lj, 0))
-            else:
-                g_old = g_new = self.gamma
-            d_null += g_new * d_new * d_new - g_old * d_old * d_old
+        deg = comm.deg
+        if dnrp:
+            decay = self.decay
+            nrp = comm.nrp
+            d_null = 0.0
+            for lj in sorted({l, *dnrp}):
+                d_old = deg.get(lj, 0)
+                d_new = d_old + (ddeg if lj == l else 0)
+                n_old = nrp.get(lj, 0)
+                d_null += (decay[n_old + dnrp.get(lj, 0)] * d_new * d_new
+                           - decay[n_old] * d_old * d_old)
+        else:
+            d_old = deg.get(l, 0)
+            d_new = d_old + ddeg
+            g = self.decay[comm.nrp.get(l, 0)] if self.redundancy else self.gamma
+            d_null = g * d_new * d_new - g * d_old * d_old
 
         d_coup = 0.0
         inter = comm.inter
+        terms = self.terms[l] if dinter else self.own_terms[l]
         if self.symmetric:
-            for key, other, _, vint, _, penalty in self.terms[l]:
+            for key, other, _, vint, _, penalty in terms:
                 n = inter.get(key, 0)
                 d_coup += (n + dinter.get(other, 0)) / vint * penalty - n / vint * penalty
         else:
             proj = comm.proj
-            for key, other, src, vint, vs, penalty in self.terms[l]:
+            psize_delta = -len(S) if removing else len(S)
+            for key, other, src, vint, vs, penalty in terms:
                 n = inter.get(key, 0)
                 psize = len(proj.get(src, _EMPTY))
                 before = n / vint * vs / psize * penalty if psize else 0.0
@@ -362,13 +415,14 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     rng = random.Random(config.seed)
 
     occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
-    assign = {}
+    # layer -> entity -> community, the one store of the assignment
+    where = [[None] * net.num_entities for _ in range(net.num_layers)]
     comms = {}
     units = []
     for cid, (e, l) in enumerate(occurrences):
         unit = _make_unit(net, l, (e,))
         units.append(unit)
-        assign[(e, l)] = cid
+        where[l][e] = cid
         comms[cid] = _Comm()
         engine.apply(comms[cid], unit, _NO_PATCH, removing=False)
 
@@ -388,13 +442,15 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
                     continue  # nothing it reads has changed: it stays again
                 unit = units[ui]
-                src = assign[(unit.entities[0], unit.layer)]
-                found = engine.gather(unit, assign)
+                here = where[unit.layer]
+                src = here[unit.entities[0]]
+                found = engine.gather(unit, where)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     stayed[ui] = (moves, (src,))
                     continue
-                dq_rem, patch_rem = engine.delta(comms[src], unit, found[src], removing=True)
+                dq_rem, patch_rem = engine.delta(comms[src], unit, found.get(src, [0, {}]),
+                                                 removing=True)
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None
@@ -413,7 +469,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 if not comms[src].flat:
                     del comms[src]
                 for v in unit.entities:
-                    assign[(v, unit.layer)] = best_cid
+                    here[v] = best_cid
                 pass_gain += best_gain
                 moves += 1
                 changed[src] = changed[best_cid] = moves
@@ -423,15 +479,14 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
             break
         # aggregate into per-layer super-nodes of the current communities
         blocks = {}
-        for (e, l), cid in assign.items():
-            blocks.setdefault((cid, l), []).append(e)
+        for e, l in occurrences:
+            blocks.setdefault((where[l][e], l), []).append(e)
         if len(blocks) == len(units):
             break
         units = [_make_unit(net, l, members)
                  for (cid, l), members in sorted(blocks.items())]
 
-    assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
-                  for (e, l), cid in assign.items()}
+    assignment = {(net.entity_ids[e], net.layer_ids[l]): where[l][e] for e, l in occurrences}
     cs = CommunityStructure(net, assignment)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),

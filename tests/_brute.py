@@ -263,6 +263,18 @@ def literal_pair_layers(net, flat) -> dict:
     return pair_layers
 
 
+def literal_redundant_partners(net) -> dict:
+    """Entity index -> ``[(partner, supporting layer indices)]`` over every
+    pair linked in at least two layers, from ``literal_pair_layers`` over
+    all entities."""
+    partners = {v: [] for v in range(net.num_entities)}
+    for (u, v), layers in literal_pair_layers(net, range(net.num_entities)).items():
+        if len(layers) >= 2:
+            partners[u].append((v, sorted(layers)))
+            partners[v].append((u, sorted(layers)))
+    return partners
+
+
 def _literal_degree(net, ei, li) -> int:
     return sum(1 for u, v in net.edges_idx(li) if ei in (u, v))
 
@@ -439,26 +451,35 @@ def new_comm(engine, tuples):
         for j in layers[a + 1:]:
             comm.inter[(i, j)] = len(comm.proj[i] & comm.proj[j])
     if engine.redundancy:
-        added = set()
-        for v in sorted(comm.flat):
-            for u, sl in engine.rp_adj[v]:
-                if u in added:
-                    for l in sl:
-                        comm.nrp[l] = comm.nrp.get(l, 0) + 1
-            added.add(v)
+        for layers in literal_pair_layers(engine.net, comm.flat).values():
+            if len(layers) >= 2:
+                for l in layers:
+                    comm.nrp[l] = comm.nrp.get(l, 0) + 1
     return comm
+
+
+def where_table(net, assign) -> list:
+    """The per-layer table ``gather`` reads (``where[l][e]`` is the community
+    of entity ``e`` in layer ``l``), built from an ``(entity index, layer
+    index) -> community`` mapping."""
+    where = [[None] * net.num_entities for _ in range(net.num_layers)]
+    for (e, l), c in assign.items():
+        where[l][e] = c
+    return where
 
 
 class LiteralMultilayerEngine(_MultilayerEngine):
     """The multilayer gain engine with its gains evaluated the literal way:
     every coupling record touching the moved layer is resolved anew per
-    call, before and after the move, and every decay is computed from the
-    logarithm. The bookkeeping (``gather``, ``apply``) is the engine's own;
-    only ``delta`` is replaced, so the engine's ``dq`` and patches must
-    equal this one's exactly."""
+    call, before and after the move, every decay is computed from the
+    logarithm, and the redundant pairs come from its own partner lists
+    (``literal_redundant_partners``). The bookkeeping (``gather``, ``apply``)
+    is the engine's own; only ``delta`` is replaced, so the engine's ``dq``
+    and patches must equal this one's exactly."""
 
     def __init__(self, net, objective):
         super().__init__(net, objective)
+        self.partners = literal_redundant_partners(net) if self.redundancy else None
         self.resolution = objective.resolution
         self.coupling = objective.coupling
         _, records = coupling_plan(net, self.coupling, objective.ordering)
@@ -513,7 +534,7 @@ class LiteralMultilayerEngine(_MultilayerEngine):
             for v in S:
                 if comm.flat.get(v, 0) != (1 if removing else 0):
                     continue
-                for u, sl in self.rp_adj[v]:
+                for u, sl in self.partners[v]:
                     # partner in the community before the move xor already moved
                     if (comm.flat.get(u, 0) > 0) != (u in moved):
                         for lj in sl:
@@ -573,11 +594,12 @@ def literal_generalized_louvain(net, config):
             for ui in order:
                 unit = units[ui]
                 src = assign[(unit.entities[0], unit.layer)]
-                found = engine.gather(unit, assign)
+                found = engine.gather(unit, where_table(net, assign))
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     continue
-                dq_rem, patch_rem = engine.delta(comms[src], unit, found[src], removing=True)
+                dq_rem, patch_rem = engine.delta(comms[src], unit, found.get(src, [0, {}]),
+                                                 removing=True)
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None

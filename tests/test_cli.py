@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import multimod as mm
+import multimod.cli as cli
 from multimod.cli import main
 
 from _brute import multislice_direct
@@ -196,6 +197,23 @@ class TestDetect:
         assert code == 0
         scored = float(parse_kv(score_out)["total"])
         assert scored == pytest.approx(manifest["objective_value"], abs=1e-12)
+
+
+    @pytest.mark.parametrize("method,detector", [("gl", "generalized_louvain"),
+                                                 ("aggregate", "aggregate_majority")])
+    def test_missing_out_directory_fails_before_detection(self, capsys, tmp_path, monkeypatch,
+                                                          ordered3_files, method, detector):
+        def never(*args, **kwargs):
+            raise AssertionError("detection started")
+
+        monkeypatch.setattr(cli, detector, never)
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, ["detect", ordered3_files[0], "--method", method,
+                                      "--out", str(missing / "run")])
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err and "does not exist" in err
+        assert not missing.exists()
 
 
 class TestSweep:

@@ -10,12 +10,13 @@ import pytest
 
 import multimod as mm
 import multimod.detect as detect
+from multimod.community import log_decay
 from multimod.errors import InputError, PolicyError
 
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
 from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
-                    literal_generalized_louvain, new_comm)
+                    literal_generalized_louvain, new_comm, where_table)
 from _gen import natural_orderings, random_multilayer
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -287,9 +288,11 @@ class TestIncrementalGains:
                 continue  # keep both communities nonempty for rescoring
             before = score()
             unit = _make_unit(net, t[1], (t[0],))
-            found = engine.gather(unit, split)
-            dq_r, patch_r = engine.delta(comms[src], unit, found[src], removing=True)
-            dq_i, patch_i = engine.delta(comms[dst], unit, found[dst], removing=False)
+            found = engine.gather(unit, where_table(net, split))
+            dq_r, patch_r = engine.delta(comms[src], unit, found.get(src, [0, {}]),
+                                         removing=True)
+            dq_i, patch_i = engine.delta(comms[dst], unit, found.get(dst, [0, {}]),
+                                         removing=False)
             engine.apply(comms[src], unit, patch_r, removing=True)
             engine.apply(comms[dst], unit, patch_i, removing=False)
             split[t] = dst
@@ -385,11 +388,13 @@ class TestIncrementalGains:
             block = [f for f, m in occurrences
                      if m == l and split[(f, m)] == src and (f == e or rng.random() < 0.4)]
             unit = _make_unit(net, l, block)
-            found = engine.gather(unit, split)
-            removal = engine.delta(comms[src], unit, found[src], removing=True)
-            insertion = engine.delta(comms[dst], unit, found[dst], removing=False)
-            assert removal == literal.delta(comms[src], unit, found[src], removing=True)
-            assert insertion == literal.delta(comms[dst], unit, found[dst], removing=False)
+            found = engine.gather(unit, where_table(net, split))
+            at_src = found.get(src, [0, {}])
+            at_dst = found.get(dst, [0, {}])
+            removal = engine.delta(comms[src], unit, at_src, removing=True)
+            insertion = engine.delta(comms[dst], unit, at_dst, removing=False)
+            assert removal == literal.delta(comms[src], unit, at_src, removing=True)
+            assert insertion == literal.delta(comms[dst], unit, at_dst, removing=False)
             engine.apply(comms[src], unit, removal[1], removing=True)
             engine.apply(comms[dst], unit, insertion[1], removing=False)
             for f in unit.entities:
@@ -421,6 +426,52 @@ class TestIncrementalGains:
                                                coupling=mm.CouplingPolicy(kind, time_aware),
                                                ordering=ordering)
             self.check_literal_gains(rng, net, objective)
+
+    @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
+                                            mm.ResolutionPolicy.redundancy()])
+    @pytest.mark.parametrize("kind", ["none", "symmetric", "asym-inner", "asym-outer"])
+    def test_removal_gather_does_not_reach(self, resolution, kind):
+        # (0, a) shares its community only with entity 1, which is neither
+        # its neighbour in a nor one of its own occurrences; the pair (0, 1)
+        # is redundant through layers b and c
+        net = mm.build_network(layers=["a", "b", "c"],
+                               edges=[("a", 0, 2), ("a", 1, 3), ("a", 2, 3),
+                                      ("b", 0, 1), ("c", 0, 1)])
+        objective = mm.MultilayerObjective(resolution=resolution,
+                                           coupling=mm.CouplingPolicy(kind))
+        engine = _MultilayerEngine(net, objective)
+        literal = LiteralMultilayerEngine(net, objective)
+        idx = lambda e, l: (net.entity_index(e), net.layer_index(l))
+        split = {t: 1 for t in (idx(e, l) for e, l in net.tuples())}
+        for e, l in [(0, "a"), (1, "a"), (1, "b"), (1, "c")]:
+            split[idx(e, l)] = 0
+        comms = {c: new_comm(engine, [t for t in split if split[t] == c]) for c in (0, 1)}
+        e, l = idx(0, "a")
+        unit = _make_unit(net, l, (e,))
+        found = engine.gather(unit, where_table(net, split))
+        assert list(found) == [1]
+        removal = engine.delta(comms[0], unit, [0, {}], removing=True)
+        assert removal == literal.delta(comms[0], unit, [0, {}], removing=True)
+        if resolution.kind == "redundancy":
+            assert removal[1][1] == {net.layer_index("b"): -1, net.layer_index("c"): -1}
+
+    def test_decay_table_reaches_complete_multiplex(self):
+        # K_8 in 3 layers: every pair is redundant in every layer, and the
+        # whole network merges into one community holding all of them
+        layers = ["a", "b", "c"]
+        net = mm.build_network(layers=layers, edges=[(l, u, v) for l in layers
+                                                     for u in range(8) for v in range(u + 1, 8)])
+        objective = mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                           coupling=mm.CouplingPolicy.symmetric())
+        engine = _MultilayerEngine(net, objective)
+        assert all(g == log_decay(n) for n, g in enumerate(engine.decay))
+        everything = new_comm(engine, [(net.entity_index(e), net.layer_index(l))
+                                       for e, l in net.tuples()])
+        assert everything.nrp == {0: 28, 1: 28, 2: 28}
+        assert len(engine.decay) > max(everything.nrp.values())
+        config = mm.DetectConfig(objective=objective)
+        assert mm.generalized_louvain(net, config).structure.num_communities == 1
+        TestGeneralizedLouvain.assert_same_run(net, config)
 
 
 class TestAggregateMajority:
