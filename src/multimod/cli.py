@@ -198,6 +198,8 @@ def cmd_detect(args) -> int:
 
 
 _SWEEP_RANGES = {"gamma": (0.0, 2.0), "gamma-omega": (0.0, 1.0), "omega": (0.0, 2.0)}
+# rows one sweep may score and hold in memory; --step 1e-4 over [0, 2] is 20001
+_SWEEP_MAX_ROWS = 100_000
 
 
 def cmd_sweep(args) -> int:
@@ -213,6 +215,9 @@ def cmd_sweep(args) -> int:
         raise PolicyError("--step must be > 0")
     if stop < start:
         raise PolicyError("--stop must be >= --start")
+    if (stop - start) / args.step + 1 > _SWEEP_MAX_ROWS:
+        raise GuardError(f"--step {args.step!r} over [{start!r}, {stop!r}] gives more than "
+                         f"{_SWEEP_MAX_ROWS} rows")
 
     rows = ["gamma\tomega\tq_ms"]
     i = 0

@@ -23,16 +23,17 @@ runs every pass, so the run is the same as without the skip.
 
 The assignment is one per-layer table, ``where[l][e]``: the community of
 entity ``e`` in layer ``l``. ``gather`` reads it, and the final structure
-and the aggregation blocks read it in occurrence order.
+(built from indices) and the aggregation blocks read it in occurrence order.
 
 One gain engine serves both objectives: a shared base keeps each
 community's projections, flattened membership and degrees and applies the
 moves, and each objective adds only its own counters and gain formula
 (projection intersections and redundant-pair counts for the multilayer
 score, a constant per-pair coupling for the multislice score). The
-multilayer gains read the scorer's coupling plan (``coupling_plan``),
-resolved once into per-layer coupling terms, and the network's linked-pair
-query (``partner_layers_idx``). Redundancy decays come from a table built
+multilayer gains read the scorer's coupling plan (``coupling_plan``, under
+the network's layer ordering, the only one an objective uses), resolved
+once into per-layer coupling terms, and the network's linked-pair query
+(``partner_layers_idx``). Redundancy decays come from a table built
 at construction, up to the largest redundant-pair count any layer can
 reach. A gain adds only the terms a move can change. A coupling term whose
 intersection does not change is exactly +0.0, unless it is asymmetric with
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import LayerOrdering, MultilayerNetwork, build_network
+from .mlgraph import MultilayerNetwork, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          multilayer_modularity, multislice_modularity,
                          multislice_parameters)
@@ -82,14 +83,12 @@ class MultilayerObjective:
 
     resolution: ResolutionPolicy = field(default_factory=lambda: ResolutionPolicy.constant(1.0))
     coupling: CouplingPolicy = field(default_factory=CouplingPolicy.none)
-    ordering: LayerOrdering | None = None  # defaults to the network's ordering
 
     def gain_engine(self, net):
         return _MultilayerEngine(net, self)
 
     def score(self, net, cs) -> float:
-        return multilayer_modularity(net, cs, self.resolution, self.coupling,
-                                     self.ordering).total
+        return multilayer_modularity(net, cs, self.resolution, self.coupling).total
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,8 @@ class _MultilayerEngine(_Engine):
     def __init__(self, net, objective):
         super().__init__(net)
         coupling = objective.coupling
-        ordering, records = coupling_plan(net, coupling, objective.ordering)
-        self.norm = float(net.total_degree(beta=coupling.beta, ordering=ordering))
+        records = coupling_plan(net, coupling)
+        self.norm = float(net.total_degree(beta=coupling.beta))
         self.gamma = objective.resolution.gamma
         self.redundancy = objective.resolution.kind == "redundancy"
         # entity -> (partner, supporting layers) over pairs linked in >= 2 layers
@@ -486,8 +485,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
         units = [_make_unit(net, l, members)
                  for (cid, l), members in sorted(blocks.items())]
 
-    assignment = {(net.entity_ids[e], net.layer_ids[l]): where[l][e] for e, l in occurrences}
-    cs = CommunityStructure(net, assignment)
+    cs = CommunityStructure._from_indices(net, {(e, l): where[l][e] for e, l in occurrences})
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)

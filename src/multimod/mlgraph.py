@@ -211,21 +211,20 @@ class MultilayerNetwork:
             raise InputError(f"entity {entity!r} is not present in layer {layer!r}")
         return len(self._adj[li].get(ei, ()))
 
-    def valid_pairings(self, layer, ordering: LayerOrdering | None = None) -> list:
-        """Layers that ``layer`` may couple with, in deterministic order.
+    def valid_pairings(self, layer) -> list:
+        """Layers that ``layer`` may couple with under the network's ordering,
+        in deterministic order.
 
         Unordered: every other layer. Natural order with the adjacent scheme:
         the immediate successor only. Natural order with the pair-wise scheme:
         all strict successors.
         """
-        ordering = self.ordering if ordering is None else ordering
-        self.layer_index(layer)
-        if not ordering.is_natural:
+        li = self.layer_index(layer)
+        if not self.ordering.is_natural:
             return [l for l in self._layer_ids if l != layer]
-        pos = ordering.position(layer)
-        if ordering.scheme is PairingScheme.ADJACENT:
-            return list(ordering.sequence[pos + 1:pos + 2])
-        return list(ordering.sequence[pos + 1:])
+        # a natural ordering is the dense layer order (see build_network)
+        stop = li + 2 if self.ordering.scheme is PairingScheme.ADJACENT else None
+        return list(self._layer_ids[li + 1:stop])
 
     def shared_entity_count(self, layer_a, layer_b) -> int:
         return self.shared_count_idx(self.layer_index(layer_a), self.layer_index(layer_b))
@@ -238,7 +237,7 @@ class MultilayerNetwork:
             count = self._shared[key] = len(self._presence[ia] & self._presence[ib])
         return count
 
-    def coupling_count(self, beta: int = 1, ordering: LayerOrdering | None = None) -> int:
+    def coupling_count(self, beta: int = 1) -> int:
         """Total shared-entity count over all valid (ordered) pairings.
 
         This is the number of coupling terms the multilayer quality function
@@ -247,32 +246,30 @@ class MultilayerNetwork:
         """
         if beta == 0:
             return 0
-        ordering = self.ordering if ordering is None else ordering
         total = 0
         for layer in self._layer_ids:
-            for other in self.valid_pairings(layer, ordering):
+            for other in self.valid_pairings(layer):
                 total += self.shared_entity_count(layer, other)
         return total
 
-    def coupling_edges(self, beta: int = 1, ordering: LayerOrdering | None = None) -> int:
+    def coupling_edges(self, beta: int = 1) -> int:
         """Number of distinct inter-layer coupling edges admitted by the ordering.
 
         A coupling edge joins the two occurrences of one entity in a valid
         layer pair and is counted once regardless of direction.
         """
-        ordering = self.ordering if ordering is None else ordering
-        total = self.coupling_count(beta, ordering)
+        total = self.coupling_count(beta)
         # unordered layers pair both ways, a natural ordering pairs each pair once
-        return total if ordering.is_natural else total // 2
+        return total if self.ordering.is_natural else total // 2
 
-    def total_degree(self, beta: int = 1, ordering: LayerOrdering | None = None) -> int:
+    def total_degree(self, beta: int = 1) -> int:
         """Total degree of the multilayer graph, couplings included.
 
         Every intra-layer edge contributes 2, and every distinct coupling edge
         admitted by the ordering contributes 2 (one per endpoint). With
         ``beta=0`` this reduces to twice the total intra-layer edge count.
         """
-        total = 2 * self.num_edges() + 2 * self.coupling_edges(beta, ordering)
+        total = 2 * self.num_edges() + 2 * self.coupling_edges(beta)
         if total == 0:
             raise InputError("degenerate normalization: network has no edges and no couplings")
         return total

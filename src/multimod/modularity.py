@@ -6,7 +6,8 @@ across every unordered layer pair with a constant weight and keeps a
 layer-local null model. ``multilayer_modularity`` normalizes globally,
 lets the resolution factor vary per layer and community, and scores the
 inter-layer couplings through community projections, optionally restricted
-and penalized by a natural layer ordering. Which layer pairs couple, their
+and penalized by a natural layer ordering. The ordering is the network's
+(``net.ordering``); no score takes another. Which layer pairs couple, their
 penalties and the natural-ordering check are decided once, in
 :func:`coupling_plan`, which the multilayer gain engine reads as well.
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import LayerGraph, LayerOrdering, MultilayerNetwork
+from .mlgraph import LayerGraph, MultilayerNetwork
 
 
 @dataclass(frozen=True)
@@ -265,44 +266,37 @@ def distance_penalty(distance: int) -> float:
     return log_decay(distance)
 
 
-def _resolve_ordering(net: MultilayerNetwork, ordering: LayerOrdering | None,
-                      time_aware: bool) -> LayerOrdering:
-    """``ordering``, or the network's when None; time-aware coupling needs it
-    to be natural."""
-    ordering = net.ordering if ordering is None else ordering
-    if time_aware and not ordering.is_natural:
+def _require_natural(net: MultilayerNetwork) -> None:
+    if not net.ordering.is_natural:
         raise PolicyError("time-aware coupling requires a natural layer ordering")
-    return ordering
 
 
-def _time_penalty(ordering: LayerOrdering, layer_i, layer_j) -> float:
-    return distance_penalty(abs(ordering.position(layer_j) - ordering.position(layer_i)))
-
-
-def time_aware_coupling(cs: CommunityStructure, c: int, layer_i, layer_j,
-                        ordering: LayerOrdering | None = None) -> float:
+def time_aware_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> float:
     """Asymmetric coupling scaled down by the positional distance of the two
-    layers in the natural order; distance 1 applies no penalty."""
-    ordering = _resolve_ordering(cs.net, ordering, time_aware=True)
-    return (float(asymmetric_coupling(cs, c, layer_i, layer_j))
-            * _time_penalty(ordering, layer_i, layer_j))
+    layers in the network's natural order; distance 1 applies no penalty."""
+    net = cs.net
+    _require_natural(net)
+    # a natural ordering is the dense layer order, so indices are positions
+    distance = abs(net.layer_index(layer_j) - net.layer_index(layer_i))
+    return float(asymmetric_coupling(cs, c, layer_i, layer_j)) * distance_penalty(distance)
 
 
-def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy,
-                  ordering: LayerOrdering | None = None) -> tuple:
-    """The resolved ordering (None means the network's) and the layer pairs
-    ``coupling`` scores under it, as ``(i, j, penalty)`` records of dense
-    layer indices in source-major order; none under coupling ``none``. The
-    penalty is 1.0 unless the coupling is time-aware."""
-    ordering = _resolve_ordering(net, ordering, coupling.time_aware)
+def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy) -> list:
+    """The layer pairs ``coupling`` scores under the network's ordering, as
+    ``(i, j, penalty)`` records of dense layer indices in source-major order;
+    none under coupling ``none``. The penalty is 1.0 unless the coupling is
+    time-aware, which needs a natural ordering."""
+    if coupling.time_aware:
+        _require_natural(net)
     if not coupling.beta:
-        return ordering, []
+        return []
     records = []
     for i, layer in enumerate(net.layer_ids):
-        for other in net.valid_pairings(layer, ordering):
-            penalty = _time_penalty(ordering, layer, other) if coupling.time_aware else 1.0
-            records.append((i, net.layer_index(other), penalty))
-    return ordering, records
+        for other in net.valid_pairings(layer):
+            # time-aware: j is a successor of i in the dense (natural) order
+            j = net.layer_index(other)
+            records.append((i, j, distance_penalty(j - i) if coupling.time_aware else 1.0))
+    return records
 
 
 # -- multilayer modularity --------------------------------------------------------
@@ -318,8 +312,7 @@ def _coupling_value(cs, c, layer, other, kind) -> float:
 
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
                           resolution: ResolutionPolicy | None = None,
-                          coupling: CouplingPolicy | None = None,
-                          ordering: LayerOrdering | None = None) -> ScoreReport:
+                          coupling: CouplingPolicy | None = None) -> ScoreReport:
     """Multilayer modularity with pluggable resolution and coupling policies.
 
     For each community and layer the score accumulates the internal degree,
@@ -337,11 +330,11 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     coupling = CouplingPolicy.none() if coupling is None else coupling
     if net.num_edges() == 0:
         raise InputError("multilayer modularity is undefined on an edgeless network")
-    ordering, records = coupling_plan(net, coupling, ordering)
+    records = coupling_plan(net, coupling)
     ids = net.layer_ids
 
     beta = coupling.beta
-    norm = net.total_degree(beta=beta, ordering=ordering)
+    norm = net.total_degree(beta=beta)
     terms = []
     community_sums = []
     for c in cs.communities():
@@ -357,6 +350,7 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
         community_sums.append(math.fsum(layer_terms))
     total = math.fsum(community_sums) / norm
 
+    ordering = net.ordering
     policy = {
         "objective": "multilayer",
         "resolution": resolution.kind,

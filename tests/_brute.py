@@ -279,8 +279,9 @@ def _literal_degree(net, ei, li) -> int:
     return sum(1 for u, v in net.edges_idx(li) if ei in (u, v))
 
 
-def _literal_pairings(net, li, ordering):
+def _literal_pairings(net, li):
     ids = net.layer_ids
+    ordering = net.ordering
     if not ordering.is_natural:
         return [net.layer_index(l) for l in ids if l != ids[li]]
     pos = ordering.position(ids[li])
@@ -293,8 +294,7 @@ def _literal_pairings(net, li, ordering):
 
 def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStructure,
                                  resolution: mm.ResolutionPolicy | None = None,
-                                 coupling: mm.CouplingPolicy | None = None,
-                                 ordering: mm.LayerOrdering | None = None) -> float:
+                                 coupling: mm.CouplingPolicy | None = None) -> float:
     """Multilayer modularity by literal nested summation.
 
     Degrees, projections, redundant pairs and coupling values are all
@@ -304,7 +304,7 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
     """
     resolution = mm.ResolutionPolicy.constant(1.0) if resolution is None else resolution
     coupling = mm.CouplingPolicy.none() if coupling is None else coupling
-    ordering = net.ordering if ordering is None else ordering
+    ordering = net.ordering
     n_tuples = net.num_tuples()
     if n_tuples * n_tuples > _DIRECT_PAIR_GUARD:
         raise mm.GuardError(f"direct evaluation guard exceeded ({n_tuples} occurrences)")
@@ -322,8 +322,8 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
     if beta:
         for a in range(ell):
             for b in range(a + 1, ell):
-                pa = _literal_pairings(net, a, ordering)
-                pb = _literal_pairings(net, b, ordering)
+                pa = _literal_pairings(net, a)
+                pb = _literal_pairings(net, b)
                 if b in pa or a in pb:
                     norm += 2 * len(net.presence_idx(a) & net.presence_idx(b))
 
@@ -352,7 +352,7 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
             coup = 0.0
             if beta:
                 proj_i = {ei for ei in net.presence_idx(li) if assign.get((ei, li)) == c}
-                for lj in _literal_pairings(net, li, ordering):
+                for lj in _literal_pairings(net, li):
                     proj_j = {ei for ei in net.presence_idx(lj) if assign.get((ei, lj)) == c}
                     shared_nodes = len(net.presence_idx(li) & net.presence_idx(lj))
                     if shared_nodes == 0:
@@ -401,7 +401,6 @@ def _restricted_growth_strings(n: int, max_blocks: int):
 def best_partition_exhaustive(net: mm.MultilayerNetwork,
                               resolution: mm.ResolutionPolicy | None = None,
                               coupling: mm.CouplingPolicy | None = None,
-                              ordering: mm.LayerOrdering | None = None,
                               max_communities: int | None = None):
     """Exhaustive optimum of the multilayer score over occurrence partitions.
 
@@ -422,7 +421,7 @@ def best_partition_exhaustive(net: mm.MultilayerNetwork,
     for code in _restricted_growth_strings(len(tuples), max_communities):
         assignment = {tuples[i]: code[i] for i in range(len(tuples))}
         cs = mm.CommunityStructure(net, assignment)
-        value = mm.multilayer_modularity(net, cs, resolution, coupling, ordering).total
+        value = mm.multilayer_modularity(net, cs, resolution, coupling).total
         if best_value is None or value > best_value:
             best_value = value
             best_code = code
@@ -482,7 +481,7 @@ class LiteralMultilayerEngine(_MultilayerEngine):
         self.partners = literal_redundant_partners(net) if self.redundancy else None
         self.resolution = objective.resolution
         self.coupling = objective.coupling
-        _, records = coupling_plan(net, self.coupling, objective.ordering)
+        records = coupling_plan(net, self.coupling)
         ell = net.num_layers
         self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
         self.vinter = {(a, b): net.shared_count_idx(a, b)

@@ -70,3 +70,19 @@ def natural_orderings(net):
         LayerOrdering.natural(net.layer_ids, PairingScheme.ADJACENT),
         LayerOrdering.natural(net.layer_ids, PairingScheme.PAIRWISE),
     )
+
+
+def with_ordering(net, ordering):
+    """``net`` rebuilt under ``ordering``: the same entity ids, layer order,
+    presences and edges. A natural ``ordering`` must list the layers in
+    ``net``'s order, since it fixes the dense layer order."""
+    ids = net.entity_ids
+    out = build_network(
+        entities=ids, layers=net.layer_ids,
+        edges=[(layer, ids[u], ids[v])
+               for li, layer in enumerate(net.layer_ids) for u, v in net.edges_idx(li)],
+        presence=[(layer, ids[e])
+                  for li, layer in enumerate(net.layer_ids) for e in sorted(net.presence_idx(li))],
+        ordering=ordering)
+    assert out.layer_ids == net.layer_ids and out.entity_ids == ids
+    return out

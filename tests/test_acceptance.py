@@ -14,7 +14,8 @@ import multimod as mm
 from multimod.cli import main as cli_main
 
 from _brute import best_partition_exhaustive, multilayer_modularity_direct
-from _gen import natural_orderings, random_multilayer, random_single_layer, random_structure
+from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
+                  with_ordering)
 from conftest import ORDERED3_PARTITION, build_ordered3
 
 
@@ -64,6 +65,8 @@ def test_criterion_3_oracle_equivalence():
         cs = random_structure(rng, net)
         orderings = [mm.LayerOrdering.unordered(), *natural_orderings(net)]
         for ordering in orderings:
+            onet = with_ordering(net, ordering)
+            ocs = mm.CommunityStructure(onet, cs.as_assignment())
             couplings = [mm.CouplingPolicy.symmetric(), mm.CouplingPolicy.asym_inner(),
                          mm.CouplingPolicy.asym_outer()]
             if ordering.is_natural:
@@ -71,10 +74,8 @@ def test_criterion_3_oracle_equivalence():
                               mm.CouplingPolicy.asym_outer(time_aware=True)]
             for resolution in resolutions:
                 for coupling in couplings:
-                    fast = mm.multilayer_modularity(net, cs, resolution, coupling,
-                                                    ordering).total
-                    slow = multilayer_modularity_direct(net, cs, resolution, coupling,
-                                                        ordering)
+                    fast = mm.multilayer_modularity(onet, ocs, resolution, coupling).total
+                    slow = multilayer_modularity_direct(onet, ocs, resolution, coupling)
                     assert abs(fast - slow) <= 1e-12
                     checks += 1
     elapsed = time.time() - started
@@ -137,13 +138,14 @@ def test_criterion_4_range_and_invariant_suites():
         if net.num_layers < 2:
             continue
         ordering = natural_orderings(net)[1]
+        net = with_ordering(net, ordering)
         cs = random_structure(rng, net)
         seq = ordering.sequence
         for c in cs.communities():
             for a in range(len(seq)):
                 for b in range(a + 1, len(seq)):
                     asym = float(mm.asymmetric_coupling(cs, c, seq[a], seq[b]))
-                    aware = mm.time_aware_coupling(cs, c, seq[a], seq[b], ordering)
+                    aware = mm.time_aware_coupling(cs, c, seq[a], seq[b])
                     assert aware <= asym + 1e-15
                     if b - a == 1:
                         assert aware == asym

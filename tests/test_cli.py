@@ -25,6 +25,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(argv):
+    """The CLI in a fresh process with a timeout: an unbounded run fails
+    instead of hanging the suite."""
+    src = Path(mm.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "multimod.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def parse_kv(block: str) -> dict:
     out = {}
     for line in block.splitlines():
@@ -295,17 +305,28 @@ class TestHostileInputs:
         ["--stop", "inf"], ["--start=-inf"],
     ], ids=" ".join)
     def test_sweep_non_finite_bounds(self, triangle_files, flags):
-        # a fresh process with a timeout: an unbounded sweep fails here
-        # instead of hanging the suite
-        src = Path(mm.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-m", "multimod.cli", "sweep", *triangle_files,
-                               "--protocol", "omega", *flags],
-                              capture_output=True, text=True, timeout=60, env=env)
+        proc = run_fresh(["sweep", *triangle_files, "--protocol", "omega", *flags])
         assert proc.returncode == 3
         assert "must be a finite number" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--step", "1e-9"], ["--step", "5e-324"], ["--start=-1e308", "--stop", "1e308"],
+    ], ids=" ".join)
+    def test_sweep_row_guard(self, triangle_files, flags):
+        # refused before any scoring: the first flags would build about 2e9 rows
+        proc = run_fresh(["sweep", *triangle_files, "--protocol", "omega", *flags])
+        assert proc.returncode == 4
+        assert "rows" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("protocol", ["gamma", "gamma-omega", "omega"])
+    def test_sweep_fine_step_admitted(self, capsys, triangle_files, protocol):
+        code, out, _ = run(capsys, ["sweep", *triangle_files, "--protocol", protocol,
+                                    "--step", "1e-4"])
+        assert code == 0
+        start, stop = cli._SWEEP_RANGES[protocol]
+        assert len(out.splitlines()) == 1 + round((stop - start) / 1e-4) + 1
 
     def test_stats_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.mlg"

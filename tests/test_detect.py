@@ -17,7 +17,7 @@ from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
 from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
                     literal_generalized_louvain, new_comm, where_table)
-from _gen import natural_orderings, random_multilayer
+from _gen import natural_orderings, random_multilayer, with_ordering
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -151,31 +151,33 @@ class TestGeneralizedLouvain:
         with pytest.raises(InputError):
             mm.generalized_louvain(net, constant_symmetric())
 
-    def test_objective_reported_under_objective_ordering(self):
-        # the network is natural-adjacent; the objective overrides it with
-        # an unordered pairing, which changes the normalization
+    def test_objective_reported_under_network_ordering(self):
+        # the same network natural-adjacent and unordered: the unordered
+        # pairing couples more layer pairs, which changes the normalization
         spec = mm.PlantedSpec(entities=30, communities=3, layers=3,
                               p_in=0.6, p_out=0.05, presence=0.9, seed=8)
-        net, _ = mm.planted_multilayer(spec)
-        assert net.ordering.is_natural
-        unordered = mm.LayerOrdering.unordered()
+        natural, _ = mm.planted_multilayer(spec)
+        assert natural.ordering.is_natural
+        assert natural.ordering.scheme is mm.PairingScheme.ADJACENT
+        unordered = with_ordering(natural, mm.LayerOrdering.unordered())
         objective = mm.MultilayerObjective(resolution=mm.ResolutionPolicy.constant(1),
-                                           coupling=mm.CouplingPolicy.symmetric(),
-                                           ordering=unordered)
+                                           coupling=mm.CouplingPolicy.symmetric())
         for method in (mm.generalized_louvain, mm.aggregate_majority):
-            res = method(net, mm.DetectConfig(objective=objective, seed=1))
-            expected = mm.multilayer_modularity(net, res.structure, objective.resolution,
-                                                objective.coupling, unordered).total
-            under_net = mm.multilayer_modularity(net, res.structure, objective.resolution,
-                                                 objective.coupling).total
-            assert expected != under_net
-            assert res.objective == expected
+            reported = []
+            for net in (natural, unordered):
+                res = method(net, mm.DetectConfig(objective=objective, seed=1))
+                assert res.objective == mm.multilayer_modularity(
+                    net, res.structure, objective.resolution, objective.coupling).total
+                reported.append(res.objective)
+            assert reported[0] != reported[1]
 
 
     @staticmethod
-    def random_objective(rng, net):
+    def random_case(rng, net):
+        """A random objective, and ``net`` or ``net`` rebuilt under a random
+        natural ordering."""
         if rng.random() < 0.5:
-            return mm.MultisliceObjective(
+            return net, mm.MultisliceObjective(
                 gamma=[rng.choice((0.5, 1.0, 1.5)) for _ in net.layer_ids],
                 omega=rng.choice((0.0, 0.3, 1.0, 2.0)))
         kind = rng.choice(("none", "symmetric", "asym-inner", "asym-outer"))
@@ -185,9 +187,10 @@ class TestGeneralizedLouvain:
             ordering = mm.LayerOrdering.natural(net.layer_ids, ordering.scheme, True)
         resolution = rng.choice((mm.ResolutionPolicy.constant(rng.choice((0.5, 1.0))),
                                  mm.ResolutionPolicy.redundancy()))
-        return mm.MultilayerObjective(resolution=resolution,
-                                      coupling=mm.CouplingPolicy(kind, time_aware),
-                                      ordering=ordering)
+        if ordering is not None:
+            net = with_ordering(net, ordering)
+        return net, mm.MultilayerObjective(resolution=resolution,
+                                           coupling=mm.CouplingPolicy(kind, time_aware))
 
     @staticmethod
     def assert_same_run(net, config):
@@ -209,8 +212,8 @@ class TestGeneralizedLouvain:
             net, _ = mm.planted_multilayer(spec)
             if any(not net.edges_idx(l) for l in range(net.num_layers)):
                 continue  # the multislice null model needs an edge per layer
-            config = mm.DetectConfig(objective=self.random_objective(rng, net),
-                                     seed=rng.randrange(100),
+            net, objective = self.random_case(rng, net)
+            config = mm.DetectConfig(objective=objective, seed=rng.randrange(100),
                                      max_passes=rng.choice((1, 2, 3, 50)))
             self.assert_same_run(net, config)
             checked += 1
@@ -220,13 +223,15 @@ class TestGeneralizedLouvain:
         spec = mm.PlantedSpec(entities=200, communities=4, layers=3, p_in=0.15,
                               p_out=0.01, presence=0.8, seed=seed)
         net, _ = mm.planted_multilayer(spec)
+        timed = with_ordering(
+            net, mm.LayerOrdering.natural(net.layer_ids, mm.PairingScheme.ADJACENT, True))
         redundancy = mm.MultilayerObjective(
             resolution=mm.ResolutionPolicy.redundancy(),
-            coupling=mm.CouplingPolicy.asym_inner(time_aware=True),
-            ordering=mm.LayerOrdering.natural(net.layer_ids, mm.PairingScheme.ADJACENT, True))
-        for objective in (redundancy, mm.MultisliceObjective(gamma=1.0, omega=1.0)):
+            coupling=mm.CouplingPolicy.asym_inner(time_aware=True))
+        for onet, objective in ((timed, redundancy),
+                                (net, mm.MultisliceObjective(gamma=1.0, omega=1.0))):
             for run_seed in (0, seed):
-                self.assert_same_run(net, mm.DetectConfig(objective=objective, seed=run_seed))
+                self.assert_same_run(onet, mm.DetectConfig(objective=objective, seed=run_seed))
 
     @pytest.mark.parametrize("max_passes", [1, 3])
     def test_stops_at_max_passes_without_aggregating(self, monkeypatch, max_passes):
@@ -320,21 +325,20 @@ class TestIncrementalGains:
                              lambda cs: mm.multilayer_modularity(net, cs, resolution,
                                                                  coupling).total)
 
-    def test_time_aware_gains_under_objective_ordering(self):
-        # the network itself is unordered: the natural order comes only
-        # through MultilayerObjective.ordering
+    def test_time_aware_gains_under_natural_orderings(self):
+        # an unordered random network rebuilt under each natural ordering
         rng = random.Random(79)
         resolution = mm.ResolutionPolicy.redundancy()
         coupling = mm.CouplingPolicy.asym_outer(time_aware=True)
+        objective = mm.MultilayerObjective(resolution=resolution, coupling=coupling)
         for _ in range(8):
             net = random_multilayer(rng)
             assert not net.ordering.is_natural
             for ordering in natural_orderings(net):
-                objective = mm.MultilayerObjective(resolution=resolution, coupling=coupling,
-                                                   ordering=ordering)
-                self.check_moves(rng, net, _MultilayerEngine(net, objective),
+                onet = with_ordering(net, ordering)
+                self.check_moves(rng, onet, _MultilayerEngine(onet, objective),
                                  lambda cs: mm.multilayer_modularity(
-                                     net, cs, resolution, coupling, ordering).total)
+                                     onet, cs, resolution, coupling).total)
 
     def test_multislice_gains_match_rescoring(self):
         rng = random.Random(83)
@@ -423,9 +427,8 @@ class TestIncrementalGains:
             ordering = (mm.LayerOrdering.unordered() if scheme is None else
                         mm.LayerOrdering.natural(net.layer_ids, scheme, time_aware))
             objective = mm.MultilayerObjective(resolution=resolution,
-                                               coupling=mm.CouplingPolicy(kind, time_aware),
-                                               ordering=ordering)
-            self.check_literal_gains(rng, net, objective)
+                                               coupling=mm.CouplingPolicy(kind, time_aware))
+            self.check_literal_gains(rng, with_ordering(net, ordering), objective)
 
     @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
                                             mm.ResolutionPolicy.redundancy()])

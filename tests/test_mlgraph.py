@@ -49,9 +49,11 @@ class TestBuild:
             line_net(["L1"], [("L1", "a", "a")])
         with pytest.raises(InputError):
             mm.build_network(entities=["ghost"], layers=["L1"], edges=[("L1", "a", "b")])
-        with pytest.raises(InputError):
-            line_net(["L1", "L2"], [("L1", "a", "b")],
-                     ordering=mm.LayerOrdering.natural(("L1",)))
+        # not a permutation of the layers: a subset, and a superset
+        for sequence in (("L1",), ("L1", "x", "L2")):
+            with pytest.raises(InputError):
+                line_net(["L1", "L2"], [("L1", "a", "b")],
+                         ordering=mm.LayerOrdering.natural(sequence))
 
 
 class TestIntraDegree:

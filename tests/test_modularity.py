@@ -11,7 +11,8 @@ import pytest
 import multimod as mm
 from multimod.errors import InputError, PolicyError
 from _brute import multilayer_modularity_direct, multislice_direct, newman_direct
-from _gen import natural_orderings, random_multilayer, random_single_layer, random_structure
+from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
+                  with_ordering)
 
 
 class TestNewman:
@@ -204,13 +205,14 @@ class TestTimeAwareCoupling:
             if net.num_layers < 2:
                 continue
             ordering = natural_orderings(net)[1]
+            net = with_ordering(net, ordering)
             cs = random_structure(rng, net)
             seq = ordering.sequence
             for c in cs.communities():
                 for i in range(len(seq)):
                     for j in range(i + 1, len(seq)):
                         asym = float(mm.asymmetric_coupling(cs, c, seq[i], seq[j]))
-                        ta = mm.time_aware_coupling(cs, c, seq[i], seq[j], ordering)
+                        ta = mm.time_aware_coupling(cs, c, seq[i], seq[j])
                         assert ta <= asym + 1e-15
                         if j - i == 1:
                             assert ta == asym
@@ -313,6 +315,8 @@ class TestMultilayerModularity:
             cs = random_structure(rng, net)
             orderings = [mm.LayerOrdering.unordered(), *natural_orderings(net)]
             for ordering in orderings:
+                onet = with_ordering(net, ordering)
+                ocs = mm.CommunityStructure(onet, cs.as_assignment())
                 couplings = [mm.CouplingPolicy.symmetric(), mm.CouplingPolicy.asym_inner(),
                              mm.CouplingPolicy.asym_outer()]
                 if ordering.is_natural:
@@ -320,8 +324,8 @@ class TestMultilayerModularity:
                                   mm.CouplingPolicy.asym_outer(time_aware=True)]
                 for res in resolutions:
                     for coup in couplings:
-                        fast = mm.multilayer_modularity(net, cs, res, coup, ordering).total
-                        slow = multilayer_modularity_direct(net, cs, res, coup, ordering)
+                        fast = mm.multilayer_modularity(onet, ocs, res, coup).total
+                        slow = multilayer_modularity_direct(onet, ocs, res, coup)
                         assert fast == pytest.approx(slow, abs=1e-12)
 
 

@@ -1,14 +1,21 @@
-"""Package surface: the exported names and the standard-library-only imports."""
+"""Package surface: the exported names, the standard-library-only imports
+and the one layer ordering."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import multimod as mm
 
 ORACLES = ("multilayer_modularity_direct", "best_partition_exhaustive")
+
+# the callables that make a network's ordering: the ordering itself, the
+# builder, and the network's internal constructor, which stores it
+ORDERING_MAKERS = {"LayerOrdering", "build_network", "MultilayerNetwork"}
 
 
 def test_every_exported_name_resolves():
@@ -37,3 +44,34 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # exception types derive their signature from a builtin
+        return {}
+
+
+def test_only_the_network_holds_an_ordering():
+    # scoring and detection read net.ordering: no other public function,
+    # constructor or method of the package takes an ordering to replace it
+    checked = set()
+    takers = set()
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"multimod.{path.stem}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            checked.add(name)
+            if "ordering" in _parameters(obj):
+                takers.add(name)
+            if inspect.isclass(obj):
+                for method_name, method in inspect.getmembers(obj, inspect.isfunction):
+                    if not method_name.startswith("_") and "ordering" in _parameters(method):
+                        takers.add(f"{name}.{method_name}")
+    assert {name for name in mm.__all__ if callable(getattr(mm, name))} <= checked
+    assert sorted(takers - ORDERING_MAKERS) == []
