@@ -5,6 +5,15 @@ a network into communities. Besides the plain partition bookkeeping this
 module carries the redundancy machinery: which entity pairs of a community
 are connected in one layer (P1) or several layers (P2), which layers support
 a pair, and the per-layer resolution factor derived from those counts.
+
+A community's pairs are taken over its flattened membership F, every entity
+with an occurrence in it, and are supported by every layer that links them.
+The counts come from one set-algebra pass per community, run on first use:
+for each entity u of F and each layer l of u, ``s_l = adj_l(u) & F``; the
+partners in two or more of those sets are u's redundant partners R. Layer
+l's redundant pair count sums ``len(s_l & R)`` and the connected pair count
+sums the size of the union of the ``s_l``, each halved because every pair
+is seen from both ends. All counts are exact integers.
 """
 
 from __future__ import annotations
@@ -97,7 +106,8 @@ class CommunityStructure:
                     dint += len(nb & proj)
                 self._deg[c][li] = deg
                 self._dint[c][li] = dint
-        self._pair_layers_cache = [None] * k
+        self._counts = [None] * k   # redundancy counts, on first use
+        self._coupled = [None] * k  # coupled instance pairs, on first use
 
     @classmethod
     def from_entity_partition(cls, net: MultilayerNetwork, partition) -> "CommunityStructure":
@@ -151,49 +161,73 @@ class CommunityStructure:
         return self._dint[c].get(self.net.layer_index(layer), 0)
 
     def coupled_instance_pairs(self, c: int) -> int:
-        """Unordered pairs of same-entity occurrences inside community ``c``."""
-        return sum(n * (n - 1) // 2 for n in self._flat[c].values())
+        """Unordered pairs of same-entity occurrences inside community ``c``;
+        computed on first use."""
+        pairs = self._coupled[c]
+        if pairs is None:
+            pairs = self._coupled[c] = sum(n * (n - 1) // 2 for n in self._flat[c].values())
+        return pairs
 
     # -- redundancy machinery --------------------------------------------------
 
-    def _pair_layers(self, c: int) -> dict:
-        """Entity-index pairs of community ``c`` (flattened membership) that are
-        linked somewhere, mapped to their supporting layer indices."""
-        cached = self._pair_layers_cache[c]
-        if cached is not None:
-            return cached
-        flat = self._flat[c]
-        pairs = {}
+    def _walk(self, c: int):
+        """For each entity ``u`` of the flattened membership of ``c``: ``u``,
+        ``[(layer index, partners of u in c linked in that layer)]``, the
+        partners linked in some layer and those linked in two or more."""
+        net = self.net
+        adj = [net.adj_idx(li) for li in range(net.num_layers)]
+        flat = frozenset(self._flat[c])
         for u in flat:
-            for v, layers in self.net.partner_layers_idx(u).items():
-                if u < v and v in flat:
-                    pairs[(u, v)] = frozenset(layers)
-        self._pair_layers_cache[c] = pairs
-        return pairs
+            per_layer = []
+            seen = set()
+            red = set()
+            for li in net.entity_layers_idx(u):
+                nb = adj[li].get(u)
+                if nb:
+                    s = nb & flat
+                    if s:
+                        red |= seen & s
+                        seen |= s
+                        per_layer.append((li, s))
+            yield u, per_layer, seen, red
+
+    def _redundancy_counts(self, c: int) -> tuple:
+        """``(per-layer redundant pair counts, connected pair count)`` of
+        ``c``, computed on first use. Each pair is seen from both ends."""
+        cached = self._counts[c]
+        if cached is None:
+            counts = [0] * self.net.num_layers
+            linked = 0
+            for _, per_layer, seen, red in self._walk(c):
+                linked += len(seen)
+                if red:
+                    for li, s in per_layer:
+                        counts[li] += len(s & red)
+            cached = self._counts[c] = ([n // 2 for n in counts], linked // 2)
+        return cached
 
     def redundant_pairs(self, c: int):
         """(P1, P2): entity pairs of ``c`` linked in >= 1 layer and >= 2 layers."""
-        pairs = self._pair_layers(c)
         ids = self.net.entity_ids
-        p1 = frozenset((ids[u], ids[v]) for u, v in pairs)
-        p2 = frozenset((ids[u], ids[v]) for (u, v), ls in pairs.items() if len(ls) >= 2)
-        return p1, p2
+        p1 = set()
+        p2 = set()
+        for u, _, seen, red in self._walk(c):
+            p1.update((ids[u], ids[v]) for v in seen if u < v)
+            p2.update((ids[u], ids[v]) for v in red if u < v)
+        return frozenset(p1), frozenset(p2)
 
     def redundancy(self, c: int) -> Fraction:
         """Supporting-layer mass of the redundant pairs of ``c``, normalized by
         the layer count times the number of connected pairs; 0 when the
         community has no connected pair."""
-        pairs = self._pair_layers(c)
-        if not pairs:
+        counts, linked = self._redundancy_counts(c)
+        if not linked:
             return Fraction(0)
-        support = sum(len(ls) for ls in pairs.values() if len(ls) >= 2)
-        return Fraction(support, self.net.num_layers * len(pairs))
+        return Fraction(sum(counts), self.net.num_layers * linked)
 
     def redundant_pair_count(self, c: int, layer) -> int:
         """Number of redundant pairs of ``c`` supported by ``layer``."""
-        li = self.net.layer_index(layer)
-        pairs = self._pair_layers(c)
-        return sum(1 for ls in pairs.values() if len(ls) >= 2 and li in ls)
+        return self._redundancy_counts(c)[0][self.net.layer_index(layer)]
 
     def redundancy_resolution(self, c: int, layer) -> float:
         """Resolution factor for (layer, community) derived from redundancy.

@@ -66,14 +66,6 @@ class LayerOrdering:
     def is_natural(self) -> bool:
         return self.sequence is not None
 
-    def position(self, layer) -> int:
-        if not self.is_natural:
-            raise InputError("layers are unordered, no positions defined")
-        try:
-            return self.sequence.index(layer)
-        except ValueError:
-            raise InputError(f"layer {layer!r} is not part of the ordering") from None
-
 
 @dataclass(frozen=True)
 class LayerStats:
@@ -116,6 +108,7 @@ class MultilayerNetwork:
         self._edge_counts = edge_counts    # per layer: number of edges
         self._entity_layers = entity_layers  # per entity: frozenset of layer indices
         self._shared = {}                  # (a, b) a <= b -> shared entity count, on demand
+        self._same_entity_pairs = None     # same-entity layer pairs, on demand
         self.ordering = ordering
 
     # -- basic accessors ---------------------------------------------------
@@ -237,6 +230,14 @@ class MultilayerNetwork:
             count = self._shared[key] = len(self._presence[ia] & self._presence[ib])
         return count
 
+    def same_entity_pair_count(self) -> int:
+        """Unordered layer pairs in which an entity is present on both sides,
+        summed over entities; computed once."""
+        if self._same_entity_pairs is None:
+            self._same_entity_pairs = sum(len(ls) * (len(ls) - 1) // 2
+                                          for ls in self._entity_layers)
+        return self._same_entity_pairs
+
     def coupling_count(self, beta: int = 1) -> int:
         """Total shared-entity count over all valid (ordered) pairings.
 
@@ -304,12 +305,13 @@ class MultilayerNetwork:
         connected pairs, and mean local clustering coefficient for one layer.
 
         Nodes of degree < 2 contribute 0 to clustering; with no connected pair
-        the average path length is reported as 0.0.
+        the average path length is reported as 0.0, and a layer with no
+        present entity reports 0.0 for every field.
         """
         li = self.layer_index(layer)
         nodes = sorted(self._presence[li])
         if not nodes:
-            raise InputError(f"layer {layer!r} is empty")
+            return LayerStats(0.0, 0.0, 0.0, 0.0)
         adj = self._adj[li]
         degrees = [len(adj.get(v, ())) for v in nodes]
         return LayerStats(

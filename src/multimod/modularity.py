@@ -170,12 +170,8 @@ def newman_modularity(graph: LayerGraph, partition) -> float:
 
 def coupling_pair_total(net: MultilayerNetwork) -> int:
     """Constant-coupling edge count: one per entity and unordered layer pair
-    in which the entity is present on both sides."""
-    total = 0
-    for ei in range(net.num_entities):
-        n = len(net.entity_layers_idx(ei))
-        total += n * (n - 1) // 2
-    return total
+    in which the entity is present on both sides (computed once per network)."""
+    return net.same_entity_pair_count()
 
 
 def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):

@@ -284,7 +284,7 @@ def _literal_pairings(net, li):
     ordering = net.ordering
     if not ordering.is_natural:
         return [net.layer_index(l) for l in ids if l != ids[li]]
-    pos = ordering.position(ids[li])
+    pos = ordering.sequence.index(ids[li])
     if ordering.scheme is mm.PairingScheme.ADJACENT:
         succ = ordering.sequence[pos + 1:pos + 2]
     else:
@@ -371,8 +371,8 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
                         else:
                             value = float(sym * Fraction(len(net.presence_idx(lj)), len(proj_j)))
                     if coupling.time_aware:
-                        dist = abs(ordering.position(net.layer_ids[lj])
-                                   - ordering.position(net.layer_ids[li]))
+                        dist = abs(ordering.sequence.index(net.layer_ids[lj])
+                                   - ordering.sequence.index(net.layer_ids[li]))
                         value *= mm.distance_penalty(dist)
                     coup += value
             total += dint - gamma * d * d / norm + beta * coup

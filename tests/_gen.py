@@ -86,3 +86,40 @@ def with_ordering(net, ordering):
         ordering=ordering)
     assert out.layer_ids == net.layer_ids and out.entity_ids == ids
     return out
+
+
+def blocked_multilayer(rng: random.Random, blocks: int = 100, block_size: int = 12,
+                       layers: int = 4, p_in: float = 0.4, presence: float = 0.8,
+                       p_split: float = 0.2):
+    """Seeded network of ``blocks * block_size`` entities whose edges fall
+    inside blocks, so many pairs are linked in several layers, and a
+    per-occurrence structure that follows the blocks, except that each
+    occurrence moves to the next block's community with probability
+    ``p_split``: many entities then lie in two communities.
+
+    Returns ``(network, structure)``; every entity is present somewhere.
+    """
+    n = blocks * block_size
+    layer_ids = [f"l{j}" for j in range(layers)]
+    present = [[rng.random() < presence for _ in range(layers)] for _ in range(n)]
+    for row in present:
+        if not any(row):
+            row[rng.randrange(layers)] = True
+    edges = []
+    for j, layer in enumerate(layer_ids):
+        for b in range(blocks):
+            members = [u for u in range(b * block_size, (b + 1) * block_size) if present[u][j]]
+            for a, u in enumerate(members):
+                for v in members[a + 1:]:
+                    if rng.random() < p_in:
+                        edges.append((layer, u, v))
+    net = build_network(entities=range(n), layers=layer_ids, edges=edges,
+                        presence=[(layer_ids[j], u) for u in range(n)
+                                  for j in range(layers) if present[u][j]])
+    assignment = {}
+    for u, layer in net.tuples():
+        block = u // block_size
+        if rng.random() < p_split:
+            block = (block + 1) % blocks
+        assignment[(u, layer)] = block
+    return net, CommunityStructure(net, assignment)

@@ -85,6 +85,24 @@ class TestStats:
         assert kv["node_coverage"] == "1.00"
         assert kv["edge_coverage"] == "0.33"
 
+    def test_layer_without_occurrence(self, capsys, tmp_path):
+        # %order may name a layer nothing occurs in; its row reads all zeros
+        path = tmp_path / "gap.mlg"
+        path.write_text("%order A B C\nA x y\nA y z\nC x z\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["stats", str(path)])
+        assert code == 0
+        assert out == (
+            "key\tvalue\nentities\t3\nedges\t3\nlayers\t3\n"
+            "node_coverage\t0.56\nedge_coverage\t0.33\n"
+            "degree_mean_mean\t0.7777777777777777\ndegree_mean_std\t0.5665577237325317\n"
+            "avg_path_length_mean\t0.7777777777777777\n"
+            "avg_path_length_std\t0.5665577237325317\n"
+            "clustering_mean\t0.0\nclustering_std\t0.0\n\n"
+            "layer\tnodes\tedges\tdegree_mean\tdegree_std\tavg_path_length\tclustering\n"
+            "A\t3\t2\t1.3333333333333333\t0.4714045207910317\t1.3333333333333333\t0.0\n"
+            "B\t0\t0\t0.0\t0.0\t0.0\t0.0\n"
+            "C\t2\t1\t1.0\t0.0\t1.0\t0.0\n")
+
     def test_malformed_line(self, capsys, tmp_path):
         path = tmp_path / "bad.mlg"
         path.write_text("L a b\nL a\n", encoding="utf-8")

@@ -11,7 +11,7 @@ import multimod as mm
 from multimod.errors import InputError
 
 from _brute import literal_pair_layers
-from _gen import random_multilayer, random_structure
+from _gen import blocked_multilayer, random_multilayer, random_structure
 from conftest import ORDERED3_PARTITION
 
 
@@ -137,24 +137,63 @@ class TestLayerRedundantPairCount:
         assert cs.redundant_pair_count(0, "L2") == 2
         assert cs.redundant_pair_count(0, "L1") == 1
 
+    @staticmethod
+    def check_against_literal(net, cs):
+        """Every redundancy reading of every community of ``cs`` equals the
+        literal edge-list scan over its flattened membership."""
+        ids = net.entity_ids
+        for c in cs.communities():
+            p1, p2 = cs.redundant_pairs(c)
+            per_layer = [cs.redundant_pair_count(c, l) for l in net.layer_ids]
+            assert all(v <= len(p2) for v in per_layer)
+            flat = {net.entity_index(e) for e, _ in cs.members(c)}
+            literal = literal_pair_layers(net, flat)
+            for (u, v), layers in literal.items():
+                assert mm.supporting_layers(net, ids[u], ids[v]) == {
+                    net.layer_ids[li] for li in layers}
+            redundant = {pair: layers for pair, layers in literal.items() if len(layers) >= 2}
+            assert p1 == {(ids[u], ids[v]) for u, v in literal}
+            assert p2 == {(ids[u], ids[v]) for u, v in redundant}
+            support = sum(len(layers) for layers in redundant.values())
+            assert sum(per_layer) == support
+            assert per_layer == [sum(1 for layers in redundant.values() if li in layers)
+                                 for li in range(net.num_layers)]
+            expected = Fraction(support, net.num_layers * len(literal)) if literal else 0
+            value = cs.redundancy(c)
+            assert type(value) is Fraction and value == expected
+
     def test_bookkeeping_identity(self):
         rng = random.Random(11)
         for _ in range(50):
             net = random_multilayer(rng)
-            cs = random_structure(rng, net)
-            ids = net.entity_ids
-            for c in cs.communities():
-                _, p2 = cs.redundant_pairs(c)
-                per_layer = [cs.redundant_pair_count(c, l) for l in net.layer_ids]
-                assert all(v <= len(p2) for v in per_layer)
-                flat = {net.entity_index(e) for e, _ in cs.members(c)}
-                literal = literal_pair_layers(net, flat)
-                for (u, v), layers in literal.items():
-                    assert mm.supporting_layers(net, ids[u], ids[v]) == {
-                        net.layer_ids[li] for li in layers}
-                redundant = {pair: layers for pair, layers in literal.items() if len(layers) >= 2}
-                assert p2 == {(ids[u], ids[v]) for u, v in redundant}
-                assert sum(per_layer) == sum(len(layers) for layers in redundant.values())
+            self.check_against_literal(net, random_structure(rng, net))
+
+    def test_split_entity_and_edgeless_entity(self):
+        # a and c each lie in both communities; e is present but has no edge
+        edges = [("L1", "a", "b"), ("L1", "b", "c"),
+                 ("L2", "a", "b"), ("L2", "a", "c"), ("L2", "b", "c"), ("L2", "c", "d")]
+        net = mm.build_network(layers=["L1", "L2"], edges=edges, presence=[("L1", "e")])
+        cs = mm.CommunityStructure(net, {
+            ("a", "L1"): 0, ("b", "L1"): 0, ("c", "L1"): 1, ("e", "L1"): 0,
+            ("a", "L2"): 1, ("b", "L2"): 0, ("c", "L2"): 0, ("d", "L2"): 1})
+        # community 0 holds a, b, c, e: (a, b) and (b, c) in both layers, (a, c) in L2
+        assert cs.redundant_pairs(0) == ({("a", "b"), ("b", "c"), ("a", "c")},
+                                         {("a", "b"), ("b", "c")})
+        assert [cs.redundant_pair_count(0, l) for l in ("L1", "L2")] == [2, 2]
+        assert cs.redundancy(0) == Fraction(4, 2 * 3)
+        # community 1 holds a, c, d: (a, c) and (c, d) in L2 only
+        assert cs.redundant_pairs(1) == ({("a", "c"), ("c", "d")}, frozenset())
+        assert [cs.redundant_pair_count(1, l) for l in ("L1", "L2")] == [0, 0]
+        assert cs.redundancy(1) == 0
+        self.check_against_literal(net, cs)
+
+    def test_bookkeeping_identity_at_scale(self):
+        net, cs = blocked_multilayer(random.Random(3))
+        assert net.num_entities >= 1000
+        split = sum(1 for e in net.entity_ids
+                    if len({cs.assignment_of(e, l) for l in net.entity_layers(e)}) > 1)
+        assert split > 100
+        self.check_against_literal(net, cs)
 
 
 class TestRedundancyResolution:

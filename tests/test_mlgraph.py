@@ -207,10 +207,11 @@ class TestMonoplexStats:
         s = net.monoplex_stats("L")
         assert s.degree_mean == pytest.approx(8 / 5)
 
-    def test_empty_layer_error(self):
+    def test_empty_layer_reports_zeros(self):
         net = line_net(["L", "M"], [("L", 0, 1)])
-        with pytest.raises(InputError):
-            net.monoplex_stats("M")
+        assert net.monoplex_stats("M") == mm.LayerStats(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(KeyError):
+            net.monoplex_stats("N")
 
     @staticmethod
     def random_layer(rng):
