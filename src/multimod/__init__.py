@@ -4,8 +4,8 @@ from .errors import GuardError, InputError, PolicyError
 from .mlgraph import (LayerGraph, LayerOrdering, LayerStats, MultilayerNetwork,
                       PairingScheme, build_network, parse_network_text,
                       read_network, write_network)
-from .community import (CommunityStructure, read_communities, supporting_layers,
-                        write_communities, write_flat_partition)
+from .community import (CommunityStructure, read_communities, write_communities,
+                        write_flat_partition)
 from .modularity import (CouplingPolicy, ResolutionPolicy, ScoreReport, ScoreTerm,
                          asymmetric_coupling, coupling_pair_total, distance_penalty,
                          multilayer_modularity, multislice_modularity,
@@ -22,8 +22,8 @@ __all__ = [
     "LayerGraph", "LayerOrdering", "LayerStats", "MultilayerNetwork",
     "PairingScheme", "build_network", "parse_network_text", "read_network",
     "write_network",
-    "CommunityStructure", "read_communities", "supporting_layers",
-    "write_communities", "write_flat_partition",
+    "CommunityStructure", "read_communities", "write_communities",
+    "write_flat_partition",
     "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
     "asymmetric_coupling", "coupling_pair_total", "distance_penalty",
     "multilayer_modularity", "multislice_modularity", "newman_modularity",

@@ -47,9 +47,18 @@ def _coupling_policy(args) -> CouplingPolicy:
     return CouplingPolicy(_COUPLING_KINDS[args.coupling], time_aware=args.time_aware)
 
 
-def _load_network(args):
-    if getattr(args, "time_aware", False) and args.ordering == "none":
+def _policies(args):
+    """The resolution and coupling policies the flags name, or None for an
+    objective other than q. The commands check their flags before they
+    read any file, so a bad flag costs no load."""
+    if args.time_aware and args.ordering == "none":
         raise PolicyError("--time-aware requires --ordering natural-adjacent or natural-pairwise")
+    if args.objective != "q":
+        return None
+    return _parse_resolution(args.resolution), _coupling_policy(args)
+
+
+def _load_network(args):
     return read_network(args.network, ordering_mode=args.ordering,
                         time_aware=getattr(args, "time_aware", False))
 
@@ -95,11 +104,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_score(args) -> int:
+    policies = _policies(args)
     net = _load_network(args)
     cs = read_communities(net, args.communities)
     if args.objective == "q":
-        report = multilayer_modularity(net, cs, _parse_resolution(args.resolution),
-                                       _coupling_policy(args))
+        report = multilayer_modularity(net, cs, *policies)
         if args.output == "json":
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
@@ -125,10 +134,11 @@ def cmd_score(args) -> int:
 
 
 def _detect_objective(args):
-    if args.objective == "q":
-        return MultilayerObjective(resolution=_parse_resolution(args.resolution),
-                                   coupling=_coupling_policy(args))
-    return MultisliceObjective(gamma=args.gamma, omega=args.omega)
+    policies = _policies(args)
+    if policies is None:
+        return MultisliceObjective(gamma=args.gamma, omega=args.omega)
+    resolution, coupling = policies
+    return MultilayerObjective(resolution=resolution, coupling=coupling)
 
 
 def _sha256(path) -> str:
@@ -139,13 +149,12 @@ def _sha256(path) -> str:
 
 
 def cmd_detect(args) -> int:
-    net = _load_network(args)
-    objective = _detect_objective(args)
-    config = DetectConfig(objective=objective, seed=args.seed,
+    config = DetectConfig(objective=_detect_objective(args), seed=args.seed,
                           max_passes=args.max_passes, min_gain=args.min_gain)
     out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # fail before the detection, not after it
+    if not os.path.isdir(out_dir):  # fail before the load and the detection
         raise InputError(f"output directory {out_dir!r} does not exist")
+    net = _load_network(args)
     if args.method == "gl":
         result = generalized_louvain(net, config)
     else:
@@ -202,9 +211,8 @@ _SWEEP_RANGES = {"gamma": (0.0, 2.0), "gamma-omega": (0.0, 1.0), "omega": (0.0, 
 _SWEEP_MAX_ROWS = 100_000
 
 
-def cmd_sweep(args) -> int:
-    net = _load_network(args)
-    cs = read_communities(net, args.communities)
+def _sweep_points(args) -> list:
+    """The sweep's (gamma, omega) rows, from the flags alone."""
     default_start, default_stop = _SWEEP_RANGES[args.protocol]
     start = default_start if args.start is None else args.start
     stop = default_stop if args.stop is None else args.stop
@@ -219,7 +227,7 @@ def cmd_sweep(args) -> int:
         raise GuardError(f"--step {args.step!r} over [{start!r}, {stop!r}] gives more than "
                          f"{_SWEEP_MAX_ROWS} rows")
 
-    rows = ["gamma\tomega\tq_ms"]
+    points = []
     i = 0
     while True:
         t = start + i * args.step
@@ -233,9 +241,19 @@ def cmd_sweep(args) -> int:
                 raise PolicyError("gamma-omega protocol requires gamma <= 1 so omega stays >= 0")
         else:
             gamma, omega = 1.0, t
+        points.append((gamma, omega))
+        i += 1
+    return points
+
+
+def cmd_sweep(args) -> int:
+    points = _sweep_points(args)
+    net = _load_network(args)
+    cs = read_communities(net, args.communities)
+    rows = ["gamma\tomega\tq_ms"]
+    for gamma, omega in points:
         value = multislice_modularity(net, cs, gamma, omega)
         rows.append(f"{gamma!r}\t{omega!r}\t{value!r}")
-        i += 1
     print("\n".join(rows))
     return 0
 

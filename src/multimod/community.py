@@ -26,16 +26,15 @@ from .errors import InputError
 from .mlgraph import MultilayerNetwork, check_ids, read_utf8
 
 
-def supporting_layers(net: MultilayerNetwork, u, v) -> frozenset:
-    """Layers in which the entity pair (u, v) is linked."""
-    partners = net.partner_layers_idx(net.entity_index(u))
-    return frozenset(net.layer_ids[li] for li in partners.get(net.entity_index(v), ()))
-
-
 def log_decay(x) -> float:
     """``2 / (1 + log2(1 + x))``, the decay of the redundancy resolution and
     of the time-aware distance penalty: 2 at 0, 1 at 1, then towards 0."""
     return 2.0 / (1.0 + math.log2(1.0 + x))
+
+
+# marks an occurrence without a label in a label table; any other value,
+# None included, is a label
+_UNASSIGNED = object()
 
 
 def _absent(entity, layer) -> InputError:
@@ -52,58 +51,75 @@ class CommunityStructure:
 
     def __init__(self, net: MultilayerNetwork, assignment):
         """``assignment`` maps every present (entity, layer) pair to a label."""
-        idx_assign = {}
+        labels = [[_UNASSIGNED] * net.num_entities for _ in range(net.num_layers)]
         for (entity, layer), label in assignment.items():
             ei = net.entity_index(entity)
             li = net.layer_index(layer)
             if ei not in net.presence_idx(li):
                 raise _absent(entity, layer)
-            if (ei, li) in idx_assign:
+            if labels[li][ei] is not _UNASSIGNED:
                 raise InputError(f"duplicate assignment for ({entity!r}, {layer!r})")
-            idx_assign[(ei, li)] = label
-        self._build(net, idx_assign)
+            labels[li][ei] = label
+        self._build(net, labels)
 
     @classmethod
-    def _from_indices(cls, net: MultilayerNetwork, idx_assign) -> "CommunityStructure":
-        """Build from ``{(entity index, layer index): label}`` over present
-        occurrences only."""
+    def _from_labels(cls, net: MultilayerNetwork, labels) -> "CommunityStructure":
+        """Build from a label table: ``labels[li][ei]`` labels entity ``ei``
+        in layer ``li``. Only present occurrences are read."""
         cs = cls.__new__(cls)
-        cs._build(net, idx_assign)
+        cs._build(net, labels)
         return cs
 
-    def _build(self, net, idx_assign):
+    @classmethod
+    def _from_entity_labels(cls, net: MultilayerNetwork, row) -> "CommunityStructure":
+        """Build from one label per entity (``row[ei]``), the same in every
+        layer the entity is present in."""
+        for ei, label in enumerate(row):
+            if label is _UNASSIGNED:
+                raise InputError(f"entity {net.entity_ids[ei]!r} has no community assignment")
+        return cls._from_labels(net, [row] * net.num_layers)
+
+    def _build(self, net, labels):
         self.net = net
-        labels = {}
-        assign = {}  # built in ascending (entity, layer) index order
-        for ei in range(net.num_entities):
+        dense = {}  # label -> community
+        where = [[None] * net.num_entities for _ in range(net.num_layers)]
+        proj = []
+        flat = []
+        for ei in range(net.num_entities):  # entity-major tuple order
             for li in sorted(net.entity_layers_idx(ei)):
-                if (ei, li) not in idx_assign:
-                    raise InputError(
-                        f"unassigned occurrence ({net.entity_ids[ei]!r}, {net.layer_ids[li]!r})")
-                assign[(ei, li)] = labels.setdefault(idx_assign[(ei, li)], len(labels))
+                label = labels[li][ei]
+                c = dense.get(label)
+                if c is None:
+                    if label is _UNASSIGNED:
+                        raise InputError(f"unassigned occurrence "
+                                         f"({net.entity_ids[ei]!r}, {net.layer_ids[li]!r})")
+                    c = dense[label] = len(proj)
+                    proj.append({})
+                    flat.append({})
+                where[li][ei] = c
+                members = proj[c].get(li)
+                if members is None:
+                    proj[c][li] = {ei}
+                else:
+                    members.add(ei)
+                counts = flat[c]
+                counts[ei] = counts.get(ei, 0) + 1
 
-        self._assign = assign
-        k = len(labels)
-        self._members = [[] for _ in range(k)]
-        self._proj = [dict() for _ in range(k)]
-        self._flat = [dict() for _ in range(k)]
-        for (ei, li), c in assign.items():
-            self._members[c].append((ei, li))
-            self._proj[c].setdefault(li, set()).add(ei)
-            self._flat[c][ei] = self._flat[c].get(ei, 0) + 1
-        self._proj = [{li: frozenset(s) for li, s in p.items()} for p in self._proj]
-
+        self._where = where  # layer -> entity -> community, None where absent
+        self._proj = [{li: frozenset(s) for li, s in p.items()} for p in proj]
+        self._flat = flat
+        k = len(proj)
         self._deg = [dict() for _ in range(k)]
         self._dint = [dict() for _ in range(k)]
         for c in range(k):
-            for li, proj in self._proj[c].items():
+            for li, members in self._proj[c].items():
                 adj = net.adj_idx(li)
                 deg = 0
                 dint = 0
-                for ei in proj:
+                for ei in members:
                     nb = adj.get(ei, frozenset())
                     deg += len(nb)
-                    dint += len(nb & proj)
+                    dint += len(nb & members)
                 self._deg[c][li] = deg
                 self._dint[c][li] = dint
         self._counts = [None] * k   # redundancy counts, on first use
@@ -112,33 +128,31 @@ class CommunityStructure:
     @classmethod
     def from_entity_partition(cls, net: MultilayerNetwork, partition) -> "CommunityStructure":
         """Expand an entity partition to every layer where the entity is present."""
-        idx_assign = {}
-        for ei, entity in enumerate(net.entity_ids):
-            if entity not in partition:
-                raise InputError(f"entity {entity!r} has no community assignment")
-            label = partition[entity]
-            for li in net.entity_layers_idx(ei):
-                idx_assign[(ei, li)] = label
-        return cls._from_indices(net, idx_assign)
+        return cls._from_entity_labels(
+            net, [partition.get(entity, _UNASSIGNED) for entity in net.entity_ids])
 
     # -- partition accessors -------------------------------------------------
 
     @property
     def num_communities(self) -> int:
-        return len(self._members)
+        return len(self._proj)
 
     def communities(self) -> range:
-        return range(len(self._members))
+        return range(len(self._proj))
 
     def assignment_of(self, entity, layer) -> int:
-        key = (self.net.entity_index(entity), self.net.layer_index(layer))
-        if key not in self._assign:
+        ei = self.net.entity_index(entity)
+        c = self._where[self.net.layer_index(layer)][ei]
+        if c is None:
             raise InputError(f"({entity!r}, {layer!r}) is not a present occurrence")
-        return self._assign[key]
+        return c
 
     def members(self, c: int) -> tuple:
-        return tuple((self.net.entity_ids[ei], self.net.layer_ids[li])
-                     for ei, li in self._members[c])
+        """The occurrences of ``c``, in entity-major order."""
+        ids = self.net.entity_ids
+        layer_ids = self.net.layer_ids
+        return tuple((ids[ei], layer_ids[li])
+                     for ei, li in sorted((ei, li) for li, p in self._proj[c].items() for ei in p))
 
     def projection(self, c: int, layer) -> frozenset:
         """Entities of community ``c`` that lay on ``layer``."""
@@ -245,19 +259,21 @@ class CommunityStructure:
         Ties break toward the lowest community index.
         """
         out = {}
+        where = self._where
         for ei in range(self.net.num_entities):
             votes = {}
             for li in self.net.entity_layers_idx(ei):
-                c = self._assign[(ei, li)]
+                c = where[li][ei]
                 votes[c] = votes.get(c, 0) + 1
             best = min(votes, key=lambda c: (-votes[c], c))
             out[self.net.entity_ids[ei]] = best
         return out
 
     def as_assignment(self) -> dict:
-        """Plain {(entity, layer): community} mapping."""
-        return {(self.net.entity_ids[ei], self.net.layer_ids[li]): c
-                for (ei, li), c in sorted(self._assign.items())}
+        """Plain {(entity, layer): community} mapping, in entity-major order."""
+        net = self.net
+        return {(net.entity_ids[ei], net.layer_ids[li]): self._where[li][ei]
+                for ei in range(net.num_entities) for li in sorted(net.entity_layers_idx(ei))}
 
 
 # -- community file format -------------------------------------------------------
@@ -268,44 +284,58 @@ class CommunityStructure:
 
 
 def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
+    """Read a community file in one pass, straight into the structure's
+    label table. A malformed or inconsistent line is an :class:`InputError`
+    that names it; then, in an extended file, the first record of an
+    absent occurrence, and the first present occurrence without a record
+    in entity-major order; in a flattened file, the first entity without
+    a record."""
     text = read_utf8(path)
-    extended = {}  # (entity index, layer index) -> label
-    flat = {}
+    extended = None  # "u L c" records: layer -> entity -> label
+    flat = None      # "u c" records: entity -> label
+    absent = None    # the first extended record of an absent occurrence
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         tokens = line.split()
         if len(tokens) == 3:
-            if flat:
+            if flat is not None:
                 raise InputError(f"line {lineno}: extended record in a flattened file")
             entity, layer, label = tokens
             try:
-                key = (net.entity_index(entity), net.layer_index(layer))
+                ei = net.entity_index(entity)
+                li = net.layer_index(layer)
             except KeyError as exc:
                 raise InputError(f"line {lineno}: {exc.args[0]}") from None
-            if key in extended:
+            if extended is None:
+                extended = [[_UNASSIGNED] * net.num_entities for _ in range(net.num_layers)]
+            row = extended[li]
+            if row[ei] is not _UNASSIGNED:
                 raise InputError(f"line {lineno}: duplicate assignment for ({entity}, {layer})")
-            extended[key] = label
+            row[ei] = label
+            if absent is None and ei not in net.presence_idx(li):
+                absent = (ei, li)
         elif len(tokens) == 2:
-            if extended:
+            if extended is not None:
                 raise InputError(f"line {lineno}: flattened record in an extended file")
             entity, label = tokens
             try:
-                net.entity_index(entity)
+                ei = net.entity_index(entity)
             except KeyError as exc:
                 raise InputError(f"line {lineno}: {exc.args[0]}") from None
-            if entity in flat:
+            if flat is None:
+                flat = [_UNASSIGNED] * net.num_entities
+            if flat[ei] is not _UNASSIGNED:
                 raise InputError(f"line {lineno}: duplicate assignment for {entity}")
-            flat[entity] = label
+            flat[ei] = label
         elif tokens:
             raise InputError(f"line {lineno}: expected 2 or 3 tokens")
-    if extended:
-        for ei, li in extended:
-            if ei not in net.presence_idx(li):
-                raise _absent(net.entity_ids[ei], net.layer_ids[li])
-        return CommunityStructure._from_indices(net, extended)
-    if flat:
-        return CommunityStructure.from_entity_partition(net, flat)
+    if extended is not None:
+        if absent is not None:
+            raise _absent(net.entity_ids[absent[0]], net.layer_ids[absent[1]])
+        return CommunityStructure._from_labels(net, extended)
+    if flat is not None:
+        return CommunityStructure._from_entity_labels(net, flat)
     raise InputError("community file is empty")
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import MultilayerNetwork, build_network
+from .mlgraph import LayerOrdering, MultilayerNetwork, _assemble
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          multilayer_modularity, multislice_modularity,
                          multislice_parameters)
@@ -485,18 +485,28 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
         units = [_make_unit(net, l, members)
                  for (cid, l), members in sorted(blocks.items())]
 
-    cs = CommunityStructure._from_indices(net, {(e, l): where[l][e] for e, l in occurrences})
+    cs = CommunityStructure._from_labels(net, where)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
 
 
 def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
+    """The layer alone: its present entities, indexed in ascending parent
+    index, and its edges, assembled from the parent's adjacency."""
     li = net.layer_index(layer)
-    entities = [net.entity_ids[e] for e in sorted(net.presence_idx(li))]
-    edges = [(layer, net.entity_ids[u], net.entity_ids[v]) for u, v in net.edges_idx(li)]
-    presence = [(layer, e) for e in entities]
-    return build_network(entities=entities, layers=[layer], edges=edges, presence=presence)
+    members = sorted(net.presence_idx(li))
+    index = {e: i for i, e in enumerate(members)}
+    adj = net.adj_idx(li)
+    presence = []
+    edges = []
+    for i, u in enumerate(members):
+        presence += (0, i)
+        for v in sorted(adj.get(u, ())):
+            if u < v:
+                edges += (0, i, index[v])
+    return _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,
+                     edges, LayerOrdering.unordered())
 
 
 def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:

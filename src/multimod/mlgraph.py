@@ -97,10 +97,10 @@ class MultilayerNetwork:
     the constructor is internal.
     """
 
-    def __init__(self, entity_ids, layer_ids, presence, adj, edge_counts, entity_layers,
+    def __init__(self, entity_index, layer_ids, presence, adj, edge_counts, entity_layers,
                  ordering):
-        self._entity_ids = entity_ids
-        self._entity_index = {e: i for i, e in enumerate(entity_ids)}
+        self._entity_ids = tuple(entity_index)
+        self._entity_index = entity_index  # entity id -> dense index, kept as given
         self._layer_ids = layer_ids
         self._layer_index = {l: i for i, l in enumerate(layer_ids)}
         self._presence = presence          # per layer: frozenset of entity indices
@@ -380,6 +380,72 @@ def _mean_clustering(adj, nodes) -> float:
     return statistics.fmean(values)
 
 
+def _layer_sequence(layers, ordering: LayerOrdering) -> tuple:
+    """The dense layer order: the distinct declared ``layers``, or the
+    natural ordering's sequence, which must be a permutation of them."""
+    if not layers:
+        raise InputError("a multilayer network needs at least one layer")
+    if ordering.is_natural:
+        if set(ordering.sequence) != set(layers) or len(ordering.sequence) != len(layers):
+            raise InputError("layer ordering is not a permutation of the declared layers")
+        return ordering.sequence
+    return tuple(layers)
+
+
+def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerNetwork:
+    """The network over dense indices; every builder ends here.
+
+    ``entity_index`` maps each entity id to its index and becomes the
+    network's own. ``presence`` is a flat ``[layer, entity, ...]`` list of
+    declared occurrences and ``edges`` a flat ``[layer, u, v, ...]`` list,
+    both in indices and in declaration order. Duplicate edges collapse. The
+    first self-loop in edge order, and then an entity present in no layer,
+    is an :class:`InputError`. Each layer's sets are frozen, and the mutable
+    ones dropped, one layer at a time.
+    """
+    ids = tuple(entity_index)
+    present = [set() for _ in layer_ids]
+    adj = [defaultdict(set) for _ in layer_ids]
+    it = iter(presence)
+    for li, e in zip(it, it):
+        present[li].add(e)
+    it = iter(edges)
+    for li, u, v in zip(it, it, it):
+        if u == v:
+            raise InputError(f"self-loop on {ids[u]!r} in layer {layer_ids[li]!r}")
+        a = adj[li]
+        a[u].add(v)
+        a[v].add(u)
+
+    frozen = []
+    edge_counts = []
+    for li, p in enumerate(present):
+        a = adj[li]
+        adj[li] = None  # this layer's mutable sets go when ``a`` moves on
+        p.update(a)  # every edge endpoint is present
+        frozen.append({u: frozenset(nb) for u, nb in a.items()})
+        edge_counts.append(sum(map(len, a.values())) // 2)
+    del a
+
+    entity_layers = [set() for _ in ids]
+    for li, p in enumerate(present):
+        for ei in p:
+            entity_layers[ei].add(li)
+    for ei, ls in enumerate(entity_layers):
+        if not ls:
+            raise InputError(f"entity {ids[ei]!r} is not present in any layer")
+
+    return MultilayerNetwork(
+        entity_index=entity_index,
+        layer_ids=tuple(layer_ids),
+        presence=tuple(frozenset(p) for p in present),
+        adj=tuple(frozen),
+        edge_counts=tuple(edge_counts),
+        entity_layers=tuple(frozenset(ls) for ls in entity_layers),
+        ordering=ordering,
+    )
+
+
 def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | None = None,
                   presence=()) -> MultilayerNetwork:
     """Assemble a normalized, deduplicated multilayer network.
@@ -393,64 +459,38 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
             permutation of the layers and fixes the dense layer indexing.
         presence: iterable of (layer, entity) declaring presence without edges.
 
-    Every entity must end up present in at least one layer.
+    Entities are indexed in first-seen order: declared, then by presence,
+    then by edge. Every entity must end up present in at least one layer.
     """
     layer_list = list(layers)
     if len(set(layer_list)) != len(layer_list):
         raise InputError("duplicate layer id in layer declaration")
-    if not layer_list:
-        raise InputError("a multilayer network needs at least one layer")
     ordering = LayerOrdering.unordered() if ordering is None else ordering
-    if ordering.is_natural:
-        if set(ordering.sequence) != set(layer_list) or len(ordering.sequence) != len(layer_list):
-            raise InputError("layer ordering is not a permutation of the declared layers")
-        layer_list = list(ordering.sequence)
-    layer_index = {l: i for i, l in enumerate(layer_list)}
+    layer_ids = _layer_sequence(layer_list, ordering)
+    layer_index = {l: i for i, l in enumerate(layer_ids)}
 
     # entity id -> dense index, in first-seen order; setdefault interns with one lookup
     entity_index = {}
     intern = entity_index.setdefault
     for e in entities:
         intern(e, len(entity_index))
-
-    present = [set() for _ in layer_list]
-    adj = [defaultdict(set) for _ in layer_list]
+    flat_presence = []
     for layer, entity in presence:
-        if layer not in layer_index:
+        li = layer_index.get(layer)
+        if li is None:
             raise InputError(f"presence declaration references unknown layer {layer!r}")
-        present[layer_index[layer]].add(intern(entity, len(entity_index)))
+        flat_presence += (li, intern(entity, len(entity_index)))
+    flat_edges = []
     for layer, u, v in edges:
         li = layer_index.get(layer)
         if li is None:
             raise InputError(f"edge ({u!r}, {v!r}) references unknown layer {layer!r}")
         ui = intern(u, len(entity_index))
         vi = intern(v, len(entity_index))
-        if ui == vi:
+        if ui == vi:  # here, so that it comes before a later edge's unknown layer
             raise InputError(f"self-loop on {u!r} in layer {layer!r}")
-        a = adj[li]
-        a[ui].add(vi)
-        a[vi].add(ui)
-    for p, a in zip(present, adj):
-        p.update(a)  # every edge endpoint is present
-
-    entity_list = tuple(entity_index)
-    entity_layers = [set() for _ in entity_list]
-    for li, p in enumerate(present):
-        for ei in p:
-            entity_layers[ei].add(li)
-    for ei, ls in enumerate(entity_layers):
-        if not ls:
-            raise InputError(f"entity {entity_list[ei]!r} is not present in any layer")
-
-    return MultilayerNetwork(
-        entity_ids=entity_list,
-        layer_ids=tuple(layer_list),
-        presence=tuple(frozenset(p) for p in present),
-        adj=tuple({u: frozenset(nb) for u, nb in a.items()} for a in adj),
-        edge_counts=tuple(sum(map(len, a.values())) // 2 for a in adj),
-        entity_layers=tuple(frozenset(ls) for ls in entity_layers),
-        ordering=ordering,
-    )
+        flat_edges += (li, ui, vi)
+    return _assemble(entity_index, layer_ids, flat_presence, flat_edges, ordering)
 
 
 # -- edge-list text format ----------------------------------------------------
@@ -498,11 +538,22 @@ def check_ids(ids, kind: str, leads_record: bool = False) -> None:
         written.add(text)
 
 
-def parse_network_text(text: str):
-    """Parse edge-list text into (layers, edges, presences, order or None)."""
-    layers = {}  # layer id -> None, in order of first mention
+def _parse_indices(text: str) -> tuple:
+    """One pass over edge-list text, straight into indices.
+
+    Returns ``(entities, layers, presence, edges, order)``. ``entities`` and
+    ``layers`` map each id to an index, in order of first mention.
+    ``presence`` is a flat ``[layer, entity, ...]`` list of the ``%presence``
+    records and ``edges`` a flat ``[layer, u, v, ...]`` list of the edge
+    records, both in file order, duplicates and self-loops kept. ``order``
+    is the ``%order`` sequence, or None. A malformed line is an
+    :class:`InputError` that names it.
+    """
+    entities = {}
+    layers = {}
+    presence = []
     edges = []
-    presences = []
+    append = edges.append
     order = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -511,26 +562,70 @@ def parse_network_text(text: str):
         if not tokens:
             continue
         head = tokens[0]
-        if not head.startswith("%"):
+        if head[0] != "%":
             if len(tokens) != 3:
                 raise InputError(f"line {lineno}: expected 3 tokens")
-            layers[head] = None
-            edges.append(tuple(tokens))
+            _, u, v = tokens
+            try:  # most ids are known already
+                li = layers[head]
+                ui = entities[u]
+                vi = entities[v]
+            except KeyError:
+                li = layers.setdefault(head, len(layers))
+                ui = entities.setdefault(u, len(entities))
+                vi = entities.setdefault(v, len(entities))
+            append(li)
+            append(ui)
+            append(vi)
         elif head == "%order":
             if order is not None:
                 raise InputError(f"line {lineno}: duplicate %order directive")
             if len(tokens) < 2:
                 raise InputError(f"line {lineno}: %order needs at least one layer")
             order = tuple(tokens[1:])
-            layers.update(dict.fromkeys(order))
+            for layer in order:
+                layers.setdefault(layer, len(layers))
         elif head == "%presence":
             if len(tokens) != 3:
                 raise InputError(f"line {lineno}: %presence expects 'L u'")
-            layers[tokens[1]] = None
-            presences.append((tokens[1], tokens[2]))
+            _, layer, u = tokens
+            presence += (layers.setdefault(layer, len(layers)),
+                         entities.setdefault(u, len(entities)))
         else:
             raise InputError(f"line {lineno}: unknown directive {head!r}")
-    return list(layers), edges, presences, order
+    return entities, layers, presence, edges, order
+
+
+def parse_network_text(text: str):
+    """Parse edge-list text into (layers, edges, presences, order or None):
+    the layer ids in order of first mention, and the ``(layer, u, v)`` edge
+    and ``(layer, entity)`` presence records in file order. ``read_network``
+    reads the same records into indices instead."""
+    entities, layers, presence, edges, order = _parse_indices(text)
+    ids = tuple(entities)
+    names = tuple(layers)
+    it = iter(edges)
+    edges = [(names[li], ids[u], ids[v]) for li, u, v in zip(it, it, it)]
+    it = iter(presence)
+    return list(names), edges, [(names[li], ids[e]) for li, e in zip(it, it)], order
+
+
+def _presence_first(entities, presence, edges) -> dict:
+    """Renumber the parsed entities in ``build_network``'s order, ``%presence``
+    records before edges, whatever the order of the lines: ``presence`` and
+    ``edges`` are rewritten in place and the new entity index is returned."""
+    declared = dict.fromkeys(presence[1::2])
+    if all(i == e for i, e in enumerate(declared)):
+        return entities  # already in that order
+    order = [*declared, *(e for e in range(len(entities)) if e not in declared)]
+    new = [0] * len(order)
+    for i, e in enumerate(order):
+        new[e] = i
+    presence[1::2] = [new[e] for e in presence[1::2]]
+    edges[1::3] = [new[u] for u in edges[1::3]]
+    edges[2::3] = [new[v] for v in edges[2::3]]
+    ids = tuple(entities)
+    return {ids[e]: i for i, e in enumerate(order)}
 
 
 def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) -> MultilayerNetwork:
@@ -543,9 +638,12 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
       "natural-adjacent"  natural order (the %order sequence, or declaration
                           order when absent) with adjacent pairing
       "natural-pairwise"  same with pair-wise pairing
+
+    The file is read in one pass into indices (``_parse_indices``) and
+    assembled from them, with ``build_network``'s entity order, layer order
+    and errors.
     """
-    text = read_utf8(path)
-    layers, edges, presences, order = parse_network_text(text)
+    entities, layers, presence, edges, order = _parse_indices(read_utf8(path))
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
     if ordering_mode == "none":
@@ -558,7 +656,14 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
         ordering = LayerOrdering.natural(sequence, scheme, time_aware)
     else:
         raise InputError(f"unknown ordering mode {ordering_mode!r}")
-    return build_network(layers=layers, edges=edges, presence=presences, ordering=ordering)
+    layer_ids = _layer_sequence(tuple(layers), ordering)
+    if layer_ids != tuple(layers):  # a natural ordering renumbers the layers
+        position = {l: i for i, l in enumerate(layer_ids)}
+        new = [position[l] for l in layers]
+        presence[0::2] = [new[li] for li in presence[0::2]]
+        edges[0::3] = [new[li] for li in edges[0::3]]
+    entities = _presence_first(entities, presence, edges)
+    return _assemble(entities, layer_ids, presence, edges, ordering)
 
 
 def write_network(net: MultilayerNetwork, path) -> None:

@@ -6,11 +6,12 @@ they check. The multilayer direct evaluator and the exhaustive searcher are
 guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
-The edge-list parser and network builder, and the community rebuild,
-literal gain engine and local-moving loop at the end, are different in kind:
-they are earlier, unoptimised forms of the package's own code, and serve to
-check that the optimised forms give the same networks, aggregates, error
-messages and bit-identical gains and runs.
+The edge-list parser, network builder and reader, the community reader,
+and the community rebuild, literal gain engine and local-moving loop at the
+end, are different in kind: they are earlier, unoptimised forms of the
+package's own code, and serve to check that the optimised forms give the
+same networks, structures, aggregates, error messages and bit-identical
+gains and runs.
 """
 
 from __future__ import annotations
@@ -179,6 +180,89 @@ def literal_build_network(entities=(), layers=(), edges=(), ordering=None, prese
         entity_layers=tuple(frozenset(ls) for ls in entity_layers),
         ordering=ordering,
     )
+
+
+def literal_read_network(text: str, ordering_mode: str = "auto", time_aware: bool = False) -> dict:
+    """The network reader in its earlier form: the literal parser, the
+    ordering the mode selects, then the literal builder over the parsed id
+    tuples. Returns the literal builder's fields."""
+    layers, edges, presences, order = literal_parse_network_text(text)
+    if ordering_mode == "auto":
+        ordering_mode = "natural-adjacent" if order is not None else "none"
+    if ordering_mode == "none":
+        ordering = mm.LayerOrdering.unordered()
+        if time_aware:
+            raise mm.InputError("time-aware coupling requires a natural layer ordering")
+    elif ordering_mode in ("natural-adjacent", "natural-pairwise"):
+        scheme = (mm.PairingScheme.ADJACENT if ordering_mode.endswith("adjacent")
+                  else mm.PairingScheme.PAIRWISE)
+        sequence = order if order is not None else tuple(layers)
+        ordering = mm.LayerOrdering.natural(sequence, scheme, time_aware)
+    else:
+        raise mm.InputError(f"unknown ordering mode {ordering_mode!r}")
+    return literal_build_network(layers=layers, edges=edges, presence=presences,
+                                 ordering=ordering)
+
+
+def literal_read_communities(net, path) -> dict:
+    """The community reader in its earlier form: records into a dict keyed by
+    (entity index, layer index) or by entity, then the occurrences in
+    entity-major order. Returns ``{(entity, layer): community}`` in that
+    order, communities numbered by first appearance, as ``as_assignment``
+    gives it."""
+    text = mm.mlgraph.read_utf8(path)
+    extended = {}  # (entity index, layer index) -> label
+    flat = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if len(tokens) == 3:
+            if flat:
+                raise mm.InputError(f"line {lineno}: extended record in a flattened file")
+            entity, layer, label = tokens
+            try:
+                key = (net.entity_index(entity), net.layer_index(layer))
+            except KeyError as exc:
+                raise mm.InputError(f"line {lineno}: {exc.args[0]}") from None
+            if key in extended:
+                raise mm.InputError(f"line {lineno}: duplicate assignment for ({entity}, {layer})")
+            extended[key] = label
+        elif len(tokens) == 2:
+            if extended:
+                raise mm.InputError(f"line {lineno}: flattened record in an extended file")
+            entity, label = tokens
+            try:
+                net.entity_index(entity)
+            except KeyError as exc:
+                raise mm.InputError(f"line {lineno}: {exc.args[0]}") from None
+            if entity in flat:
+                raise mm.InputError(f"line {lineno}: duplicate assignment for {entity}")
+            flat[entity] = label
+        elif tokens:
+            raise mm.InputError(f"line {lineno}: expected 2 or 3 tokens")
+    if extended:
+        for ei, li in extended:
+            if ei not in net.presence_idx(li):
+                raise mm.InputError(
+                    f"assignment references ({net.entity_ids[ei]!r}, {net.layer_ids[li]!r}) "
+                    f"but the entity is not present in that layer")
+    elif flat:
+        for entity in net.entity_ids:
+            if entity not in flat:
+                raise mm.InputError(f"entity {entity!r} has no community assignment")
+        extended = {(net.entity_index(e), li): flat[e]
+                    for e in net.entity_ids for li in net.entity_layers_idx(net.entity_index(e))}
+    else:
+        raise mm.InputError("community file is empty")
+    dense = {}
+    out = {}
+    for entity, layer in net.tuples():
+        key = (net.entity_index(entity), net.layer_index(layer))
+        if key not in extended:
+            raise mm.InputError(f"unassigned occurrence ({entity!r}, {layer!r})")
+        out[(entity, layer)] = dense.setdefault(extended[key], len(dense))
+    return out
 
 
 def newman_direct(nodes, edges, partition):

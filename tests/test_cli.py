@@ -296,6 +296,54 @@ class TestSweep:
         assert code == 3
 
 
+class TestFlagsBeforeLoad:
+    """A bad flag, or a missing output directory, is refused before any
+    file is read: with the network reader replaced by one that fails the
+    test, the exit codes are those of the flag."""
+
+    @pytest.fixture(autouse=True)
+    def no_load(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the network was read")
+
+        monkeypatch.setattr(cli, "read_network", never)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["score", "NET", "COMM", "--resolution", "bogus"], 3),
+        (["score", "NET", "COMM", "--resolution", "constant:x"], 3),
+        (["score", "NET", "COMM", "--resolution", "constant:nan"], 3),
+        (["score", "NET", "COMM", "--coupling", "sym", "--time-aware",
+          "--ordering", "natural-adjacent"], 3),
+        (["score", "NET", "COMM", "--time-aware"], 3),
+        (["detect", "NET", "--resolution", "bogus", "--out", "OUT"], 3),
+        (["detect", "NET", "--objective", "qms", "--time-aware", "--out", "OUT"], 3),
+        (["detect", "NET", "--min-gain", "0", "--out", "OUT"], 3),
+        (["detect", "NET", "--method", "aggregate", "--max-passes", "0", "--out", "OUT"], 3),
+        (["detect", "NET", "--out", "MISSING"], 2),
+        (["sweep", "NET", "COMM", "--protocol", "omega", "--step", "0"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "omega", "--start", "nan"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "omega", "--stop=-1"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "gamma-omega", "--stop", "2"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "omega", "--step", "1e-9"], 4),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+    def test_refused_without_reading(self, capsys, tmp_path, argv, code):
+        # the paths need not exist: nothing may open them
+        paths = {"NET": str(tmp_path / "missing.mlg"), "COMM": str(tmp_path / "missing.comm"),
+                 "OUT": str(tmp_path / "run"), "MISSING": str(tmp_path / "missing" / "run")}
+        got, out, err = run(capsys, [paths.get(a, a) for a in argv])
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_qms_score_ignores_the_resolution_flag(self, capsys, triangle_files, monkeypatch):
+        # --resolution belongs to the q objective; qms scoring reads the files
+        monkeypatch.setattr(cli, "read_network", mm.read_network)
+        code, out, _ = run(capsys, ["score", *triangle_files, "--objective", "qms",
+                                    "--resolution", "bogus"])
+        assert code == 0
+        assert out.startswith("objective\tqms\n")
+
+
 class TestHostileInputs:
     @pytest.mark.parametrize("argv", [
         ["score", "NET", "COMM", "--objective", "qms", "--omega", "nan"],

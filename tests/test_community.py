@@ -10,7 +10,7 @@ import pytest
 import multimod as mm
 from multimod.errors import InputError
 
-from _brute import literal_pair_layers
+from _brute import literal_pair_layers, literal_read_communities
 from _gen import blocked_multilayer, random_multilayer, random_structure
 from conftest import ORDERED3_PARTITION
 
@@ -66,16 +66,23 @@ class TestProjection:
                 assert cs.internal_degree(c, layer) <= cs.degree(c, layer)
 
 
-class TestSupportingLayers:
+def linking_layers(net, u, v) -> list:
+    """The ids of the layers that link entities ``u`` and ``v``, in layer
+    order, from the network's linked-pair query."""
+    partners = net.partner_layers_idx(net.entity_index(u))
+    return [net.layer_ids[li] for li in partners.get(net.entity_index(v), ())]
+
+
+class TestPartnerLayers:
     def test_cases(self):
         edges = [("L1", "a", "b"), ("L3", "a", "b"), ("L1", "b", "c"),
                  ("L2", "c", "d"), ("L3", "c", "d"), ("L2", "a", "d")]
         net = mm.build_network(layers=["L1", "L2", "L3"], edges=edges)
-        assert mm.supporting_layers(net, "a", "b") == {"L1", "L3"}
-        assert mm.supporting_layers(net, "a", "c") == frozenset()
+        assert linking_layers(net, "a", "b") == ["L1", "L3"]
+        assert linking_layers(net, "a", "c") == []
         every = [("L1", "x", "y"), ("L2", "x", "y"), ("L3", "x", "y")]
         net2 = mm.build_network(layers=["L1", "L2", "L3"], edges=every)
-        assert mm.supporting_layers(net2, "x", "y") == {"L1", "L2", "L3"}
+        assert linking_layers(net2, "x", "y") == ["L1", "L2", "L3"]
 
 
 class TestRedundancy:
@@ -149,8 +156,8 @@ class TestLayerRedundantPairCount:
             flat = {net.entity_index(e) for e, _ in cs.members(c)}
             literal = literal_pair_layers(net, flat)
             for (u, v), layers in literal.items():
-                assert mm.supporting_layers(net, ids[u], ids[v]) == {
-                    net.layer_ids[li] for li in layers}
+                assert linking_layers(net, ids[u], ids[v]) == [
+                    net.layer_ids[li] for li in sorted(layers)]
             redundant = {pair: layers for pair, layers in literal.items() if len(layers) >= 2}
             assert p1 == {(ids[u], ids[v]) for u, v in literal}
             assert p2 == {(ids[u], ids[v]) for u, v in redundant}
@@ -408,6 +415,116 @@ class TestCommunityFiles:
         mm.write_communities(cs, tmp_path / "c.txt")
         assert mm.read_communities(net, tmp_path / "c.txt").as_assignment() == \
             cs.as_assignment()
+
+
+def _string_ids(net):
+    """``net`` with entity ``e`` renamed ``n<e>``: community files carry
+    string ids."""
+    ids = net.entity_ids
+    return mm.build_network(
+        layers=net.layer_ids,
+        edges=[(l, f"n{ids[u]}", f"n{ids[v]}")
+               for li, l in enumerate(net.layer_ids) for u, v in net.edges_idx(li)],
+        presence=[(l, f"n{e}") for e, l in net.tuples()])
+
+
+def _random_community_text(rng, net, faults=0):
+    """Random extended or flattened community text over ``net``: a record
+    for most occurrences (or entities), in shuffled order, with comments,
+    blank lines, CRLF and tabs. ``faults`` records the reader must refuse
+    are spliced in: unknown ids, a record of an absent occurrence, a
+    duplicate, the other form, a wrong token count."""
+    labels = [f"c{i}" for i in range(rng.randint(1, 4))]
+    extended = rng.random() < 0.5
+    if extended:
+        records = [[e, l, rng.choice(labels)] for e, l in net.tuples() if rng.random() < 0.97]
+    else:
+        records = [[e, rng.choice(labels)] for e in net.entity_ids if rng.random() < 0.97]
+    rng.shuffle(records)
+    if rng.random() < 0.03:
+        records = []  # nothing but what the faults add
+    absent = [[e, l, "c0"] for e in net.entity_ids for l in net.layer_ids
+              if not net.is_present(e, l)]
+    e0, l0 = net.entity_ids[0], net.layer_ids[0]
+    bad = [["ghost", l0, "c0"], [e0, "nolayer", "c0"], ["ghost", "c0"], [e0, l0, "c0"],
+           [e0, "c0"], ["x"], ["a", "b", "c", "d"], *absent[:1]]
+    if records:
+        bad.append(list(rng.choice(records)))
+    for _ in range(faults):
+        records.insert(rng.randint(0, len(records)), rng.choice(bad))
+    for _ in range(rng.randint(0, 3)):
+        records.insert(rng.randint(0, len(records)), [])
+    lines = []
+    for tokens in records:
+        line = rng.choice(["", " ", "\t"]) + rng.choice([" ", "\t"]).join(tokens)
+        lines.append(line + rng.choice(["", "", " # note", "#"]))
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+# a fragment of each refusal a community file can meet -> its kind
+COMMUNITY_REFUSALS = {
+    "unknown entity": "unknown entity", "unknown layer": "unknown layer",
+    "duplicate assignment": "duplicate", "record in an": "mixed forms",
+    "expected 2 or 3": "token count", "not present in that layer": "absent",
+    "unassigned occurrence": "unassigned", "has no community assignment": "unassigned entity",
+    "is empty": "empty"}
+
+
+class TestReadCommunitiesOracle:
+    def test_read_communities_matches_literal_reader(self, tmp_path):
+        """``read_communities`` gives the literal reader's assignment, in
+        the same order and numbering, or its error."""
+        path = tmp_path / "c.txt"
+        refused = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            net = _string_ids(random_multilayer(rng, max_tuples=14))
+            text = _random_community_text(rng, net, faults=rng.choice([0, 0, 1, 2]))
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                want = list(literal_read_communities(net, path).items())
+            except InputError as exc:
+                want = str(exc)
+            try:
+                got = list(mm.read_communities(net, path).as_assignment().items())
+            except InputError as exc:
+                got = str(exc)
+                refused |= {kind for part, kind in COMMUNITY_REFUSALS.items() if part in got}
+            assert got == want
+        assert refused == set(COMMUNITY_REFUSALS.values())
+
+
+def test_loaders_build_from_indices(tmp_path, monkeypatch):
+    """``read_network`` and ``read_communities`` go from text straight to
+    indices: neither calls the id-tuple parser and builder, nor builds the
+    structure from an id assignment or an entity partition."""
+    text = "%order L M\n%presence M d\nL a b\nL b c\nM a b\nM b d # x\n"
+    (tmp_path / "net.mlg").write_text(text, encoding="utf-8")
+    (tmp_path / "ext.txt").write_text("a L 0\nb L 0\nc L 1\na M 1\nb M 1\nd M 1\n",
+                                      encoding="utf-8")
+    (tmp_path / "flat.txt").write_text("a 0\nb 0\nc 1\nd 1\n", encoding="utf-8")
+    want = mm.build_network(layers=["L", "M"], edges=mm.parse_network_text(text)[1],
+                            presence=[("M", "d")],
+                            ordering=mm.LayerOrdering.natural(["L", "M"]))
+    want_ext = mm.CommunityStructure(want, {("a", "L"): 0, ("b", "L"): 0, ("c", "L"): 1,
+                                            ("a", "M"): 1, ("b", "M"): 1, ("d", "M"): 1})
+    want_flat = mm.CommunityStructure.from_entity_partition(want, {"a": 0, "b": 0, "c": 1,
+                                                                   "d": 1})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded through the id-level path")
+
+    monkeypatch.setattr(mm.mlgraph, "parse_network_text", refuse)
+    monkeypatch.setattr(mm.mlgraph, "build_network", refuse)
+    monkeypatch.setattr(mm.CommunityStructure, "__init__", refuse)
+    monkeypatch.setattr(mm.CommunityStructure, "from_entity_partition", refuse)
+    net = mm.read_network(tmp_path / "net.mlg")
+    assert net.entity_ids == want.entity_ids == ("d", "a", "b", "c")
+    assert [net.adj_idx(li) for li in range(2)] == [want.adj_idx(li) for li in range(2)]
+    assert net.ordering == want.ordering
+    for name, expected in (("ext.txt", want_ext), ("flat.txt", want_flat)):
+        cs = mm.read_communities(net, tmp_path / name)
+        assert cs.as_assignment() == expected.as_assignment()
 
 
 def test_ordered3_partition_labels(ordered3):

@@ -13,7 +13,7 @@ from multimod import mlgraph
 from multimod.errors import InputError
 
 from _brute import (literal_avg_path_length, literal_build_network, literal_mean_clustering,
-                    literal_parse_network_text)
+                    literal_parse_network_text, literal_read_network)
 from conftest import ordered3_network_text
 
 
@@ -459,11 +459,14 @@ def _build_both(**kwargs):
     return net
 
 
-def _random_text(rng, faults=0):
+def _random_text(rng, faults=0, hard=False):
     """Random edge-list text: comments, blank lines, CRLF and tabs, edges
     repeated in both directions, presence-only entities, and an optional
     %order that may name a layer nothing else mentions. ``faults`` lines the
-    parser must reject are spliced in at random places."""
+    parser must reject are spliced in at random places. ``hard`` adds the
+    records the builder rejects or reorders: self-loops, a %order that is
+    not a permutation of the layers (one dropped or repeated), and
+    %presence lines, after the edges, of entities the edges named first."""
     layers = [f"L{i}" for i in range(rng.randint(1, 4))]
     entities = [f"e{i}" for i in range(rng.randint(2, 10))]
     records = []
@@ -477,13 +480,24 @@ def _random_text(rng, faults=0):
                 records.append([layer, v, u])
             if rng.random() < 0.2:
                 records.append([layer, u, v])
+            if hard and rng.random() < 0.04:
+                records.append([layer, u, u])
         elif kind < 0.8:
             records.append(["%presence", rng.choice(layers), rng.choice(entities + ["lone"])])
         else:
             records.append([])
+    if hard:
+        named = [e for tokens in records if tokens and tokens[0][0] != "%" for e in tokens[1:]]
+        for e in rng.sample(named, min(len(named), rng.randint(0, 3))):
+            records.append(["%presence", rng.choice(layers), e])
     if rng.random() < 0.5:
         sequence = layers + (["unmentioned"] if rng.random() < 0.5 else [])
         rng.shuffle(sequence)
+        if hard and rng.random() < 0.2:
+            if rng.random() < 0.5:
+                sequence.pop()
+            else:
+                sequence.append(rng.choice(sequence))
         records.insert(rng.randint(0, len(records)), ["%order", *sequence])
     bad = [["L0", "a"], ["%bogus", "x"], ["%presence", "L0"], ["%order"],
            ["%order", "L0"], ["L0", "a", "b", "c"]]
@@ -544,6 +558,42 @@ class TestParseBuildOracle:
             layer_decl = rng.choice([layers, layers + ["A"], []])
             _build_both(entities=declared, layers=layer_decl, edges=edges, presence=presence,
                         ordering=ordering)
+
+
+READ_MODES = ("auto", "none", "natural-adjacent", "natural-pairwise", "sideways")
+
+# a fragment of each refusal a network file can meet -> its kind
+REFUSALS = {"line ": "line", "unknown ordering mode": "mode", "time-aware": "time-aware",
+            "contains duplicates": "duplicate layer", "at least one layer": "no layer",
+            "not a permutation": "permutation", "self-loop": "self-loop"}
+
+
+class TestReadNetworkOracle:
+    def test_read_network_matches_literal_reader(self, tmp_path):
+        """``read_network`` on a file gives the literal reader's network
+        field by field, or its error, in every ordering mode."""
+        path = tmp_path / "net.mlg"
+        refused = set()
+        renumbered = 0
+        for seed in range(250):
+            rng = random.Random(seed)
+            text = _random_text(rng, faults=rng.choice([0, 0, 0, 1, 2]), hard=True)
+            assert _outcome(mm.parse_network_text, text) == \
+                _outcome(literal_parse_network_text, text)
+            path.write_bytes(text.encode("utf-8"))
+            for mode in READ_MODES:
+                for time_aware in (False, True):
+                    got = _outcome(mm.read_network, path, mode, time_aware)
+                    want = _outcome(literal_read_network, text, mode, time_aware)
+                    if isinstance(got, tuple) or isinstance(want, tuple):
+                        assert got == want
+                        refused |= {kind for part, kind in REFUSALS.items() if part in got[1]}
+                    else:
+                        _assert_same_network(got, want)
+                        # %presence entities come first, whatever the line order
+                        renumbered += got.entity_ids != tuple(mlgraph._parse_indices(text)[0])
+        assert refused == set(REFUSALS.values())
+        assert renumbered > 0
 
 
 def test_counting_callers_never_derive_edges(monkeypatch):
