@@ -11,9 +11,8 @@ from .modularity import (CouplingPolicy, ResolutionPolicy, ScoreReport, ScoreTer
                          multilayer_modularity, multislice_modularity,
                          newman_modularity, symmetric_coupling, time_aware_coupling)
 from .detect import (DetectConfig, DetectResult, MultilayerObjective,
-                     MultisliceObjective, aggregate_majority, generalized_louvain,
-                     louvain_layer, nmi)
-from .synthbench import PlantedSpec, planted_multilayer, save_planted
+                     MultisliceObjective, aggregate_majority, generalized_louvain, nmi)
+from .synthbench import PlantedSpec, planted_multilayer
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "multilayer_modularity", "multislice_modularity", "newman_modularity",
     "symmetric_coupling", "time_aware_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
-    "aggregate_majority", "generalized_louvain", "louvain_layer", "nmi",
-    "PlantedSpec", "planted_multilayer", "save_planted",
+    "aggregate_majority", "generalized_louvain", "nmi",
+    "PlantedSpec", "planted_multilayer",
     "__version__",
 ]

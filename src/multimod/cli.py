@@ -105,6 +105,8 @@ def cmd_stats(args) -> int:
 
 def cmd_score(args) -> int:
     policies = _policies(args)
+    if args.objective == "qms":
+        objective = MultisliceObjective(gamma=args.gamma, omega=args.omega)
     net = _load_network(args)
     cs = read_communities(net, args.communities)
     if args.objective == "q":
@@ -116,7 +118,7 @@ def cmd_score(args) -> int:
             print()
             print(report.to_tsv(), end="")
     elif args.objective == "qms":
-        value = multislice_modularity(net, cs, args.gamma, args.omega)
+        value = objective.score(net, cs)
         if args.output == "json":
             print(json.dumps({"objective": "qms", "gamma": args.gamma,
                               "omega": args.omega, "total": value}, sort_keys=True))

@@ -11,15 +11,24 @@ integer per-community aggregates, so the objective never decreases.
 
 A visit whose outcome is already known is skipped: when an occurrence (or
 block) is evaluated and stays put, the communities it read are recorded
-with the move count, and later visits at the same granularity skip it
-until one of those communities changes. The skip is exact. A unit's gains
-depend only on the aggregates of its own and its candidate communities and
-on the assignments of its neighbours and of its entities' other
-occurrences. Each of those changes only through a move, and a move marks
-both communities it touches: the aggregates it changes, and the one an
-occurrence the unit read leaves. Community ids are never reused. Skipped
-visits would have moved nothing and gained nothing, and the shuffle still
-runs every pass, so the run is the same as without the skip.
+with the move count, and later visits skip it until one of those
+communities changes. The skip is exact. A unit's gains depend only on its
+layer and entities, on the ``where`` entries ``gather`` reads (the
+assignments of its neighbours and of its entities' other occurrences) and
+on the aggregates of its own and its candidate communities. Each of those
+changes only through a move, and a move marks both communities it touches:
+the aggregates it changes, and the one an occurrence the unit read leaves.
+Community ids are never reused. Skipped visits would have moved nothing
+and gained nothing, and the shuffle still runs every pass, so the run is
+the same as without the skip.
+
+The record survives aggregation: a block with the same layer and the same
+entities as a unit of the previous level keeps that unit and its record,
+and only new blocks start without one. That is exact too. Aggregation
+moves nothing, so it changes neither the ``where`` entries nor any
+community's aggregates; community ids and the per-community move counts
+persist across levels; and the shuffle of a pass depends only on the
+number of units, which the carry does not change.
 
 The assignment is one per-layer table, ``where[l][e]``: the community of
 entity ``e`` in layer ``l``. ``gather`` reads it, and the final structure
@@ -27,15 +36,20 @@ entity ``e`` in layer ``l``. ``gather`` reads it, and the final structure
 
 One gain engine serves both objectives: a shared base keeps each
 community's projections, flattened membership and degrees and applies the
-moves, and each objective adds only its own counters and gain formula
-(projection intersections and redundant-pair counts for the multilayer
-score, a constant per-pair coupling for the multislice score). The
-multilayer gains read the scorer's coupling plan (``coupling_plan``, under
-the network's layer ordering, the only one an objective uses), resolved
-once into per-layer coupling terms, and the network's linked-pair query
-(``partner_layers_idx``). Redundancy decays come from a table built
-at construction, up to the largest redundant-pair count any layer can
-reach. A gain adds only the terms a move can change. A coupling term whose
+moves, and each objective adds only what its gain reads. ``gather`` counts,
+for every community a unit touches, the unit's edges into it and, for the
+multilayer score, how many of the unit's entities it holds in each other
+layer (the change of each projection intersection), or, for the multislice
+score, only the total of those, the occurrence pairs worth omega each.
+``evaluate`` then returns the removal's and every candidate's gain in one
+call per visit, reading the unit's layer, sizes and tables once; the
+multilayer score adds redundant-pair counts, the multislice score a
+constant per-pair coupling. The multilayer gains read the scorer's
+coupling plan (``coupling_plan``, under the network's layer ordering, the
+only one an objective uses), resolved once into per-layer coupling terms,
+and the network's linked-pair query (``partner_layers_idx``). Redundancy
+decays come from a table built at construction, up to the largest
+redundant-pair count any layer can reach. A gain adds only the terms a move can change. A coupling term whose
 intersection does not change is exactly +0.0, unless it is asymmetric with
 the moved layer as its source, and adding +0.0 to a sum that starts at
 +0.0 changes nothing, so skipping those terms keeps every gain
@@ -43,8 +57,8 @@ bit-identical. Each objective class builds its own engine (``gain_engine``)
 and scores a structure through the scoring module (``score``); the
 reported objective is always that score.
 
-Also here: a single-layer Louvain wrapper, the per-layer aggregation
-baseline with majority voting, and normalized mutual information.
+Also here: the per-layer aggregation baseline with majority voting, and
+normalized mutual information.
 """
 
 from __future__ import annotations
@@ -57,8 +71,8 @@ from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
 from .mlgraph import LayerOrdering, MultilayerNetwork, _assemble
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
-                         multilayer_modularity, multislice_modularity,
-                         multislice_parameters)
+                         _check_multislice_values, multilayer_modularity,
+                         multislice_modularity, multislice_parameters)
 
 _EMPTY = frozenset()
 
@@ -69,6 +83,11 @@ class MultisliceObjective:
 
     gamma: object = 1.0  # scalar or per-layer sequence
     omega: float = 0.0
+
+    def __post_init__(self):
+        # the checks that need no network, before any file is read; the
+        # per-layer count and the edgeless layers are checked by the engine
+        _check_multislice_values(self.gamma, self.omega)
 
     def gain_engine(self, net):
         return _MultisliceEngine(net, self)
@@ -143,15 +162,7 @@ class _Unit:
 
 
 _NO_PATCH = ({}, {})
-
-
-def _ddint(unit, k_s, removing):
-    """Change of a community's internal degree in the unit's layer, given
-    the unit's ``k_s`` edges into it (its own ``within`` edges count twice
-    in ``k_s`` when removing)."""
-    if removing:
-        return -(2 * k_s - 2 * unit.within)
-    return 2 * (k_s + unit.within)
+_UNTOUCHED = (0, {})  # the counts of a community the unit does not touch; read only
 
 
 def _make_unit(net, layer, entities):
@@ -165,46 +176,21 @@ def _make_unit(net, layer, entities):
 
 class _Engine:
     """Community bookkeeping shared by both objectives. A subclass supplies
-    ``delta(comm, unit, counts, removing)``: the exact objective change of
-    moving the unit out of (or into) ``comm``, and its patch, the pending
-    ``(dinter, dnrp)`` changes :meth:`apply` commits. ``counts`` are the
-    community's entry in :meth:`gather`. A singleton community is an empty
-    ``_Comm`` with its occurrence applied under ``_NO_PATCH``: one occurrence
-    has no intersections and no redundant pairs."""
+    ``gather(unit, where)``, the counts its gains read for every community
+    the unit touches (Blondel et al. 2008; ``where[l][e]`` is the community
+    of entity ``e`` in layer ``l``), and ``evaluate(comms, unit, found, src,
+    candidates)``, one call per visit: a list of ``(dq, patch)``, the
+    unit's removal from ``src`` first and then its insertion into each
+    candidate, in candidate order. ``dq`` is the exact objective change and
+    the patch the pending ``(dinter, dnrp)`` changes :meth:`apply` commits;
+    the per-unit set-up is read once per visit. A community the unit does
+    not touch has no entry in ``found`` and reads as zero counts. A
+    singleton community is an empty ``_Comm`` with its occurrence applied
+    under ``_NO_PATCH``: one occurrence has no intersections and no
+    redundant pairs."""
 
     def __init__(self, net):
         self.net = net
-
-    def gather(self, unit, where):
-        """Counts for every community the unit touches, in one pass over it:
-        ``[k_s, occ]``, where ``k_s`` is the number of the unit's edges into
-        the community in the unit's layer and ``occ`` maps each other layer
-        to how many of the unit's entities the community holds there
-        (Blondel et al. 2008). ``where[l][e]`` is the community of entity
-        ``e`` in layer ``l``. A community the unit does not touch has no
-        entry; it reads as ``[0, {}]``."""
-        l = unit.layer
-        adj = self.net.adj_idx(l)
-        here = where[l]
-        found = {}
-        for v in unit.entities:
-            for u in adj.get(v, _EMPTY):
-                c = here[u]
-                counts = found.get(c)
-                if counts is None:
-                    found[c] = [1, {}]
-                else:
-                    counts[0] += 1
-            for lj in self.net.entity_layers_idx(v):
-                if lj != l:
-                    c = where[lj][v]
-                    counts = found.get(c)
-                    if counts is None:
-                        found[c] = [0, {lj: 1}]
-                    else:
-                        occ = counts[1]
-                        occ[lj] = occ.get(lj, 0) + 1
-        return found
 
     def apply(self, comm, unit, patch, removing):
         l = unit.layer
@@ -273,9 +259,38 @@ class _MultilayerEngine(_Engine):
             if not self.symmetric:
                 self.own_terms[src].append((key, j if src == i else i, src, vint, vsize, penalty))
 
-    def delta(self, comm, unit, counts, removing):
-        """The exact objective change and patch of moving ``unit`` out of or
-        into ``comm``.
+    def gather(self, unit, where):
+        """``[k_s, occ]`` for every community the unit touches, in one pass
+        over it: ``k_s`` is the number of the unit's edges into the
+        community in the unit's layer, and ``occ`` maps each other layer to
+        how many of the unit's entities the community holds there (the
+        change of its intersection with the unit's layer)."""
+        l = unit.layer
+        adj = self.net.adj_idx(l)
+        here = where[l]
+        found = {}
+        for v in unit.entities:
+            for u in adj.get(v, _EMPTY):
+                c = here[u]
+                counts = found.get(c)
+                if counts is None:
+                    found[c] = [1, {}]
+                else:
+                    counts[0] += 1
+            for lj in self.net.entity_layers_idx(v):
+                if lj != l:
+                    c = where[lj][v]
+                    counts = found.get(c)
+                    if counts is None:
+                        found[c] = [0, {lj: 1}]
+                    else:
+                        occ = counts[1]
+                        occ[lj] = occ.get(lj, 0) + 1
+        return found
+
+    def evaluate(self, comms, unit, found, src, candidates):
+        """The exact objective change and patch of moving ``unit`` out of
+        ``src`` and then into each candidate.
 
         Terms that are exactly +0.0 are not added. A coupling term whose
         intersection does not change (``dinter.get(other, 0) == 0``) has
@@ -286,78 +301,104 @@ class _MultilayerEngine(_Engine):
         sum that starts from +0.0 never yields -0.0, so adding +0.0 changes
         nothing. When no redundant-pair count changes, the null term is the
         unit's layer's alone, read without a sort: it is never -0.0 (gamma
-        and every decay are >= 0), so it equals that sum from +0.0."""
+        and every decay are >= 0), so it equals that sum from +0.0.
+
+        The redundant-pair walk stays per community: it reads only the
+        entities that enter or leave that community's flattened membership.
+        """
         l = unit.layer
         S = unit.entities
-        k_s, occ = counts
-        ddint = _ddint(unit, k_s, removing)
-        ddeg = -unit.degsum if removing else unit.degsum
-        dinter = {lj: -cnt for lj, cnt in occ.items()} if removing else occ
+        single = S[0] if len(S) == 1 else None
+        within = unit.within
+        degsum = unit.degsum
+        size = len(S)
+        norm = self.norm
+        gamma = self.gamma
+        redundancy = self.redundancy
+        rp_adj = self.rp_adj
+        decay = self.decay
+        symmetric = self.symmetric
+        terms = self.terms[l]
+        own_terms = self.own_terms[l]
 
-        dnrp = {}
-        if self.redundancy:
-            # a redundant pair counts while both ends are in the flattened
-            # community; only entities entering or leaving it change that
-            sign = -1 if removing else 1
-            flat = comm.flat
-            if len(S) == 1:
-                v = S[0]
-                if flat.get(v, 0) == (1 if removing else 0):
-                    for u, sl in self.rp_adj[v]:
-                        if u in flat:  # ``apply`` deletes zero counts
-                            for lj in sl:
-                                dnrp[lj] = dnrp.get(lj, 0) + sign
+        out = []
+        removing = True
+        for cid in (src, *candidates):
+            comm = comms[cid]
+            k_s, occ = found.get(cid, _UNTOUCHED)
+            if removing:
+                # the unit's own ``within`` edges count twice in ``k_s``
+                ddint = -(2 * k_s - 2 * within)
+                ddeg = -degsum
+                dinter = {lj: -cnt for lj, cnt in occ.items()}
+                sign, crossing, psize_delta = -1, 1, -size
             else:
-                moved = set()
-                for v in S:
-                    if flat.get(v, 0) != (1 if removing else 0):
-                        continue
-                    for u, sl in self.rp_adj[v]:
-                        # partner in the community before the move xor already moved
-                        if (flat.get(u, 0) > 0) != (u in moved):
-                            for lj in sl:
-                                dnrp[lj] = dnrp.get(lj, 0) + sign
-                    moved.add(v)
+                ddint = 2 * (k_s + within)
+                ddeg = degsum
+                dinter = occ
+                sign, crossing, psize_delta = 1, 0, size
 
-        # objective delta; fixed layer order keeps float accumulation reproducible
-        deg = comm.deg
-        if dnrp:
-            decay = self.decay
-            nrp = comm.nrp
-            d_null = 0.0
-            for lj in sorted({l, *dnrp}):
-                d_old = deg.get(lj, 0)
-                d_new = d_old + (ddeg if lj == l else 0)
-                n_old = nrp.get(lj, 0)
-                d_null += (decay[n_old + dnrp.get(lj, 0)] * d_new * d_new
-                           - decay[n_old] * d_old * d_old)
-        else:
-            d_old = deg.get(l, 0)
-            d_new = d_old + ddeg
-            g = self.decay[comm.nrp.get(l, 0)] if self.redundancy else self.gamma
-            d_null = g * d_new * d_new - g * d_old * d_old
+            dnrp = {}
+            if redundancy:
+                # a redundant pair counts while both ends are in the flattened
+                # community; only entities entering or leaving it (their count
+                # there is ``crossing``) change that
+                flat = comm.flat
+                if single is not None:
+                    if flat.get(single, 0) == crossing:
+                        for u, sl in rp_adj[single]:
+                            if u in flat:  # ``apply`` deletes zero counts
+                                for lj in sl:
+                                    dnrp[lj] = dnrp.get(lj, 0) + sign
+                else:
+                    moved = set()
+                    for v in S:
+                        if flat.get(v, 0) != crossing:
+                            continue
+                        for u, sl in rp_adj[v]:
+                            # partner in the community before the move xor already moved
+                            if (flat.get(u, 0) > 0) != (u in moved):
+                                for lj in sl:
+                                    dnrp[lj] = dnrp.get(lj, 0) + sign
+                        moved.add(v)
 
-        d_coup = 0.0
-        inter = comm.inter
-        terms = self.terms[l] if dinter else self.own_terms[l]
-        if self.symmetric:
-            for key, other, _, vint, _, penalty in terms:
-                n = inter.get(key, 0)
-                d_coup += (n + dinter.get(other, 0)) / vint * penalty - n / vint * penalty
-        else:
-            proj = comm.proj
-            psize_delta = -len(S) if removing else len(S)
-            for key, other, src, vint, vs, penalty in terms:
-                n = inter.get(key, 0)
-                psize = len(proj.get(src, _EMPTY))
-                before = n / vint * vs / psize * penalty if psize else 0.0
-                if src == l:
-                    psize += psize_delta
-                after = (n + dinter.get(other, 0)) / vint * vs / psize * penalty if psize else 0.0
-                d_coup += after - before
+            # objective delta; fixed layer order keeps float accumulation reproducible
+            deg = comm.deg
+            if dnrp:
+                nrp = comm.nrp
+                d_null = 0.0
+                for lj in sorted({l, *dnrp}):
+                    d_old = deg.get(lj, 0)
+                    d_new = d_old + (ddeg if lj == l else 0)
+                    n_old = nrp.get(lj, 0)
+                    d_null += (decay[n_old + dnrp.get(lj, 0)] * d_new * d_new
+                               - decay[n_old] * d_old * d_old)
+            else:
+                d_old = deg.get(l, 0)
+                d_new = d_old + ddeg
+                g = decay[comm.nrp.get(l, 0)] if redundancy else gamma
+                d_null = g * d_new * d_new - g * d_old * d_old
 
-        dq = (ddint - d_null / self.norm + d_coup) / self.norm
-        return dq, (dinter, dnrp)
+            d_coup = 0.0
+            inter = comm.inter
+            if symmetric:
+                for key, other, _, vint, _, penalty in (terms if dinter else own_terms):
+                    n = inter.get(key, 0)
+                    d_coup += (n + dinter.get(other, 0)) / vint * penalty - n / vint * penalty
+            else:
+                proj = comm.proj
+                for key, other, side, vint, vs, penalty in (terms if dinter else own_terms):
+                    n = inter.get(key, 0)
+                    psize = len(proj.get(side, _EMPTY))
+                    before = n / vint * vs / psize * penalty if psize else 0.0
+                    if side == l:
+                        psize += psize_delta
+                    after = (n + dinter.get(other, 0)) / vint * vs / psize * penalty if psize else 0.0
+                    d_coup += after - before
+
+            out.append(((ddint - d_null / norm + d_coup) / norm, (dinter, dnrp)))
+            removing = False
+        return out
 
 
 class _MultisliceEngine(_Engine):
@@ -370,21 +411,58 @@ class _MultisliceEngine(_Engine):
         self.omega = float(objective.omega)
         self.two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
 
-    def delta(self, comm, unit, counts, removing):
+    def gather(self, unit, where):
+        """``[k_s, pairs]`` for every community the unit touches, in one
+        pass over it: ``k_s`` is the number of the unit's edges into the
+        community in the unit's layer, and ``pairs`` the number of
+        occurrence pairs its entities form with the community in other
+        layers, each worth omega."""
         l = unit.layer
-        k_s, occ = counts
-        ddint = _ddint(unit, k_s, removing)
-        d_old = comm.deg.get(l, 0)
-        # occurrence pairs the unit's entities form with the community elsewhere
-        dcpairs = sum(occ.values())
-        if removing:
-            d_new = d_old - unit.degsum
-            dcpairs = -dcpairs
-        else:
-            d_new = d_old + unit.degsum
-        d_null = self.gammas[l] * (d_new * d_new - d_old * d_old) / self.two_e[l]
-        dq = (ddint - d_null + 2.0 * self.omega * dcpairs) / self.norm
-        return dq, _NO_PATCH
+        adj = self.net.adj_idx(l)
+        here = where[l]
+        found = {}
+        for v in unit.entities:
+            for u in adj.get(v, _EMPTY):
+                c = here[u]
+                counts = found.get(c)
+                if counts is None:
+                    found[c] = [1, 0]
+                else:
+                    counts[0] += 1
+            for lj in self.net.entity_layers_idx(v):
+                if lj != l:
+                    c = where[lj][v]
+                    counts = found.get(c)
+                    if counts is None:
+                        found[c] = [0, 1]
+                    else:
+                        counts[1] += 1
+        return found
+
+    def evaluate(self, comms, unit, found, src, candidates):
+        """The exact objective change of moving ``unit`` out of ``src`` and
+        then into each candidate; every patch is ``_NO_PATCH``."""
+        l = unit.layer
+        within = unit.within
+        degsum = unit.degsum
+        gamma = self.gammas[l]
+        two_e = self.two_e[l]
+        omega2 = 2.0 * self.omega
+        norm = self.norm
+
+        # the unit's own ``within`` edges count twice in ``k_s``
+        k_s, pairs = found.get(src, (0, 0))
+        d_old = comms[src].deg.get(l, 0)
+        d_new = d_old - degsum
+        d_null = gamma * (d_new * d_new - d_old * d_old) / two_e
+        out = [((-(2 * k_s - 2 * within) - d_null + omega2 * -pairs) / norm, _NO_PATCH)]
+        for cid in candidates:
+            k_s, pairs = found.get(cid, (0, 0))
+            d_old = comms[cid].deg.get(l, 0)
+            d_new = d_old + degsum
+            d_null = gamma * (d_new * d_new - d_old * d_old) / two_e
+            out.append(((2 * (k_s + within) - d_null + omega2 * pairs) / norm, _NO_PATCH))
+        return out
 
 
 def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:
@@ -399,11 +477,15 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     on the blocks, stopping once aggregation no longer coarsens anything (or
     ``max_passes`` sweeps have run; no aggregation follows the last one).
 
-    A unit that was evaluated and stayed put is skipped on later visits at
-    the same granularity until one of the communities it read (its own and
-    every candidate) is changed by a move. Its outcome cannot differ before
-    then, so the skip changes no assignment, pass count, move count or
-    objective; the module docstring gives the argument.
+    Each visit gathers the unit's counts once and asks the engine for every
+    gain in one call; the choice of move is made here, for both engines.
+    A unit that was evaluated and stayed put is skipped on later visits
+    until one of the communities it read (its own and every candidate) is
+    changed by a move. A block that aggregation rebuilds unchanged (the
+    same layer and entities) keeps its unit and that record, so the skip
+    carries across levels. Its outcome cannot differ before then, so the
+    skip changes no assignment, pass count, move count or objective; the
+    module docstring gives the argument.
 
     The reported objective is the objective's ``score`` of the final
     structure, through the scoring module, not the incremental bookkeeping.
@@ -428,9 +510,9 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     passes = 0
     moves = 0
     changed = [0] * len(occurrences)  # community -> move count at its last change
+    stayed = [None] * len(units)  # unit -> (move count, communities) when it last stayed put
     while True:
         # local moving at the current granularity
-        stayed = [None] * len(units)  # unit -> (move count, communities) when it last stayed put
         while passes < config.max_passes:
             passes += 1
             order = list(range(len(units)))
@@ -448,13 +530,12 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 if not candidates:
                     stayed[ui] = (moves, (src,))
                     continue
-                dq_rem, patch_rem = engine.delta(comms[src], unit, found.get(src, [0, {}]),
-                                                 removing=True)
+                (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
+                                                                candidates)
                 best_gain = 0.0
                 best_cid = None
                 best_patch = None
-                for cid in candidates:
-                    dq_ins, patch_ins = engine.delta(comms[cid], unit, found[cid], removing=False)
+                for cid, (dq_ins, patch_ins) in zip(candidates, inserts):
                     gain = dq_rem + dq_ins
                     if gain > best_gain:
                         best_gain = gain
@@ -482,8 +563,19 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
             blocks.setdefault((where[l][e], l), []).append(e)
         if len(blocks) == len(units):
             break
-        units = [_make_unit(net, l, members)
-                 for (cid, l), members in sorted(blocks.items())]
+        # a block that is an old unit keeps that unit and its record
+        old = {(unit.layer, unit.entities): (unit, seen) for unit, seen in zip(units, stayed)}
+        units = []
+        stayed = []
+        for (cid, l), members in sorted(blocks.items()):
+            kept = old.get((l, tuple(sorted(members))))
+            if kept is None:
+                units.append(_make_unit(net, l, members))
+                stayed.append(None)
+            else:
+                units.append(kept[0])
+                stayed.append(kept[1])
+        del old
 
     cs = CommunityStructure._from_labels(net, where)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
@@ -515,16 +607,6 @@ def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
     config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
                           seed=seed, max_passes=max_passes, min_gain=min_gain)
     return generalized_louvain(_single_layer_network(net, layer), config)
-
-
-def louvain_layer(net: MultilayerNetwork, layer, seed: int = 0,
-                  max_passes: int = 50, min_gain: float = 1e-9) -> dict:
-    """Classic Louvain partition of one layer's graph (node -> community).
-
-    Runs the generalized optimizer on the layer in isolation; with a single
-    layer and no coupling the objective reduces to classic modularity.
-    """
-    return _layer_louvain(net, layer, seed, max_passes, min_gain).partition
 
 
 def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:

@@ -174,6 +174,16 @@ def coupling_pair_total(net: MultilayerNetwork) -> int:
     return net.same_entity_pair_count()
 
 
+def _check_multislice_values(gamma, omega) -> None:
+    """Reject a gamma (a scalar or one value per layer) or an omega that is
+    not a finite number >= 0: the multislice checks that need no network."""
+    gammas = (gamma,) if isinstance(gamma, (int, float)) else gamma
+    if not all(math.isfinite(g) and g >= 0 for g in gammas):
+        raise PolicyError("gamma must be a finite number >= 0")
+    if not (math.isfinite(omega) and omega >= 0):
+        raise PolicyError("omega must be a finite number >= 0")
+
+
 def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     """Validate multislice parameters against ``net``.
 
@@ -189,10 +199,7 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
         gammas = [float(g) for g in gamma]
         if len(gammas) != ell:
             raise PolicyError(f"expected {ell} per-layer gamma values, got {len(gammas)}")
-    if not all(math.isfinite(g) and g >= 0 for g in gammas):
-        raise PolicyError("gamma must be a finite number >= 0")
-    if not (math.isfinite(omega) and omega >= 0):
-        raise PolicyError("omega must be a finite number >= 0")
+    _check_multislice_values(gammas, omega)
     for li, layer in enumerate(net.layer_ids):
         if net.presence_idx(li) and not net.num_edges(layer):
             raise InputError(

@@ -10,10 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .community import write_flat_partition
 from .errors import InputError
-from .mlgraph import (LayerOrdering, MultilayerNetwork, PairingScheme,
-                      build_network, write_network)
+from .mlgraph import LayerOrdering, PairingScheme, build_network
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,3 @@ def planted_multilayer(spec: PlantedSpec):
                         presence=presence_decl, ordering=ordering)
     return net, planted
 
-
-def save_planted(net: MultilayerNetwork, planted: dict, network_path, labels_path) -> None:
-    """Write the generated network and its planted labels as a sidecar file."""
-    write_network(net, network_path)
-    write_flat_partition(planted, labels_path)

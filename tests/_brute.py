@@ -7,8 +7,8 @@ guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
 The edge-list parser, network builder and reader, the community reader,
-and the community rebuild, literal gain engine and local-moving loop at the
-end, are different in kind: they are earlier, unoptimised forms of the
+and the community rebuild, literal gain engines and local-moving loop at
+the end, are different in kind: they are earlier, unoptimised forms of the
 package's own code, and serve to check that the optimised forms give the
 same networks, structures, aggregates, error messages and bit-identical
 gains and runs.
@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import multimod as mm
 from multimod.community import log_decay
-from multimod.detect import (_EMPTY, DetectResult, _Comm, _ddint, _make_unit,
-                             _MultilayerEngine)
+from multimod.detect import (_EMPTY, DetectResult, _Comm, _make_unit, _MultilayerEngine,
+                             _MultisliceEngine)
 from multimod.modularity import coupling_plan
 
 _DIRECT_PAIR_GUARD = 10_000
@@ -551,14 +551,24 @@ def where_table(net, assign) -> list:
     return where
 
 
+def _ddint(unit, k_s, removing):
+    """Change of a community's internal degree in the unit's layer, given
+    the unit's ``k_s`` edges into it (its own ``within`` edges count twice
+    in ``k_s`` when removing)."""
+    if removing:
+        return -(2 * k_s - 2 * unit.within)
+    return 2 * (k_s + unit.within)
+
+
 class LiteralMultilayerEngine(_MultilayerEngine):
     """The multilayer gain engine with its gains evaluated the literal way:
     every coupling record touching the moved layer is resolved anew per
     call, before and after the move, every decay is computed from the
     logarithm, and the redundant pairs come from its own partner lists
     (``literal_redundant_partners``). The bookkeeping (``gather``, ``apply``)
-    is the engine's own; only ``delta`` is replaced, so the engine's ``dq``
-    and patches must equal this one's exactly."""
+    is the engine's own. ``delta`` gives one community's gain per call, so
+    every ``dq`` and patch of the engine's ``evaluate`` must equal this
+    one's exactly."""
 
     def __init__(self, net, objective):
         super().__init__(net, objective)
@@ -645,14 +655,46 @@ class LiteralMultilayerEngine(_MultilayerEngine):
         return dq, (dinter, dnrp)
 
 
+class LiteralMultisliceEngine(_MultisliceEngine):
+    """The multislice gain engine with one community's gain per call, read
+    from per-layer occurrence counts: ``gather`` is the multilayer engine's,
+    and ``delta`` sums its counts into the coupled occurrence pairs."""
+
+    gather = _MultilayerEngine.gather
+
+    def delta(self, comm, unit, counts, removing):
+        l = unit.layer
+        k_s, occ = counts
+        ddint = _ddint(unit, k_s, removing)
+        d_old = comm.deg.get(l, 0)
+        # occurrence pairs the unit's entities form with the community elsewhere
+        dcpairs = sum(occ.values())
+        if removing:
+            d_new = d_old - unit.degsum
+            dcpairs = -dcpairs
+        else:
+            d_new = d_old + unit.degsum
+        d_null = self.gammas[l] * (d_new * d_new - d_old * d_old) / self.two_e[l]
+        dq = (ddint - d_null + 2.0 * self.omega * dcpairs) / self.norm
+        return dq, ({}, {})
+
+
+def literal_engine(net, objective):
+    """The literal engine of ``objective`` on ``net``."""
+    if isinstance(objective, mm.MultisliceObjective):
+        return LiteralMultisliceEngine(net, objective)
+    return LiteralMultilayerEngine(net, objective)
+
+
 def literal_generalized_louvain(net, config):
     """Greedy local moving with aggregation, re-evaluating every unit on
-    every visit: ``generalized_louvain`` without the skip of units whose
-    neighbourhood did not change, and with the aggregation it builds and
-    throws away after the last allowed pass."""
+    every visit and every candidate with its own ``delta`` call of the
+    literal engine: ``generalized_louvain`` without the skip of units whose
+    neighbourhood did not change (within a level or across one), and with
+    the aggregation it builds and throws away after the last allowed pass."""
     if net.num_edges() == 0:
         raise mm.InputError("cannot detect communities on an edgeless network")
-    engine = config.objective.gain_engine(net)
+    engine = literal_engine(net, config.objective)
     rng = random.Random(config.seed)
 
     occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
@@ -664,6 +706,7 @@ def literal_generalized_louvain(net, config):
         units.append(unit)
         assign[(e, l)] = cid
         comms[cid] = new_comm(engine, [(e, l)])
+    where = where_table(net, assign)
 
     passes = 0
     moves = 0
@@ -677,7 +720,7 @@ def literal_generalized_louvain(net, config):
             for ui in order:
                 unit = units[ui]
                 src = assign[(unit.entities[0], unit.layer)]
-                found = engine.gather(unit, where_table(net, assign))
+                found = engine.gather(unit, where)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
                     continue
@@ -701,6 +744,7 @@ def literal_generalized_louvain(net, config):
                     del comms[src]
                 for v in unit.entities:
                     assign[(v, unit.layer)] = best_cid
+                    where[unit.layer][v] = best_cid
                 pass_gain += best_gain
                 moves += 1
             if pass_gain <= config.min_gain:

@@ -1,10 +1,18 @@
-"""Seeded random generators for small test instances."""
+"""Seeded random generators for small test instances, and a writer for
+generated networks and their planted labels."""
 
 from __future__ import annotations
 
 import random
 
-from multimod import CommunityStructure, LayerOrdering, PairingScheme, build_network
+from multimod import (CommunityStructure, LayerOrdering, PairingScheme, build_network,
+                      write_flat_partition, write_network)
+
+
+def save_planted(net, planted: dict, network_path, labels_path) -> None:
+    """Write a generated network and its planted labels as a sidecar file."""
+    write_network(net, network_path)
+    write_flat_partition(planted, labels_path)
 
 
 def random_single_layer(rng: random.Random, max_nodes: int = 30):

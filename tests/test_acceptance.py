@@ -15,7 +15,7 @@ from multimod.cli import main as cli_main
 
 from _brute import best_partition_exhaustive, multilayer_modularity_direct
 from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
-                  with_ordering)
+                  save_planted, with_ordering)
 from conftest import ORDERED3_PARTITION, build_ordered3
 
 
@@ -209,7 +209,7 @@ def test_criterion_6_omega_sweep_monotone(tmp_path, capsys):
     net, planted = mm.planted_multilayer(spec)
     npath = tmp_path / "net.mlg"
     cpath = tmp_path / "labels.txt"
-    mm.save_planted(net, planted, npath, cpath)
+    save_planted(net, planted, npath, cpath)
     code = cli_main(["sweep", str(npath), str(cpath), "--protocol", "omega",
                      "--step", "0.1"])
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ import multimod.cli as cli
 from multimod.cli import main
 
 from _brute import multislice_direct
+from _gen import save_planted
 from conftest import ordered3_network_text, ordered3_partition_text
 
 
@@ -317,6 +318,12 @@ class TestFlagsBeforeLoad:
         (["score", "NET", "COMM", "--time-aware"], 3),
         (["detect", "NET", "--resolution", "bogus", "--out", "OUT"], 3),
         (["detect", "NET", "--objective", "qms", "--time-aware", "--out", "OUT"], 3),
+        (["score", "NET", "COMM", "--objective", "qms", "--omega", "nan"], 3),
+        (["score", "NET", "COMM", "--objective", "qms", "--gamma", "-1"], 3),
+        (["detect", "NET", "--objective", "qms", "--gamma", "-1", "--out", "OUT"], 3),
+        (["detect", "NET", "--objective", "qms", "--omega", "inf", "--out", "OUT"], 3),
+        (["detect", "NET", "--method", "aggregate", "--objective", "qms", "--omega=-0.5",
+          "--out", "OUT"], 3),
         (["detect", "NET", "--min-gain", "0", "--out", "OUT"], 3),
         (["detect", "NET", "--method", "aggregate", "--max-passes", "0", "--out", "OUT"], 3),
         (["detect", "NET", "--out", "MISSING"], 2),
@@ -471,7 +478,7 @@ def test_golden_outputs(capsys, tmp_path, name):
     argv, expected = GOLDEN[name]
     net, planted = mm.planted_multilayer(GOLDEN_SPECS.get(name, GOLDEN_SPEC))
     npath, lpath = tmp_path / "net.mlg", tmp_path / "planted.flat"
-    mm.save_planted(net, planted, npath, lpath)
+    save_planted(net, planted, npath, lpath)
     command, *flags = argv
     if command == "stats":
         code, out, _ = run(capsys, [command, str(npath), *flags])

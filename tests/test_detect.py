@@ -22,6 +22,22 @@ from _gen import natural_orderings, random_multilayer, with_ordering
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
 
+def louvain_partition(net, layer, seed=0):
+    """Classic Louvain partition of one layer's graph (node -> community):
+    the per-layer run of the aggregation baseline, at the default passes
+    and minimum gain."""
+    return detect._layer_louvain(net, layer, seed, 50, 1e-9).partition
+
+
+@pytest.fixture(scope="module")
+def benchmark_sized():
+    """A planted network the size of the benchmark's: 1000 entities, 10
+    communities, 4 layers, about 3.2k occurrences."""
+    spec = mm.PlantedSpec(entities=1000, communities=10, layers=4, p_in=0.1,
+                          p_out=0.005, presence=0.8, seed=7)
+    return mm.planted_multilayer(spec)[0]
+
+
 def constant_symmetric(seed=0):
     return mm.DetectConfig(
         objective=mm.MultilayerObjective(resolution=mm.ResolutionPolicy.constant(1),
@@ -31,7 +47,7 @@ def constant_symmetric(seed=0):
 
 class TestLouvainLayer:
     def test_two_triangles_found(self, two_triangles):
-        part = mm.louvain_layer(two_triangles, "L", seed=0)
+        part = louvain_partition(two_triangles, "L", seed=0)
         groups = {}
         for e, c in part.items():
             groups.setdefault(c, set()).add(e)
@@ -46,7 +62,7 @@ class TestLouvainLayer:
     def test_single_clique(self):
         edges = [("L", u, v) for u in range(5) for v in range(u + 1, 5)]
         net = mm.build_network(layers=["L"], edges=edges)
-        part = mm.louvain_layer(net, "L", seed=1)
+        part = louvain_partition(net, "L", seed=1)
         assert len(set(part.values())) == 1
         _, qstar = best_partition_exhaustive(net)
         q = mm.newman_modularity(net.layer_graph("L"), part)
@@ -54,7 +70,7 @@ class TestLouvainLayer:
 
     def test_seed_change_same_objective(self, two_triangles):
         g = two_triangles.layer_graph("L")
-        values = {mm.newman_modularity(g, mm.louvain_layer(two_triangles, "L", seed=s))
+        values = {mm.newman_modularity(g, louvain_partition(two_triangles, "L", seed=s))
                   for s in range(5)}
         assert len({round(v, 12) for v in values}) == 1
 
@@ -62,7 +78,7 @@ class TestLouvainLayer:
         net = mm.build_network(layers=["L", "M"], edges=[("L", 0, 1)],
                                presence=[("M", 0)])
         with pytest.raises(InputError):
-            mm.louvain_layer(net, "M")
+            louvain_partition(net, "M")
 
 
 class TestGeneralizedLouvain:
@@ -82,7 +98,7 @@ class TestGeneralizedLouvain:
         config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=0.0),
                                  seed=7)
         res = mm.generalized_louvain(two_triangles, config)
-        part = mm.louvain_layer(two_triangles, "L", seed=7)
+        part = louvain_partition(two_triangles, "L", seed=7)
         q = mm.newman_modularity(two_triangles.layer_graph("L"), part)
         assert res.objective == pytest.approx(q, abs=1e-12)
 
@@ -233,6 +249,52 @@ class TestGeneralizedLouvain:
             for run_seed in (0, seed):
                 self.assert_same_run(onet, mm.DetectConfig(objective=objective, seed=run_seed))
 
+    @pytest.mark.parametrize("omega", [1.0, 2.0])
+    def test_matches_literal_loop_on_stall_network(self, omega):
+        # multislice local moving stalls here at omega >= 1 with every
+        # entity a community of its own
+        spec = mm.PlantedSpec(entities=100, communities=3, layers=3, p_in=0.3,
+                              p_out=0.02, seed=1)
+        net, _ = mm.planted_multilayer(spec)
+        objective = mm.MultisliceObjective(gamma=1.0, omega=omega)
+        for run_seed in (0, 7):
+            self.assert_same_run(net, mm.DetectConfig(objective=objective, seed=run_seed))
+
+    def test_matches_literal_loop_on_benchmark_sized_network(self, benchmark_sized):
+        # aggregation keeps most units here, and with them their skip records
+        objective = mm.MultisliceObjective(gamma=1.0, omega=1.0)
+        self.assert_same_run(benchmark_sized, mm.DetectConfig(objective=objective, seed=7))
+
+    def test_skip_carries_across_aggregation(self, monkeypatch, benchmark_sized):
+        events = []
+
+        class LoggedRandom(random.Random):
+            def shuffle(self, x):
+                events.append(len(x))
+                super().shuffle(x)
+
+        def counted_gather(self, unit, where):
+            events.append(None)
+            return gather(self, unit, where)
+
+        gather = _MultisliceEngine.gather
+        monkeypatch.setattr(detect, "random", SimpleNamespace(Random=LoggedRandom))
+        monkeypatch.setattr(_MultisliceEngine, "gather", counted_gather)
+        mm.generalized_louvain(benchmark_sized, mm.DetectConfig(
+            objective=mm.MultisliceObjective(gamma=1.0, omega=1.0), seed=7))
+        passes = []  # [units, gathers] per pass
+        for event in events:
+            if event is None:
+                passes[-1][1] += 1
+            else:
+                passes.append([event, 0])
+        assert passes[0] == [benchmark_sized.num_tuples()] * 2
+        after = [now for before, now in zip(passes, passes[1:])
+                 if now[0] != before[0] and 2 * now[0] > before[0]]
+        assert after  # an aggregation that keeps most units
+        for units, gathers in after:
+            assert gathers < units
+
     @pytest.mark.parametrize("max_passes", [1, 3])
     def test_stops_at_max_passes_without_aggregating(self, monkeypatch, max_passes):
         spec = mm.PlantedSpec(entities=60, communities=3, layers=3, p_in=0.3,
@@ -294,10 +356,7 @@ class TestIncrementalGains:
             before = score()
             unit = _make_unit(net, t[1], (t[0],))
             found = engine.gather(unit, where_table(net, split))
-            dq_r, patch_r = engine.delta(comms[src], unit, found.get(src, [0, {}]),
-                                         removing=True)
-            dq_i, patch_i = engine.delta(comms[dst], unit, found.get(dst, [0, {}]),
-                                         removing=False)
+            (dq_r, patch_r), (dq_i, patch_i) = engine.evaluate(comms, unit, found, src, [dst])
             engine.apply(comms[src], unit, patch_r, removing=True)
             engine.apply(comms[dst], unit, patch_i, removing=False)
             split[t] = dst
@@ -376,8 +435,9 @@ class TestIncrementalGains:
     @staticmethod
     def check_literal_gains(rng, net, objective):
         """Move random blocks of one community's occurrences in one layer
-        between random communities and check that ``dq`` and both patches
-        equal the literal engine's bit for bit."""
+        between random communities and check that the removal's and every
+        other community's ``dq`` and patch equal the literal engine's bit
+        for bit."""
         engine = _MultilayerEngine(net, objective)
         literal = LiteralMultilayerEngine(net, objective)
         occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
@@ -388,19 +448,21 @@ class TestIncrementalGains:
         for _ in range(30):
             e, l = rng.choice(occurrences)
             src = split[(e, l)]
-            dst = rng.choice([c for c in range(k) if c != src])
+            candidates = [c for c in range(k) if c != src]
+            dst = rng.choice(candidates)
             block = [f for f, m in occurrences
                      if m == l and split[(f, m)] == src and (f == e or rng.random() < 0.4)]
             unit = _make_unit(net, l, block)
             found = engine.gather(unit, where_table(net, split))
-            at_src = found.get(src, [0, {}])
-            at_dst = found.get(dst, [0, {}])
-            removal = engine.delta(comms[src], unit, at_src, removing=True)
-            insertion = engine.delta(comms[dst], unit, at_dst, removing=False)
-            assert removal == literal.delta(comms[src], unit, at_src, removing=True)
-            assert insertion == literal.delta(comms[dst], unit, at_dst, removing=False)
+            removal, *insertions = engine.evaluate(comms, unit, found, src, candidates)
+            assert removal == literal.delta(comms[src], unit, found.get(src, [0, {}]),
+                                            removing=True)
+            assert len(insertions) == len(candidates)
+            for c, insertion in zip(candidates, insertions):
+                assert insertion == literal.delta(comms[c], unit, found.get(c, [0, {}]),
+                                                  removing=False)
             engine.apply(comms[src], unit, removal[1], removing=True)
-            engine.apply(comms[dst], unit, insertion[1], removing=False)
+            engine.apply(comms[dst], unit, insertions[candidates.index(dst)][1], removing=False)
             for f in unit.entities:
                 split[(f, l)] = dst
 
@@ -453,8 +515,9 @@ class TestIncrementalGains:
         unit = _make_unit(net, l, (e,))
         found = engine.gather(unit, where_table(net, split))
         assert list(found) == [1]
-        removal = engine.delta(comms[0], unit, [0, {}], removing=True)
+        removal, insertion = engine.evaluate(comms, unit, found, 0, [1])
         assert removal == literal.delta(comms[0], unit, [0, {}], removing=True)
+        assert insertion == literal.delta(comms[1], unit, found[1], removing=False)
         if resolution.kind == "redundancy":
             assert removal[1][1] == {net.layer_index("b"): -1, net.layer_index("c"): -1}
 
@@ -480,7 +543,7 @@ class TestIncrementalGains:
 class TestAggregateMajority:
     def test_identical_layers(self, twin_triangle_layers):
         res = mm.aggregate_majority(twin_triangle_layers, constant_symmetric(seed=0))
-        single = mm.louvain_layer(twin_triangle_layers, "x", seed=0)
+        single = louvain_partition(twin_triangle_layers, "x", seed=0)
         groups = lambda p: sorted(sorted(g) for g in
                                   {c: [e for e, cc in p.items() if cc == c]
                                    for c in set(p.values())}.values())

@@ -12,6 +12,7 @@ from multimod.errors import GuardError, InputError
 
 from _brute import (_restricted_growth_strings, best_partition_exhaustive,
                     multilayer_modularity_direct)
+from _gen import save_planted
 
 
 class TestPlantedGenerator:
@@ -71,7 +72,7 @@ class TestPlantedGenerator:
         net, planted = mm.planted_multilayer(spec)
         npath = tmp_path / "net.mlg"
         cpath = tmp_path / "labels.txt"
-        mm.save_planted(net, planted, npath, cpath)
+        save_planted(net, planted, npath, cpath)
         again = mm.read_network(npath)
         assert again.num_edges() == net.num_edges()
         cs = mm.read_communities(again, cpath)
