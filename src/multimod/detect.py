@@ -49,13 +49,13 @@ coupling plan (``coupling_plan``, under the network's layer ordering, the
 only one an objective uses), resolved once into per-layer coupling terms,
 and the network's linked-pair query (``partner_layers_idx``). Redundancy
 decays come from a table built at construction, up to the largest
-redundant-pair count any layer can reach. A gain adds only the terms a move can change. A coupling term whose
-intersection does not change is exactly +0.0, unless it is asymmetric with
-the moved layer as its source, and adding +0.0 to a sum that starts at
-+0.0 changes nothing, so skipping those terms keeps every gain
-bit-identical. Each objective class builds its own engine (``gain_engine``)
-and scores a structure through the scoring module (``score``); the
-reported objective is always that score.
+redundant-pair count any layer can reach. A gain adds only the terms a
+move can change. A coupling term whose intersection does not change is
+exactly +0.0, unless it is asymmetric with the moved layer as its source,
+and adding +0.0 to a sum that starts at +0.0 changes nothing, so skipping
+those terms keeps every gain bit-identical. Each objective class builds
+its own engine (``gain_engine``) and scores a structure through the
+scoring module (``score``); the reported objective is always that score.
 
 Also here: the per-layer aggregation baseline with majority voting, and
 normalized mutual information.
@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
@@ -162,7 +163,8 @@ class _Unit:
 
 
 _NO_PATCH = ({}, {})
-_UNTOUCHED = (0, {})  # the counts of a community the unit does not touch; read only
+# the counts of a community the unit does not touch; a patch may hold its map
+_UNTOUCHED = (0, MappingProxyType({}))
 
 
 def _make_unit(net, layer, entities):
@@ -308,10 +310,10 @@ class _MultilayerEngine(_Engine):
         """
         l = unit.layer
         S = unit.entities
-        single = S[0] if len(S) == 1 else None
+        size = len(S)
+        single = S[0] if size == 1 else None
         within = unit.within
         degsum = unit.degsum
-        size = len(S)
         norm = self.norm
         gamma = self.gamma
         redundancy = self.redundancy
@@ -393,7 +395,8 @@ class _MultilayerEngine(_Engine):
                     before = n / vint * vs / psize * penalty if psize else 0.0
                     if side == l:
                         psize += psize_delta
-                    after = (n + dinter.get(other, 0)) / vint * vs / psize * penalty if psize else 0.0
+                    after = ((n + dinter.get(other, 0)) / vint * vs / psize * penalty
+                             if psize else 0.0)
                     d_coup += after - before
 
             out.append(((ddint - d_null / norm + d_coup) / norm, (dinter, dnrp)))

@@ -15,7 +15,7 @@ from multimod.errors import InputError, PolicyError
 
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
-from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
+from _brute import (LiteralMultilayerEngine, best_partition_exhaustive, literal_engine,
                     literal_generalized_louvain, new_comm, where_table)
 from _gen import natural_orderings, random_multilayer, with_ordering
 
@@ -437,9 +437,9 @@ class TestIncrementalGains:
         """Move random blocks of one community's occurrences in one layer
         between random communities and check that the removal's and every
         other community's ``dq`` and patch equal the literal engine's bit
-        for bit."""
-        engine = _MultilayerEngine(net, objective)
-        literal = LiteralMultilayerEngine(net, objective)
+        for bit, each read from the literal engine's own gather."""
+        engine = objective.gain_engine(net)
+        literal = literal_engine(net, objective)
         occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
         k = rng.randint(2, 4)
         split = {t: rng.randrange(k) for t in occurrences}
@@ -453,13 +453,16 @@ class TestIncrementalGains:
             block = [f for f, m in occurrences
                      if m == l and split[(f, m)] == src and (f == e or rng.random() < 0.4)]
             unit = _make_unit(net, l, block)
-            found = engine.gather(unit, where_table(net, split))
+            where = where_table(net, split)
+            found = engine.gather(unit, where)
+            counts = literal.gather(unit, where)
+            assert found.keys() == counts.keys()
             removal, *insertions = engine.evaluate(comms, unit, found, src, candidates)
-            assert removal == literal.delta(comms[src], unit, found.get(src, [0, {}]),
+            assert removal == literal.delta(comms[src], unit, counts.get(src, [0, {}]),
                                             removing=True)
             assert len(insertions) == len(candidates)
             for c, insertion in zip(candidates, insertions):
-                assert insertion == literal.delta(comms[c], unit, found.get(c, [0, {}]),
+                assert insertion == literal.delta(comms[c], unit, counts.get(c, [0, {}]),
                                                   removing=False)
             engine.apply(comms[src], unit, removal[1], removing=True)
             engine.apply(comms[dst], unit, insertions[candidates.index(dst)][1], removing=False)
@@ -491,6 +494,22 @@ class TestIncrementalGains:
             objective = mm.MultilayerObjective(resolution=resolution,
                                                coupling=mm.CouplingPolicy(kind, time_aware))
             self.check_literal_gains(rng, with_ordering(net, ordering), objective)
+
+    def test_multislice_gains_equal_literal_engine(self):
+        rng = random.Random(91)
+        spec = mm.PlantedSpec(entities=40, communities=3, layers=3, p_in=0.4,
+                              p_out=0.05, presence=0.8, seed=6)
+        networks = [mm.planted_multilayer(spec)[0], *(random_multilayer(rng) for _ in range(12))]
+        checked = 0
+        for net in networks:
+            if any(net.presence_idx(l) and not net.edges_idx(l) for l in range(net.num_layers)):
+                continue  # the layer-local null model needs an edge per layer
+            objective = mm.MultisliceObjective(
+                gamma=[rng.choice((0.5, 1.0, 1.5)) for _ in net.layer_ids],
+                omega=rng.choice((0.0, 0.3, 1.0)))
+            self.check_literal_gains(rng, net, objective)
+            checked += 1
+        assert checked >= 4
 
     @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
                                             mm.ResolutionPolicy.redundancy()])
