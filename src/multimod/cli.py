@@ -105,8 +105,9 @@ def cmd_stats(args) -> int:
 
 def cmd_score(args) -> int:
     policies = _policies(args)
-    if args.objective == "qms":
-        objective = MultisliceObjective(gamma=args.gamma, omega=args.omega)
+    # builds (and so checks) the qms objective before the load
+    objective = (MultisliceObjective(gamma=args.gamma, omega=args.omega)
+                 if args.objective == "qms" else None)
     net = _load_network(args)
     cs = read_communities(net, args.communities)
     if args.objective == "q":
