@@ -43,24 +43,20 @@ def _parse_resolution(text: str) -> ResolutionPolicy:
     raise PolicyError(f"unknown resolution {text!r}, expected constant:<float> or redundancy")
 
 
-def _coupling_policy(args) -> CouplingPolicy:
-    return CouplingPolicy(_COUPLING_KINDS[args.coupling], time_aware=args.time_aware)
-
-
-def _policies(args):
-    """The resolution and coupling policies the flags name, or None for an
-    objective other than q. The commands check their flags before they
-    read any file, so a bad flag costs no load."""
+def _objective(args):
+    """The objective the flags name: a ``MultilayerObjective`` for q, a
+    ``MultisliceObjective`` for qms, None for newman. The commands build it,
+    and so check their flags, before they read any file, so a bad flag
+    costs no load."""
     if args.time_aware and args.ordering == "none":
         raise PolicyError("--time-aware requires --ordering natural-adjacent or natural-pairwise")
+    if args.objective == "qms":
+        return MultisliceObjective(gamma=args.gamma, omega=args.omega)
     if args.objective != "q":
         return None
-    return _parse_resolution(args.resolution), _coupling_policy(args)
-
-
-def _load_network(args):
-    return read_network(args.network, ordering_mode=args.ordering,
-                        time_aware=getattr(args, "time_aware", False))
+    resolution = _parse_resolution(args.resolution)  # checked before the coupling
+    return MultilayerObjective(resolution=resolution, coupling=CouplingPolicy(
+        _COUPLING_KINDS[args.coupling], time_aware=args.time_aware))
 
 
 def _add_policy_flags(parser, with_objective=True, objectives=("q", "qms", "newman")):
@@ -104,14 +100,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_score(args) -> int:
-    policies = _policies(args)
-    # builds (and so checks) the qms objective before the load
-    objective = (MultisliceObjective(gamma=args.gamma, omega=args.omega)
-                 if args.objective == "qms" else None)
-    net = _load_network(args)
+    objective = _objective(args)
+    net = read_network(args.network, ordering_mode=args.ordering)
     cs = read_communities(net, args.communities)
     if args.objective == "q":
-        report = multilayer_modularity(net, cs, *policies)
+        report = multilayer_modularity(net, cs, objective.resolution, objective.coupling)
         if args.output == "json":
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
@@ -136,14 +129,6 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _detect_objective(args):
-    policies = _policies(args)
-    if policies is None:
-        return MultisliceObjective(gamma=args.gamma, omega=args.omega)
-    resolution, coupling = policies
-    return MultilayerObjective(resolution=resolution, coupling=coupling)
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -152,12 +137,12 @@ def _sha256(path) -> str:
 
 
 def cmd_detect(args) -> int:
-    config = DetectConfig(objective=_detect_objective(args), seed=args.seed,
+    config = DetectConfig(objective=_objective(args), seed=args.seed,
                           max_passes=args.max_passes, min_gain=args.min_gain)
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):  # fail before the load and the detection
         raise InputError(f"output directory {out_dir!r} does not exist")
-    net = _load_network(args)
+    net = read_network(args.network, ordering_mode=args.ordering)
     if args.method == "gl":
         result = generalized_louvain(net, config)
     else:
@@ -251,7 +236,7 @@ def _sweep_points(args) -> list:
 
 def cmd_sweep(args) -> int:
     points = _sweep_points(args)
-    net = _load_network(args)
+    net = read_network(args.network, ordering_mode=args.ordering)
     cs = read_communities(net, args.communities)
     rows = ["gamma\tomega\tq_ms"]
     for gamma, omega in points:

@@ -10,8 +10,8 @@ coarser granularity. Gains are exact objective differences computed from
 integer per-community aggregates, so the objective never decreases.
 
 A visit whose outcome is already known is skipped: when an occurrence (or
-block) is evaluated and stays put, the communities it read are recorded
-with the move count, and later visits skip it until one of those
+block) is evaluated and stays put, the unit records the communities it
+read with the move count, and later visits skip it until one of those
 communities changes. The skip is exact. A unit's gains depend only on its
 layer and entities, on the ``where`` entries ``gather`` reads (the
 assignments of its neighbours and of its entities' other occurrences) and
@@ -22,21 +22,24 @@ Community ids are never reused. Skipped visits would have moved nothing
 and gained nothing, and the shuffle still runs every pass, so the run is
 the same as without the skip.
 
-The record survives aggregation: a block with the same layer and the same
-entities as a unit of the previous level keeps that unit and its record,
-and only new blocks start without one. That is exact too. Aggregation
-moves nothing, so it changes neither the ``where`` entries nor any
-community's aggregates; community ids and the per-community move counts
-persist across levels; and the shuffle of a pass depends only on the
-number of units, which the carry does not change.
+Aggregation groups the units by community and layer. Units partition the
+occurrences and all of a unit's entities share one community, so the block
+of a community in a layer is the union of the units it holds there, and it
+equals a unit of the previous level exactly when its group has one member.
+A group of one unit stays that unit, with its record; a larger group is a
+new block without one. The carried record is exact too. Aggregation moves
+nothing, so it changes neither the ``where`` entries nor any community's
+aggregates; community ids and the per-community move counts persist across
+levels; and the shuffle of a pass depends only on the number of units,
+which the carry does not change.
 
 The assignment is one per-layer table, ``where[l][e]``: the community of
-entity ``e`` in layer ``l``. ``gather`` reads it, and the final structure
-(built from indices) and the aggregation blocks read it in occurrence order.
+entity ``e`` in layer ``l``. ``gather`` reads it, aggregation reads each
+unit's community from it, and the final structure is built from it.
 
 One gain engine serves both objectives: a shared base keeps each
-community's projections, flattened membership and degrees and applies the
-moves, and each objective adds only what its gain reads. ``gather`` counts,
+community's projection sizes, flattened membership and degrees and applies
+the moves, and each objective adds only what its gain reads. ``gather`` counts,
 for every community a unit touches, the unit's edges into it and, for the
 multilayer score, how many of the unit's entities it holds in each other
 layer (the change of each projection intersection), or, for the multislice
@@ -140,26 +143,27 @@ class _Comm:
     """Mutable per-community aggregates; all counters are exact integers.
     ``inter`` and ``nrp`` stay empty under the multislice objective."""
 
-    __slots__ = ("proj", "flat", "deg", "inter", "nrp")
+    __slots__ = ("size", "flat", "deg", "inter", "nrp")
 
     def __init__(self):
-        self.proj = {}          # l -> set(e)
+        self.size = {}          # l -> entities held in l (the projection's size)
         self.flat = {}          # e -> occurrence count
         self.deg = {}           # l -> int
-        self.inter = {}         # (i, j) i < j -> |proj[i] & proj[j]|
+        self.inter = {}         # (i, j) i < j -> entities held in both i and j
         self.nrp = {}           # l -> redundant pairs supported by l
 
 
 class _Unit:
     """A movable block: one or more occurrences of a single layer."""
 
-    __slots__ = ("layer", "entities", "within", "degsum")
+    __slots__ = ("layer", "entities", "within", "degsum", "seen")
 
     def __init__(self, layer, entities, within, degsum):
         self.layer = layer
         self.entities = entities
         self.within = within    # edges among the block's entities in `layer`
         self.degsum = degsum    # their total intra-layer degree
+        self.seen = None        # (move count, communities read) when it last stayed put
 
 
 _NO_PATCH = ({}, {})
@@ -197,16 +201,14 @@ class _Engine:
     def apply(self, comm, unit, patch, removing):
         l = unit.layer
         if removing:
-            comm.proj[l].difference_update(unit.entities)
-            if not comm.proj[l]:
-                del comm.proj[l]
+            comm.size[l] -= len(unit.entities)
             for v in unit.entities:
                 comm.flat[v] -= 1
                 if comm.flat[v] == 0:
                     del comm.flat[v]
             comm.deg[l] -= unit.degsum
         else:
-            comm.proj.setdefault(l, set()).update(unit.entities)
+            comm.size[l] = comm.size.get(l, 0) + len(unit.entities)
             for v in unit.entities:
                 comm.flat[v] = comm.flat.get(v, 0) + 1
             comm.deg[l] = comm.deg.get(l, 0) + unit.degsum
@@ -388,10 +390,10 @@ class _MultilayerEngine(_Engine):
                     n = inter.get(key, 0)
                     d_coup += (n + dinter.get(other, 0)) / vint * penalty - n / vint * penalty
             else:
-                proj = comm.proj
+                sizes = comm.size
                 for key, other, side, vint, vs, penalty in (terms if dinter else own_terms):
                     n = inter.get(key, 0)
-                    psize = len(proj.get(side, _EMPTY))
+                    psize = sizes.get(side, 0)
                     before = n / vint * vs / psize * penalty if psize else 0.0
                     if side == l:
                         psize += psize_delta
@@ -484,8 +486,8 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     gain in one call; the choice of move is made here, for both engines.
     A unit that was evaluated and stayed put is skipped on later visits
     until one of the communities it read (its own and every candidate) is
-    changed by a move. A block that aggregation rebuilds unchanged (the
-    same layer and entities) keeps its unit and that record, so the skip
+    changed by a move. Aggregation groups the units by community and layer;
+    a group of one unit is that unit, so it keeps its record and the skip
     carries across levels. Its outcome cannot differ before then, so the
     skip changes no assignment, pass count, move count or objective; the
     module docstring gives the argument.
@@ -498,22 +500,22 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     engine = config.objective.gain_engine(net)
     rng = random.Random(config.seed)
 
-    occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
     # layer -> entity -> community, the one store of the assignment
     where = [[None] * net.num_entities for _ in range(net.num_layers)]
     comms = {}
-    units = []
-    for cid, (e, l) in enumerate(occurrences):
-        unit = _make_unit(net, l, (e,))
-        units.append(unit)
-        where[l][e] = cid
-        comms[cid] = _Comm()
-        engine.apply(comms[cid], unit, _NO_PATCH, removing=False)
+    units = []  # one singleton per occurrence, entity-major
+    for e in range(net.num_entities):
+        for l in sorted(net.entity_layers_idx(e)):
+            cid = len(units)
+            unit = _make_unit(net, l, (e,))
+            units.append(unit)
+            where[l][e] = cid
+            comms[cid] = _Comm()
+            engine.apply(comms[cid], unit, _NO_PATCH, removing=False)
 
     passes = 0
     moves = 0
-    changed = [0] * len(occurrences)  # community -> move count at its last change
-    stayed = [None] * len(units)  # unit -> (move count, communities) when it last stayed put
+    changed = [0] * len(units)  # community -> move count at its last change
     while True:
         # local moving at the current granularity
         while passes < config.max_passes:
@@ -522,16 +524,16 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
             rng.shuffle(order)
             pass_gain = 0.0
             for ui in order:
-                seen = stayed[ui]
+                unit = units[ui]
+                seen = unit.seen
                 if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
                     continue  # nothing it reads has changed: it stays again
-                unit = units[ui]
                 here = where[unit.layer]
                 src = here[unit.entities[0]]
                 found = engine.gather(unit, where)
                 candidates = sorted(c for c in found if c != src)
                 if not candidates:
-                    stayed[ui] = (moves, (src,))
+                    unit.seen = (moves, (src,))
                     continue
                 (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
                                                                 candidates)
@@ -545,7 +547,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                         best_cid = cid
                         best_patch = patch_ins
                 if best_cid is None:
-                    stayed[ui] = (moves, (src, *candidates))
+                    unit.seen = (moves, (src, *candidates))
                     continue
                 engine.apply(comms[src], unit, patch_rem, removing=True)
                 engine.apply(comms[best_cid], unit, best_patch, removing=False)
@@ -560,25 +562,17 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 break
         if passes >= config.max_passes:
             break
-        # aggregate into per-layer super-nodes of the current communities
-        blocks = {}
-        for e, l in occurrences:
-            blocks.setdefault((where[l][e], l), []).append(e)
-        if len(blocks) == len(units):
+        # aggregate into per-layer super-nodes of the current communities; a
+        # group of one unit is that unit and keeps its record
+        groups = {}
+        for unit in units:
+            l = unit.layer
+            groups.setdefault((where[l][unit.entities[0]], l), []).append(unit)
+        if len(groups) == len(units):
             break
-        # a block that is an old unit keeps that unit and its record
-        old = {(unit.layer, unit.entities): (unit, seen) for unit, seen in zip(units, stayed)}
-        units = []
-        stayed = []
-        for (cid, l), members in sorted(blocks.items()):
-            kept = old.get((l, tuple(sorted(members))))
-            if kept is None:
-                units.append(_make_unit(net, l, members))
-                stayed.append(None)
-            else:
-                units.append(kept[0])
-                stayed.append(kept[1])
-        del old
+        units = [group[0] if len(group) == 1
+                 else _make_unit(net, l, [e for unit in group for e in unit.entities])
+                 for (_, l), group in sorted(groups.items())]
 
     cs = CommunityStructure._from_labels(net, where)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),

@@ -548,8 +548,9 @@ def _parse_indices(text: str) -> tuple:
     ``presence`` is a flat ``[layer, entity, ...]`` list of the ``%presence``
     records and ``edges`` a flat ``[layer, u, v, ...]`` list of the edge
     records, both in file order, duplicates and self-loops kept. ``order``
-    is the ``%order`` sequence, or None. A malformed line is an
-    :class:`InputError` that names it.
+    is the ``%order`` sequence, or None. A malformed line, or a directive
+    naming a layer id that starts with '%', is an :class:`InputError` that
+    names it.
     """
     entities = {}
     layers = {}
@@ -586,11 +587,15 @@ def _parse_indices(text: str) -> tuple:
                 raise InputError(f"line {lineno}: %order needs at least one layer")
             order = tuple(tokens[1:])
             for layer in order:
+                if layer[0] == "%":
+                    raise InputError(f"line {lineno}: layer id {layer!r} starts with '%'")
                 layers.setdefault(layer, len(layers))
         elif head == "%presence":
             if len(tokens) != 3:
                 raise InputError(f"line {lineno}: %presence expects 'L u'")
             _, layer, u = tokens
+            if layer[0] == "%":
+                raise InputError(f"line {lineno}: layer id {layer!r} starts with '%'")
             presence += (layers.setdefault(layer, len(layers)),
                          entities.setdefault(u, len(entities)))
         else:

@@ -521,18 +521,20 @@ def new_comm(engine, tuples):
     them in one by one. The multilayer intersections and redundant pairs are
     counted only for a multilayer engine."""
     comm = _Comm()
+    proj = {}  # l -> the entities the community holds in l
     for e, l in tuples:
-        comm.proj.setdefault(l, set()).add(e)
+        proj.setdefault(l, set()).add(e)
         comm.flat[e] = comm.flat.get(e, 0) + 1
-    for l, proj in comm.proj.items():
+    for l, members in proj.items():
         adj = engine.net.adj_idx(l)
-        comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in proj)
+        comm.size[l] = len(members)
+        comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in members)
     if not isinstance(engine, _MultilayerEngine):
         return comm
-    layers = sorted(comm.proj)
+    layers = sorted(proj)
     for a, i in enumerate(layers):
         for j in layers[a + 1:]:
-            comm.inter[(i, j)] = len(comm.proj[i] & comm.proj[j])
+            comm.inter[(i, j)] = len(proj[i] & proj[j])
     if engine.redundancy:
         for layers in literal_pair_layers(engine.net, comm.flat).values():
             if len(layers) >= 2:
@@ -602,7 +604,7 @@ class LiteralMultilayerEngine(_MultilayerEngine):
         if self.coupling.kind == "symmetric":
             return inter / vint * penalty
         src = i if self.coupling.kind == "asym-inner" else j
-        psize = len(comm.proj.get(src, _EMPTY))
+        psize = comm.size.get(src, 0)
         if src == layer:
             psize += psize_delta
         if psize == 0:

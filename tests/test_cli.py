@@ -111,6 +111,14 @@ class TestStats:
         assert code == 2
         assert "line 2: expected 3 tokens" in err
 
+    @pytest.mark.parametrize("directive", ["%order %a L", "%presence %a x"])
+    def test_directive_layer_starting_with_percent(self, capsys, tmp_path, directive):
+        path = tmp_path / "bad.mlg"
+        path.write_text(f"L a b\n{directive}\n", encoding="utf-8")
+        code, _, err = run(capsys, ["stats", str(path)])
+        assert code == 2
+        assert "line 2: layer id '%a' starts with '%'" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["stats", str(tmp_path / "nope.mlg")])
         assert code == 2

@@ -364,7 +364,7 @@ class TestIncrementalGains:
             # incremental aggregates must match a from-scratch rebuild
             for c in (0, 1):
                 rebuilt = new_comm(engine, [o for o in occurrences if split[o] == c])
-                for field in ("proj", "flat", "deg", "inter", "nrp"):
+                for field in ("size", "flat", "deg", "inter", "nrp"):
                     live = {k: v for k, v in getattr(comms[c], field).items() if v}
                     fresh = {k: v for k, v in getattr(rebuilt, field).items() if v}
                     assert live == fresh
@@ -429,7 +429,7 @@ class TestIncrementalGains:
                 engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH,
                              removing=False)
                 rebuilt = new_comm(engine, [t])
-                for field in ("proj", "flat", "deg", "inter", "nrp"):
+                for field in ("size", "flat", "deg", "inter", "nrp"):
                     assert getattr(comm, field) == getattr(rebuilt, field)
 
     @staticmethod

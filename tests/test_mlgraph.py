@@ -314,6 +314,13 @@ class TestParsing:
         with pytest.raises(InputError, match="duplicate %order"):
             mm.parse_network_text("%order a b\n%order b a\n")
 
+    @pytest.mark.parametrize("text,lineno", [("L1 a b\n%order %a L1\n", 2),
+                                              ("L1 a b\n\n%presence %a x\n", 3)])
+    def test_directive_layer_starting_with_percent(self, text, lineno):
+        # the format forbids it, and write_network refuses to write it
+        with pytest.raises(InputError, match=f"line {lineno}: layer id '%a' starts with '%'"):
+            mm.parse_network_text(text)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "net.mlg"
         path.write_bytes(b"\xff\xfe L1 a b\n")
