@@ -139,8 +139,12 @@ def _sha256(path) -> str:
 def cmd_detect(args) -> int:
     config = DetectConfig(objective=_objective(args), seed=args.seed,
                           max_passes=args.max_passes, min_gain=args.min_gain)
+    # fail before the load and the detection; a prefix naming a directory
+    # would write hidden files (".communities") into it
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise InputError(f"output prefix {args.out!r} names a directory, not a file prefix")
     out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # fail before the load and the detection
+    if not os.path.isdir(out_dir):
         raise InputError(f"output directory {out_dir!r} does not exist")
     net = read_network(args.network, ordering_mode=args.ordering)
     if args.method == "gl":

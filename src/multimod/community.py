@@ -86,7 +86,7 @@ class CommunityStructure:
         proj = []
         flat = []
         for ei in range(net.num_entities):  # entity-major tuple order
-            for li in sorted(net.entity_layers_idx(ei)):
+            for li in net.entity_layers_idx(ei):
                 label = labels[li][ei]
                 c = dense.get(label)
                 if c is None:
@@ -117,9 +117,9 @@ class CommunityStructure:
                 deg = 0
                 dint = 0
                 for ei in members:
-                    nb = adj.get(ei, frozenset())
+                    nb = adj.get(ei, ())
                     deg += len(nb)
-                    dint += len(nb & members)
+                    dint += len(members.intersection(nb))
                 self._deg[c][li] = deg
                 self._dint[c][li] = dint
         self._counts = [None] * k   # redundancy counts, on first use
@@ -198,7 +198,7 @@ class CommunityStructure:
             for li in net.entity_layers_idx(u):
                 nb = adj[li].get(u)
                 if nb:
-                    s = nb & flat
+                    s = flat.intersection(nb)
                     if s:
                         red |= seen & s
                         seen |= s
@@ -273,7 +273,7 @@ class CommunityStructure:
         """Plain {(entity, layer): community} mapping, in entity-major order."""
         net = self.net
         return {(net.entity_ids[ei], net.layer_ids[li]): self._where[li][ei]
-                for ei in range(net.num_entities) for li in sorted(net.entity_layers_idx(ei))}
+                for ei in range(net.num_entities) for li in net.entity_layers_idx(ei)}
 
 
 # -- community file format -------------------------------------------------------

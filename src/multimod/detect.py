@@ -78,7 +78,7 @@ from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          _check_multislice_values, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
 
-_EMPTY = frozenset()
+_EMPTY = ()
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def _make_unit(net, layer, entities):
     entities = tuple(sorted(entities))
     adj = net.adj_idx(layer)
     eset = set(entities)
-    within = sum(len(adj.get(v, _EMPTY) & eset) for v in entities) // 2
+    within = sum(len(eset.intersection(adj.get(v, _EMPTY))) for v in entities) // 2
     degsum = sum(len(adj.get(v, _EMPTY)) for v in entities)
     return _Unit(layer, entities, within, degsum)
 
@@ -505,7 +505,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     comms = {}
     units = []  # one singleton per occurrence, entity-major
     for e in range(net.num_entities):
-        for l in sorted(net.entity_layers_idx(e)):
+        for l in net.entity_layers_idx(e):
             cid = len(units)
             unit = _make_unit(net, l, (e,))
             units.append(unit)
@@ -591,7 +591,7 @@ def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
     edges = []
     for i, u in enumerate(members):
         presence += (0, i)
-        for v in sorted(adj.get(u, ())):
+        for v in adj.get(u, ()):
             if u < v:
                 edges += (0, i, index[v])
     return _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import codecs
 import re
 import statistics
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -91,7 +92,7 @@ class LayerGraph:
 
 
 class MultilayerNetwork:
-    """Entities, layers, per-layer presence and edge sets, optional ordering.
+    """Entities, layers, per-layer presence and adjacency, optional ordering.
 
     Use :func:`build_network` or :func:`read_network` to construct instances;
     the constructor is internal.
@@ -104,9 +105,9 @@ class MultilayerNetwork:
         self._layer_ids = layer_ids
         self._layer_index = {l: i for i, l in enumerate(layer_ids)}
         self._presence = presence          # per layer: frozenset of entity indices
-        self._adj = adj                    # per layer: dict idx -> frozenset of idx
+        self._adj = adj                    # per layer: dict idx -> ascending tuple of idx
         self._edge_counts = edge_counts    # per layer: number of edges
-        self._entity_layers = entity_layers  # per entity: frozenset of layer indices
+        self._entity_layers = entity_layers  # per entity: ascending tuple of layer indices
         self._shared = {}                  # (a, b) a <= b -> shared entity count, on demand
         self._same_entity_pairs = None     # same-entity layer pairs, on demand
         self.ordering = ordering
@@ -160,7 +161,7 @@ class MultilayerNetwork:
     def tuples(self):
         """All present (entity, layer) pairs, entity-major order."""
         for ei in range(len(self._entity_ids)):
-            for li in sorted(self._entity_layers[ei]):
+            for li in self._entity_layers[ei]:
                 yield self._entity_ids[ei], self._layer_ids[li]
 
     def num_tuples(self) -> int:
@@ -171,21 +172,25 @@ class MultilayerNetwork:
         return self._presence[li]
 
     def adj_idx(self, li: int) -> dict:
+        """The layer's adjacency: every entity with an edge in the layer,
+        in ascending index order, mapped to the strictly ascending tuple of
+        its neighbours' indices."""
         return self._adj[li]
 
     def edges_idx(self, li: int) -> tuple:
         """The layer's edges as sorted ``(u, v)`` index pairs with ``u < v``.
         Derived from the adjacency on every call; count with ``num_edges``."""
-        return tuple(sorted((u, v) for u, nb in self._adj[li].items() for v in nb if u < v))
+        return tuple((u, v) for u, nb in self._adj[li].items() for v in nb if u < v)
 
-    def entity_layers_idx(self, ei: int) -> frozenset:
+    def entity_layers_idx(self, ei: int) -> tuple:
+        """The indices of the layers entity ``ei`` is present in, ascending."""
         return self._entity_layers[ei]
 
     def partner_layers_idx(self, ei: int) -> dict:
         """Every entity linked to ``ei`` in some layer, mapped to the ascending
         list of layer indices that link the pair. Computed on demand."""
         out = {}
-        for li in sorted(self._entity_layers[ei]):
+        for li in self._entity_layers[ei]:
             for u in self._adj[li].get(ei, ()):
                 out.setdefault(u, []).append(li)
         return out
@@ -368,15 +373,25 @@ def _avg_path_length(adj, nodes) -> float:
 
 
 def _mean_clustering(adj, nodes) -> float:
+    """Mean local clustering coefficient over ``nodes``.
+
+    A node's links (edges among its neighbours) are its triangles. Each
+    triangle ``a < b < c`` is found once, as ``c`` in the later neighbours
+    of both ``a`` and ``b``, and counted at all three nodes; the later
+    neighbours are a suffix of each ascending neighbour tuple.
+    """
+    later = {v: set(nb[bisect_right(nb, v):]) for v, nb in adj.items()}
+    links = dict.fromkeys(adj, 0)
+    for a, after_a in later.items():
+        for b in after_a:
+            for c in after_a & later[b]:
+                links[a] += 1
+                links[b] += 1
+                links[c] += 1
     values = []
     for v in nodes:
-        nb = adj.get(v, frozenset())
-        k = len(nb)
-        if k < 2:
-            values.append(0.0)
-            continue
-        links = sum(len(adj[u] & nb) for u in nb) // 2
-        values.append(2 * links / (k * (k - 1)))
+        k = len(adj.get(v, ()))
+        values.append(2 * links[v] / (k * (k - 1)) if k >= 2 else 0.0)
     return statistics.fmean(values)
 
 
@@ -400,12 +415,13 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
     declared occurrences and ``edges`` a flat ``[layer, u, v, ...]`` list,
     both in indices and in declaration order. Duplicate edges collapse. The
     first self-loop in edge order, and then an entity present in no layer,
-    is an :class:`InputError`. Each layer's sets are frozen, and the mutable
-    ones dropped, one layer at a time.
+    is an :class:`InputError`. Each node's neighbours are gathered in a
+    list, then stored as a sorted tuple without duplicates, one layer at a
+    time.
     """
     ids = tuple(entity_index)
     present = [set() for _ in layer_ids]
-    adj = [defaultdict(set) for _ in layer_ids]
+    lists = [defaultdict(list) for _ in layer_ids]
     it = iter(presence)
     for li, e in zip(it, it):
         present[li].add(e)
@@ -413,26 +429,28 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
     for li, u, v in zip(it, it, it):
         if u == v:
             raise InputError(f"self-loop on {ids[u]!r} in layer {layer_ids[li]!r}")
-        a = adj[li]
-        a[u].add(v)
-        a[v].add(u)
+        a = lists[li]
+        a[u].append(v)
+        a[v].append(u)
 
-    frozen = []
+    adj = []
     edge_counts = []
     for li, p in enumerate(present):
-        a = adj[li]
-        # the mutable sets go when ``a`` moves on; on a 160k-edge load this
-        # order peaked 5 MB lower than clearing the slot after the freeze
-        adj[li] = None
+        # a layer's lists go once its tuples are built. On a 160k-edge,
+        # 4-layer load the assembly's Python allocations then peak at
+        # 14.5 MB (tracemalloc), under the parse's 18.0 MB; freeing each
+        # list as its tuple is built lowered neither peak
+        a = lists[li]
+        lists[li] = None
         p.update(a)  # every edge endpoint is present
-        frozen.append({u: frozenset(nb) for u, nb in a.items()})
-        edge_counts.append(sum(map(len, a.values())) // 2)
+        adj.append({u: tuple(sorted(set(a[u]))) for u in sorted(a)})
+        edge_counts.append(sum(map(len, adj[li].values())) // 2)
     del a
 
-    entity_layers = [set() for _ in ids]
+    entity_layers = [[] for _ in ids]
     for li, p in enumerate(present):
         for ei in p:
-            entity_layers[ei].add(li)
+            entity_layers[ei].append(li)
     for ei, ls in enumerate(entity_layers):
         if not ls:
             raise InputError(f"entity {ids[ei]!r} is not present in any layer")
@@ -441,9 +459,9 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
         entity_index=entity_index,
         layer_ids=tuple(layer_ids),
         presence=tuple(frozenset(p) for p in present),
-        adj=tuple(frozen),
+        adj=tuple(adj),
         edge_counts=tuple(edge_counts),
-        entity_layers=tuple(frozenset(ls) for ls in entity_layers),
+        entity_layers=tuple(map(tuple, entity_layers)),
         ordering=ordering,
     )
 

@@ -114,7 +114,8 @@ def literal_parse_network_text(text: str):
 def literal_build_network(entities=(), layers=(), edges=(), ordering=None, presence=()) -> dict:
     """The network builder in its earlier form, through a set of sorted edge
     tuples per layer. Returns the fields it gave the network: ids, presence,
-    adjacency, sorted edge tuples, entity layers and ordering."""
+    adjacency (nodes ascending, each mapped to its ascending neighbour
+    tuple), sorted edge tuples, ascending entity layer tuples and ordering."""
     layer_list = list(layers)
     if len(set(layer_list)) != len(layer_list):
         raise mm.InputError("duplicate layer id in layer declaration")
@@ -169,7 +170,7 @@ def literal_build_network(entities=(), layers=(), edges=(), ordering=None, prese
         for u, v in edge_sets[li]:
             a.setdefault(u, set()).add(v)
             a.setdefault(v, set()).add(u)
-        adj.append({u: frozenset(nb) for u, nb in a.items()})
+        adj.append({u: tuple(sorted(a[u])) for u in sorted(a)})
 
     return dict(
         entity_ids=tuple(entity_list),
@@ -177,7 +178,7 @@ def literal_build_network(entities=(), layers=(), edges=(), ordering=None, prese
         presence=tuple(frozenset(p) for p in present),
         adj=tuple(adj),
         edges=tuple(tuple(sorted(es)) for es in edge_sets),
-        entity_layers=tuple(frozenset(ls) for ls in entity_layers),
+        entity_layers=tuple(tuple(sorted(ls)) for ls in entity_layers),
         ordering=ordering,
     )
 

@@ -252,6 +252,23 @@ class TestDetect:
         assert str(missing) in err and "does not exist" in err
         assert not missing.exists()
 
+    @pytest.mark.parametrize("prefix", ["./", "results/", "results" + os.sep + ".", ".."])
+    def test_directory_prefix_fails_before_detection(self, capsys, tmp_path, monkeypatch,
+                                                     ordered3_files, prefix):
+        def never(*args, **kwargs):
+            raise AssertionError("detection started")
+
+        monkeypatch.setattr(cli, "generalized_louvain", never)
+        work = tmp_path / "work"
+        (work / "results").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        code, out, err = run(capsys, ["detect", ordered3_files[0], "--out", prefix])
+        assert code == 2
+        assert out == ""
+        assert repr(prefix) in err and "names a directory" in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            [Path(f).name for f in ordered3_files] + ["work", "results"])
+
 
 class TestSweep:
     def test_row_count(self, capsys, ordered3_files):

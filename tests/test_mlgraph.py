@@ -447,7 +447,7 @@ def _assert_same_network(net, fields):
     assert net.ordering == fields["ordering"]
     for li, layer in enumerate(net.layer_ids):
         assert net.presence_idx(li) == fields["presence"][li]
-        assert net.adj_idx(li) == fields["adj"][li]
+        assert list(net.adj_idx(li).items()) == list(fields["adj"][li].items())
         assert net.edges_idx(li) == fields["edges"][li]
         assert net.num_edges(layer) == len(fields["edges"][li])
     assert net.num_edges() == sum(len(e) for e in fields["edges"])
@@ -601,6 +601,50 @@ class TestReadNetworkOracle:
                         renumbered += got.entity_ids != tuple(mlgraph._parse_indices(text)[0])
         assert refused == set(REFUSALS.values())
         assert renumbered > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_adjacency_is_ascending_tuples(tmp_path_factory, seed):
+    """Built or read from edge lists with duplicates, reversed duplicates and
+    isolated ``%presence`` records, every node's neighbours are a strictly
+    ascending tuple, the nodes ascend, and ``layer_graph`` still gives the
+    oracle's neighbour frozensets by id."""
+    rng = random.Random(seed)
+    layers = [f"L{i}" for i in range(rng.randint(1, 3))]
+    entities = [f"e{i}" for i in range(rng.randint(2, 25))]
+    edges = []
+    for _ in range(rng.randint(0, 60)):
+        layer = rng.choice(layers)
+        u, v = rng.sample(entities, 2)
+        edges += [(layer, u, v)] * rng.choice((1, 1, 2))
+        if rng.random() < 0.3:
+            edges.append((layer, v, u))
+    rng.shuffle(edges)
+    presence = [(rng.choice(layers), f"lone{i}") for i in range(rng.randint(0, 4))]
+    presence += [(rng.choice(layers), rng.choice(entities)) for _ in range(rng.randint(0, 4))]
+    text = "%order " + " ".join(layers) + "\n"
+    text += "".join(f"%presence {l} {e}\n" for l, e in presence)
+    text += "".join(f"{l} {u} {v}\n" for l, u, v in edges)
+    path = tmp_path_factory.mktemp("net") / "net.mlg"
+    path.write_text(text, encoding="utf-8")
+    fields = literal_build_network(layers=layers, edges=edges, presence=presence)
+    ids = fields["entity_ids"]
+    for net in (mm.build_network(layers=layers, edges=edges, presence=presence),
+                mm.read_network(path, ordering_mode="none")):
+        assert net.entity_ids == ids
+        for li, layer in enumerate(layers):
+            adj = net.adj_idx(li)
+            assert list(adj) == sorted(adj)
+            for nb in adj.values():
+                assert type(nb) is tuple and nb
+                assert all(a < b for a, b in zip(nb, nb[1:]))
+            want = {ids[u]: frozenset(ids[v] for v in nb) for u, nb in fields["adj"][li].items()}
+            for ei in fields["presence"][li]:
+                want.setdefault(ids[ei], frozenset())
+            got = net.layer_graph(layer).adjacency
+            assert got == want
+            assert all(type(nb) is frozenset for nb in got.values())
 
 
 def test_counting_callers_never_derive_edges(monkeypatch):
