@@ -7,7 +7,7 @@ from .mlgraph import (LayerGraph, LayerOrdering, LayerStats, MultilayerNetwork,
 from .community import (CommunityStructure, read_communities, write_communities,
                         write_flat_partition)
 from .modularity import (CouplingPolicy, ResolutionPolicy, ScoreReport, ScoreTerm,
-                         asymmetric_coupling, coupling_pair_total, distance_penalty,
+                         asymmetric_coupling, distance_penalty,
                          multilayer_modularity, multislice_modularity,
                          newman_modularity, symmetric_coupling, time_aware_coupling)
 from .detect import (DetectConfig, DetectResult, MultilayerObjective,
@@ -24,7 +24,7 @@ __all__ = [
     "CommunityStructure", "read_communities", "write_communities",
     "write_flat_partition",
     "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
-    "asymmetric_coupling", "coupling_pair_total", "distance_penalty",
+    "asymmetric_coupling", "distance_penalty",
     "multilayer_modularity", "multislice_modularity", "newman_modularity",
     "symmetric_coupling", "time_aware_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",

@@ -59,9 +59,8 @@ def _objective(args):
         _COUPLING_KINDS[args.coupling], time_aware=args.time_aware))
 
 
-def _add_policy_flags(parser, with_objective=True, objectives=("q", "qms", "newman")):
-    if with_objective:
-        parser.add_argument("--objective", choices=objectives, default="q")
+def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
+    parser.add_argument("--objective", choices=objectives, default="q")
     parser.add_argument("--resolution", default="constant:1",
                         help="constant:<float> or redundancy (default constant:1)")
     parser.add_argument("--coupling", choices=sorted(_COUPLING_KINDS), default="none")

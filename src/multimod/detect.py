@@ -49,8 +49,9 @@ call per visit, reading the unit's layer, sizes and tables once; the
 multilayer score adds redundant-pair counts, the multislice score a
 constant per-pair coupling. The multilayer gains read the scorer's
 coupling plan (``coupling_plan``, under the network's layer ordering, the
-only one an objective uses), resolved once into per-layer coupling terms,
-and the network's linked-pair query (``partner_layers_idx``). Redundancy
+only one an objective uses): its normalization, and its records copied
+into per-layer coupling terms with nothing resolved again. They also read
+the network's linked-pair query (``partner_layers_idx``). Redundancy
 decays come from a table built at construction, up to the largest
 redundant-pair count any layer can reach. A gain adds only the terms a
 move can change. A coupling term whose intersection does not change is
@@ -228,8 +229,8 @@ class _MultilayerEngine(_Engine):
     def __init__(self, net, objective):
         super().__init__(net)
         coupling = objective.coupling
-        records = coupling_plan(net, coupling)
-        self.norm = float(net.total_degree(beta=coupling.beta))
+        records, norm = coupling_plan(net, coupling)
+        self.norm = float(norm)
         self.gamma = objective.resolution.gamma
         self.redundancy = objective.resolution.kind == "redundancy"
         # entity -> (partner, supporting layers) over pairs linked in >= 2 layers
@@ -243,21 +244,15 @@ class _MultilayerEngine(_Engine):
             most = sum(len(sl) for pairs in self.rp_adj for _, sl in pairs) // 2
             self.decay = [log_decay(n) for n in range(most + 1)]
 
-        # the coupling records touching each layer, resolved once: (key,
-        # other layer, projection source, shared entities, source layer
-        # size, penalty); a pair sharing no entity always couples 0.
+        # the coupling records touching each layer: (key, other layer,
+        # projection source, shared entities, source layer size, penalty).
         # ``own_terms`` keeps the asymmetric ones whose source is the layer
         # itself: the only ones a move that changes no intersection can change
         self.symmetric = coupling.kind == "symmetric"
         self.terms = [[] for _ in range(net.num_layers)]
         self.own_terms = [[] for _ in range(net.num_layers)]
-        for i, j, penalty in records:
-            vint = net.shared_count_idx(i, j)
-            if vint == 0:
-                continue
+        for i, j, src, vint, vsize, penalty in records:
             key = (i, j) if i < j else (j, i)
-            src = i if coupling.kind == "asym-inner" else j
-            vsize = len(net.presence_idx(src))
             self.terms[i].append((key, j, src, vint, vsize, penalty))
             self.terms[j].append((key, i, src, vint, vsize, penalty))
             if not self.symmetric:

@@ -243,43 +243,6 @@ class MultilayerNetwork:
                                           for ls in self._entity_layers)
         return self._same_entity_pairs
 
-    def coupling_count(self, beta: int = 1) -> int:
-        """Total shared-entity count over all valid (ordered) pairings.
-
-        This is the number of coupling terms the multilayer quality function
-        evaluates; with unordered layers each coupled occurrence pair shows up
-        once per direction.
-        """
-        if beta == 0:
-            return 0
-        total = 0
-        for layer in self._layer_ids:
-            for other in self.valid_pairings(layer):
-                total += self.shared_entity_count(layer, other)
-        return total
-
-    def coupling_edges(self, beta: int = 1) -> int:
-        """Number of distinct inter-layer coupling edges admitted by the ordering.
-
-        A coupling edge joins the two occurrences of one entity in a valid
-        layer pair and is counted once regardless of direction.
-        """
-        total = self.coupling_count(beta)
-        # unordered layers pair both ways, a natural ordering pairs each pair once
-        return total if self.ordering.is_natural else total // 2
-
-    def total_degree(self, beta: int = 1) -> int:
-        """Total degree of the multilayer graph, couplings included.
-
-        Every intra-layer edge contributes 2, and every distinct coupling edge
-        admitted by the ordering contributes 2 (one per endpoint). With
-        ``beta=0`` this reduces to twice the total intra-layer edge count.
-        """
-        total = 2 * self.num_edges() + 2 * self.coupling_edges(beta)
-        if total == 0:
-            raise InputError("degenerate normalization: network has no edges and no couplings")
-        return total
-
     # -- dataset statistics --------------------------------------------------
 
     def node_coverage(self) -> float:

@@ -7,9 +7,10 @@ layer-local null model. ``multilayer_modularity`` normalizes globally,
 lets the resolution factor vary per layer and community, and scores the
 inter-layer couplings through community projections, optionally restricted
 and penalized by a natural layer ordering. The ordering is the network's
-(``net.ordering``); no score takes another. Which layer pairs couple, their
-penalties and the natural-ordering check are decided once, in
-:func:`coupling_plan`, which the multilayer gain engine reads as well.
+(``net.ordering``); no score takes another. Which layer pairs couple, the
+projection each asymmetric coupling is rescaled by, the penalties, the
+natural-ordering check and the normalization they imply are decided once,
+in :func:`coupling_plan`, which the multilayer gain engine reads as well.
 
 Projection-based coupling values are returned as exact rationals; the
 composite scores are floats accumulated with ``math.fsum`` in a fixed order
@@ -168,12 +169,6 @@ def newman_modularity(graph: LayerGraph, partition) -> float:
 # -- multislice modularity --------------------------------------------------------
 
 
-def coupling_pair_total(net: MultilayerNetwork) -> int:
-    """Constant-coupling edge count: one per entity and unordered layer pair
-    in which the entity is present on both sides (computed once per network)."""
-    return net.same_entity_pair_count()
-
-
 def _check_multislice_values(gamma, omega) -> None:
     """Reject a gamma (a scalar or one value per layer) or an omega that is
     not a finite number >= 0: the multislice checks that need no network."""
@@ -205,7 +200,7 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
             raise InputError(
                 f"layer {layer!r} has assigned occurrences but no edges; "
                 f"its null model is undefined")
-    return gammas, 2 * net.num_edges() + 2 * float(omega) * coupling_pair_total(net)
+    return gammas, 2 * net.num_edges() + 2 * float(omega) * net.same_entity_pair_count()
 
 
 def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -284,33 +279,54 @@ def time_aware_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> flo
     return float(asymmetric_coupling(cs, c, layer_i, layer_j)) * distance_penalty(distance)
 
 
-def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy) -> list:
-    """The layer pairs ``coupling`` scores under the network's ordering, as
-    ``(i, j, penalty)`` records of dense layer indices in source-major order;
-    none under coupling ``none``. The penalty is 1.0 unless the coupling is
-    time-aware, which needs a natural ordering."""
+def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
+    """Everything ``coupling`` decides on ``net``: ``(records, norm)``.
+
+    Each record is ``(i, j, src, shared, size, penalty)``, one per valid
+    pairing of dense layer indices ``i`` -> ``j`` under the network's
+    ordering whose layers share ``shared`` > 0 entities, ordered by ``i``
+    and then by pairing; there are none under coupling ``none``. ``src`` is the layer
+    whose community projection an asymmetric coupling is rescaled by (``j``
+    under asym-outer, ``i`` otherwise) and ``size`` its entity count. The
+    penalty is 1.0 unless the coupling is time-aware, which needs a natural
+    ordering. ``norm`` is the total degree of the multilayer graph: 2 per
+    intra-layer edge and 2 per coupling edge the records admit. An
+    unordered network lists each layer pair from both sides, so its
+    records count each coupling edge twice.
+    """
     if coupling.time_aware:
         _require_natural(net)
-    if not coupling.beta:
-        return []
     records = []
-    for i, layer in enumerate(net.layer_ids):
-        for other in net.valid_pairings(layer):
-            # time-aware: j is a successor of i in the dense (natural) order
-            j = net.layer_index(other)
-            records.append((i, j, distance_penalty(j - i) if coupling.time_aware else 1.0))
-    return records
+    if coupling.beta:
+        outer = coupling.kind == "asym-outer"
+        for i, layer in enumerate(net.layer_ids):
+            for other in net.valid_pairings(layer):
+                # time-aware: j is a successor of i in the dense (natural) order
+                j = net.layer_index(other)
+                shared = net.shared_count_idx(i, j)
+                if shared:
+                    src = j if outer else i
+                    penalty = distance_penalty(j - i) if coupling.time_aware else 1.0
+                    records.append((i, j, src, shared, len(net.presence_idx(src)), penalty))
+    coupled = sum(record[3] for record in records)
+    norm = 2 * net.num_edges() + 2 * (coupled if net.ordering.is_natural else coupled // 2)
+    if norm == 0:
+        raise InputError("degenerate normalization: network has no edges and no couplings")
+    return records, norm
 
 
 # -- multilayer modularity --------------------------------------------------------
 
 
-def _coupling_value(cs, c, layer, other, kind) -> float:
-    if kind == "symmetric":
-        return float(symmetric_coupling(cs, c, layer, other))
-    if kind == "asym-inner":
-        return float(asymmetric_coupling(cs, c, layer, other))
-    return float(asymmetric_coupling(cs, c, other, layer))  # asym-outer
+def _coupling_value(cs, c, record, symmetric) -> float:
+    """Penalized coupling value of community ``c`` for one plan record."""
+    i, j, src, shared, size, penalty = record
+    ids = cs.net.layer_ids
+    value = Fraction(cs.shared_projection_count(c, ids[i], ids[j]), shared)
+    if not symmetric:
+        proj = cs.projection_size(c, ids[src])
+        value = value * Fraction(size, proj) if proj else Fraction(0)
+    return float(value) * penalty
 
 
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -322,7 +338,8 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     subtracts the resolution-weighted squared community degree over the total
     degree, and adds the coupling value against every validly paired layer.
     The sum is normalized by the total degree of the multilayer graph, which
-    counts the coupling edges the chosen policy actually admits.
+    counts the coupling edges the chosen policy actually admits
+    (:func:`coupling_plan`).
 
     A single layer with constant resolution 1 and coupling ``none`` reduces
     exactly to classic modularity. On several layers the one-community
@@ -333,11 +350,13 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     coupling = CouplingPolicy.none() if coupling is None else coupling
     if net.num_edges() == 0:
         raise InputError("multilayer modularity is undefined on an edgeless network")
-    records = coupling_plan(net, coupling)
+    records, norm = coupling_plan(net, coupling)
     ids = net.layer_ids
+    by_layer = [[] for _ in ids]
+    for record in records:
+        by_layer[record[0]].append(record)
+    symmetric = coupling.kind == "symmetric"
 
-    beta = coupling.beta
-    norm = net.total_degree(beta=beta)
     terms = []
     community_sums = []
     for c in cs.communities():
@@ -346,8 +365,8 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
             intra = float(cs.internal_degree(c, layer))
             d = cs.degree(c, layer)
             null = resolution.value(cs, c, layer) * d * d / norm
-            coup = math.fsum(_coupling_value(cs, c, layer, ids[j], coupling.kind) * penalty
-                             for i, j, penalty in records if i == li)
+            coup = math.fsum(_coupling_value(cs, c, record, symmetric)
+                             for record in by_layer[li])
             terms.append(ScoreTerm(c, layer, intra, null, coup))
             layer_terms.append(intra - null + coup)
         community_sums.append(math.fsum(layer_terms))
@@ -362,6 +381,6 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
         "time_aware": coupling.time_aware,
         "ordering": "natural" if ordering.is_natural else "unordered",
         "scheme": ordering.scheme.value if ordering.is_natural else None,
-        "beta": beta,
+        "beta": coupling.beta,
     }
     return ScoreReport(total=total, normalization=norm, terms=tuple(terms), policy=policy)

@@ -26,7 +26,6 @@ import multimod as mm
 from multimod.community import log_decay
 from multimod.detect import (_EMPTY, DetectResult, _Comm, _make_unit, _MultilayerEngine,
                              _MultisliceEngine)
-from multimod.modularity import coupling_plan
 
 _DIRECT_PAIR_GUARD = 10_000
 _EXHAUSTIVE_TUPLE_GUARD = 12
@@ -377,6 +376,44 @@ def _literal_pairings(net, li):
     return [net.layer_index(l) for l in succ]
 
 
+def literal_coupling_pairs(net, coupling) -> list:
+    """``(i, j, penalty)`` for every layer pair ``_literal_pairings``
+    admits, by ``i`` and then in pairing order, whether or not the layers
+    share an entity; none under coupling ``none``. A time-aware penalty
+    comes from the two layers' positions in the ordering's sequence."""
+    if not coupling.beta:
+        return []
+    ids = net.layer_ids
+    seq = net.ordering.sequence
+    pairs = []
+    for i in range(net.num_layers):
+        for j in _literal_pairings(net, i):
+            penalty = 1.0
+            if coupling.time_aware:
+                penalty = mm.distance_penalty(abs(seq.index(ids[j]) - seq.index(ids[i])))
+            pairs.append((i, j, penalty))
+    return pairs
+
+
+def literal_total_degree(net, coupling) -> int:
+    """Total degree of the multilayer graph by enumeration: the intra-layer
+    degree of every occurrence, plus 2 for every entity present in both
+    layers of a pair that either layer's literal pairings admit."""
+    ell = net.num_layers
+    norm = 0
+    for li in range(ell):
+        for ei in net.presence_idx(li):
+            norm += _literal_degree(net, ei, li)
+    if coupling.beta:
+        for a in range(ell):
+            for b in range(a + 1, ell):
+                pa = _literal_pairings(net, a)
+                pb = _literal_pairings(net, b)
+                if b in pa or a in pb:
+                    norm += 2 * len(net.presence_idx(a) & net.presence_idx(b))
+    return norm
+
+
 def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStructure,
                                  resolution: mm.ResolutionPolicy | None = None,
                                  coupling: mm.CouplingPolicy | None = None) -> float:
@@ -398,19 +435,7 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
 
     beta = coupling.beta
     ell = net.num_layers
-
-    # total degree, by enumeration
-    norm = 0
-    for li in range(ell):
-        for ei in net.presence_idx(li):
-            norm += _literal_degree(net, ei, li)
-    if beta:
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                pa = _literal_pairings(net, a)
-                pb = _literal_pairings(net, b)
-                if b in pa or a in pb:
-                    norm += 2 * len(net.presence_idx(a) & net.presence_idx(b))
+    norm = literal_total_degree(net, coupling)
 
     assign = {(net.entity_index(e), net.layer_index(l)): c
               for (e, l), c in cs.as_assignment().items()}
@@ -565,20 +590,23 @@ def _ddint(unit, k_s, removing):
 
 class LiteralMultilayerEngine(_MultilayerEngine):
     """The multilayer gain engine with its gains evaluated the literal way:
-    every coupling record touching the moved layer is resolved anew per
-    call, before and after the move, every decay is computed from the
-    logarithm, and the redundant pairs come from its own partner lists
-    (``literal_redundant_partners``). The bookkeeping (``gather``, ``apply``)
-    is the engine's own. ``delta`` gives one community's gain per call, so
-    every ``dq`` and patch of the engine's ``evaluate`` must equal this
-    one's exactly."""
+    the coupled pairs, their penalties and the normalization are derived
+    from the literal pairings (``literal_coupling_pairs``,
+    ``literal_total_degree``), not from the coupling plan; every pair
+    touching the moved layer is resolved anew per call, before and after
+    the move, every decay is computed from the logarithm, and the redundant
+    pairs come from its own partner lists (``literal_redundant_partners``).
+    The bookkeeping (``gather``, ``apply``) is the engine's own. ``delta``
+    gives one community's gain per call, so every ``dq`` and patch of the
+    engine's ``evaluate`` must equal this one's exactly."""
 
     def __init__(self, net, objective):
         super().__init__(net, objective)
         self.partners = literal_redundant_partners(net) if self.redundancy else None
         self.resolution = objective.resolution
         self.coupling = objective.coupling
-        records = coupling_plan(net, self.coupling)
+        self.norm = float(literal_total_degree(net, self.coupling))
+        records = literal_coupling_pairs(net, self.coupling)
         ell = net.num_layers
         self.vsize = [len(net.presence_idx(l)) for l in range(ell)]
         self.vinter = {(a, b): net.shared_count_idx(a, b)

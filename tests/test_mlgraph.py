@@ -113,61 +113,6 @@ class TestPairings:
         assert total == expected
 
 
-class TestCouplingCounts:
-    def test_beta_zero(self, twin_triangle_layers):
-        assert twin_triangle_layers.coupling_count(beta=0) == 0
-
-    def test_two_identical_layers(self):
-        edges = [(l, u, v) for l in ("x", "y") for u, v in [(0, 1), (1, 2), (2, 3)]]
-        net = line_net(["x", "y"], edges)
-        # oracle: enumerate (layer, paired layer, shared entity) triples
-        expected = 0
-        for l in net.layer_ids:
-            for other in net.valid_pairings(l):
-                expected += len(net.layer_entities(l) & net.layer_entities(other))
-        assert expected == 8
-        assert net.coupling_count() == 8
-
-    def test_adjacent_full_overlap(self):
-        layers = ["a", "b", "c"]
-        entities = list(range(4))
-        edges = [(l, 0, 1) for l in layers]
-        presence = [(l, e) for l in layers for e in entities]
-        net = line_net(layers, edges, presence=presence,
-                       ordering=mm.LayerOrdering.natural(layers, mm.PairingScheme.ADJACENT))
-        assert net.coupling_count() == 2 * len(entities)
-
-
-class TestTotalDegree:
-    def test_single_layer(self, two_triangles):
-        assert two_triangles.total_degree(beta=0) == 12
-
-    def test_two_full_overlap_layers(self):
-        edges = [(l, u, v) for l in ("x", "y") for u, v in [(0, 1), (1, 2), (2, 3)]]
-        net = line_net(["x", "y"], edges)
-        # direct sum: 2*6 intra plus 2 per distinct coupling edge (4 entities)
-        assert net.total_degree(beta=1) == 12 + 8 == 20
-        assert net.total_degree(beta=0) == 12
-
-    def test_degenerate(self):
-        net = mm.build_network(layers=["L1"], presence=[("L1", "a")])
-        with pytest.raises(InputError):
-            net.total_degree()
-
-    def test_beta_one_dominates(self):
-        rng = random.Random(5)
-        from _gen import random_multilayer
-        for _ in range(40):
-            net = random_multilayer(rng)
-            assert net.total_degree(beta=1) >= net.total_degree(beta=0)
-
-    def test_relabel_invariance(self):
-        edges = [("x", "a", "b"), ("x", "b", "c"), ("y", "a", "c")]
-        net = line_net(["x", "y"], edges)
-        relabeled = line_net(["p", "q"], [("p", 1, 2), ("p", 2, 3), ("q", 1, 3)])
-        assert net.total_degree() == relabeled.total_degree()
-
-
 class TestCoverage:
     def test_full(self):
         layers = ["a", "b", "c"]

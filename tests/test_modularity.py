@@ -10,7 +10,9 @@ import pytest
 
 import multimod as mm
 from multimod.errors import InputError, PolicyError
-from _brute import multilayer_modularity_direct, multislice_direct, newman_direct
+from multimod.modularity import coupling_plan
+from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
+                    multislice_direct, newman_direct)
 from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
                   with_ordering)
 
@@ -220,6 +222,106 @@ class TestTimeAwareCoupling:
                             assert ta < asym
 
 
+def valid_couplings(ordering):
+    """Every coupling policy a network with ``ordering`` accepts."""
+    kinds = ("none", "symmetric", "asym-inner", "asym-outer")
+    couplings = [mm.CouplingPolicy(kind) for kind in kinds]
+    if ordering.is_natural:
+        couplings += [mm.CouplingPolicy(kind, True) for kind in kinds[2:]]
+    return couplings
+
+
+def coupled_count(records) -> int:
+    """Shared entities summed over the plan's records: every coupling term
+    the multilayer score evaluates."""
+    return sum(shared for _, _, _, shared, _, _ in records)
+
+
+class TestCouplingPlan:
+    def test_none_couples_nothing(self, twin_triangle_layers):
+        records, _ = coupling_plan(twin_triangle_layers, mm.CouplingPolicy.none())
+        assert records == []
+        assert coupled_count(records) == 0
+
+    def test_two_identical_layers(self):
+        edges = [(l, u, v) for l in ("x", "y") for u, v in [(0, 1), (1, 2), (2, 3)]]
+        net = mm.build_network(layers=["x", "y"], edges=edges)
+        # oracle: enumerate (layer, paired layer, shared entity) triples
+        expected = 0
+        for l in net.layer_ids:
+            for other in net.valid_pairings(l):
+                expected += len(net.layer_entities(l) & net.layer_entities(other))
+        assert expected == 8
+        records, _ = coupling_plan(net, mm.CouplingPolicy.symmetric())
+        assert coupled_count(records) == 8
+
+    def test_adjacent_full_overlap(self):
+        layers = ["a", "b", "c"]
+        entities = list(range(4))
+        edges = [(l, 0, 1) for l in layers]
+        presence = [(l, e) for l in layers for e in entities]
+        net = mm.build_network(layers=layers, edges=edges, presence=presence,
+                               ordering=mm.LayerOrdering.natural(layers, mm.PairingScheme.ADJACENT))
+        records, _ = coupling_plan(net, mm.CouplingPolicy.symmetric())
+        assert coupled_count(records) == 2 * len(entities)
+
+    def test_single_layer_norm(self, two_triangles):
+        assert coupling_plan(two_triangles, mm.CouplingPolicy.none())[1] == 12
+
+    def test_two_full_overlap_layers_norm(self):
+        edges = [(l, u, v) for l in ("x", "y") for u, v in [(0, 1), (1, 2), (2, 3)]]
+        net = mm.build_network(layers=["x", "y"], edges=edges)
+        # direct sum: 2*6 intra plus 2 per distinct coupling edge (4 entities)
+        assert coupling_plan(net, mm.CouplingPolicy.symmetric())[1] == 12 + 8 == 20
+        assert coupling_plan(net, mm.CouplingPolicy.none())[1] == 12
+
+    def test_degenerate_norm(self):
+        net = mm.build_network(layers=["L1"], presence=[("L1", "a")])
+        for coupling in (mm.CouplingPolicy.none(), mm.CouplingPolicy.symmetric()):
+            with pytest.raises(InputError):
+                coupling_plan(net, coupling)
+
+    def test_coupled_norm_dominates(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            net = random_multilayer(rng)
+            uncoupled = coupling_plan(net, mm.CouplingPolicy.none())[1]
+            assert coupling_plan(net, mm.CouplingPolicy.symmetric())[1] >= uncoupled
+
+    def test_norm_relabel_invariance(self):
+        edges = [("x", "a", "b"), ("x", "b", "c"), ("y", "a", "c")]
+        net = mm.build_network(layers=["x", "y"], edges=edges)
+        relabeled = mm.build_network(layers=["p", "q"],
+                                     edges=[("p", 1, 2), ("p", 2, 3), ("q", 1, 3)])
+        coupling = mm.CouplingPolicy.symmetric()
+        assert coupling_plan(net, coupling)[1] == coupling_plan(relabeled, coupling)[1]
+
+    def test_matches_literal_pairings(self):
+        # the records are the literal pairs whose layers share an entity, in
+        # source-major order, with the asymmetric source and the literal
+        # penalty; the norm is the total degree by enumeration, which counts
+        # an unordered pair's coupling edges once
+        rng = random.Random(15)
+        skipped = 0
+        for _ in range(40):
+            net = random_multilayer(rng)
+            for ordering in (mm.LayerOrdering.unordered(), *natural_orderings(net)):
+                onet = with_ordering(net, ordering)
+                for coupling in valid_couplings(ordering):
+                    records, norm = coupling_plan(onet, coupling)
+                    assert norm == literal_total_degree(onet, coupling)
+                    want = []
+                    for i, j, penalty in literal_coupling_pairs(onet, coupling):
+                        shared = len(onet.presence_idx(i) & onet.presence_idx(j))
+                        if shared == 0:
+                            skipped += 1
+                            continue
+                        src = j if coupling.kind == "asym-outer" else i
+                        want.append((i, j, src, shared, len(onet.presence_idx(src)), penalty))
+                    assert records == want
+        assert skipped  # some pair shares no entity and is left out
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
 def test_constant_resolution_must_be_finite_and_nonnegative(gamma):
     with pytest.raises(PolicyError):
@@ -284,7 +386,7 @@ class TestMultilayerModularity:
                                           mm.ResolutionPolicy.redundancy(),
                                           mm.CouplingPolicy.asym_inner())
         assert report.recompute_total() == report.total
-        assert report.normalization == ordered3.total_degree(beta=1)
+        assert report.normalization == coupling_plan(ordered3, mm.CouplingPolicy.asym_inner())[1]
 
     def test_relabeling_invariance(self):
         rng = random.Random(55)

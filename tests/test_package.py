@@ -26,7 +26,7 @@ EXPORTED = {
     "write_network",
     "CommunityStructure", "read_communities", "write_communities", "write_flat_partition",
     "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
-    "asymmetric_coupling", "coupling_pair_total", "distance_penalty",
+    "asymmetric_coupling", "distance_penalty",
     "multilayer_modularity", "multislice_modularity", "newman_modularity",
     "symmetric_coupling", "time_aware_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
@@ -46,6 +46,12 @@ def test_exported_names_are_pinned():
     for name, module in (("louvain_layer", mm.detect), ("save_planted", mm.synthbench)):
         assert not hasattr(mm, name)
         assert not hasattr(module, name)
+    # deleted: the coupling plan counts the coupling edges and the total
+    # degree, and the network's same-entity pair count needs no wrapper
+    for name in ("coupling_count", "coupling_edges", "total_degree"):
+        assert not hasattr(mm.MultilayerNetwork, name)
+    assert not hasattr(mm, "coupling_pair_total")
+    assert not hasattr(mm.modularity, "coupling_pair_total")
 
 
 def test_every_exported_name_resolves():
@@ -85,9 +91,18 @@ def _parameters(obj):
 
 def test_only_the_network_holds_an_ordering():
     # scoring and detection read net.ordering: no other public function,
-    # constructor or method of the package takes an ordering to replace it
+    # constructor or method of the package takes an ordering to replace it;
+    # and the coupling plan decides which layer pairs couple, so none takes
+    # a beta to switch the couplings off
     checked = set()
-    takers = set()
+    takers = {"ordering": set(), "beta": set()}
+
+    def note(name, obj):
+        parameters = _parameters(obj)
+        for parameter, names in takers.items():
+            if parameter in parameters:
+                names.add(name)
+
     for path in sorted(Path(mm.__file__).parent.glob("*.py")):
         if path.stem.startswith("_"):
             continue
@@ -97,11 +112,11 @@ def test_only_the_network_holds_an_ordering():
                     or getattr(obj, "__module__", None) != module.__name__):
                 continue
             checked.add(name)
-            if "ordering" in _parameters(obj):
-                takers.add(name)
+            note(name, obj)
             if inspect.isclass(obj):
                 for method_name, method in inspect.getmembers(obj, inspect.isfunction):
-                    if not method_name.startswith("_") and "ordering" in _parameters(method):
-                        takers.add(f"{name}.{method_name}")
+                    if not method_name.startswith("_"):
+                        note(f"{name}.{method_name}", method)
     assert {name for name in mm.__all__ if callable(getattr(mm, name))} <= checked
-    assert sorted(takers - ORDERING_MAKERS) == []
+    assert sorted(takers["ordering"] - ORDERING_MAKERS) == []
+    assert sorted(takers["beta"]) == []
