@@ -239,7 +239,7 @@ def _sweep_points(args) -> list:
 
 def cmd_sweep(args) -> int:
     points = _sweep_points(args)
-    net = read_network(args.network, ordering_mode=args.ordering)
+    net = read_network(args.network, ordering_mode="none")  # qms reads no ordering
     cs = read_communities(net, args.communities)
     rows = ["gamma\tomega\tq_ms"]
     for gamma, omega in points:
@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, default=0.1)
     p_sweep.add_argument("--start", type=float, default=None)
     p_sweep.add_argument("--stop", type=float, default=None)
-    p_sweep.add_argument("--ordering", choices=["none", "natural-adjacent", "natural-pairwise"],
-                         default="none")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -594,8 +594,6 @@ def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
 
 
 def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
-    if net.num_edges(layer) == 0:
-        raise InputError(f"layer {layer!r} has no edges")
     config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
                           seed=seed, max_passes=max_passes, min_gain=min_gain)
     return generalized_louvain(_single_layer_network(net, layer), config)

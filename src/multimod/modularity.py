@@ -11,6 +11,10 @@ and penalized by a natural layer ordering. The ordering is the network's
 projection each asymmetric coupling is rescaled by, the penalties, the
 natural-ordering check and the normalization they imply are decided once,
 in :func:`coupling_plan`, which the multilayer gain engine reads as well.
+The scorer values each planned coupling with the public
+:func:`symmetric_coupling` or :func:`asymmetric_coupling`, so the paper's
+coupling formula is written once; only the gain engine and the
+normalization read the plan's shared and size counts.
 
 Projection-based coupling values are returned as exact rationals; the
 composite scores are floats accumulated with ``math.fsum`` in a fixed order
@@ -293,6 +297,10 @@ def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
     intra-layer edge and 2 per coupling edge the records admit. An
     unordered network lists each layer pair from both sides, so its
     records count each coupling edge twice.
+
+    The scorer reads ``i``, ``j``, ``src`` and ``penalty`` and values each
+    record with the public coupling functions, source layer first;
+    ``shared`` and ``size`` are read only by ``norm`` and the gain engine.
     """
     if coupling.time_aware:
         _require_natural(net)
@@ -316,17 +324,6 @@ def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
 
 
 # -- multilayer modularity --------------------------------------------------------
-
-
-def _coupling_value(cs, c, record, symmetric) -> float:
-    """Penalized coupling value of community ``c`` for one plan record."""
-    i, j, src, shared, size, penalty = record
-    ids = cs.net.layer_ids
-    value = Fraction(cs.shared_projection_count(c, ids[i], ids[j]), shared)
-    if not symmetric:
-        proj = cs.projection_size(c, ids[src])
-        value = value * Fraction(size, proj) if proj else Fraction(0)
-    return float(value) * penalty
 
 
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -355,7 +352,7 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     by_layer = [[] for _ in ids]
     for record in records:
         by_layer[record[0]].append(record)
-    symmetric = coupling.kind == "symmetric"
+    value = symmetric_coupling if coupling.kind == "symmetric" else asymmetric_coupling
 
     terms = []
     community_sums = []
@@ -365,8 +362,9 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
             intra = float(cs.internal_degree(c, layer))
             d = cs.degree(c, layer)
             null = resolution.value(cs, c, layer) * d * d / norm
-            coup = math.fsum(_coupling_value(cs, c, record, symmetric)
-                             for record in by_layer[li])
+            # source layer first; a symmetric value is the same either way
+            coup = math.fsum(float(value(cs, c, ids[src], ids[j if src == i else i])) * penalty
+                             for i, j, src, _, _, penalty in by_layer[li])
             terms.append(ScoreTerm(c, layer, intra, null, coup))
             layer_terms.append(intra - null + coup)
         community_sums.append(math.fsum(layer_terms))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -18,6 +19,19 @@ from multimod.cli import main
 from _brute import multislice_direct
 from _gen import save_planted
 from conftest import ordered3_network_text, ordered3_partition_text
+
+
+_POLICY = {"--objective", "--resolution", "--coupling", "--time-aware", "--ordering",
+           "--gamma", "--omega"}
+# each command's option strings; a flag comes or goes only with a note in CHANGES.md
+OPTIONS = {
+    None: {"-h", "--help", "--version"},
+    "stats": {"-h", "--help"},
+    "score": {"-h", "--help", *_POLICY, "--output"},
+    "detect": {"-h", "--help", *_POLICY, "--method", "--seed", "--max-passes", "--min-gain",
+               "--out"},
+    "sweep": {"-h", "--help", "--protocol", "--step", "--start", "--stop"},
+}
 
 
 def run(capsys, argv):
@@ -519,3 +533,11 @@ def test_golden_outputs(capsys, tmp_path, name):
                "flat": _sha256((tmp_path / "run.flat").read_bytes())}
     assert code == 0
     assert got == expected
+
+
+def test_options_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {None: parser, **sub.choices}
+    assert {name: {flag for action in p._actions for flag in action.option_strings}
+            for name, p in commands.items()} == OPTIONS

@@ -430,6 +430,35 @@ class TestMultilayerModularity:
                         slow = multilayer_modularity_direct(onet, ocs, res, coup)
                         assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_coupling_terms_are_the_public_functions(self):
+        # each term's coupling is the exact sum, over the layer's literal
+        # pairs, of the public coupling function (source layer first) times
+        # the penalty; a pair sharing no entity adds an exact 0
+        rng = random.Random(16)
+        for _ in range(30):
+            net = random_multilayer(rng)
+            cs = random_structure(rng, net)
+            for ordering in (mm.LayerOrdering.unordered(), *natural_orderings(net)):
+                onet = with_ordering(net, ordering)
+                ocs = mm.CommunityStructure(onet, cs.as_assignment())
+                ids = onet.layer_ids
+                for coupling in valid_couplings(ordering):
+                    f = (mm.symmetric_coupling if coupling.kind == "symmetric"
+                         else mm.asymmetric_coupling)
+                    want = {}
+                    for c in ocs.communities():
+                        for i, j, penalty in literal_coupling_pairs(onet, coupling):
+                            src, other = (j, i) if coupling.kind == "asym-outer" else (i, j)
+                            if coupling.time_aware:
+                                v = mm.time_aware_coupling(ocs, c, ids[src], ids[other])
+                            else:
+                                v = float(f(ocs, c, ids[src], ids[other])) * penalty
+                            want.setdefault((c, i), []).append(v)
+                    report = mm.multilayer_modularity(onet, ocs, coupling=coupling)
+                    for t in report.terms:
+                        key = (t.community, onet.layer_index(t.layer))
+                        assert t.coupling == math.fsum(want.get(key, ()))
+
 
 class TestScoreReportSerialization:
     def test_tsv_and_dict(self, ordered3, ordered3_cs):
