@@ -224,6 +224,7 @@ def _sweep_points(args) -> list:
         t = start + i * args.step
         if t > stop + 1e-9:
             break
+        t = min(t, stop)  # a point within the tolerance past --stop reads as --stop
         if args.protocol == "gamma":
             gamma, omega = t, 0.0
         elif args.protocol == "gamma-omega":

@@ -579,6 +579,26 @@ def where_table(net, assign) -> list:
     return where
 
 
+def literal_gather(net, unit, where) -> dict:
+    """``[k_s, occ]`` for every community the unit touches, counted without
+    the engine's walk: ``k_s`` from every edge of the unit's layer
+    (``edges_idx``), taken from both ends, and ``occ`` by testing every
+    other layer's presence set for each of the unit's entities."""
+    l = unit.layer
+    members = set(unit.entities)
+    found = {}
+    for a, b in net.edges_idx(l):
+        for v, u in ((a, b), (b, a)):
+            if v in members:
+                found.setdefault(where[l][u], [0, {}])[0] += 1
+    for v in unit.entities:
+        for lj in range(net.num_layers):
+            if lj != l and v in net.presence_idx(lj):
+                occ = found.setdefault(where[lj][v], [0, {}])[1]
+                occ[lj] = occ.get(lj, 0) + 1
+    return found
+
+
 def _ddint(unit, k_s, removing):
     """Change of a community's internal degree in the unit's layer, given
     the unit's ``k_s`` edges into it (its own ``within`` edges count twice
@@ -688,10 +708,8 @@ class LiteralMultilayerEngine(_MultilayerEngine):
 
 class LiteralMultisliceEngine(_MultisliceEngine):
     """The multislice gain engine with one community's gain per call, read
-    from per-layer occurrence counts: ``gather`` is the multilayer engine's,
-    and ``delta`` sums its counts into the coupled occurrence pairs."""
-
-    gather = _MultilayerEngine.gather
+    from the per-layer occurrence counts of the engines' one ``gather``:
+    ``delta`` sums them into the coupled occurrence pairs."""
 
     def delta(self, comm, unit, counts, removing):
         l = unit.layer

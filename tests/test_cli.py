@@ -329,6 +329,16 @@ class TestSweep:
                                     "--stop", "2"])
         assert code == 3
 
+    def test_last_point_within_tolerance_reads_as_stop(self, capsys, ordered3_files):
+        # 0.09 + 13 * 0.07 is 1.0000000000000002, past the default --stop 1.0
+        npath, cpath = ordered3_files
+        code, out, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "gamma-omega",
+                                    "--start", "0.09", "--step", "0.07"])
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 1 + 14
+        assert rows[-1].startswith("1.0\t0.0\t")
+
     def test_bad_step(self, capsys, ordered3_files):
         npath, cpath = ordered3_files
         code, _, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",

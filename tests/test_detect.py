@@ -16,7 +16,7 @@ from multimod.errors import InputError, PolicyError
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
 from _brute import (LiteralMultilayerEngine, best_partition_exhaustive, literal_engine,
-                    literal_generalized_louvain, new_comm, where_table)
+                    literal_gather, literal_generalized_louvain, new_comm, where_table)
 from _gen import natural_orderings, random_multilayer, with_ordering
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -327,6 +327,40 @@ class TestGeneralizedLouvain:
         assert events[-1] == "pass"  # no unit is built after the last pass
         aggregated = events.count("unit") > net.num_tuples()
         assert aggregated == (max_passes == 3)
+
+
+class TestGather:
+    def test_one_gather_equals_literal_count(self):
+        # both engines inherit the one walk; neither carries its own copy
+        assert "gather" not in vars(_MultilayerEngine)
+        assert "gather" not in vars(_MultisliceEngine)
+        rng = random.Random(97)
+        multilayer = mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                            coupling=mm.CouplingPolicy.asym_inner())
+        multislice = mm.MultisliceObjective(gamma=1.0, omega=1.0)
+        checked = 0  # networks the multislice engine is built on
+        for _ in range(60):
+            net = random_multilayer(rng)
+            objectives = [multilayer]
+            if all(net.edges_idx(l) for l in range(net.num_layers) if net.presence_idx(l)):
+                objectives.append(multislice)  # the layer-local null needs an edge per layer
+                checked += 1
+            engines = [objective.gain_engine(net) for objective in objectives]
+            engines += [literal_engine(net, objective) for objective in objectives]
+            occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+            k = rng.randint(1, 4)
+            where = where_table(net, {t: rng.randrange(k) for t in occurrences})
+            layers = [l for l in range(net.num_layers) if net.presence_idx(l)]
+            for _ in range(10):
+                l = rng.choice(layers)
+                present = sorted(net.presence_idx(l))
+                size = 1 if rng.random() < 0.4 else rng.randint(1, len(present))
+                unit = _make_unit(net, l, rng.sample(present, size))
+                want = literal_gather(net, unit, where)
+                for engine in engines:
+                    found = engine.gather(unit, where)
+                    assert {c: [k_s, dict(occ)] for c, (k_s, occ) in found.items()} == want
+        assert checked >= 20
 
 
 class TestIncrementalGains:
