@@ -20,8 +20,8 @@ from .detect import (DetectConfig, MultilayerObjective, MultisliceObjective,
                      aggregate_majority, generalized_louvain)
 from .errors import GuardError, InputError, PolicyError
 from .mlgraph import read_network
-from .modularity import (CouplingPolicy, ResolutionPolicy, multilayer_modularity,
-                         multislice_modularity, newman_modularity)
+from .modularity import (CouplingPolicy, ResolutionPolicy, _check_multislice_values,
+                         multilayer_modularity, multislice_modularity, newman_modularity)
 
 _COUPLING_KINDS = {
     "none": "none",
@@ -203,7 +203,8 @@ _SWEEP_MAX_ROWS = 100_000
 
 
 def _sweep_points(args) -> list:
-    """The sweep's (gamma, omega) rows, from the flags alone."""
+    """The sweep's (gamma, omega) rows, from the flags alone; each is
+    checked here, so a bad point costs no load."""
     default_start, default_stop = _SWEEP_RANGES[args.protocol]
     start = default_start if args.start is None else args.start
     stop = default_stop if args.stop is None else args.stop
@@ -233,6 +234,7 @@ def _sweep_points(args) -> list:
                 raise PolicyError("gamma-omega protocol requires gamma <= 1 so omega stays >= 0")
         else:
             gamma, omega = 1.0, t
+        _check_multislice_values(gamma, omega)
         points.append((gamma, omega))
         i += 1
     return points

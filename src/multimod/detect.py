@@ -562,91 +562,77 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                         passes=passes, moves=moves)
 
 
-def _single_layer_network(net: MultilayerNetwork, layer) -> MultilayerNetwork:
-    """The layer alone: its present entities, indexed in ascending parent
-    index, and its edges, assembled from the parent's adjacency."""
-    li = net.layer_index(layer)
-    members = sorted(net.presence_idx(li))
-    index = {e: i for i, e in enumerate(members)}
-    adj = net.adj_idx(li)
-    presence = []
-    edges = []
-    for i, u in enumerate(members):
-        presence += (0, i)
-        for v in adj.get(u, ()):
-            if u < v:
-                edges += (0, i, index[v])
-    return _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,
-                     edges, LayerOrdering.unordered())
-
-
 def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
+    """Louvain on ``layer`` alone (modularity at gamma 1): a network of the
+    layer's present entities, indexed in ascending parent index, and of its
+    edges."""
+    li = net.layer_index(layer)
+    index = {e: i for i, e in enumerate(sorted(net.presence_idx(li)))}
+    presence = [x for i in index.values() for x in (0, i)]
+    edges = [x for u, v in net.edges_idx(li) for x in (0, index[u], index[v])]
+    alone = _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,
+                      edges, LayerOrdering.unordered())
     config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
                           seed=seed, max_passes=max_passes, min_gain=min_gain)
-    return generalized_louvain(_single_layer_network(net, layer), config)
+    return generalized_louvain(alone, config)
 
 
 def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:
     """Aggregation baseline: per-layer Louvain, greedy label matching by
     maximum entity overlap, then per-entity majority vote.
 
+    Layers are taken in index order, and each layer's communities in the
+    order of their lowest entity. The global labels are the indices of the
+    prototypes, the entities seen with each label so far. A layer's
+    community goes to the free label it overlaps most (ties toward the
+    lower label, then the earlier community) or else to a new label, and
+    each of its entities gets one vote for that label. An entity takes the
+    label with the most votes, ties toward the lower label.
+
     The matched labeling is expanded to every occurrence and re-scored with
-    the objective carried by ``config``.
+    the objective carried by ``config``; passes and moves are summed over
+    the per-layer runs.
     """
     for layer in net.layer_ids:
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
     config.objective.gain_engine(net)  # rejects bad parameters before any Louvain run
 
-    sub_results = [_layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
-                   for layer in net.layer_ids]
-
-    proto = {}  # global label -> set of entities seen with it so far
-    next_label = 0
-    matched = []
-    for res in sub_results:
-        groups = {}
-        for e, c in res.partition.items():
-            groups.setdefault(c, set()).add(e)
-        local = sorted(groups, key=lambda c: min(net.entity_index(e) for e in groups[c]))
-        mapping = {}
-        if proto:
-            scored = []
-            for a in local:
-                for g, members in proto.items():
-                    ov = len(groups[a] & members)
-                    if ov:
-                        scored.append((-ov, g, a))
-            used_g = set()
-            used_a = set()
-            for neg_ov, g, a in sorted(scored):
-                if g in used_g or a in used_a:
-                    continue
+    proto = []  # global label -> set of entities seen with it so far
+    votes = {}  # entity -> global label -> layers that gave it
+    passes = moves = 0
+    for layer in net.layer_ids:
+        res = _layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
+        passes += res.passes
+        moves += res.moves
+        groups = [res.structure.projection(c, layer) for c in res.structure.communities()]
+        scored = []
+        for a, group in enumerate(groups):
+            for g, members in enumerate(proto):
+                ov = len(group & members)
+                if ov:
+                    scored.append((-ov, g, a))
+        mapping = [None] * len(groups)
+        used = set()
+        for _, g, a in sorted(scored):
+            if g not in used and mapping[a] is None:
                 mapping[a] = g
-                used_g.add(g)
-                used_a.add(a)
-        for a in local:
-            if a not in mapping:
-                mapping[a] = next_label
-                next_label += 1
-        for a in local:
-            proto.setdefault(mapping[a], set()).update(groups[a])
-        matched.append({e: mapping[c] for e, c in res.partition.items()})
+                used.add(g)
+        for a, group in enumerate(groups):
+            g = mapping[a]
+            if g is None:
+                g = len(proto)
+                proto.append(set())
+            proto[g].update(group)
+            for e in group:
+                tally = votes.setdefault(e, {})
+                tally[g] = tally.get(g, 0) + 1
 
-    partition = {}
-    for entity in net.entity_ids:
-        votes = {}
-        for layer_map in matched:
-            if entity in layer_map:
-                g = layer_map[entity]
-                votes[g] = votes.get(g, 0) + 1
-        partition[entity] = min(votes, key=lambda g: (-votes[g], g))
-
+    partition = {e: min(tally, key=lambda g: (-tally[g], g)) for e, tally in votes.items()}
     cs = CommunityStructure.from_entity_partition(net, partition)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),
-                        passes=sum(r.passes for r in sub_results),
-                        moves=sum(r.moves for r in sub_results))
+                        passes=passes, moves=moves)
 
 
 def nmi(partition_a: dict, partition_b: dict) -> float:

@@ -87,9 +87,6 @@ class LayerGraph:
     adjacency: dict  # entity id -> frozenset of neighbour ids
     edge_count: int
 
-    def degree(self, node) -> int:
-        return len(self.adjacency.get(node, ()))
-
 
 class MultilayerNetwork:
     """Entities, layers, per-layer presence and adjacency, optional ordering.

@@ -7,11 +7,11 @@ guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
 The edge-list parser, network builder and reader, the community reader,
-and the community rebuild, literal gain engines and local-moving loop at
-the end, are different in kind: they are earlier, unoptimised forms of the
-package's own code, and serve to check that the optimised forms give the
-same networks, structures, aggregates, error messages and bit-identical
-gains and runs.
+and the community rebuild, literal gain engines, local-moving loop and
+aggregation baseline at the end, are different in kind: they are earlier,
+unoptimised forms of the package's own code, and serve to check that the
+optimised forms give the same networks, structures, aggregates, error
+messages and bit-identical gains and runs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import multimod as mm
 from multimod.community import log_decay
 from multimod.detect import (_EMPTY, DetectResult, _Comm, _make_unit, _MultilayerEngine,
                              _MultisliceEngine)
+from multimod.mlgraph import _assemble
 
 _DIRECT_PAIR_GUARD = 10_000
 _EXHAUSTIVE_TUPLE_GUARD = 12
@@ -813,3 +814,85 @@ def literal_generalized_louvain(net, config):
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
+
+
+def _literal_single_layer_network(net, layer):
+    """The layer alone: its present entities, indexed in ascending parent
+    index, and its edges, assembled from the parent's adjacency."""
+    li = net.layer_index(layer)
+    members = sorted(net.presence_idx(li))
+    index = {e: i for i, e in enumerate(members)}
+    adj = net.adj_idx(li)
+    presence = []
+    edges = []
+    for i, u in enumerate(members):
+        presence += (0, i)
+        for v in adj.get(u, ()):
+            if u < v:
+                edges += (0, i, index[v])
+    return _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,
+                     edges, mm.LayerOrdering.unordered())
+
+
+def literal_aggregate_majority(net, config):
+    """The aggregation baseline in two passes: every layer's Louvain run
+    first, each layer's communities sorted by their lowest entity and matched
+    to the global labels through per-layer maps, then the vote over those
+    maps."""
+    for layer in net.layer_ids:
+        if net.num_edges(layer) == 0:
+            raise mm.InputError(f"layer {layer!r} has no edges")
+    config.objective.gain_engine(net)
+
+    layer_config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=0.0),
+                                   seed=config.seed, max_passes=config.max_passes,
+                                   min_gain=config.min_gain)
+    sub_results = [mm.generalized_louvain(_literal_single_layer_network(net, layer), layer_config)
+                   for layer in net.layer_ids]
+
+    proto = {}  # global label -> set of entities seen with it so far
+    next_label = 0
+    matched = []
+    for res in sub_results:
+        groups = {}
+        for e, c in res.partition.items():
+            groups.setdefault(c, set()).add(e)
+        local = sorted(groups, key=lambda c: min(net.entity_index(e) for e in groups[c]))
+        mapping = {}
+        if proto:
+            scored = []
+            for a in local:
+                for g, members in proto.items():
+                    ov = len(groups[a] & members)
+                    if ov:
+                        scored.append((-ov, g, a))
+            used_g = set()
+            used_a = set()
+            for neg_ov, g, a in sorted(scored):
+                if g in used_g or a in used_a:
+                    continue
+                mapping[a] = g
+                used_g.add(g)
+                used_a.add(a)
+        for a in local:
+            if a not in mapping:
+                mapping[a] = next_label
+                next_label += 1
+        for a in local:
+            proto.setdefault(mapping[a], set()).update(groups[a])
+        matched.append({e: mapping[c] for e, c in res.partition.items()})
+
+    partition = {}
+    for entity in net.entity_ids:
+        votes = {}
+        for layer_map in matched:
+            if entity in layer_map:
+                g = layer_map[entity]
+                votes[g] = votes.get(g, 0) + 1
+        partition[entity] = min(votes, key=lambda g: (-votes[g], g))
+
+    cs = mm.CommunityStructure.from_entity_partition(net, partition)
+    return DetectResult(structure=cs, partition=cs.flatten_majority(),
+                        objective=config.objective.score(net, cs),
+                        passes=sum(r.passes for r in sub_results),
+                        moves=sum(r.moves for r in sub_results))

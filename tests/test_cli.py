@@ -137,6 +137,14 @@ class TestStats:
         code, _, err = run(capsys, ["stats", str(tmp_path / "nope.mlg")])
         assert code == 2
 
+    def test_order_without_entities(self, capsys, tmp_path):
+        path = tmp_path / "empty.mlg"
+        path.write_text("%order a\n", encoding="utf-8")
+        code, out, err = run(capsys, ["stats", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: network has no entities\n"
+
 
 class TestScore:
     def test_newman_equals_q_on_single_layer(self, capsys, triangle_files):
@@ -181,6 +189,20 @@ class TestScore:
         oracle = multislice_direct(net, cs.as_assignment(),
                                    [1.0] * net.num_layers, 0.5)
         assert value == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("files,flags", [
+        ("ordered3_files", ["--objective", "qms", "--gamma", "1", "--omega", "0.5"]),
+        ("triangle_files", ["--objective", "newman"]),
+    ], ids=["qms", "newman"])
+    def test_json_total_equals_tsv_total(self, capsys, request, files, flags):
+        npath, cpath = request.getfixturevalue(files)
+        code, tsv, _ = run(capsys, ["score", npath, cpath, *flags])
+        assert code == 0
+        code, out, _ = run(capsys, ["score", npath, cpath, *flags, "--output", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["objective"] == flags[1]
+        assert doc["total"] == float(parse_kv(tsv)["total"])
 
     def test_time_aware_without_ordering(self, capsys, ordered3_files):
         npath, cpath = ordered3_files
@@ -381,6 +403,9 @@ class TestFlagsBeforeLoad:
         (["sweep", "NET", "COMM", "--protocol", "omega", "--stop=-1"], 3),
         (["sweep", "NET", "COMM", "--protocol", "gamma-omega", "--stop", "2"], 3),
         (["sweep", "NET", "COMM", "--protocol", "omega", "--step", "1e-9"], 4),
+        (["sweep", "NET", "COMM", "--protocol", "gamma", "--start=-1"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "omega", "--start=-0.5"], 3),
+        (["sweep", "NET", "COMM", "--protocol", "gamma-omega", "--start=-0.5"], 3),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
     def test_refused_without_reading(self, capsys, tmp_path, argv, code):
         # the paths need not exist: nothing may open them

@@ -39,6 +39,26 @@ class TestFromEntityPartition:
             mm.CommunityStructure.from_entity_partition(two_triangles, {0: 0})
 
 
+class TestAbsentOccurrence:
+    @pytest.fixture
+    def net(self):
+        # "c" lies on L1 only
+        return mm.build_network(layers=["L1", "L2"], edges=[("L1", "a", "b"), ("L1", "b", "c"),
+                                                             ("L2", "a", "b")])
+
+    def test_assignment_refused(self, net):
+        assignment = {t: 0 for t in net.tuples()}
+        assignment[("c", "L2")] = 0
+        with pytest.raises(InputError, match="entity is not present in that layer"):
+            mm.CommunityStructure(net, assignment)
+
+    def test_assignment_of(self, net):
+        cs = mm.CommunityStructure(net, {t: 0 for t in net.tuples()})
+        assert cs.assignment_of("c", "L1") == 0
+        with pytest.raises(InputError, match="is not a present occurrence"):
+            cs.assignment_of("c", "L2")
+
+
 class TestProjection:
     def test_absent_community_layer(self, ordered3, ordered3_cs):
         c1 = ordered3_cs.assignment_of("e01", "L1")

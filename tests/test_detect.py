@@ -15,8 +15,9 @@ from multimod.errors import InputError, PolicyError
 
 from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 
-from _brute import (LiteralMultilayerEngine, best_partition_exhaustive, literal_engine,
-                    literal_gather, literal_generalized_louvain, new_comm, where_table)
+from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
+                    literal_aggregate_majority, literal_engine, literal_gather,
+                    literal_generalized_louvain, new_comm, where_table)
 from _gen import natural_orderings, random_multilayer, with_ordering
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -626,6 +627,29 @@ class TestAggregateMajority:
         assert part[3] == part[4] == part[5]
         assert part[0] != part[3]
 
+    def test_matches_literal_baseline(self):
+        # seeded small planted networks, every layer with an edge; the tie
+        # toward the lower global label on equal overlap decides many of them
+        rng = random.Random(18)
+        config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=0.5))
+        checked = 0
+        while checked < 40:
+            n = rng.randint(6, 30)
+            spec = mm.PlantedSpec(entities=n, communities=rng.randint(1, max(1, n // 4)),
+                                  layers=rng.randint(2, 4), p_in=0.6, p_out=0.1,
+                                  presence=rng.choice([0.6, 0.8, 1.0]),
+                                  seed=rng.randrange(10**6))
+            net, _ = mm.planted_multilayer(spec)
+            if not all(net.num_edges(layer) for layer in net.layer_ids):
+                continue
+            checked += 1
+            res = mm.aggregate_majority(net, config)
+            lit = literal_aggregate_majority(net, config)
+            assert res.structure.as_assignment() == lit.structure.as_assignment()
+            assert res.partition == lit.partition
+            assert res.objective == lit.objective
+            assert (res.passes, res.moves) == (lit.passes, lit.moves)
+
     def test_error_on_edgeless_layer(self):
         net = mm.build_network(layers=["a", "b"], edges=[("a", 0, 1)],
                                presence=[("b", 0)])
@@ -692,6 +716,13 @@ class TestNmi:
     def test_universe_mismatch(self):
         with pytest.raises(InputError):
             mm.nmi({0: 0}, {1: 0})
+
+    def test_empty(self):
+        with pytest.raises(InputError, match="empty"):
+            mm.nmi({}, {})
+
+    def test_two_constant_partitions(self):
+        assert mm.nmi({i: 0 for i in range(4)}, {i: "x" for i in range(4)}) == 1.0
 
     def test_bounds(self):
         rng = random.Random(61)

@@ -56,6 +56,15 @@ class TestBuild:
                          ordering=mm.LayerOrdering.natural(sequence))
 
 
+@pytest.mark.parametrize("sequence,scheme,message", [
+    (None, mm.PairingScheme.ADJACENT, "unordered layers admit no pairing scheme"),
+    (("a",), None, "requires a pairing scheme"),
+])
+def test_layer_ordering_needs_scheme_with_sequence(sequence, scheme, message):
+    with pytest.raises(InputError, match=message):
+        mm.LayerOrdering(sequence, scheme)
+
+
 class TestIntraDegree:
     def test_isolated_present_is_zero(self):
         net = line_net(["L1"], [("L1", "a", "b")], presence=[("L1", "c")])

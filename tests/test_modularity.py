@@ -43,6 +43,11 @@ class TestNewman:
         with pytest.raises(InputError):
             mm.newman_modularity(net.layer_graph("L"), {"a": 0})
 
+    def test_unlabelled_node(self, two_triangles):
+        g = two_triangles.layer_graph("L")
+        with pytest.raises(InputError, match="node 5 has no community assignment"):
+            mm.newman_modularity(g, {e: 0 for e in g.nodes if e != 5})
+
     def test_matches_direct_oracle_randomly(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -99,6 +104,17 @@ class TestMultislice:
                              ([1.0, math.nan], 0.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(PolicyError):
                 mm.multislice_modularity(twin_triangle_layers, cs, gamma, omega)
+
+    def test_layer_without_occurrence(self, tmp_path):
+        # %order may name a layer nothing occurs in; it adds no term
+        path = tmp_path / "gap.mlg"
+        path.write_text("%order A B C\nA x y\nA y z\nC x z\n", encoding="utf-8")
+        net = mm.read_network(path)
+        assert net.layer_ids == ("A", "B", "C") and not net.presence_idx(1)
+        cs = mm.CommunityStructure.from_entity_partition(net, {"x": 0, "y": 0, "z": 1})
+        value = mm.multislice_modularity(net, cs, 1.0, 0.5)
+        oracle = multislice_direct(net, cs.as_assignment(), [1.0] * 3, 0.5)
+        assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_edgeless_layer_named_in_error(self):
         net = mm.build_network(layers=["x", "empty"], edges=[("x", "a", "b")],
@@ -193,6 +209,8 @@ class TestTimeAwareCoupling:
         assert mm.distance_penalty(1) == 1.0
         assert mm.distance_penalty(3) == pytest.approx(2 / 3)
         assert mm.distance_penalty(7) == 0.5
+        with pytest.raises(PolicyError, match=">= 1"):
+            mm.distance_penalty(0)
 
     def test_unordered_error(self, twin_triangle_layers):
         cs = mm.CommunityStructure.from_entity_partition(
@@ -320,6 +338,15 @@ class TestCouplingPlan:
                         want.append((i, j, src, shared, len(onet.presence_idx(src)), penalty))
                     assert records == want
         assert skipped  # some pair shares no entity and is left out
+
+
+@pytest.mark.parametrize("policy,message", [
+    (mm.ResolutionPolicy, "unknown resolution policy"),
+    (mm.CouplingPolicy, "unknown coupling policy"),
+])
+def test_unknown_policy_kind(policy, message):
+    with pytest.raises(PolicyError, match=message):
+        policy("bogus")
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])

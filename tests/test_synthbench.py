@@ -65,6 +65,8 @@ class TestPlantedGenerator:
         with pytest.raises(InputError):
             mm.PlantedSpec(entities=5, communities=2, layers=1, p_in=0.5, p_out=0.1,
                            presence=0.0)
+        with pytest.raises(InputError, match="at least one layer"):
+            mm.PlantedSpec(entities=5, communities=2, layers=0, p_in=0.5, p_out=0.1)
 
     def test_save_round_trip(self, tmp_path):
         spec = mm.PlantedSpec(entities=10, communities=2, layers=2,
