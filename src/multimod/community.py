@@ -6,8 +6,10 @@ module carries the redundancy machinery: which entity pairs of a community
 are connected in one layer (P1) or several layers (P2), which layers support
 a pair, and the per-layer resolution factor derived from those counts.
 
-A community's pairs are taken over its flattened membership F, every entity
-with an occurrence in it, and are supported by every layer that links them.
+A community is indexed by its per-layer projections alone. Its flattened
+membership F, every entity with an occurrence in it, is their union; its
+same-entity occurrence pairs are their overlaps summed over layer pairs.
+A community's pairs are taken over F and supported by every layer linking them.
 The counts come from one set-algebra pass per community, run on first use:
 for each entity u of F and each layer l of u, ``s_l = adj_l(u) & F``; the
 partners in two or more of those sets are u's redundant partners R. Layer
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .errors import InputError
@@ -84,7 +87,6 @@ class CommunityStructure:
         dense = {}  # label -> community
         where = [[None] * net.num_entities for _ in range(net.num_layers)]
         proj = []
-        flat = []
         for ei in range(net.num_entities):  # entity-major tuple order
             for li in net.entity_layers_idx(ei):
                 label = labels[li][ei]
@@ -95,19 +97,11 @@ class CommunityStructure:
                                          f"({net.entity_ids[ei]!r}, {net.layer_ids[li]!r})")
                     c = dense[label] = len(proj)
                     proj.append({})
-                    flat.append({})
                 where[li][ei] = c
-                members = proj[c].get(li)
-                if members is None:
-                    proj[c][li] = {ei}
-                else:
-                    members.add(ei)
-                counts = flat[c]
-                counts[ei] = counts.get(ei, 0) + 1
+                proj[c].setdefault(li, set()).add(ei)
 
         self._where = where  # layer -> entity -> community, None where absent
-        self._proj = [{li: frozenset(s) for li, s in p.items()} for p in proj]
-        self._flat = flat
+        self._proj = proj    # community -> layer -> set of entities
         k = len(proj)
         self._deg = [dict() for _ in range(k)]
         self._dint = [dict() for _ in range(k)]
@@ -175,11 +169,12 @@ class CommunityStructure:
         return self._dint[c].get(self.net.layer_index(layer), 0)
 
     def coupled_instance_pairs(self, c: int) -> int:
-        """Unordered pairs of same-entity occurrences inside community ``c``;
-        computed on first use."""
+        """Unordered pairs of same-entity occurrences inside community ``c``,
+        its projection overlaps over its layer pairs; computed on first use."""
         pairs = self._coupled[c]
         if pairs is None:
-            pairs = self._coupled[c] = sum(n * (n - 1) // 2 for n in self._flat[c].values())
+            pairs = self._coupled[c] = sum(
+                len(a & b) for a, b in combinations(self._proj[c].values(), 2))
         return pairs
 
     # -- redundancy machinery --------------------------------------------------
@@ -190,7 +185,7 @@ class CommunityStructure:
         partners linked in some layer and those linked in two or more."""
         net = self.net
         adj = [net.adj_idx(li) for li in range(net.num_layers)]
-        flat = frozenset(self._flat[c])
+        flat = frozenset().union(*self._proj[c].values())
         for u in flat:
             per_layer = []
             seen = set()

@@ -419,9 +419,9 @@ class _MultisliceEngine(_Engine):
 
     def __init__(self, net, objective):
         super().__init__(net)
-        self.gammas, self.norm = multislice_parameters(net, objective.gamma, objective.omega)
+        self.gammas, self.two_e, self.norm = multislice_parameters(
+            net, objective.gamma, objective.omega)
         self.omega = float(objective.omega)
-        self.two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
 
     def evaluate(self, comms, unit, found, src, candidates):
         """The exact objective change of moving ``unit`` out of ``src`` and

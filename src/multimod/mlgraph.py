@@ -106,7 +106,6 @@ class MultilayerNetwork:
         self._edge_counts = edge_counts    # per layer: number of edges
         self._entity_layers = entity_layers  # per entity: ascending tuple of layer indices
         self._shared = {}                  # (a, b) a <= b -> shared entity count, on demand
-        self._same_entity_pairs = None     # same-entity layer pairs, on demand
         self.ordering = ordering
 
     # -- basic accessors ---------------------------------------------------
@@ -231,14 +230,6 @@ class MultilayerNetwork:
         if count is None:
             count = self._shared[key] = len(self._presence[ia] & self._presence[ib])
         return count
-
-    def same_entity_pair_count(self) -> int:
-        """Unordered layer pairs in which an entity is present on both sides,
-        summed over entities; computed once."""
-        if self._same_entity_pairs is None:
-            self._same_entity_pairs = sum(len(ls) * (len(ls) - 1) // 2
-                                          for ls in self._entity_layers)
-        return self._same_entity_pairs
 
     # -- dataset statistics --------------------------------------------------
 

@@ -173,6 +173,13 @@ def newman_modularity(graph: LayerGraph, partition) -> float:
 # -- multislice modularity --------------------------------------------------------
 
 
+def _finite(total: float, name: str) -> float:
+    """``total``, unless a parameter so large overflowed it: a PolicyError."""
+    if not math.isfinite(total):
+        raise PolicyError(f"{name} modularity is not finite ({total!r}); a parameter is too large")
+    return total
+
+
 def _check_multislice_values(gamma, omega) -> None:
     """Reject a gamma (a scalar or one value per layer) or an omega that is
     not a finite number >= 0: the multislice checks that need no network."""
@@ -186,10 +193,12 @@ def _check_multislice_values(gamma, omega) -> None:
 def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     """Validate multislice parameters against ``net``.
 
-    Returns the per-layer gamma list (a scalar is broadcast) and the
-    normalization: twice the intra-layer edge count plus twice the
-    omega-weighted coupling edge count. Each layer uses its own null model,
-    so any layer that contains assigned occurrences but no edges is an error.
+    Returns the per-layer gamma list (a scalar is broadcast), each layer's
+    ``2 m_l`` and the normalization: twice the edge count plus twice omega
+    times the same-entity occurrence pairs, sum_e C(L_e, 2), counted as the
+    shared entities of the unordered layer pairs. Each layer uses its own
+    null model, so any layer that contains assigned occurrences but no edges
+    is an error.
     """
     ell = net.num_layers
     if isinstance(gamma, (int, float)):
@@ -204,7 +213,9 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
             raise InputError(
                 f"layer {layer!r} has assigned occurrences but no edges; "
                 f"its null model is undefined")
-    return gammas, 2 * net.num_edges() + 2 * float(omega) * net.same_entity_pair_count()
+    two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
+    pairs = sum(net.shared_count_idx(i, j) for j in range(ell) for i in range(j))
+    return gammas, two_e, sum(two_e) + 2 * float(omega) * pairs
 
 
 def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -217,10 +228,10 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
         omega: coupling weight applied to every unordered layer pair sharing
             an entity's occurrences.
 
-    Parameters are checked by :func:`multislice_parameters`.
+    Parameters are checked by :func:`multislice_parameters`; a gamma or
+    omega so large that the score is not finite is a :class:`PolicyError`.
     """
-    gammas, norm = multislice_parameters(net, gamma, omega)
-    two_es = [2 * net.num_edges(layer) for layer in net.layer_ids]
+    gammas, two_es, norm = multislice_parameters(net, gamma, omega)
     community_sums = []
     for c in cs.communities():
         layer_terms = []
@@ -232,7 +243,7 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
             layer_terms.append(cs.internal_degree(c, layer) - gammas[li] * d * d / two_e)
         layer_terms.append(2.0 * omega * cs.coupled_instance_pairs(c))
         community_sums.append(math.fsum(layer_terms))
-    return math.fsum(community_sums) / norm
+    return _finite(math.fsum(community_sums) / norm, "multislice")
 
 
 # -- projection-based inter-layer coupling --------------------------------------
@@ -368,7 +379,7 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
             terms.append(ScoreTerm(c, layer, intra, null, coup))
             layer_terms.append(intra - null + coup)
         community_sums.append(math.fsum(layer_terms))
-    total = math.fsum(community_sums) / norm
+    total = _finite(math.fsum(community_sums) / norm, "multilayer")
 
     ordering = net.ordering
     policy = {

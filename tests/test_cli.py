@@ -447,6 +447,35 @@ class TestHostileInputs:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["score", "NET", "COMM", "--objective", "qms", "--omega", "1e308"],
+        ["score", "NET", "COMM", "--objective", "qms", "--omega", "1e308", "--output", "json"],
+        ["score", "NET", "COMM", "--objective", "qms", "--gamma", "1e308"],
+        ["score", "NET", "COMM", "--resolution", "constant:1e308"],
+        ["score", "NET", "COMM", "--resolution", "constant:1e308", "--output", "json"],
+        ["sweep", "NET", "COMM", "--protocol", "omega", "--start", "1e308", "--stop", "1e308",
+         "--step", "1e308"],
+        ["detect", "NET", "--objective", "qms", "--omega", "1e308", "--out", "OUT"],
+        ["detect", "NET", "--objective", "qms", "--gamma", "1e308", "--out", "OUT"],
+        ["detect", "NET", "--resolution", "constant:1e308", "--out", "OUT"],
+        ["detect", "NET", "--method", "aggregate", "--objective", "qms", "--omega", "1e308",
+         "--out", "OUT"],
+        ["detect", "NET", "--method", "aggregate", "--resolution", "constant:1e308",
+         "--out", "OUT"],
+    ], ids=lambda argv: " ".join(argv[0:1] + argv[3 if argv[0] != "detect" else 2:]))
+    def test_overflowing_score_refused(self, capsys, tmp_path, ordered3_files, argv):
+        # finite parameters whose score overflows to -inf or NaN: no score is
+        # printed and no file written
+        npath, cpath = ordered3_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {"NET": npath, "COMM": cpath, "OUT": str(out_dir / "run")}
+        code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+        assert code == 3
+        assert "not finite" in err
+        assert out == ""
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [
         ["--start", "nan"], ["--stop", "nan"], ["--step", "nan"], ["--step", "inf"],
         ["--stop", "inf"], ["--start=-inf"],

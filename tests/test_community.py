@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -327,6 +328,27 @@ class TestPartitionInvariants:
                 p1, p2 = cs.redundant_pairs(c)
                 assert p2 <= p1
                 assert 0 <= cs.redundancy(c) <= 1
+
+
+def test_coupled_instance_pairs_count_same_entity_pairs():
+    # sum_e C(n_e, 2), n_e the occurrences of entity e inside the community
+    rng = random.Random(23)
+    deep = split = 0
+    for _ in range(40):
+        net = random_multilayer(rng, max_tuples=16)
+        cs = random_structure(rng, net)
+        for c in cs.communities():
+            counts = {}
+            for entity, _ in cs.members(c):
+                counts[entity] = counts.get(entity, 0) + 1
+            pairs = cs.coupled_instance_pairs(c)
+            assert type(pairs) is int
+            assert pairs == sum(math.comb(n, 2) for n in counts.values())
+            deep += any(n >= 3 for n in counts.values())
+            split += any(n < len(net.entity_layers(e)) for e, n in counts.items())
+    # an entity with three occurrences in one community, and one split across
+    # communities, both occur
+    assert deep and split
 
 
 class TestCommunityFiles:

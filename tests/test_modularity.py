@@ -10,7 +10,7 @@ import pytest
 
 import multimod as mm
 from multimod.errors import InputError, PolicyError
-from multimod.modularity import coupling_plan
+from multimod.modularity import coupling_plan, multislice_parameters
 from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
                     multislice_direct, newman_direct)
 from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
@@ -101,9 +101,30 @@ class TestMultislice:
         cs = mm.CommunityStructure.from_entity_partition(
             twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
         for gamma, omega in [(-0.5, 0.0), (1.0, -1.0), (math.nan, 0.0), (math.inf, 0.0),
-                             ([1.0, math.nan], 0.0), (1.0, math.nan), (1.0, math.inf)]:
+                             ([1.0, math.nan], 0.0), (1.0, math.nan), (1.0, math.inf),
+                             # finite, but the score overflows to -inf or NaN
+                             (1e308, 0.0), ([1.0, 1e308], 0.0), (1.0, 1e308)]:
             with pytest.raises(PolicyError):
                 mm.multislice_modularity(twin_triangle_layers, cs, gamma, omega)
+
+    def test_normalization_counts_same_entity_pairs(self):
+        # 2 m plus 2 omega per unordered pair of an entity's occurrences:
+        # sum_e C(L_e, 2) for an entity present in L_e layers
+        rng = random.Random(19)
+        deep = 0
+        for _ in range(40):
+            net = random_multilayer(rng, max_tuples=16)
+            if any(net.presence_idx(li) and not net.edges_idx(li)
+                   for li in range(net.num_layers)):
+                continue
+            pairs = sum(math.comb(len(net.entity_layers_idx(ei)), 2)
+                        for ei in range(net.num_entities))
+            deep += any(len(net.entity_layers_idx(ei)) >= 3 for ei in range(net.num_entities))
+            gammas, two_e, norm = multislice_parameters(net, 1.0, 1.0)
+            assert gammas == [1.0] * net.num_layers
+            assert two_e == [2 * net.num_edges(layer) for layer in net.layer_ids]
+            assert norm == 2 * net.num_edges() + 2 * pairs
+        assert deep  # some entity sits in three or more layers
 
     def test_layer_without_occurrence(self, tmp_path):
         # %order may name a layer nothing occurs in; it adds no term
@@ -353,6 +374,18 @@ def test_unknown_policy_kind(policy, message):
 def test_constant_resolution_must_be_finite_and_nonnegative(gamma):
     with pytest.raises(PolicyError):
         mm.ResolutionPolicy.constant(gamma)
+
+
+@pytest.mark.parametrize("resolution,coupling", [
+    (mm.ResolutionPolicy.constant(1e308), mm.CouplingPolicy.none()),
+    (mm.ResolutionPolicy.constant(1e308), mm.CouplingPolicy.symmetric()),
+])
+def test_overflowing_score_is_refused(twin_triangle_layers, resolution, coupling):
+    # a finite gamma whose null model overflows: the total is -inf, not a score
+    cs = mm.CommunityStructure.from_entity_partition(
+        twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
+    with pytest.raises(PolicyError, match="not finite"):
+        mm.multilayer_modularity(twin_triangle_layers, cs, resolution, coupling)
 
 
 class TestMultilayerModularity:

@@ -52,6 +52,8 @@ def test_exported_names_are_pinned():
         assert not hasattr(mm.MultilayerNetwork, name)
     assert not hasattr(mm, "coupling_pair_total")
     assert not hasattr(mm.modularity, "coupling_pair_total")
+    # deleted: multislice_parameters sums the shared entities of the layer pairs
+    assert not hasattr(mm.MultilayerNetwork, "same_entity_pair_count")
 
 
 def test_every_exported_name_resolves():
