@@ -1,9 +1,8 @@
 """Multilayer network modularity scoring and community detection."""
 
 from .errors import GuardError, InputError, PolicyError
-from .mlgraph import (LayerGraph, LayerOrdering, LayerStats, MultilayerNetwork,
-                      PairingScheme, build_network, parse_network_text,
-                      read_network, write_network)
+from .mlgraph import (LayerOrdering, LayerStats, MultilayerNetwork, PairingScheme,
+                      build_network, parse_network_text, read_network, write_network)
 from .community import (CommunityStructure, read_communities, write_communities,
                         write_flat_partition)
 from .modularity import (CouplingPolicy, ResolutionPolicy, ScoreReport, ScoreTerm,
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GuardError", "InputError", "PolicyError",
-    "LayerGraph", "LayerOrdering", "LayerStats", "MultilayerNetwork",
+    "LayerOrdering", "LayerStats", "MultilayerNetwork",
     "PairingScheme", "build_network", "parse_network_text", "read_network",
     "write_network",
     "CommunityStructure", "read_communities", "write_communities",

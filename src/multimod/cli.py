@@ -118,9 +118,7 @@ def cmd_score(args) -> int:
         else:
             print(f"objective\tqms\ntotal\t{value!r}")
     else:
-        if net.num_layers != 1:
-            raise PolicyError("the newman objective requires a single-layer network")
-        value = newman_modularity(net.layer_graph(net.layer_ids[0]), cs.flatten_majority())
+        value = newman_modularity(net, cs)
         if args.output == "json":
             print(json.dumps({"objective": "newman", "total": value}, sort_keys=True))
         else:
@@ -236,6 +234,8 @@ def _sweep_points(args) -> list:
             gamma, omega = 1.0, t
         _check_multislice_values(gamma, omega)
         points.append((gamma, omega))
+        if t == stop:  # the last row, also where start + i * step rounds back to t
+            break
         i += 1
     return points
 

@@ -78,16 +78,6 @@ class LayerStats:
     clustering_coefficient: float
 
 
-@dataclass(frozen=True)
-class LayerGraph:
-    """Read-only view of one layer as a plain undirected graph."""
-
-    layer: object
-    nodes: tuple
-    adjacency: dict  # entity id -> frozenset of neighbour ids
-    edge_count: int
-
-
 class MultilayerNetwork:
     """Entities, layers, per-layer presence and adjacency, optional ordering.
 
@@ -246,15 +236,6 @@ class MultilayerNetwork:
         if m == 0:
             raise InputError("network has no edges")
         return sum(count / m for count in self._edge_counts) / self.num_layers
-
-    def layer_graph(self, layer) -> LayerGraph:
-        li = self.layer_index(layer)
-        adj = {self._entity_ids[u]: frozenset(self._entity_ids[v] for v in nb)
-               for u, nb in self._adj[li].items()}
-        nodes = tuple(self._entity_ids[i] for i in sorted(self._presence[li]))
-        for n in nodes:
-            adj.setdefault(n, frozenset())
-        return LayerGraph(layer, nodes, adj, self._edge_counts[li])
 
     def monoplex_stats(self, layer) -> LayerStats:
         """Degree mean/std (population), average shortest-path length over

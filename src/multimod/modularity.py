@@ -1,12 +1,15 @@
 """Quality functions for single-layer and multilayer community structures.
 
-Three scores live here. ``newman_modularity`` is the classic single-graph
-measure. ``multislice_modularity`` couples the occurrences of an entity
-across every unordered layer pair with a constant weight and keeps a
-layer-local null model. ``multilayer_modularity`` normalizes globally,
-lets the resolution factor vary per layer and community, and scores the
-inter-layer couplings through community projections, optionally restricted
-and penalized by a natural layer ordering. The ordering is the network's
+Three scores live here; each takes the network and a
+:class:`CommunityStructure` and reads each community's degree and internal
+degree per layer from the structure. ``newman_modularity`` is the classic
+measure on a single-layer network. ``multislice_modularity`` couples the
+occurrences of an entity across every unordered layer pair with a constant
+weight and keeps a layer-local null model. ``multilayer_modularity``
+normalizes globally, lets the resolution factor vary per layer and
+community, and scores the inter-layer couplings through community
+projections, optionally restricted and penalized by a natural layer
+ordering. The ordering is the network's
 (``net.ordering``); no score takes another. Which layer pairs couple, the
 projection each asymmetric coupling is rescaled by, the penalties, the
 natural-ordering check and the normalization they imply are decided once,
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import LayerGraph, MultilayerNetwork
+from .mlgraph import MultilayerNetwork
 
 
 @dataclass(frozen=True)
@@ -147,27 +150,17 @@ class ScoreReport:
 # -- classic modularity ---------------------------------------------------------
 
 
-def newman_modularity(graph: LayerGraph, partition) -> float:
-    """Classic modularity of a node partition on a plain undirected graph."""
-    if graph.edge_count == 0:
+def newman_modularity(net: MultilayerNetwork, cs: CommunityStructure) -> float:
+    """Classic modularity (Newman & Girvan 2004) of ``cs`` on a single-layer
+    network, from each community's degree and internal degree."""
+    if net.num_layers != 1:
+        raise PolicyError("the newman objective requires a single-layer network")
+    layer = net.layer_ids[0]
+    two_m = 2 * net.num_edges(layer)
+    if two_m == 0:
         raise InputError("modularity is undefined on an edgeless graph")
-    groups = {}
-    for node in graph.nodes:
-        if node not in partition:
-            raise InputError(f"node {node!r} has no community assignment")
-        groups.setdefault(partition[node], set()).add(node)
-    two_m = 2 * graph.edge_count
-    parts = []
-    for label in sorted(groups, key=str):
-        members = groups[label]
-        deg = 0
-        dint = 0
-        for v in members:
-            nb = graph.adjacency.get(v, frozenset())
-            deg += len(nb)
-            dint += len(nb & members)
-        parts.append(dint / two_m - (deg / two_m) ** 2)
-    return math.fsum(parts)
+    return math.fsum(cs.internal_degree(c, layer) / two_m - (cs.degree(c, layer) / two_m) ** 2
+                     for c in cs.communities())
 
 
 # -- multislice modularity --------------------------------------------------------

@@ -7,8 +7,9 @@ guarded against instances too large for that treatment and raise
 ``multimod.GuardError`` when a guard trips.
 
 The edge-list parser, network builder and reader, the community reader,
-and the community rebuild, literal gain engines, local-moving loop and
-aggregation baseline at the end, are different in kind: they are earlier,
+the classic modularity's group-and-count, and the community rebuild,
+literal gain engines, local-moving loop and aggregation baseline at the
+end, are different in kind: they are earlier,
 unoptimised forms of the package's own code, and serve to check that the
 optimised forms give the same networks, structures, aggregates, error
 messages and bit-identical gains and runs.
@@ -264,6 +265,33 @@ def literal_read_communities(net, path) -> dict:
             raise mm.InputError(f"unassigned occurrence ({entity!r}, {layer!r})")
         out[(entity, layer)] = dense.setdefault(extended[key], len(dense))
     return out
+
+
+def literal_newman(net, partition):
+    """Classic modularity of an entity partition of a single-layer network,
+    as the package once computed it: group the layer's nodes by label and
+    count each group's degree and internal degree on the adjacency."""
+    two_m = 2 * net.num_edges(net.layer_ids[0])
+    if two_m == 0:
+        raise mm.InputError("modularity is undefined on an edgeless graph")
+    adj = net.adj_idx(0)
+    groups = {}
+    for ei in sorted(net.presence_idx(0)):
+        entity = net.entity_ids[ei]
+        if entity not in partition:
+            raise mm.InputError(f"node {entity!r} has no community assignment")
+        groups.setdefault(partition[entity], set()).add(ei)
+    parts = []
+    for label in sorted(groups, key=str):
+        members = groups[label]
+        deg = 0
+        dint = 0
+        for v in members:
+            nb = adj.get(v, ())
+            deg += len(nb)
+            dint += len(members.intersection(nb))
+        parts.append(dint / two_m - (deg / two_m) ** 2)
+    return math.fsum(parts)
 
 
 def newman_direct(nodes, edges, partition):

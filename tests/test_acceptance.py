@@ -43,7 +43,7 @@ def test_criterion_2_single_layer_reductions():
     for _ in range(200):
         net, partition = random_single_layer(rng, max_nodes=30)
         cs = mm.CommunityStructure.from_entity_partition(net, partition)
-        q_newman = mm.newman_modularity(net.layer_graph("L"), partition)
+        q_newman = mm.newman_modularity(net, cs)
         q_multilayer = mm.multilayer_modularity(
             net, cs, mm.ResolutionPolicy.constant(1), mm.CouplingPolicy.none()).total
         q_multislice = mm.multislice_modularity(net, cs, 1.0, 0.0)

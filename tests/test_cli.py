@@ -213,8 +213,25 @@ class TestScore:
 
     def test_newman_needs_single_layer(self, capsys, ordered3_files):
         npath, cpath = ordered3_files
-        code, _, _ = run(capsys, ["score", npath, cpath, "--objective", "newman"])
-        assert code == 3
+        for output in ("tsv", "json"):
+            code, out, err = run(capsys, ["score", npath, cpath, "--objective", "newman",
+                                          "--output", output])
+            assert code == 3
+            assert out == ""
+            assert err == "error: the newman objective requires a single-layer network\n"
+
+    @pytest.mark.parametrize("labels,output,expected", [
+        ("a 0\nb 0\nc 0\n", "tsv", "objective\tnewman\ntotal\t0.0\n"),
+        ("a 0\nb 0\nc 0\n", "json", '{"objective": "newman", "total": 0.0}\n'),
+        ("a 0\nb 0\nc 1\n", "tsv", "objective\tnewman\ntotal\t-0.2222222222222222\n"),
+        ("a 0\nb 0\nc 1\n", "json", '{"objective": "newman", "total": -0.2222222222222222}\n'),
+    ], ids=["one-tsv", "one-json", "split-tsv", "split-json"])
+    def test_newman_output_pinned(self, capsys, triangle_files, labels, output, expected):
+        npath, cpath = triangle_files
+        Path(cpath).write_text(labels, encoding="utf-8")
+        code, out, err = run(capsys, ["score", npath, cpath, "--objective", "newman",
+                                      "--output", output])
+        assert (code, out, err) == (0, expected, "")
 
     def test_unknown_entity_in_communities(self, capsys, tmp_path, triangle_files):
         npath, _ = triangle_files
@@ -366,6 +383,39 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",
                                   "--step", "0"])
         assert code == 3
+
+    def test_point_that_does_not_move_ends(self, monkeypatch):
+        # 1e308 + i * 0.1 rounds back to 1e308: the row that reads as --stop
+        # is the last, though no later point ever passes it
+        check = cli._check_multislice_values
+        calls = []
+
+        def counted(gamma, omega):
+            calls.append((gamma, omega))
+            if len(calls) > 1000:
+                raise AssertionError("the sweep does not end")
+            check(gamma, omega)
+
+        monkeypatch.setattr(cli, "_check_multislice_values", counted)
+        args = argparse.Namespace(protocol="omega", start=1e308, stop=1e308, step=0.1)
+        assert cli._sweep_points(args) == [(1.0, 1e308)]
+        assert calls == [(1.0, 1e308)]
+
+    def test_huge_gamma_point_refused(self, triangle_files):
+        proc = run_fresh(["sweep", *triangle_files, "--protocol", "gamma",
+                          "--start", "1e308", "--stop", "1e308"])
+        assert proc.returncode == 3
+        assert "not finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_start_equal_to_stop_gives_one_row(self, capsys, ordered3_files):
+        npath, cpath = ordered3_files
+        code, out, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",
+                                    "--start", "0.5", "--stop", "0.5"])
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("1.0\t0.5\t")
 
 
 class TestFlagsBeforeLoad:

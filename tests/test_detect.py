@@ -53,7 +53,8 @@ class TestLouvainLayer:
         for e, c in part.items():
             groups.setdefault(c, set()).add(e)
         assert sorted(map(sorted, groups.values())) == [[0, 1, 2], [3, 4, 5]]
-        q = mm.newman_modularity(two_triangles.layer_graph("L"), part)
+        q = mm.newman_modularity(
+            two_triangles, mm.CommunityStructure.from_entity_partition(two_triangles, part))
         assert q == pytest.approx(0.5)
         # exhaustive optimum over all partitions confirms 0.5 is the best
         _, qstar = best_partition_exhaustive(two_triangles)
@@ -66,13 +67,14 @@ class TestLouvainLayer:
         part = louvain_partition(net, "L", seed=1)
         assert len(set(part.values())) == 1
         _, qstar = best_partition_exhaustive(net)
-        q = mm.newman_modularity(net.layer_graph("L"), part)
+        q = mm.newman_modularity(net, mm.CommunityStructure.from_entity_partition(net, part))
         assert q == pytest.approx(qstar, abs=1e-12)
 
     def test_seed_change_same_objective(self, two_triangles):
-        g = two_triangles.layer_graph("L")
-        values = {mm.newman_modularity(g, louvain_partition(two_triangles, "L", seed=s))
-                  for s in range(5)}
+        structures = (mm.CommunityStructure.from_entity_partition(
+                          two_triangles, louvain_partition(two_triangles, "L", seed=s))
+                      for s in range(5))
+        values = {mm.newman_modularity(two_triangles, cs) for cs in structures}
         assert len({round(v, 12) for v in values}) == 1
 
     def test_edgeless_layer(self):
@@ -100,7 +102,8 @@ class TestGeneralizedLouvain:
                                  seed=7)
         res = mm.generalized_louvain(two_triangles, config)
         part = louvain_partition(two_triangles, "L", seed=7)
-        q = mm.newman_modularity(two_triangles.layer_graph("L"), part)
+        q = mm.newman_modularity(
+            two_triangles, mm.CommunityStructure.from_entity_partition(two_triangles, part))
         assert res.objective == pytest.approx(q, abs=1e-12)
 
     def test_planted_recovery(self):

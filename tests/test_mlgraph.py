@@ -21,6 +21,14 @@ def line_net(layers, edges, **kw):
     return mm.build_network(layers=layers, edges=edges, **kw)
 
 
+def adjacency_by_id(net, layer) -> dict:
+    """Each entity present in ``layer`` -> the frozenset of its neighbour ids."""
+    li = net.layer_index(layer)
+    ids = net.entity_ids
+    adj = net.adj_idx(li)
+    return {ids[ei]: frozenset(ids[v] for v in adj.get(ei, ())) for ei in net.presence_idx(li)}
+
+
 class TestBuild:
     def test_minimal(self):
         net = line_net(["L1"], [("L1", "a", "b")])
@@ -353,7 +361,7 @@ class TestWriteIds:
         assert set(again.entity_ids) == set(net.entity_ids)
         for layer in net.layer_ids:
             assert again.layer_entities(layer) == net.layer_entities(layer)
-            assert again.layer_graph(layer).adjacency == net.layer_graph(layer).adjacency
+            assert adjacency_by_id(again, layer) == adjacency_by_id(net, layer)
 
     def test_hash_in_entity_does_not_round_trip(self, tmp_path):
         # "L a b#" would read back as an edge to "b"
@@ -562,8 +570,8 @@ class TestReadNetworkOracle:
 def test_adjacency_is_ascending_tuples(tmp_path_factory, seed):
     """Built or read from edge lists with duplicates, reversed duplicates and
     isolated ``%presence`` records, every node's neighbours are a strictly
-    ascending tuple, the nodes ascend, and ``layer_graph`` still gives the
-    oracle's neighbour frozensets by id."""
+    ascending tuple, the nodes ascend, and read by id they are the oracle's
+    neighbour sets."""
     rng = random.Random(seed)
     layers = [f"L{i}" for i in range(rng.randint(1, 3))]
     entities = [f"e{i}" for i in range(rng.randint(2, 25))]
@@ -596,9 +604,7 @@ def test_adjacency_is_ascending_tuples(tmp_path_factory, seed):
             want = {ids[u]: frozenset(ids[v] for v in nb) for u, nb in fields["adj"][li].items()}
             for ei in fields["presence"][li]:
                 want.setdefault(ids[ei], frozenset())
-            got = net.layer_graph(layer).adjacency
-            assert got == want
-            assert all(type(nb) is frozenset for nb in got.values())
+            assert adjacency_by_id(net, layer) == want
 
 
 def test_counting_callers_never_derive_edges(monkeypatch):
@@ -606,6 +612,9 @@ def test_counting_callers_never_derive_edges(monkeypatch):
     per-layer counts; none of them builds the sorted edge tuples."""
     net, _ = mm.planted_multilayer(mm.PlantedSpec(entities=40, communities=3, layers=3,
                                                   p_in=0.4, p_out=0.05, seed=5))
+    single, planted = mm.planted_multilayer(mm.PlantedSpec(entities=40, communities=3,
+                                                           layers=1, p_in=0.4, p_out=0.05,
+                                                           seed=5))
 
     def refuse(self, li):
         raise AssertionError("edges_idx called")
@@ -622,4 +631,4 @@ def test_counting_callers_never_derive_edges(monkeypatch):
         objective.gain_engine(net)
         mm.generalized_louvain(net, mm.DetectConfig(objective=objective, seed=1))
     assert net.edge_coverage() > 0
-    assert net.layer_graph(net.layer_ids[0]).edge_count == net.num_edges(net.layer_ids[0])
+    mm.newman_modularity(single, mm.CommunityStructure.from_entity_partition(single, planted))

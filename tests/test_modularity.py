@@ -12,58 +12,77 @@ import multimod as mm
 from multimod.errors import InputError, PolicyError
 from multimod.modularity import coupling_plan, multislice_parameters
 from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
-                    multislice_direct, newman_direct)
+                    literal_newman, multislice_direct, newman_direct)
 from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
                   with_ordering)
 
 
 class TestNewman:
     def test_whole_graph_is_zero(self, two_triangles):
-        g = two_triangles.layer_graph("L")
-        assert mm.newman_modularity(g, {e: 0 for e in g.nodes}) == pytest.approx(0.0)
+        nodes = two_triangles.entity_ids
+        cs = mm.CommunityStructure.from_entity_partition(two_triangles, {e: 0 for e in nodes})
+        assert mm.newman_modularity(two_triangles, cs) == pytest.approx(0.0)
 
     def test_two_triangles(self, two_triangles):
-        g = two_triangles.layer_graph("L")
-        part = {e: (0 if e < 3 else 1) for e in g.nodes}
+        nodes = two_triangles.entity_ids
+        part = {e: (0 if e < 3 else 1) for e in nodes}
         # frozen from the direct double-sum oracle: d(V)=12, each block 6/12-(6/12)^2
         edges = [(u, v) for u, v in
                  [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]]
-        assert newman_direct(g.nodes, edges, part) == pytest.approx(0.5)
-        assert mm.newman_modularity(g, part) == pytest.approx(0.5, abs=1e-15)
+        assert newman_direct(nodes, edges, part) == pytest.approx(0.5)
+        cs = mm.CommunityStructure.from_entity_partition(two_triangles, part)
+        assert mm.newman_modularity(two_triangles, cs) == pytest.approx(0.5, abs=1e-15)
 
     def test_singletons_on_triangle(self):
         net = mm.build_network(layers=["L"], edges=[("L", 0, 1), ("L", 1, 2), ("L", 0, 2)])
-        g = net.layer_graph("L")
-        part = {e: e for e in g.nodes}
-        assert newman_direct(g.nodes, [(0, 1), (1, 2), (0, 2)], part) == pytest.approx(-1 / 3)
-        assert mm.newman_modularity(g, part) == pytest.approx(-1 / 3, abs=1e-15)
+        part = {e: e for e in net.entity_ids}
+        assert newman_direct(net.entity_ids, [(0, 1), (1, 2), (0, 2)],
+                             part) == pytest.approx(-1 / 3)
+        cs = mm.CommunityStructure.from_entity_partition(net, part)
+        assert mm.newman_modularity(net, cs) == pytest.approx(-1 / 3, abs=1e-15)
 
     def test_edgeless_error(self):
         net = mm.build_network(layers=["L"], presence=[("L", "a")])
-        with pytest.raises(InputError):
-            mm.newman_modularity(net.layer_graph("L"), {"a": 0})
+        cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0})
+        with pytest.raises(InputError, match="undefined on an edgeless graph"):
+            mm.newman_modularity(net, cs)
 
     def test_unlabelled_node(self, two_triangles):
-        g = two_triangles.layer_graph("L")
-        with pytest.raises(InputError, match="node 5 has no community assignment"):
-            mm.newman_modularity(g, {e: 0 for e in g.nodes if e != 5})
+        with pytest.raises(InputError, match="entity 5 has no community assignment"):
+            mm.CommunityStructure.from_entity_partition(
+                two_triangles, {e: 0 for e in two_triangles.entity_ids if e != 5})
+
+    def test_several_layers_refused(self, twin_triangle_layers):
+        cs = mm.CommunityStructure.from_entity_partition(
+            twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
+        with pytest.raises(PolicyError,
+                           match="^the newman objective requires a single-layer network$"):
+            mm.newman_modularity(twin_triangle_layers, cs)
 
     def test_matches_direct_oracle_randomly(self):
         rng = random.Random(99)
         for _ in range(40):
             net, part = random_single_layer(rng, max_nodes=15)
-            g = net.layer_graph("L")
             edges = [(net.entity_ids[u], net.entity_ids[v]) for u, v in net.edges_idx(0)]
-            q = mm.newman_modularity(g, part)
-            assert q == pytest.approx(newman_direct(g.nodes, edges, part), abs=1e-12)
+            q = mm.newman_modularity(net, mm.CommunityStructure.from_entity_partition(net, part))
+            assert q == pytest.approx(newman_direct(net.entity_ids, edges, part), abs=1e-12)
             assert -0.5 - 1e-12 <= q <= 1.0 + 1e-12
+
+    def test_matches_group_and_count_exactly(self):
+        # the earlier formula, grouping the partition and counting each group
+        # on the adjacency, gives the same float bit for bit
+        rng = random.Random(2020)
+        for n in range(120):
+            net, part = random_single_layer(rng, max_nodes=40 if n % 2 else 8)
+            cs = mm.CommunityStructure.from_entity_partition(net, part)
+            assert mm.newman_modularity(net, cs) == literal_newman(net, part)
 
 
 class TestMultislice:
     def test_single_layer_reduces_to_newman(self, two_triangles):
         part = {e: (0 if e < 3 else 1) for e in two_triangles.entity_ids}
         cs = mm.CommunityStructure.from_entity_partition(two_triangles, part)
-        q_ng = mm.newman_modularity(two_triangles.layer_graph("L"), part)
+        q_ng = mm.newman_modularity(two_triangles, cs)
         assert mm.multislice_modularity(two_triangles, cs, 1.0, 0.0) == pytest.approx(
             q_ng, abs=1e-12)
 
@@ -393,7 +412,7 @@ class TestMultilayerModularity:
         part = {e: (0 if e < 3 else 1) for e in two_triangles.entity_ids}
         cs = mm.CommunityStructure.from_entity_partition(two_triangles, part)
         report = mm.multilayer_modularity(two_triangles, cs)
-        q_ng = mm.newman_modularity(two_triangles.layer_graph("L"), part)
+        q_ng = mm.newman_modularity(two_triangles, cs)
         assert report.total == pytest.approx(q_ng, abs=1e-12)
         # on several layers the all-in-one partition scores 1 - sum_l (m_l / m)^2
         net, _ = mm.planted_multilayer(mm.PlantedSpec(entities=40, communities=4, layers=3,

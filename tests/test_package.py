@@ -21,7 +21,7 @@ ORDERING_MAKERS = {"LayerOrdering", "build_network", "MultilayerNetwork"}
 # the public surface; a name leaves it only with a note in CHANGES.md
 EXPORTED = {
     "GuardError", "InputError", "PolicyError",
-    "LayerGraph", "LayerOrdering", "LayerStats", "MultilayerNetwork",
+    "LayerOrdering", "LayerStats", "MultilayerNetwork",
     "PairingScheme", "build_network", "parse_network_text", "read_network",
     "write_network",
     "CommunityStructure", "read_communities", "write_communities", "write_flat_partition",
@@ -54,6 +54,10 @@ def test_exported_names_are_pinned():
     assert not hasattr(mm.modularity, "coupling_pair_total")
     # deleted: multislice_parameters sums the shared entities of the layer pairs
     assert not hasattr(mm.MultilayerNetwork, "same_entity_pair_count")
+    # deleted: newman_modularity reads the structure's counts, not a view of the layer
+    assert not hasattr(mm, "LayerGraph")
+    assert not hasattr(mm.mlgraph, "LayerGraph")
+    assert not hasattr(mm.MultilayerNetwork, "layer_graph")
 
 
 def test_every_exported_name_resolves():

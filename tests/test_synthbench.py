@@ -24,10 +24,11 @@ class TestPlantedGenerator:
         for c in planted.values():
             sizes[c] = sizes.get(c, 0) + 1
         expected_edges = sum(s * (s - 1) // 2 for s in sizes.values())
-        for layer in net.layer_ids:
+        for li, layer in enumerate(net.layer_ids):
             assert net.num_edges(layer) == expected_edges
+            adj = net.adj_idx(li)
             for u, v in itertools.combinations(net.entity_ids, 2):
-                linked = v in net.layer_graph(layer).adjacency[u]
+                linked = net.entity_index(v) in adj.get(net.entity_index(u), ())
                 assert linked == (planted[u] == planted[v])
 
     def test_single_community_density(self):
@@ -97,7 +98,7 @@ class TestDirectEvaluator:
         cs = mm.CommunityStructure.from_entity_partition(two_triangles, part)
         direct = multilayer_modularity_direct(two_triangles, cs)
         assert direct == pytest.approx(
-            mm.newman_modularity(two_triangles.layer_graph("L"), part), abs=1e-12)
+            mm.newman_modularity(two_triangles, cs), abs=1e-12)
 
     def test_no_shared_entities_no_coupling(self):
         net = mm.build_network(layers=["x", "y"],
