@@ -90,8 +90,8 @@ def cmd_stats(args) -> int:
         lines.append(f"{key}_std\t{statistics.pstdev(values)!r}")
     lines.append("")
     lines.append("layer\tnodes\tedges\tdegree_mean\tdegree_std\tavg_path_length\tclustering")
-    for layer, s in per_layer:
-        lines.append(f"{layer}\t{len(net.layer_entities(layer))}\t{net.num_edges(layer)}\t"
+    for li, (layer, s) in enumerate(per_layer):
+        lines.append(f"{layer}\t{len(net.presence_idx(li))}\t{net.num_edges(layer)}\t"
                      f"{s.degree_mean!r}\t{s.degree_std!r}\t{s.avg_path_length!r}\t"
                      f"{s.clustering_coefficient!r}")
     print("\n".join(lines))

@@ -2,9 +2,10 @@
 
 A community structure partitions every present (entity, layer) occurrence of
 a network into communities. Besides the plain partition bookkeeping this
-module carries the redundancy machinery: which entity pairs of a community
-are connected in one layer (P1) or several layers (P2), which layers support
-a pair, and the per-layer resolution factor derived from those counts.
+module carries the redundancy machinery: how many entity pairs of a
+community are connected in some layer, how many of them each layer supports
+as redundant pairs (connected in two or more layers), and the per-layer
+resolution factor derived from those counts.
 
 A community is indexed by its per-layer projections alone. Its flattened
 membership F, every entity with an occurrence in it, is their union; its
@@ -134,20 +135,6 @@ class CommunityStructure:
     def communities(self) -> range:
         return range(len(self._proj))
 
-    def assignment_of(self, entity, layer) -> int:
-        ei = self.net.entity_index(entity)
-        c = self._where[self.net.layer_index(layer)][ei]
-        if c is None:
-            raise InputError(f"({entity!r}, {layer!r}) is not a present occurrence")
-        return c
-
-    def members(self, c: int) -> tuple:
-        """The occurrences of ``c``, in entity-major order."""
-        ids = self.net.entity_ids
-        layer_ids = self.net.layer_ids
-        return tuple((ids[ei], layer_ids[li])
-                     for ei, li in sorted((ei, li) for li, p in self._proj[c].items() for ei in p))
-
     def projection(self, c: int, layer) -> frozenset:
         """Entities of community ``c`` that lay on ``layer``."""
         li = self.net.layer_index(layer)
@@ -179,51 +166,35 @@ class CommunityStructure:
 
     # -- redundancy machinery --------------------------------------------------
 
-    def _walk(self, c: int):
-        """For each entity ``u`` of the flattened membership of ``c``: ``u``,
-        ``[(layer index, partners of u in c linked in that layer)]``, the
-        partners linked in some layer and those linked in two or more."""
-        net = self.net
-        adj = [net.adj_idx(li) for li in range(net.num_layers)]
-        flat = frozenset().union(*self._proj[c].values())
-        for u in flat:
-            per_layer = []
-            seen = set()
-            red = set()
-            for li in net.entity_layers_idx(u):
-                nb = adj[li].get(u)
-                if nb:
-                    s = flat.intersection(nb)
-                    if s:
-                        red |= seen & s
-                        seen |= s
-                        per_layer.append((li, s))
-            yield u, per_layer, seen, red
-
     def _redundancy_counts(self, c: int) -> tuple:
         """``(per-layer redundant pair counts, connected pair count)`` of
-        ``c``, computed on first use. Each pair is seen from both ends."""
+        ``c``, computed on first use by the pass the module docstring sets
+        out (``red`` is R). Each pair is seen from both ends."""
         cached = self._counts[c]
         if cached is None:
-            counts = [0] * self.net.num_layers
+            net = self.net
+            adj = [net.adj_idx(li) for li in range(net.num_layers)]
+            flat = frozenset().union(*self._proj[c].values())
+            counts = [0] * net.num_layers
             linked = 0
-            for _, per_layer, seen, red in self._walk(c):
+            for u in flat:
+                per_layer = []
+                seen = set()
+                red = set()
+                for li in net.entity_layers_idx(u):
+                    nb = adj[li].get(u)
+                    if nb:
+                        s = flat.intersection(nb)
+                        if s:
+                            red |= seen & s
+                            seen |= s
+                            per_layer.append((li, s))
                 linked += len(seen)
                 if red:
                     for li, s in per_layer:
                         counts[li] += len(s & red)
             cached = self._counts[c] = ([n // 2 for n in counts], linked // 2)
         return cached
-
-    def redundant_pairs(self, c: int):
-        """(P1, P2): entity pairs of ``c`` linked in >= 1 layer and >= 2 layers."""
-        ids = self.net.entity_ids
-        p1 = set()
-        p2 = set()
-        for u, _, seen, red in self._walk(c):
-            p1.update((ids[u], ids[v]) for v in seen if u < v)
-            p2.update((ids[u], ids[v]) for v in red if u < v)
-        return frozenset(p1), frozenset(p2)
 
     def redundancy(self, c: int) -> Fraction:
         """Supporting-layer mass of the redundant pairs of ``c``, normalized by

@@ -133,23 +133,6 @@ class MultilayerNetwork:
             return sum(self._edge_counts)
         return self._edge_counts[self.layer_index(layer)]
 
-    def layer_entities(self, layer) -> frozenset:
-        li = self.layer_index(layer)
-        return frozenset(self._entity_ids[i] for i in self._presence[li])
-
-    def entity_layers(self, entity) -> frozenset:
-        ei = self.entity_index(entity)
-        return frozenset(self._layer_ids[i] for i in self._entity_layers[ei])
-
-    def is_present(self, entity, layer) -> bool:
-        return self.entity_index(entity) in self._presence[self.layer_index(layer)]
-
-    def tuples(self):
-        """All present (entity, layer) pairs, entity-major order."""
-        for ei in range(len(self._entity_ids)):
-            for li in self._entity_layers[ei]:
-                yield self._entity_ids[ei], self._layer_ids[li]
-
     def num_tuples(self) -> int:
         return sum(len(ls) for ls in self._entity_layers)
 
@@ -181,19 +164,7 @@ class MultilayerNetwork:
                 out.setdefault(u, []).append(li)
         return out
 
-    # -- degree and pairing queries -----------------------------------------
-
-    def intra_degree(self, entity, layer) -> int:
-        """Number of intra-layer edges of ``entity`` inside ``layer``.
-
-        Raises InputError if the entity is not present in the layer, which is
-        distinct from a present-but-isolated entity (degree 0).
-        """
-        ei = self.entity_index(entity)
-        li = self.layer_index(layer)
-        if ei not in self._presence[li]:
-            raise InputError(f"entity {entity!r} is not present in layer {layer!r}")
-        return len(self._adj[li].get(ei, ()))
+    # -- pairing queries ----------------------------------------------------
 
     def valid_pairings(self, layer) -> list:
         """Layers that ``layer`` may couple with under the network's ordering,
@@ -498,9 +469,10 @@ def _parse_indices(text: str) -> tuple:
     ``presence`` is a flat ``[layer, entity, ...]`` list of the ``%presence``
     records and ``edges`` a flat ``[layer, u, v, ...]`` list of the edge
     records, both in file order, duplicates and self-loops kept. ``order``
-    is the ``%order`` sequence, or None. A malformed line, or a directive
-    naming a layer id that starts with '%', is an :class:`InputError` that
-    names it.
+    is the ``%order`` sequence, or None. A malformed line, a second
+    ``%order``, an ``%order`` naming a layer twice, or a directive naming a
+    layer id that starts with '%', is an :class:`InputError` that names the
+    line.
     """
     entities = {}
     layers = {}
@@ -536,6 +508,8 @@ def _parse_indices(text: str) -> tuple:
             if len(tokens) < 2:
                 raise InputError(f"line {lineno}: %order needs at least one layer")
             order = tuple(tokens[1:])
+            if len(set(order)) != len(order):
+                raise InputError(f"line {lineno}: %order names a layer twice")
             for layer in order:
                 if layer[0] == "%":
                     raise InputError(f"line {lineno}: layer id {layer!r} starts with '%'")

@@ -111,22 +111,16 @@ class ScoreTerm:
 class ScoreReport:
     """Decomposed multilayer modularity value.
 
-    ``total`` always equals the fsum of per-community term sums divided by
-    ``normalization``; :meth:`recompute_total` replays that exact reduction.
+    ``total`` is the fsum over communities, in index order, of each
+    community's fsum of ``intra - null_model + coupling`` over its
+    ``terms``, divided by ``normalization``: the TSV and JSON rows add up
+    to it exactly.
     """
 
     total: float
     normalization: int
     terms: tuple = ()
     policy: dict = field(default_factory=dict)
-
-    def community_total(self, c: int) -> float:
-        return math.fsum(t.intra - t.null_model + t.coupling
-                         for t in self.terms if t.community == c)
-
-    def recompute_total(self) -> float:
-        communities = sorted({t.community for t in self.terms})
-        return math.fsum(self.community_total(c) for c in communities) / self.normalization
 
     def to_dict(self) -> dict:
         return {

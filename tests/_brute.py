@@ -29,6 +29,8 @@ from multimod.detect import (_EMPTY, DetectResult, _Comm, _make_unit, _Multilaye
                              _MultisliceEngine)
 from multimod.mlgraph import _assemble
 
+from _gen import occurrence_ids
+
 _DIRECT_PAIR_GUARD = 10_000
 _EXHAUSTIVE_TUPLE_GUARD = 12
 
@@ -95,6 +97,8 @@ def literal_parse_network_text(text: str):
             if len(tokens) < 2:
                 raise mm.InputError(f"line {lineno}: %order needs at least one layer")
             order = tuple(tokens[1:])
+            if len(set(order)) != len(order):
+                raise mm.InputError(f"line {lineno}: %order names a layer twice")
             for l in order:
                 note_layer(l)
         elif tokens[0] == "%presence":
@@ -259,7 +263,7 @@ def literal_read_communities(net, path) -> dict:
         raise mm.InputError("community file is empty")
     dense = {}
     out = {}
-    for entity, layer in net.tuples():
+    for entity, layer in occurrence_ids(net):
         key = (net.entity_index(entity), net.layer_index(layer))
         if key not in extended:
             raise mm.InputError(f"unassigned occurrence ({entity!r}, {layer!r})")
@@ -321,7 +325,7 @@ def multislice_direct(net, assignment, gammas, omega):
     ``assignment`` maps (entity, layer) to a label; ``gammas`` is one value
     per layer in dense order.
     """
-    occurrences = list(net.tuples())
+    occurrences = occurrence_ids(net)
     layer_edges = {}
     layer_deg = {}
     for layer in net.layer_ids:
@@ -337,7 +341,7 @@ def multislice_direct(net, assignment, gammas, omega):
 
     coupling_edges = 0
     for entity in net.entity_ids:
-        layers = sorted(net.entity_layers(entity), key=str)
+        layers = net.entity_layers_idx(net.entity_index(entity))
         coupling_edges += len(layers) * (len(layers) - 1) // 2
     norm = 2 * net.num_edges() + 2 * omega * coupling_edges
 
@@ -547,7 +551,7 @@ def best_partition_exhaustive(net: mm.MultilayerNetwork,
     occurrence to a community index. Ties resolve to the lexicographically
     smallest restricted-growth string. Guarded to at most 12 occurrences.
     """
-    tuples = list(net.tuples())
+    tuples = occurrence_ids(net)
     if len(tuples) > _EXHAUSTIVE_TUPLE_GUARD:
         raise mm.GuardError(
             f"exhaustive search guard exceeded ({len(tuples)} occurrences, limit "
@@ -775,7 +779,7 @@ def literal_generalized_louvain(net, config):
     engine = literal_engine(net, config.objective)
     rng = random.Random(config.seed)
 
-    occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+    occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in occurrence_ids(net)]
     assign = {}
     comms = {}
     units = []

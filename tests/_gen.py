@@ -1,5 +1,5 @@
-"""Seeded random generators for small test instances, and a writer for
-generated networks and their planted labels."""
+"""Seeded random generators for small test instances, a writer for
+generated networks and their planted labels, and a network's occurrences."""
 
 from __future__ import annotations
 
@@ -13,6 +13,12 @@ def save_planted(net, planted: dict, network_path, labels_path) -> None:
     """Write a generated network and its planted labels as a sidecar file."""
     write_network(net, network_path)
     write_flat_partition(planted, labels_path)
+
+
+def occurrence_ids(net) -> list:
+    """Every present (entity, layer) pair of ``net``, entity-major."""
+    return [(net.entity_ids[ei], net.layer_ids[li])
+            for ei in range(net.num_entities) for li in net.entity_layers_idx(ei)]
 
 
 def random_single_layer(rng: random.Random, max_nodes: int = 30):
@@ -68,7 +74,7 @@ def random_multilayer(rng: random.Random, max_tuples: int = 12, max_layers: int 
 def random_structure(rng: random.Random, net, max_communities: int = 4) -> CommunityStructure:
     """Random per-occurrence community structure over ``net``."""
     k = rng.randint(1, max_communities)
-    assignment = {t: rng.randrange(k) for t in net.tuples()}
+    assignment = {t: rng.randrange(k) for t in occurrence_ids(net)}
     return CommunityStructure(net, assignment)
 
 
@@ -125,7 +131,7 @@ def blocked_multilayer(rng: random.Random, blocks: int = 100, block_size: int = 
                         presence=[(layer_ids[j], u) for u in range(n)
                                   for j in range(layers) if present[u][j]])
     assignment = {}
-    for u, layer in net.tuples():
+    for u, layer in occurrence_ids(net):
         block = u // block_size
         if rng.random() < p_split:
             block = (block + 1) % blocks

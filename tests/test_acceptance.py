@@ -27,7 +27,7 @@ def test_criterion_1_exact_projection_coupling_values():
     started = time.time()
     net = build_ordered3()
     cs = mm.CommunityStructure.from_entity_partition(net, ORDERED3_PARTITION)
-    c1 = cs.assignment_of("e01", "L1")
+    c1 = cs.as_assignment()[("e01", "L1")]
     inner = mm.asymmetric_coupling(cs, c1, "L1", "L2")
     outer = mm.asymmetric_coupling(cs, c1, "L2", "L1")
     assert inner == Fraction(8, 9)

@@ -133,6 +133,25 @@ class TestStats:
         assert code == 2
         assert "line 2: layer id '%a' starts with '%'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{net}"],
+        ["score", "{net}", "{comm}", "--ordering", "none"],
+        ["sweep", "{net}", "{comm}", "--protocol", "omega"],
+        ["detect", "{net}", "--out", "{out}"],
+    ])
+    def test_order_naming_a_layer_twice(self, capsys, tmp_path, argv):
+        # refused in every ordering mode, not only where the order is used
+        net = tmp_path / "net.mlg"
+        net.write_text("L2 x y\n%order L1 L1\nL1 a b\nL1 b c\n", encoding="utf-8")
+        comm = tmp_path / "comm.txt"
+        comm.write_text("a 0\nb 0\nc 0\nx 1\ny 1\n", encoding="utf-8")
+        paths = {"net": net, "comm": comm, "out": tmp_path / "run"}
+        code, out, err = run(capsys, [a.format(**paths) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: %order names a layer twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["comm.txt", "net.mlg"]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["stats", str(tmp_path / "nope.mlg")])
         assert code == 2

@@ -12,7 +12,7 @@ import multimod as mm
 from multimod.errors import InputError
 
 from _brute import literal_pair_layers, literal_read_communities
-from _gen import blocked_multilayer, random_multilayer, random_structure
+from _gen import blocked_multilayer, occurrence_ids, random_multilayer, random_structure
 from conftest import ORDERED3_PARTITION
 
 
@@ -21,10 +21,10 @@ class TestFromEntityPartition:
         net = twin_triangle_layers
         cs = mm.CommunityStructure.from_entity_partition(net, {e: 0 for e in net.entity_ids})
         assert cs.num_communities == 1
-        assert len(cs.members(0)) == net.num_tuples()
+        assert sum(cs.projection_size(0, l) for l in net.layer_ids) == net.num_tuples()
 
     def test_ordered3_projections(self, ordered3, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         assert len(ordered3_cs.projection(c1, "L1")) == 3
         assert len(ordered3_cs.projection(c1, "L2")) == 2
         assert ordered3_cs.projection(c1, "L2") == {"e01", "e02"}
@@ -48,27 +48,27 @@ class TestAbsentOccurrence:
                                                              ("L2", "a", "b")])
 
     def test_assignment_refused(self, net):
-        assignment = {t: 0 for t in net.tuples()}
+        assignment = {t: 0 for t in occurrence_ids(net)}
         assignment[("c", "L2")] = 0
         with pytest.raises(InputError, match="entity is not present in that layer"):
             mm.CommunityStructure(net, assignment)
 
-    def test_assignment_of(self, net):
-        cs = mm.CommunityStructure(net, {t: 0 for t in net.tuples()})
-        assert cs.assignment_of("c", "L1") == 0
-        with pytest.raises(InputError, match="is not a present occurrence"):
-            cs.assignment_of("c", "L2")
+    def test_assignment_lists_present_occurrences_only(self, net):
+        cs = mm.CommunityStructure(net, {t: 0 for t in occurrence_ids(net)})
+        assignment = cs.as_assignment()
+        assert assignment[("c", "L1")] == 0
+        assert ("c", "L2") not in assignment
 
 
 class TestProjection:
     def test_absent_community_layer(self, ordered3, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         # C1 holds only e10 on L3
         assert ordered3_cs.projection(c1, "L3") == {"e10"}
         # a community whose entities all miss a layer projects to nothing there
         pair_only = mm.CommunityStructure(
             ordered3, {t: (0 if t[0] in ("e01", "e02") else 1)
-                       for t in ordered3.tuples()})
+                       for t in occurrence_ids(ordered3)})
         assert pair_only.projection(0, "L3") == frozenset()
         assert pair_only.projection_size(0, "L3") == 0
 
@@ -110,25 +110,25 @@ class TestRedundancy:
     def test_single_layer_has_no_redundancy(self, two_triangles):
         cs = mm.CommunityStructure.from_entity_partition(
             two_triangles, {e: 0 for e in two_triangles.entity_ids})
-        _, p2 = cs.redundant_pairs(0)
-        assert p2 == frozenset()
+        assert cs.redundant_pair_count(0, "L") == 0
         assert cs.redundancy(0) == 0
 
     def test_pair_in_two_layers(self):
         net = mm.build_network(layers=["L1", "L2"],
                                edges=[("L1", "a", "b"), ("L2", "a", "b")])
         cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0, "b": 0})
-        p1, p2 = cs.redundant_pairs(0)
-        assert len(p1) == 1 and len(p2) == 1
+        # one connected pair, redundant and supported by both layers
+        assert [cs.redundant_pair_count(0, l) for l in ("L1", "L2")] == [1, 1]
+        assert cs.redundancy(0) == Fraction(2, 2 * 1)
 
     def test_distinct_layers_no_redundant(self):
         # three entities linked pairwise, each pair in its own layer
         edges = [("L1", "a", "b"), ("L2", "b", "c"), ("L3", "a", "c")]
         net = mm.build_network(layers=["L1", "L2", "L3"], edges=edges)
         cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0, "b": 0, "c": 0})
-        p1, p2 = cs.redundant_pairs(0)
-        assert len(p1) == 3
-        assert p2 == frozenset()
+        assert cs._redundancy_counts(0) == ([0, 0, 0], 3)
+        assert [cs.redundant_pair_count(0, l) for l in ("L1", "L2", "L3")] == [0, 0, 0]
+        assert cs.redundancy(0) == 0
 
     def test_redundancy_value(self):
         # two layers; pairs (a,b), (b,c), (a,c) linked somewhere, only (a,b) twice
@@ -170,18 +170,18 @@ class TestLayerRedundantPairCount:
         """Every redundancy reading of every community of ``cs`` equals the
         literal edge-list scan over its flattened membership."""
         ids = net.entity_ids
+        assignment = cs.as_assignment()
         for c in cs.communities():
-            p1, p2 = cs.redundant_pairs(c)
             per_layer = [cs.redundant_pair_count(c, l) for l in net.layer_ids]
-            assert all(v <= len(p2) for v in per_layer)
-            flat = {net.entity_index(e) for e, _ in cs.members(c)}
+            flat = {net.entity_index(e) for (e, _), k in assignment.items() if k == c}
             literal = literal_pair_layers(net, flat)
             for (u, v), layers in literal.items():
                 assert linking_layers(net, ids[u], ids[v]) == [
                     net.layer_ids[li] for li in sorted(layers)]
             redundant = {pair: layers for pair, layers in literal.items() if len(layers) >= 2}
-            assert p1 == {(ids[u], ids[v]) for u, v in literal}
-            assert p2 == {(ids[u], ids[v]) for u, v in redundant}
+            assert all(v <= len(redundant) for v in per_layer)
+            # the connected and the per-layer redundant pair counts
+            assert cs._redundancy_counts(c) == (per_layer, len(literal))
             support = sum(len(layers) for layers in redundant.values())
             assert sum(per_layer) == support
             assert per_layer == [sum(1 for layers in redundant.values() if li in layers)
@@ -205,12 +205,11 @@ class TestLayerRedundantPairCount:
             ("a", "L1"): 0, ("b", "L1"): 0, ("c", "L1"): 1, ("e", "L1"): 0,
             ("a", "L2"): 1, ("b", "L2"): 0, ("c", "L2"): 0, ("d", "L2"): 1})
         # community 0 holds a, b, c, e: (a, b) and (b, c) in both layers, (a, c) in L2
-        assert cs.redundant_pairs(0) == ({("a", "b"), ("b", "c"), ("a", "c")},
-                                         {("a", "b"), ("b", "c")})
+        assert cs._redundancy_counts(0) == ([2, 2], 3)
         assert [cs.redundant_pair_count(0, l) for l in ("L1", "L2")] == [2, 2]
         assert cs.redundancy(0) == Fraction(4, 2 * 3)
         # community 1 holds a, c, d: (a, c) and (c, d) in L2 only
-        assert cs.redundant_pairs(1) == ({("a", "c"), ("c", "d")}, frozenset())
+        assert cs._redundancy_counts(1) == ([0, 0], 2)
         assert [cs.redundant_pair_count(1, l) for l in ("L1", "L2")] == [0, 0]
         assert cs.redundancy(1) == 0
         self.check_against_literal(net, cs)
@@ -218,8 +217,10 @@ class TestLayerRedundantPairCount:
     def test_bookkeeping_identity_at_scale(self):
         net, cs = blocked_multilayer(random.Random(3))
         assert net.num_entities >= 1000
-        split = sum(1 for e in net.entity_ids
-                    if len({cs.assignment_of(e, l) for l in net.entity_layers(e)}) > 1)
+        communities_of = {}
+        for (e, _), c in cs.as_assignment().items():
+            communities_of.setdefault(e, set()).add(c)
+        split = sum(1 for found in communities_of.values() if len(found) > 1)
         assert split > 100
         self.check_against_literal(net, cs)
 
@@ -283,7 +284,7 @@ class TestFlattenMajority:
         cs = mm.CommunityStructure(net, {("a", "L1"): 0, ("b", "L1"): 0,
                                          ("a", "L2"): 0, ("c", "L2"): 1})
         flat = cs.flatten_majority()
-        assert flat["c"] == cs.assignment_of("c", "L2")
+        assert flat["c"] == cs.as_assignment()[("c", "L2")]
         assert flat["c"] != flat["a"]
 
     def test_layer_relabel_invariance(self):
@@ -297,13 +298,11 @@ class TestFlattenMajority:
             edges = [(renamed[l], net.entity_ids[u], net.entity_ids[v])
                      for li, l in enumerate(net.layer_ids)
                      for u, v in net.edges_idx(li)]
-            presence = [(renamed[l], e) for e in net.entity_ids
-                        for l in net.entity_layers(e)]
+            presence = [(renamed[l], e) for e, l in occurrence_ids(net)]
             net2 = mm.build_network(layers=[renamed[l] for l in net.layer_ids],
                                     edges=edges, presence=presence)
             cs2 = mm.CommunityStructure(
-                net2, {(e, renamed[l]): cs.assignment_of(e, l)
-                       for e, l in net.tuples()})
+                net2, {(e, renamed[l]): c for (e, l), c in cs.as_assignment().items()})
             assert cs2.flatten_majority() == flat
 
 
@@ -313,20 +312,20 @@ class TestPartitionInvariants:
         for _ in range(30):
             net = random_multilayer(rng)
             cs = random_structure(rng, net)
-            counted = sum(len(cs.members(c)) for c in cs.communities())
+            counted = sum(cs.projection_size(c, l) for c in cs.communities() for l in net.layer_ids)
             assert counted == net.num_tuples()
             for layer in net.layer_ids:
                 total = sum(cs.degree(c, layer) for c in cs.communities())
                 assert total == 2 * net.num_edges(layer)
 
-    def test_p2_subset_p1(self):
+    def test_redundant_pairs_are_connected_pairs(self):
         rng = random.Random(13)
         for _ in range(30):
             net = random_multilayer(rng)
             cs = random_structure(rng, net)
             for c in cs.communities():
-                p1, p2 = cs.redundant_pairs(c)
-                assert p2 <= p1
+                counts, linked = cs._redundancy_counts(c)
+                assert all(n <= linked for n in counts)
                 assert 0 <= cs.redundancy(c) <= 1
 
 
@@ -339,13 +338,15 @@ def test_coupled_instance_pairs_count_same_entity_pairs():
         cs = random_structure(rng, net)
         for c in cs.communities():
             counts = {}
-            for entity, _ in cs.members(c):
-                counts[entity] = counts.get(entity, 0) + 1
+            for (entity, _), k in cs.as_assignment().items():
+                if k == c:
+                    counts[entity] = counts.get(entity, 0) + 1
             pairs = cs.coupled_instance_pairs(c)
             assert type(pairs) is int
             assert pairs == sum(math.comb(n, 2) for n in counts.values())
             deep += any(n >= 3 for n in counts.values())
-            split += any(n < len(net.entity_layers(e)) for e, n in counts.items())
+            split += any(n < len(net.entity_layers_idx(net.entity_index(e)))
+                         for e, n in counts.items())
     # an entity with three occurrences in one community, and one split across
     # communities, both occur
     assert deep and split
@@ -379,7 +380,7 @@ class TestCommunityFiles:
         path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
         cs = mm.read_communities(string_net, path)
         assert cs.num_communities == 2
-        assert cs.assignment_of("a", "L") == 0
+        assert cs.as_assignment()[("a", "L")] == 0
 
     @pytest.mark.parametrize("text,message", [
         # the whole file is read before any occurrence is checked
@@ -467,7 +468,7 @@ def _string_ids(net):
         layers=net.layer_ids,
         edges=[(l, f"n{ids[u]}", f"n{ids[v]}")
                for li, l in enumerate(net.layer_ids) for u, v in net.edges_idx(li)],
-        presence=[(l, f"n{e}") for e, l in net.tuples()])
+        presence=[(l, f"n{e}") for e, l in occurrence_ids(net)])
 
 
 def _random_community_text(rng, net, faults=0):
@@ -479,14 +480,16 @@ def _random_community_text(rng, net, faults=0):
     labels = [f"c{i}" for i in range(rng.randint(1, 4))]
     extended = rng.random() < 0.5
     if extended:
-        records = [[e, l, rng.choice(labels)] for e, l in net.tuples() if rng.random() < 0.97]
+        records = [[e, l, rng.choice(labels)] for e, l in occurrence_ids(net)
+                   if rng.random() < 0.97]
     else:
         records = [[e, rng.choice(labels)] for e in net.entity_ids if rng.random() < 0.97]
     rng.shuffle(records)
     if rng.random() < 0.03:
         records = []  # nothing but what the faults add
+    present = set(occurrence_ids(net))
     absent = [[e, l, "c0"] for e in net.entity_ids for l in net.layer_ids
-              if not net.is_present(e, l)]
+              if (e, l) not in present]
     e0, l0 = net.entity_ids[0], net.layer_ids[0]
     bad = [["ghost", l0, "c0"], [e0, "nolayer", "c0"], ["ghost", "c0"], [e0, l0, "c0"],
            [e0, "c0"], ["x"], ["a", "b", "c", "d"], *absent[:1]]

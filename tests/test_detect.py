@@ -18,7 +18,7 @@ from multimod.detect import _make_unit, _MultilayerEngine, _MultisliceEngine
 from _brute import (LiteralMultilayerEngine, best_partition_exhaustive,
                     literal_aggregate_majority, literal_engine, literal_gather,
                     literal_generalized_louvain, new_comm, where_table)
-from _gen import natural_orderings, random_multilayer, with_ordering
+from _gen import natural_orderings, occurrence_ids, random_multilayer, with_ordering
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -137,7 +137,7 @@ class TestGeneralizedLouvain:
         for _ in range(10):
             net = random_multilayer(rng)
             singletons = mm.CommunityStructure(
-                net, {t: i for i, t in enumerate(net.tuples())})
+                net, {t: i for i, t in enumerate(occurrence_ids(net))})
             base = mm.multilayer_modularity(net, singletons,
                                             mm.ResolutionPolicy.constant(1),
                                             mm.CouplingPolicy.symmetric()).total
@@ -351,7 +351,8 @@ class TestGather:
                 checked += 1
             engines = [objective.gain_engine(net) for objective in objectives]
             engines += [literal_engine(net, objective) for objective in objectives]
-            occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+            occurrences = [(net.entity_index(e), net.layer_index(l))
+                           for e, l in occurrence_ids(net)]
             k = rng.randint(1, 4)
             where = where_table(net, {t: rng.randrange(k) for t in occurrences})
             layers = [l for l in range(net.num_layers) if net.presence_idx(l)]
@@ -375,7 +376,7 @@ class TestIncrementalGains:
         """Move random single occurrences between two communities and check
         each gain against ``rescore`` and the live aggregates against a
         from-scratch rebuild of the same split."""
-        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in occurrence_ids(net)]
         split = {t: rng.randrange(2) for t in occurrences}
         comms = {c: new_comm(engine, [t for t in occurrences if split[t] == c])
                  for c in (0, 1)}
@@ -461,7 +462,7 @@ class TestIncrementalGains:
                       mm.MultisliceObjective(gamma=1.0, omega=1.0)]
         for objective in objectives:
             engine = objective.gain_engine(net)
-            for e, l in net.tuples():
+            for e, l in occurrence_ids(net):
                 t = (net.entity_index(e), net.layer_index(l))
                 comm = detect._Comm()
                 engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH,
@@ -478,7 +479,7 @@ class TestIncrementalGains:
         for bit, each read from the literal engine's own gather."""
         engine = objective.gain_engine(net)
         literal = literal_engine(net, objective)
-        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in net.tuples()]
+        occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in occurrence_ids(net)]
         k = rng.randint(2, 4)
         split = {t: rng.randrange(k) for t in occurrences}
         comms = {c: new_comm(engine, [t for t in occurrences if split[t] == c])
@@ -564,7 +565,7 @@ class TestIncrementalGains:
         engine = _MultilayerEngine(net, objective)
         literal = LiteralMultilayerEngine(net, objective)
         idx = lambda e, l: (net.entity_index(e), net.layer_index(l))
-        split = {t: 1 for t in (idx(e, l) for e, l in net.tuples())}
+        split = {t: 1 for t in (idx(e, l) for e, l in occurrence_ids(net))}
         for e, l in [(0, "a"), (1, "a"), (1, "b"), (1, "c")]:
             split[idx(e, l)] = 0
         comms = {c: new_comm(engine, [t for t in split if split[t] == c]) for c in (0, 1)}
@@ -589,7 +590,7 @@ class TestIncrementalGains:
         engine = _MultilayerEngine(net, objective)
         assert all(g == log_decay(n) for n, g in enumerate(engine.decay))
         everything = new_comm(engine, [(net.entity_index(e), net.layer_index(l))
-                                       for e, l in net.tuples()])
+                                       for e, l in occurrence_ids(net)])
         assert everything.nrp == {0: 28, 1: 28, 2: 28}
         assert len(engine.decay) > max(everything.nrp.values())
         config = mm.DetectConfig(objective=objective)

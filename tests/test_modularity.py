@@ -13,8 +13,8 @@ from multimod.errors import InputError, PolicyError
 from multimod.modularity import coupling_plan, multislice_parameters
 from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
                     literal_newman, multislice_direct, newman_direct)
-from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
-                  with_ordering)
+from _gen import (natural_orderings, occurrence_ids, random_multilayer, random_single_layer,
+                  random_structure, with_ordering)
 
 
 class TestNewman:
@@ -166,7 +166,7 @@ class TestMultislice:
 
 class TestSymmetricCoupling:
     def test_ordered3_value(self, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         assert mm.symmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(2, 9)
 
     def test_full_cover(self, twin_triangle_layers):
@@ -197,11 +197,11 @@ class TestSymmetricCoupling:
 
 class TestAsymmetricCoupling:
     def test_ordered3_inner_value(self, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         assert mm.asymmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(8, 9)
 
     def test_ordered3_outer_value(self, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         assert mm.asymmetric_coupling(ordered3_cs, c1, "L2", "L1") == 1
 
     def test_full_overlap(self, twin_triangle_layers):
@@ -222,7 +222,7 @@ class TestAsymmetricCoupling:
                         sym = mm.symmetric_coupling(cs, c, la, lb)
                         asym = mm.asymmetric_coupling(cs, c, la, lb)
                         proj = cs.projection_size(c, la)
-                        vsize = len(net.layer_entities(la))
+                        vsize = len(net.presence_idx(net.layer_index(la)))
                         if proj:
                             assert asym == sym * Fraction(vsize, proj)
                             shared = net.shared_entity_count(la, lb)
@@ -232,7 +232,7 @@ class TestAsymmetricCoupling:
 
 class TestTimeAwareCoupling:
     def test_distance_one_is_no_penalty(self, ordered3, ordered3_cs):
-        c1 = ordered3_cs.assignment_of("e01", "L1")
+        c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         asym = float(mm.asymmetric_coupling(ordered3_cs, c1, "L1", "L2"))
         assert mm.time_aware_coupling(ordered3_cs, c1, "L1", "L2") == asym
 
@@ -308,7 +308,8 @@ class TestCouplingPlan:
         expected = 0
         for l in net.layer_ids:
             for other in net.valid_pairings(l):
-                expected += len(net.layer_entities(l) & net.layer_entities(other))
+                expected += len(net.presence_idx(net.layer_index(l))
+                                & net.presence_idx(net.layer_index(other)))
         assert expected == 8
         records, _ = coupling_plan(net, mm.CouplingPolicy.symmetric())
         assert coupled_count(records) == 8
@@ -464,7 +465,13 @@ class TestMultilayerModularity:
         report = mm.multilayer_modularity(ordered3, ordered3_cs,
                                           mm.ResolutionPolicy.redundancy(),
                                           mm.CouplingPolicy.asym_inner())
-        assert report.recompute_total() == report.total
+        # the TSV and JSON rows add up to the total bit for bit: an fsum per
+        # community in index order, an fsum of those, then the normalization
+        rows = {}
+        for t in report.terms:
+            rows.setdefault(t.community, []).append(t.intra - t.null_model + t.coupling)
+        sums = [math.fsum(rows[c]) for c in sorted(rows)]
+        assert math.fsum(sums) / report.normalization == report.total
         assert report.normalization == coupling_plan(ordered3, mm.CouplingPolicy.asym_inner())[1]
 
     def test_relabeling_invariance(self):
@@ -479,10 +486,10 @@ class TestMultilayerModularity:
             edges = [(l, perm[net.entity_ids[u]], perm[net.entity_ids[v]])
                      for li, l in enumerate(net.layer_ids)
                      for u, v in net.edges_idx(li)]
-            presence = [(l, perm[e]) for e in net.entity_ids for l in net.entity_layers(e)]
+            presence = [(l, perm[e]) for e, l in occurrence_ids(net)]
             net2 = mm.build_network(layers=net.layer_ids, edges=edges, presence=presence)
             cs2 = mm.CommunityStructure(
-                net2, {(perm[e], l): 1000 - cs.assignment_of(e, l) for e, l in net.tuples()})
+                net2, {(perm[e], l): 1000 - c for (e, l), c in cs.as_assignment().items()})
             report2 = mm.multilayer_modularity(net2, cs2, mm.ResolutionPolicy.constant(1.3),
                                                mm.CouplingPolicy.symmetric())
             assert report2.total == pytest.approx(report.total, abs=1e-12)

@@ -58,6 +58,15 @@ def test_exported_names_are_pinned():
     assert not hasattr(mm, "LayerGraph")
     assert not hasattr(mm.mlgraph, "LayerGraph")
     assert not hasattr(mm.MultilayerNetwork, "layer_graph")
+    # deleted: only tests called them; the tests read the index-level
+    # accessors, as_assignment and the redundancy counts instead, and the
+    # redundancy counts walk each community themselves
+    for name in ("tuples", "entity_layers", "is_present", "intra_degree", "layer_entities"):
+        assert not hasattr(mm.MultilayerNetwork, name)
+    for name in ("assignment_of", "members", "redundant_pairs", "_walk"):
+        assert not hasattr(mm.CommunityStructure, name)
+    for name in ("recompute_total", "community_total"):
+        assert not hasattr(mm.ScoreReport, name)
 
 
 def test_every_exported_name_resolves():

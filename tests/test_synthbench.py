@@ -46,8 +46,10 @@ class TestPlantedGenerator:
         net_a, planted_a = mm.planted_multilayer(spec)
         net_b, planted_b = mm.planted_multilayer(spec)
         assert planted_a == planted_b
+        assert net_a.entity_ids == net_b.entity_ids
         for layer in net_a.layer_ids:
-            assert net_a.layer_entities(layer) == net_b.layer_entities(layer)
+            assert net_a.presence_idx(net_a.layer_index(layer)) == \
+                net_b.presence_idx(net_b.layer_index(layer))
             assert net_a.edges_idx(net_a.layer_index(layer)) == \
                 net_b.edges_idx(net_b.layer_index(layer))
 
@@ -56,7 +58,7 @@ class TestPlantedGenerator:
                               p_in=0.6, p_out=0.1, presence=0.2, seed=5)
         net, _ = mm.planted_multilayer(spec)
         for e in (f"n{i:03d}" for i in range(25)):
-            assert len(net.entity_layers(e)) >= 1
+            assert len(net.entity_layers_idx(net.entity_index(e))) >= 1
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
