@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input or parse error, 3 policy conflict,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -127,6 +126,8 @@ def cmd_score(args) -> int:
 
 
 def _sha256(path) -> str:
+    import hashlib  # here, so that only detect pays for loading OpenSSL
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         digest.update(handle.read())

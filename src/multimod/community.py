@@ -27,7 +27,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import InputError
-from .mlgraph import MultilayerNetwork, check_ids, read_utf8
+from .mlgraph import MultilayerNetwork, _bad_bytes_first, _read_lines, check_ids
 
 
 def log_decay(x) -> float:
@@ -250,52 +250,53 @@ class CommunityStructure:
 
 
 def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
-    """Read a community file in one pass, straight into the structure's
-    label table. A malformed or inconsistent line is an :class:`InputError`
-    that names it; then, in an extended file, the first record of an
-    absent occurrence, and the first present occurrence without a record
-    in entity-major order; in a flattened file, the first entity without
-    a record."""
-    text = read_utf8(path)
+    """Read a community file in one pass, in chunks, straight into the
+    structure's label table. A bad byte anywhere in the file, and then a
+    malformed or inconsistent line, is an :class:`InputError` that names
+    it; then, in an extended file, the first record of an absent
+    occurrence, and the first present occurrence without a record in
+    entity-major order; in a flattened file, the first entity without a
+    record."""
     extended = None  # "u L c" records: layer -> entity -> label
     flat = None      # "u c" records: entity -> label
     absent = None    # the first extended record of an absent occurrence
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.split()
-        if len(tokens) == 3:
-            if flat is not None:
-                raise InputError(f"line {lineno}: extended record in a flattened file")
-            entity, layer, label = tokens
-            try:
-                ei = net.entity_index(entity)
-                li = net.layer_index(layer)
-            except KeyError as exc:
-                raise InputError(f"line {lineno}: {exc.args[0]}") from None
-            if extended is None:
-                extended = [[_UNASSIGNED] * net.num_entities for _ in range(net.num_layers)]
-            row = extended[li]
-            if row[ei] is not _UNASSIGNED:
-                raise InputError(f"line {lineno}: duplicate assignment for ({entity}, {layer})")
-            row[ei] = label
-            if absent is None and ei not in net.presence_idx(li):
-                absent = (ei, li)
-        elif len(tokens) == 2:
-            if extended is not None:
-                raise InputError(f"line {lineno}: flattened record in an extended file")
-            entity, label = tokens
-            try:
-                ei = net.entity_index(entity)
-            except KeyError as exc:
-                raise InputError(f"line {lineno}: {exc.args[0]}") from None
-            if flat is None:
-                flat = [_UNASSIGNED] * net.num_entities
-            if flat[ei] is not _UNASSIGNED:
-                raise InputError(f"line {lineno}: duplicate assignment for {entity}")
-            flat[ei] = label
-        elif tokens:
-            raise InputError(f"line {lineno}: expected 2 or 3 tokens")
+    with _bad_bytes_first(path):
+        for lineno, line in enumerate(_read_lines(path), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            tokens = line.split()
+            if len(tokens) == 3:
+                if flat is not None:
+                    raise InputError(f"line {lineno}: extended record in a flattened file")
+                entity, layer, label = tokens
+                try:
+                    ei = net.entity_index(entity)
+                    li = net.layer_index(layer)
+                except KeyError as exc:
+                    raise InputError(f"line {lineno}: {exc.args[0]}") from None
+                if extended is None:
+                    extended = [[_UNASSIGNED] * net.num_entities for _ in range(net.num_layers)]
+                row = extended[li]
+                if row[ei] is not _UNASSIGNED:
+                    raise InputError(f"line {lineno}: duplicate assignment for ({entity}, {layer})")
+                row[ei] = label
+                if absent is None and ei not in net.presence_idx(li):
+                    absent = (ei, li)
+            elif len(tokens) == 2:
+                if extended is not None:
+                    raise InputError(f"line {lineno}: flattened record in an extended file")
+                entity, label = tokens
+                try:
+                    ei = net.entity_index(entity)
+                except KeyError as exc:
+                    raise InputError(f"line {lineno}: {exc.args[0]}") from None
+                if flat is None:
+                    flat = [_UNASSIGNED] * net.num_entities
+                if flat[ei] is not _UNASSIGNED:
+                    raise InputError(f"line {lineno}: duplicate assignment for {entity}")
+                flat[ei] = label
+            elif tokens:
+                raise InputError(f"line {lineno}: expected 2 or 3 tokens")
     if extended is not None:
         if absent is not None:
             raise _absent(net.entity_ids[absent[0]], net.layer_ids[absent[1]])

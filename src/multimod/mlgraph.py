@@ -17,8 +17,10 @@ import re
 import statistics
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import InputError
@@ -432,7 +434,7 @@ _UNWRITABLE = re.compile(r"[\s#]")  # \s: every character str.split() splits on
 def read_utf8(path) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark; other
     bytes are an :class:`InputError` that names the first bad byte's offset
-    in the file."""
+    in the file. The readers call it only to report such a byte."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8-sig")
@@ -440,6 +442,47 @@ def read_utf8(path) -> str:
         # utf-8-sig counts offsets after the mark it strips
         start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
         raise InputError(f"{path}: not UTF-8 text (byte {start})") from None
+
+
+# Bytes decoded at a time by _read_lines
+_CHUNK = 1 << 16
+
+
+def _read_lines(path):
+    """The lines of a UTF-8 file, as ``read_utf8(path).splitlines()`` gives
+    them, decoded in chunks of ``_CHUNK`` bytes so that the whole text never
+    exists at once. What follows the last complete line of a chunk is
+    carried into the next, so a CRLF, a character or the byte-order mark
+    split between two chunks reads as one. A bad byte raises
+    :class:`UnicodeDecodeError`; read the file inside
+    :func:`_bad_bytes_first` to report it."""
+    def blocks():  # the lines in lists, which chain hands out one by one
+        decoder = codecs.getincrementaldecoder("utf-8-sig")()
+        carry = []  # the text after the last complete line, in parts
+        with open(path, "rb") as handle:
+            while chunk := handle.read(_CHUNK):
+                text = decoder.decode(chunk)
+                pieces = text.splitlines(keepends=True)
+                if len(pieces) > 1:  # what comes before the last piece is complete
+                    text = "".join(carry) + text
+                    yield text[:len(text) - len(pieces[-1])].splitlines()
+                    carry = [pieces[-1]]
+                elif text:  # a long line is joined once, when it ends
+                    carry.append(text)
+        yield ("".join(carry) + decoder.decode(b"", final=True)).splitlines()
+
+    return chain.from_iterable(blocks())
+
+
+@contextmanager
+def _bad_bytes_first(path):
+    """Report a bad byte anywhere in ``path`` as :func:`read_utf8` does,
+    before any :class:`InputError` raised while its lines are read."""
+    try:
+        yield
+    except (InputError, UnicodeDecodeError):
+        read_utf8(path)  # raises when the file holds a bad byte
+        raise
 
 
 def check_ids(ids, kind: str, leads_record: bool = False) -> None:
@@ -461,8 +504,8 @@ def check_ids(ids, kind: str, leads_record: bool = False) -> None:
         written.add(text)
 
 
-def _parse_indices(text: str) -> tuple:
-    """One pass over edge-list text, straight into indices.
+def _parse_indices(lines) -> tuple:
+    """One pass over the lines of edge-list text, straight into indices.
 
     Returns ``(entities, layers, presence, edges, order)``. ``entities`` and
     ``layers`` map each id to an index, in order of first mention.
@@ -480,7 +523,7 @@ def _parse_indices(text: str) -> tuple:
     edges = []
     append = edges.append
     order = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         tokens = line.split()
@@ -532,7 +575,7 @@ def parse_network_text(text: str):
     the layer ids in order of first mention, and the ``(layer, u, v)`` edge
     and ``(layer, entity)`` presence records in file order. ``read_network``
     reads the same records into indices instead."""
-    entities, layers, presence, edges, order = _parse_indices(text)
+    entities, layers, presence, edges, order = _parse_indices(text.splitlines())
     ids = tuple(entities)
     names = tuple(layers)
     it = iter(edges)
@@ -570,11 +613,13 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
                           order when absent) with adjacent pairing
       "natural-pairwise"  same with pair-wise pairing
 
-    The file is read in one pass into indices (``_parse_indices``) and
-    assembled from them, with ``build_network``'s entity order, layer order
-    and errors.
+    The file is read in chunks, never whole, and parsed in one pass into
+    indices (``_parse_indices``), then assembled from them, with
+    ``build_network``'s entity order, layer order and errors. A bad byte
+    anywhere in the file is reported before any malformed line.
     """
-    entities, layers, presence, edges, order = _parse_indices(read_utf8(path))
+    with _bad_bytes_first(path):
+        entities, layers, presence, edges, order = _parse_indices(_read_lines(path))
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
     if ordering_mode == "none":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import multimod as mm
+from multimod import mlgraph
 
 # A three-layer network with a natural order and a known entity partition.
 # Layer node sets: V1 = e01..e12, V2 = e01..e09, V3 = e04..e12.
@@ -74,3 +75,18 @@ def twin_triangle_layers():
     """Two identical layers, each two disjoint triangles over entities 0..5."""
     edges = [(l, u, v) for l in ("x", "y") for u, v in TRIANGLES]
     return mm.build_network(layers=["x", "y"], edges=edges)
+
+
+# Every line break str.splitlines knows; the readers' line numbers follow them all.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.fixture(params=[1, 2, 3, 5, 7, None], ids=lambda size: f"chunk{size or '-default'}")
+def chunk(request, monkeypatch):
+    """The file readers' chunk size in bytes; None leaves the default. Tiny
+    chunks split a CRLF, a multi-byte character or the byte-order mark
+    between two chunks."""
+    if request.param is not None:
+        monkeypatch.setattr(mlgraph, "_CHUNK", request.param)
+    return request.param

@@ -40,14 +40,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv):
-    """The CLI in a fresh process with a timeout: an unbounded run fails
-    instead of hanging the suite."""
+def python_fresh(*args):
+    """Python on ``args`` in a fresh process that imports this package, with
+    a timeout: an unbounded run fails instead of hanging the suite."""
     src = Path(mm.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "multimod.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def run_fresh(argv):
+    """The CLI in a fresh process."""
+    return python_fresh("-m", "multimod.cli", *argv)
 
 
 def parse_kv(block: str) -> dict:
@@ -586,6 +591,25 @@ class TestHostileInputs:
         code, _, err = run(capsys, ["score", triangle_files[0], str(cpath)])
         assert code == 2
         assert "bad.comm: not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [["score", "{net}", "{comm}"],
+                                  ["sweep", "{net}", "{comm}", "--protocol", "omega"],
+                                  ["stats", "{net}"]], ids=lambda argv: argv[0])
+def test_only_detect_loads_hashlib(ordered3_files, argv):
+    """Only ``detect`` writes digests, so no other command loads hashlib
+    and the OpenSSL library behind it."""
+    net, comm = ordered3_files
+    argv = [arg.format(net=net, comm=comm) for arg in argv]
+    proc = python_fresh("-c", "\n".join([
+        "import sys",
+        "before = 'hashlib' in sys.modules",
+        "from multimod.cli import main",
+        f"code = main({argv!r})",
+        "print(code, before, 'hashlib' in sys.modules)"]))
+    code, before, after = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert before == "True" or after == "False"
 
 
 # Outputs pinned on seeded planted networks: scores, optimizer trajectory

@@ -5,15 +5,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import multimod as mm
+from multimod import mlgraph
 from multimod.errors import InputError
 
 from _brute import literal_pair_layers, literal_read_communities
 from _gen import blocked_multilayer, occurrence_ids, random_multilayer, random_structure
-from conftest import ORDERED3_PARTITION
+from conftest import LINE_BREAKS, ORDERED3_PARTITION
 
 
 class TestFromEntityPartition:
@@ -374,7 +376,7 @@ class TestCommunityFiles:
         assert cs.num_communities == 2
 
     @pytest.mark.parametrize("form", ["{e} L {c}", "{e} {c}"])
-    def test_byte_order_mark(self, tmp_path, string_net, form):
+    def test_byte_order_mark(self, tmp_path, string_net, form, chunk):
         path = tmp_path / "c.txt"
         lines = [form.format(e=e, c=0 if e in "abc" else 1) for e in string_net.entity_ids]
         path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
@@ -396,7 +398,7 @@ class TestCommunityFiles:
         ("a 0\n", "entity 'b' has no community assignment"),
         ("# only a comment\n\n", "community file is empty"),
     ])
-    def test_error_messages(self, tmp_path, text, message):
+    def test_error_messages(self, tmp_path, text, message, chunk):
         net = mm.build_network(layers=["L", "M"], edges=[
             ("L", "a", "b"), ("L", "b", "c"), ("L", "a", "c"), ("L", "d", "e"), ("M", "a", "b")])
         path = tmp_path / "c.txt"
@@ -424,11 +426,25 @@ class TestCommunityFiles:
             mm.read_communities(string_net, path)
 
 
-    def test_not_utf8(self, tmp_path, string_net):
+    def test_not_utf8(self, tmp_path, string_net, chunk):
         path = tmp_path / "c.txt"
         path.write_bytes(b"a \xff\nb 0\n")
         with pytest.raises(InputError, match="c.txt: not UTF-8"):
             mm.read_communities(string_net, path)
+
+    @pytest.mark.parametrize("mark", [b"", "\ufeff".encode("utf-8")], ids=["plain", "mark"])
+    def test_bad_byte_beyond_the_first_chunk_comes_first(self, tmp_path, mark):
+        """A file longer than one chunk whose first record is malformed and
+        whose last line holds a bad byte reports the byte, at its offset."""
+        net = mm.build_network(layers=["L"], edges=[("L", f"a{i}", f"b{i}") for i in range(6000)])
+        records = "a0 L 0 0\n" + "".join(f"a{i} L 0\nb{i} L 0\n" for i in range(6000))
+        data = mark + records.encode("utf-8") + b"a0 \xe9\n"
+        assert len(data) > 1 << 16  # longer than one chunk of the default size
+        path = tmp_path / "c.txt"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as info:
+            mm.read_communities(net, path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {len(data) - 2})"
 
     @pytest.mark.parametrize("entity", ["b#", "x y", "", "#"])
     def test_unreadable_entity_ids_rejected(self, tmp_path, entity):
@@ -461,22 +477,23 @@ class TestCommunityFiles:
 
 
 def _string_ids(net):
-    """``net`` with entity ``e`` renamed ``n<e>``: community files carry
-    string ids."""
+    """``net`` with entity ``e`` renamed ``ñ<e>𝔘``: community files carry
+    string ids, here of two- and four-byte characters."""
     ids = net.entity_ids
     return mm.build_network(
         layers=net.layer_ids,
-        edges=[(l, f"n{ids[u]}", f"n{ids[v]}")
+        edges=[(l, f"ñ{ids[u]}𝔘", f"ñ{ids[v]}𝔘")
                for li, l in enumerate(net.layer_ids) for u, v in net.edges_idx(li)],
-        presence=[(l, f"n{e}") for e, l in occurrence_ids(net)])
+        presence=[(l, f"ñ{e}𝔘") for e, l in occurrence_ids(net)])
 
 
 def _random_community_text(rng, net, faults=0):
     """Random extended or flattened community text over ``net``: a record
     for most occurrences (or entities), in shuffled order, with comments,
-    blank lines, CRLF and tabs. ``faults`` records the reader must refuse
+    blank lines and tabs. ``faults`` records the reader must refuse
     are spliced in: unknown ids, a record of an absent occurrence, a
-    duplicate, the other form, a wrong token count."""
+    duplicate, the other form, a wrong token count. Lines end in every
+    break ``str.splitlines`` knows."""
     labels = [f"c{i}" for i in range(rng.randint(1, 4))]
     extended = rng.random() < 0.5
     if extended:
@@ -503,7 +520,7 @@ def _random_community_text(rng, net, faults=0):
     for tokens in records:
         line = rng.choice(["", " ", "\t"]) + rng.choice([" ", "\t"]).join(tokens)
         lines.append(line + rng.choice(["", "", " # note", "#"]))
-    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)
 
 
 # a fragment of each refusal a community file can meet -> its kind
@@ -516,16 +533,18 @@ COMMUNITY_REFUSALS = {
 
 
 class TestReadCommunitiesOracle:
-    def test_read_communities_matches_literal_reader(self, tmp_path):
+    def test_read_communities_matches_literal_reader(self, tmp_path, chunk):
         """``read_communities`` gives the literal reader's assignment, in
-        the same order and numbering, or its error."""
+        the same order and numbering, or its error, whatever the chunk size;
+        its line source gives the lines of the whole text."""
         path = tmp_path / "c.txt"
         refused = set()
         for seed in range(300):
             rng = random.Random(seed)
             net = _string_ids(random_multilayer(rng, max_tuples=14))
             text = _random_community_text(rng, net, faults=rng.choice([0, 0, 1, 2]))
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(rng.choice(["", "\ufeff"]).encode("utf-8") + text.encode("utf-8"))
+            assert list(mlgraph._read_lines(path)) == mlgraph.read_utf8(path).splitlines()
             try:
                 want = list(literal_read_communities(net, path).items())
             except InputError as exc:
@@ -542,7 +561,8 @@ class TestReadCommunitiesOracle:
 def test_loaders_build_from_indices(tmp_path, monkeypatch):
     """``read_network`` and ``read_communities`` go from text straight to
     indices: neither calls the id-tuple parser and builder, nor builds the
-    structure from an id assignment or an entity partition."""
+    structure from an id assignment or an entity partition. Neither reads
+    a valid file whole."""
     text = "%order L M\n%presence M d\nL a b\nL b c\nM a b\nM b d # x\n"
     (tmp_path / "net.mlg").write_text(text, encoding="utf-8")
     (tmp_path / "ext.txt").write_text("a L 0\nb L 0\nc L 1\na M 1\nb M 1\nd M 1\n",
@@ -557,12 +577,15 @@ def test_loaders_build_from_indices(tmp_path, monkeypatch):
                                                                    "d": 1})
 
     def refuse(*args, **kwargs):
-        raise AssertionError("loaded through the id-level path")
+        raise AssertionError("loaded through the id-level path, or read a whole file")
 
     monkeypatch.setattr(mm.mlgraph, "parse_network_text", refuse)
     monkeypatch.setattr(mm.mlgraph, "build_network", refuse)
     monkeypatch.setattr(mm.CommunityStructure, "__init__", refuse)
     monkeypatch.setattr(mm.CommunityStructure, "from_entity_partition", refuse)
+    monkeypatch.setattr(mm.mlgraph, "read_utf8", refuse)
+    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(Path, "read_bytes", refuse)
     net = mm.read_network(tmp_path / "net.mlg")
     assert net.entity_ids == want.entity_ids == ("d", "a", "b", "c")
     assert [net.adj_idx(li) for li in range(2)] == [want.adj_idx(li) for li in range(2)]

@@ -14,7 +14,7 @@ from multimod.errors import InputError
 
 from _brute import (literal_avg_path_length, literal_build_network, literal_mean_clustering,
                     literal_parse_network_text, literal_read_network)
-from conftest import ordered3_network_text
+from conftest import LINE_BREAKS, ordered3_network_text
 
 
 def line_net(layers, edges, **kw):
@@ -441,15 +441,16 @@ def _build_both(**kwargs):
 
 
 def _random_text(rng, faults=0, hard=False):
-    """Random edge-list text: comments, blank lines, CRLF and tabs, edges
-    repeated in both directions, presence-only entities, and an optional
-    %order that may name a layer nothing else mentions. ``faults`` lines the
+    """Random edge-list text: comments, blank lines, tabs, every line break
+    ``str.splitlines`` knows, multi-byte ids, edges repeated in both
+    directions, presence-only entities, and an optional %order that may
+    name a layer nothing else mentions. ``faults`` lines the
     parser must reject are spliced in at random places. ``hard`` adds the
     records the builder rejects or reorders: self-loops, a %order that is
     not a permutation of the layers (one dropped or repeated), and
     %presence lines, after the edges, of entities the edges named first."""
     layers = [f"L{i}" for i in range(rng.randint(1, 4))]
-    entities = [f"e{i}" for i in range(rng.randint(2, 10))]
+    entities = [rng.choice(["e", "é", "日", "𝔘"]) + str(i) for i in range(rng.randint(2, 10))]
     records = []
     for _ in range(rng.randint(0, 30)):
         kind = rng.random()
@@ -491,7 +492,7 @@ def _random_text(rng, faults=0, hard=False):
         if not tokens and rng.random() < 0.5:
             line = rng.choice(["# comment", "\t# indented", "#"])
         lines.append(line)
-    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)
 
 
 class TestParseBuildOracle:
@@ -550,9 +551,10 @@ REFUSALS = {"line ": "line", "unknown ordering mode": "mode", "time-aware": "tim
 
 
 class TestReadNetworkOracle:
-    def test_read_network_matches_literal_reader(self, tmp_path):
+    def test_read_network_matches_literal_reader(self, tmp_path, chunk):
         """``read_network`` on a file gives the literal reader's network
-        field by field, or its error, in every ordering mode."""
+        field by field, or its error, in every ordering mode, whatever the
+        chunk size; its line source gives the lines of the whole text."""
         path = tmp_path / "net.mlg"
         refused = set()
         renumbered = 0
@@ -561,7 +563,8 @@ class TestReadNetworkOracle:
             text = _random_text(rng, faults=rng.choice([0, 0, 0, 1, 2]), hard=True)
             assert _outcome(mm.parse_network_text, text) == \
                 _outcome(literal_parse_network_text, text)
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(rng.choice(["", "\ufeff"]).encode("utf-8") + text.encode("utf-8"))
+            assert list(mlgraph._read_lines(path)) == mlgraph.read_utf8(path).splitlines()
             for mode in READ_MODES:
                 for time_aware in (False, True):
                     got = _outcome(mm.read_network, path, mode, time_aware)
@@ -572,9 +575,23 @@ class TestReadNetworkOracle:
                     else:
                         _assert_same_network(got, want)
                         # %presence entities come first, whatever the line order
-                        renumbered += got.entity_ids != tuple(mlgraph._parse_indices(text)[0])
+                        parsed = mlgraph._parse_indices(text.splitlines())
+                        renumbered += got.entity_ids != tuple(parsed[0])
         assert refused == set(REFUSALS.values())
         assert renumbered > 0
+
+    @pytest.mark.parametrize("mark", [b"", "\ufeff".encode("utf-8")], ids=["plain", "mark"])
+    def test_bad_byte_beyond_the_first_chunk_comes_first(self, tmp_path, mark):
+        """A file longer than one chunk whose first record is malformed and
+        whose last line holds a bad byte reports the byte, at its offset."""
+        records = "L a\n" + "".join(f"L a{i} b{i}\n" for i in range(12000))
+        data = mark + records.encode("utf-8") + b"L x \xff\n"
+        assert len(data) > 1 << 16  # longer than one chunk of the default size
+        path = tmp_path / "net.mlg"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as info:
+            mm.read_network(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {len(data) - 2})"
 
 
 @settings(max_examples=60, deadline=None)
