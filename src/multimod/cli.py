@@ -12,13 +12,14 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import astuple
 
 from . import __version__
 from .community import read_communities, write_communities, write_flat_partition
 from .detect import (DetectConfig, MultilayerObjective, MultisliceObjective,
                      aggregate_majority, generalized_louvain)
 from .errors import GuardError, InputError, PolicyError
-from .mlgraph import read_network
+from .mlgraph import LayerStats, read_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, _check_multislice_values,
                          multilayer_modularity, multislice_modularity, newman_modularity)
 
@@ -73,8 +74,13 @@ def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
 
 
 def cmd_stats(args) -> int:
+    from ._workers import layer_map  # here, so that only stats and aggregate load it
+
     net = read_network(args.network, ordering_mode="auto")
-    per_layer = [(layer, net.monoplex_stats(layer)) for layer in net.layer_ids]
+    # the layers' statistics in up to min(layers, usable CPUs) processes, as
+    # four floats each, which marshal carries bit for bit
+    stats = layer_map(lambda layer: astuple(net.monoplex_stats(layer)), net.layer_ids)
+    per_layer = [(layer, LayerStats(*s)) for layer, s in zip(net.layer_ids, stats)]
     lines = ["key\tvalue"]
     lines.append(f"entities\t{net.num_entities}")
     lines.append(f"edges\t{net.num_edges()}")

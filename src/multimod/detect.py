@@ -589,27 +589,36 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     each of its entities gets one vote for that label. An entity takes the
     label with the most votes, ties toward the lower label.
 
-    The matched labeling is expanded to every occurrence and re-scored with
-    the objective carried by ``config``; passes and moves are summed over
-    the per-layer runs.
+    The per-layer runs are independent, so they run in up to min(layers,
+    usable CPUs) forked processes (``_workers.layer_map``); their results
+    are matched in layer order, so the outcome does not depend on how many
+    ran at once. The matched labeling is expanded to every occurrence and
+    re-scored with the objective carried by ``config``; passes and moves
+    are summed over the per-layer runs.
     """
     for layer in net.layer_ids:
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
     config.objective.gain_engine(net)  # rejects bad parameters before any Louvain run
 
+    from ._workers import layer_map  # here, so that gl detection never loads it
+
+    def run(layer):  # each community as parent entity indices, which marshal carries
+        res = _layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
+        cs = res.structure
+        return (res.passes, res.moves,
+                [tuple(map(net.entity_index, cs.projection(c, layer))) for c in cs.communities()])
+
     proto = []  # global label -> set of entities seen with it so far
     votes = {}  # entity -> global label -> layers that gave it
     passes = moves = 0
-    for layer in net.layer_ids:
-        res = _layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
-        passes += res.passes
-        moves += res.moves
-        groups = [res.structure.projection(c, layer) for c in res.structure.communities()]
+    for layer_passes, layer_moves, groups in layer_map(run, net.layer_ids):
+        passes += layer_passes
+        moves += layer_moves
         scored = []
         for a, group in enumerate(groups):
             for g, members in enumerate(proto):
-                ov = len(group & members)
+                ov = len(members.intersection(group))
                 if ov:
                     scored.append((-ov, g, a))
         mapping = [None] * len(groups)
@@ -628,7 +637,8 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
                 tally = votes.setdefault(e, {})
                 tally[g] = tally.get(g, 0) + 1
 
-    partition = {e: min(tally, key=lambda g: (-tally[g], g)) for e, tally in votes.items()}
+    ids = net.entity_ids
+    partition = {ids[e]: min(tally, key=lambda g: (-tally[g], g)) for e, tally in votes.items()}
     cs = CommunityStructure.from_entity_partition(net, partition)
     return DetectResult(structure=cs, partition=cs.flatten_majority(),
                         objective=config.objective.score(net, cs),

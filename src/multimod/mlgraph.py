@@ -312,17 +312,22 @@ def _layer_sequence(layers, ordering: LayerOrdering) -> tuple:
     return tuple(layers)
 
 
+# flat edge entries (three per edge) that _assemble scatters, then frees, at a time
+_SCATTER = 3 * 4096
+
+
 def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerNetwork:
     """The network over dense indices; every builder ends here.
 
     ``entity_index`` maps each entity id to its index and becomes the
     network's own. ``presence`` is a flat ``[layer, entity, ...]`` list of
     declared occurrences and ``edges`` a flat ``[layer, u, v, ...]`` list,
-    both in indices and in declaration order. Duplicate edges collapse. The
-    first self-loop in edge order, and then an entity present in no layer,
-    is an :class:`InputError`. Each node's neighbours are gathered in a
-    list, then stored as a sorted tuple without duplicates, one layer at a
-    time.
+    both in indices and in declaration order; ``edges`` is emptied as it is
+    read, so callers pass a list of their own. Duplicate edges collapse.
+    The first self-loop in edge order, and then an entity present in no
+    layer, is an :class:`InputError`. Each node's neighbours are gathered in
+    a list, then stored as a sorted tuple without duplicates, one layer at
+    a time.
     """
     ids = tuple(entity_index)
     present = [set() for _ in layer_ids]
@@ -330,13 +335,28 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
     it = iter(presence)
     for li, e in zip(it, it):
         present[li].add(e)
-    it = iter(edges)
-    for li, u, v in zip(it, it, it):
-        if u == v:
-            raise InputError(f"self-loop on {ids[u]!r} in layer {layer_ids[li]!r}")
-        a = lists[li]
-        a[u].append(v)
-        a[v].append(u)
+    loop = None  # the first self-loop in edge order, as (layer, entity)
+    while edges:
+        # scattered from the end, a slice at a time, each deleted once read,
+        # so the flat list shrinks while the neighbour lists grow. An
+        # iterator set to the slice's start reads it without a copy
+        start = max(0, len(edges) - _SCATTER)
+        it = iter(edges)
+        it.__setstate__(start)
+        first = None
+        for li, u, v in zip(it, it, it):
+            if u == v:
+                if first is None:
+                    first = li, u
+                continue
+            a = lists[li]
+            a[u].append(v)
+            a[v].append(u)
+        del edges[start:]
+        if first is not None:  # an earlier slice's comes later and replaces it
+            loop = first
+    if loop is not None:
+        raise InputError(f"self-loop on {ids[loop[1]]!r} in layer {layer_ids[loop[0]]!r}")
 
     adj = []
     edge_counts = []

@@ -593,23 +593,34 @@ class TestHostileInputs:
         assert "bad.comm: not UTF-8" in err
 
 
+HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle")
+
+
 @pytest.mark.parametrize("argv", [["score", "{net}", "{comm}"],
                                   ["sweep", "{net}", "{comm}", "--protocol", "omega"],
-                                  ["stats", "{net}"]], ids=lambda argv: argv[0])
-def test_only_detect_loads_hashlib(ordered3_files, argv):
+                                  ["stats", "{net}"],
+                                  ["detect", "{net}", "--out", "{out}"],
+                                  ["detect", "{net}", "--method", "aggregate", "--out", "{out}"]],
+                         ids=["score", "sweep", "stats", "detect", "aggregate"])
+def test_only_detect_loads_hashlib(ordered3_files, tmp_path, argv):
     """Only ``detect`` writes digests, so no other command loads hashlib
-    and the OpenSSL library behind it."""
+    and the OpenSSL library behind it; and no command loads a process pool
+    or pickle, whose imports would slow every start."""
     net, comm = ordered3_files
-    argv = [arg.format(net=net, comm=comm) for arg in argv]
+    argv = [arg.format(net=net, comm=comm, out=tmp_path / "out") for arg in argv]
+    watched = ("hashlib", *HEAVY_MODULES)
     proc = python_fresh("-c", "\n".join([
         "import sys",
-        "before = 'hashlib' in sys.modules",
+        f"watched = {watched!r}",
+        "before = [m in sys.modules for m in watched]",
         "from multimod.cli import main",
         f"code = main({argv!r})",
-        "print(code, before, 'hashlib' in sys.modules)"]))
-    code, before, after = proc.stdout.splitlines()[-1].split()
+        "print(code, *(b or m not in sys.modules for b, m in zip(before, watched)))"]))
+    code, hashlib_absent, *heavy_absent = proc.stdout.splitlines()[-1].split()
     assert code == "0"
-    assert before == "True" or after == "False"
+    if argv[0] != "detect":
+        assert hashlib_absent == "True"
+    assert heavy_absent == ["True"] * len(HEAVY_MODULES)
 
 
 # Outputs pinned on seeded planted networks: scores, optimizer trajectory

@@ -593,6 +593,26 @@ class TestReadNetworkOracle:
             mm.read_network(path)
         assert str(info.value) == f"{path}: not UTF-8 text (byte {len(data) - 2})"
 
+    def test_first_self_loop_across_scatter_slices(self, tmp_path):
+        """More than two slices of edges, scattered from the end: self-loops
+        at edges 3000 and 5000 share the middle slice and one at 7000 sits
+        in the last. Both builders name the first in file order."""
+        per_slice = mlgraph._SCATTER // 3
+        count = 2 * per_slice + per_slice // 2
+        assert count > 8192
+        loops = {3000: "s3000", 5000: "s5000", 7000: "s7000"}
+        # 3000 and 5000 in the middle slice, 7000 in the last, none in the first
+        assert [(count - i - 1) // per_slice for i in loops] == [1, 1, 0]
+        edges = [(f"L{i % 2}", loops[i], loops[i]) if i in loops else (f"L{i % 2}", f"a{i}", f"b{i}")
+                 for i in range(count)]
+        path = tmp_path / "net.mlg"
+        path.write_text("".join(f"{l} {u} {v}\n" for l, u, v in edges), encoding="utf-8")
+        want = "self-loop on 's3000' in layer 'L0'"
+        with pytest.raises(InputError, match=f"^{want}$"):
+            mm.read_network(path)
+        with pytest.raises(InputError, match=f"^{want}$"):
+            mm.build_network(layers=["L0", "L1"], edges=edges)
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
