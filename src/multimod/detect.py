@@ -70,11 +70,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import LayerOrdering, MultilayerNetwork, _assemble
+from .mlgraph import MultilayerNetwork, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          _check_multislice_values, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
@@ -134,10 +135,14 @@ class DetectConfig:
 @dataclass(frozen=True)
 class DetectResult:
     structure: CommunityStructure
-    partition: dict            # entity -> community (majority vote)
     objective: float           # re-scored value of `structure`
     passes: int
     moves: int
+
+    @cached_property
+    def partition(self) -> dict:
+        """Entity -> community: the structure's majority vote, on first use."""
+        return self.structure.flatten_majority()
 
 
 class _Comm:
@@ -557,21 +562,18 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                  for (_, l), group in sorted(groups.items())]
 
     cs = CommunityStructure._from_labels(net, where)
-    return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=config.objective.score(net, cs),
+    return DetectResult(structure=cs, objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
 
 
 def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
     """Louvain on ``layer`` alone (modularity at gamma 1): a network of the
-    layer's present entities, indexed in ascending parent index, and of its
-    edges."""
+    layer's present entities and of its edges, whose entity ids are the
+    parent's indices, declared in ascending order."""
     li = net.layer_index(layer)
-    index = {e: i for i, e in enumerate(sorted(net.presence_idx(li)))}
-    presence = [x for i in index.values() for x in (0, i)]
-    edges = [x for u, v in net.edges_idx(li) for x in (0, index[u], index[v])]
-    alone = _assemble({net.entity_ids[e]: i for e, i in index.items()}, (layer,), presence,
-                      edges, LayerOrdering.unordered())
+    alone = build_network(layers=(layer,),
+                          presence=[(layer, e) for e in sorted(net.presence_idx(li))],
+                          edges=[(layer, u, v) for u, v in net.edges_idx(li)])
     config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
                           seed=seed, max_passes=max_passes, min_gain=min_gain)
     return generalized_louvain(alone, config)
@@ -581,13 +583,14 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     """Aggregation baseline: per-layer Louvain, greedy label matching by
     maximum entity overlap, then per-entity majority vote.
 
-    Layers are taken in index order, and each layer's communities in the
-    order of their lowest entity. The global labels are the indices of the
-    prototypes, the entities seen with each label so far. A layer's
-    community goes to the free label it overlaps most (ties toward the
-    lower label, then the earlier community) or else to a new label, and
-    each of its entities gets one vote for that label. An entity takes the
-    label with the most votes, ties toward the lower label.
+    Layers with an occurrence are taken in index order (a layer that only
+    the ordering names holds no entity to vote), and each layer's
+    communities in the order of their lowest entity. The global labels are
+    the indices of the prototypes, the entities seen with each label so
+    far. A layer's community goes to the free label it overlaps most (ties
+    toward the lower label, then the earlier community) or else to a new
+    label, and each of its entities gets one vote for that label. An entity
+    takes the label with the most votes, ties toward the lower label.
 
     The per-layer runs are independent, so they run in up to min(layers,
     usable CPUs) forked processes (``_workers.layer_map``); their results
@@ -596,7 +599,8 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     re-scored with the objective carried by ``config``; passes and moves
     are summed over the per-layer runs.
     """
-    for layer in net.layer_ids:
+    layers = [layer for li, layer in enumerate(net.layer_ids) if net.presence_idx(li)]
+    for layer in layers:
         if net.num_edges(layer) == 0:
             raise InputError(f"layer {layer!r} has no edges")
     config.objective.gain_engine(net)  # rejects bad parameters before any Louvain run
@@ -606,13 +610,12 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     def run(layer):  # each community as parent entity indices, which marshal carries
         res = _layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
         cs = res.structure
-        return (res.passes, res.moves,
-                [tuple(map(net.entity_index, cs.projection(c, layer))) for c in cs.communities()])
+        return res.passes, res.moves, [tuple(cs.projection(c, layer)) for c in cs.communities()]
 
     proto = []  # global label -> set of entities seen with it so far
     votes = {}  # entity -> global label -> layers that gave it
     passes = moves = 0
-    for layer_passes, layer_moves, groups in layer_map(run, net.layer_ids):
+    for layer_passes, layer_moves, groups in layer_map(run, layers):
         passes += layer_passes
         moves += layer_moves
         scored = []
@@ -640,8 +643,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
     ids = net.entity_ids
     partition = {ids[e]: min(tally, key=lambda g: (-tally[g], g)) for e, tally in votes.items()}
     cs = CommunityStructure.from_entity_partition(net, partition)
-    return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=config.objective.score(net, cs),
+    return DetectResult(structure=cs, objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
 
 

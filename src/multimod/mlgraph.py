@@ -317,17 +317,18 @@ _SCATTER = 3 * 4096
 
 
 def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerNetwork:
-    """The network over dense indices; every builder ends here.
+    """The network over dense indices, from edges that hold no self-loop;
+    ``build_network`` and ``read_network`` refuse self-loops where they
+    read their records, then end here.
 
     ``entity_index`` maps each entity id to its index and becomes the
     network's own. ``presence`` is a flat ``[layer, entity, ...]`` list of
     declared occurrences and ``edges`` a flat ``[layer, u, v, ...]`` list,
     both in indices and in declaration order; ``edges`` is emptied as it is
-    read, so callers pass a list of their own. Duplicate edges collapse.
-    The first self-loop in edge order, and then an entity present in no
-    layer, is an :class:`InputError`. Each node's neighbours are gathered in
-    a list, then stored as a sorted tuple without duplicates, one layer at
-    a time.
+    read, so callers pass a list of their own. Duplicate edges collapse. An
+    entity present in no layer is an :class:`InputError`. Each node's
+    neighbours are gathered in a list, then stored as a sorted tuple without
+    duplicates, one layer at a time.
     """
     ids = tuple(entity_index)
     present = [set() for _ in layer_ids]
@@ -335,7 +336,6 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
     it = iter(presence)
     for li, e in zip(it, it):
         present[li].add(e)
-    loop = None  # the first self-loop in edge order, as (layer, entity)
     while edges:
         # scattered from the end, a slice at a time, each deleted once read,
         # so the flat list shrinks while the neighbour lists grow. An
@@ -343,29 +343,16 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
         start = max(0, len(edges) - _SCATTER)
         it = iter(edges)
         it.__setstate__(start)
-        first = None
         for li, u, v in zip(it, it, it):
-            if u == v:
-                if first is None:
-                    first = li, u
-                continue
             a = lists[li]
             a[u].append(v)
             a[v].append(u)
         del edges[start:]
-        if first is not None:  # an earlier slice's comes later and replaces it
-            loop = first
-    if loop is not None:
-        raise InputError(f"self-loop on {ids[loop[1]]!r} in layer {layer_ids[loop[0]]!r}")
 
     adj = []
     edge_counts = []
     for li, p in enumerate(present):
-        # a layer's lists go once its tuples are built. On a 160k-edge,
-        # 4-layer load the assembly's Python allocations then peak at
-        # 10.5 MB (tracemalloc; 14.5 MB with the edge list kept whole
-        # until the end); with the list kept whole, freeing each neighbour
-        # list as its tuple was built did not lower the peak
+        # a layer's lists go once its tuples are built
         a = lists[li]
         lists[li] = None
         p.update(a)  # every edge endpoint is present
@@ -528,12 +515,13 @@ def check_ids(ids, kind: str, leads_record: bool = False) -> None:
 def _parse_indices(lines) -> tuple:
     """One pass over the lines of edge-list text, straight into indices.
 
-    Returns ``(entities, layers, presence, edges, order)``. ``entities`` and
-    ``layers`` map each id to an index, in order of first mention.
-    ``presence`` is a flat ``[layer, entity, ...]`` list of the ``%presence``
-    records and ``edges`` a flat ``[layer, u, v, ...]`` list of the edge
-    records, both in file order, duplicates and self-loops kept. ``order``
-    is the ``%order`` sequence, or None. A malformed line, a second
+    Returns ``(entities, layers, presence, edges, order, loop)``.
+    ``entities`` and ``layers`` map each id to an index, in order of first
+    mention. ``presence`` is a flat ``[layer, entity, ...]`` list of the
+    ``%presence`` records and ``edges`` a flat ``[layer, u, v, ...]`` list of
+    the edge records, both in file order, duplicates and self-loops kept.
+    ``order`` is the ``%order`` sequence, or None, and ``loop`` the refusal
+    of the first self-loop, or None. A malformed line, a second
     ``%order``, an ``%order`` naming a layer twice, or a directive naming a
     layer id that starts with '%', is an :class:`InputError` that names the
     line.
@@ -544,6 +532,7 @@ def _parse_indices(lines) -> tuple:
     edges = []
     append = edges.append
     order = None
+    loop = None
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -563,6 +552,8 @@ def _parse_indices(lines) -> tuple:
                 li = layers.setdefault(head, len(layers))
                 ui = entities.setdefault(u, len(entities))
                 vi = entities.setdefault(v, len(entities))
+            if ui == vi and loop is None:
+                loop = f"self-loop on {u!r} in layer {head!r}"
             append(li)
             append(ui)
             append(vi)
@@ -588,7 +579,7 @@ def _parse_indices(lines) -> tuple:
                          entities.setdefault(u, len(entities)))
         else:
             raise InputError(f"line {lineno}: unknown directive {head!r}")
-    return entities, layers, presence, edges, order
+    return entities, layers, presence, edges, order, loop
 
 
 def parse_network_text(text: str):
@@ -596,7 +587,7 @@ def parse_network_text(text: str):
     the layer ids in order of first mention, and the ``(layer, u, v)`` edge
     and ``(layer, entity)`` presence records in file order. ``read_network``
     reads the same records into indices instead."""
-    entities, layers, presence, edges, order = _parse_indices(text.splitlines())
+    entities, layers, presence, edges, order, _ = _parse_indices(text.splitlines())
     ids = tuple(entities)
     names = tuple(layers)
     it = iter(edges)
@@ -637,10 +628,11 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
     The file is read in chunks, never whole, and parsed in one pass into
     indices (``_parse_indices``), then assembled from them, with
     ``build_network``'s entity order, layer order and errors. A bad byte
-    anywhere in the file is reported before any malformed line.
+    anywhere in the file is reported before any malformed line, and the
+    ordering's errors before the first self-loop.
     """
     with _bad_bytes_first(path):
-        entities, layers, presence, edges, order = _parse_indices(_read_lines(path))
+        entities, layers, presence, edges, order, loop = _parse_indices(_read_lines(path))
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
     if ordering_mode == "none":
@@ -654,6 +646,8 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
     else:
         raise InputError(f"unknown ordering mode {ordering_mode!r}")
     layer_ids = _layer_sequence(tuple(layers), ordering)
+    if loop is not None:
+        raise InputError(loop)
     if layer_ids != tuple(layers):  # a natural ordering renumbers the layers
         position = {l: i for i, l in enumerate(layer_ids)}
         new = [position[l] for l in layers]

@@ -144,9 +144,17 @@ class ScoreReport:
 # -- classic modularity ---------------------------------------------------------
 
 
+def _check_structure(net: MultilayerNetwork, cs: CommunityStructure) -> None:
+    """Refuse a structure built on another network: a score reads both, by
+    index, and an equal network is not enough."""
+    if cs.net is not net:
+        raise InputError("the community structure was built on another network")
+
+
 def newman_modularity(net: MultilayerNetwork, cs: CommunityStructure) -> float:
     """Classic modularity (Newman & Girvan 2004) of ``cs`` on a single-layer
     network, from each community's degree and internal degree."""
+    _check_structure(net, cs)
     if net.num_layers != 1:
         raise PolicyError("the newman objective requires a single-layer network")
     layer = net.layer_ids[0]
@@ -218,6 +226,7 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     Parameters are checked by :func:`multislice_parameters`; a gamma or
     omega so large that the score is not finite is a :class:`PolicyError`.
     """
+    _check_structure(net, cs)
     gammas, two_es, norm = multislice_parameters(net, gamma, omega)
     community_sums = []
     for c in cs.communities():
@@ -341,6 +350,7 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     partition then scores ``1 - sum_l (m_l / m) ** 2`` (``1 - 1/L`` for L
     layers of equal edge count m_l), a baseline to read ``q`` values against.
     """
+    _check_structure(net, cs)
     resolution = ResolutionPolicy.constant(1.0) if resolution is None else resolution
     coupling = CouplingPolicy.none() if coupling is None else coupling
     if net.num_edges() == 0:

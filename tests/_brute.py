@@ -843,8 +843,7 @@ def literal_generalized_louvain(net, config):
     assignment = {(net.entity_ids[e], net.layer_ids[l]): cid
                   for (e, l), cid in assign.items()}
     cs = mm.CommunityStructure(net, assignment)
-    return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=config.objective.score(net, cs),
+    return DetectResult(structure=cs, objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
 
 
@@ -870,8 +869,10 @@ def literal_aggregate_majority(net, config):
     """The aggregation baseline in two passes: every layer's Louvain run
     first, each layer's communities sorted by their lowest entity and matched
     to the global labels through per-layer maps, then the vote over those
-    maps."""
-    for layer in net.layer_ids:
+    maps. A layer with no occurrence (only the ordering names it) is left
+    out."""
+    layers = [layer for layer in net.layer_ids if net.presence_idx(net.layer_index(layer))]
+    for layer in layers:
         if net.num_edges(layer) == 0:
             raise mm.InputError(f"layer {layer!r} has no edges")
     config.objective.gain_engine(net)
@@ -880,7 +881,7 @@ def literal_aggregate_majority(net, config):
                                    seed=config.seed, max_passes=config.max_passes,
                                    min_gain=config.min_gain)
     sub_results = [mm.generalized_louvain(_literal_single_layer_network(net, layer), layer_config)
-                   for layer in net.layer_ids]
+                   for layer in layers]
 
     proto = {}  # global label -> set of entities seen with it so far
     next_label = 0
@@ -924,7 +925,6 @@ def literal_aggregate_majority(net, config):
         partition[entity] = min(votes, key=lambda g: (-votes[g], g))
 
     cs = mm.CommunityStructure.from_entity_partition(net, partition)
-    return DetectResult(structure=cs, partition=cs.flatten_majority(),
-                        objective=config.objective.score(net, cs),
+    return DetectResult(structure=cs, objective=config.objective.score(net, cs),
                         passes=sum(r.passes for r in sub_results),
                         moves=sum(r.moves for r in sub_results))

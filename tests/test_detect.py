@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -653,6 +654,45 @@ class TestAggregateMajority:
             assert res.partition == lit.partition
             assert res.objective == lit.objective
             assert (res.passes, res.moves) == (lit.passes, lit.moves)
+
+    @pytest.mark.parametrize("config", [constant_symmetric(seed=2), mm.DetectConfig(
+        objective=mm.MultisliceObjective(gamma=1.0, omega=0.5), seed=2)], ids=["q", "qms"])
+    def test_layer_only_the_ordering_names(self, tmp_path, config):
+        # "M" has no record: the per-layer runs skip it, as gl and the scores do
+        records = "".join(f"{l} {u} {v}\n" for l in ("a", "b") for u, v in TRIANGLES + [(2, 3)])
+        results = []
+        for order in ("a b M", "a b"):
+            path = tmp_path / "net.mlg"
+            path.write_text(f"%order {order}\n{records}", encoding="utf-8")
+            net = mm.read_network(path)
+            res = mm.aggregate_majority(net, config)
+            lit = literal_aggregate_majority(net, config)
+            assert res.structure.as_assignment() == lit.structure.as_assignment()
+            assert (res.partition, res.objective, res.passes, res.moves) == \
+                (lit.partition, lit.objective, lit.passes, lit.moves)
+            results.append((res.structure.as_assignment(), res.partition, res.objective,
+                            res.passes, res.moves))
+        assert net.layer_ids == ("a", "b")
+        assert results[0] == results[1]
+        assert results[0][1] == {e: int(e) // 3 for e in map(str, range(6))}
+
+    def test_partition_is_the_majority_vote_on_first_use(self, monkeypatch,
+                                                          twin_triangle_layers):
+        assert "partition" not in {f.name for f in dataclasses.fields(mm.DetectResult)}
+        vote = mm.CommunityStructure.flatten_majority
+        reads = []
+
+        def on_read(cs):  # raises in a forked per-layer run too: the parent reruns it
+            assert reads, "majority vote computed before the partition was read"
+            reads.append(cs)
+            return vote(cs)
+
+        monkeypatch.setattr(mm.CommunityStructure, "flatten_majority", on_read)
+        res = mm.aggregate_majority(twin_triangle_layers, constant_symmetric(seed=0))
+        reads.append(None)
+        assert res.partition == vote(res.structure)
+        assert res.partition is res.partition
+        assert reads == [None, res.structure]
 
     def test_error_on_edgeless_layer(self):
         net = mm.build_network(layers=["a", "b"], edges=[("a", 0, 1)],

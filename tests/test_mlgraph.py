@@ -594,9 +594,10 @@ class TestReadNetworkOracle:
         assert str(info.value) == f"{path}: not UTF-8 text (byte {len(data) - 2})"
 
     def test_first_self_loop_across_scatter_slices(self, tmp_path):
-        """More than two slices of edges, scattered from the end: self-loops
-        at edges 3000 and 5000 share the middle slice and one at 7000 sits
-        in the last. Both builders name the first in file order."""
+        """A file of more than two of the assembler's scatter slices, which
+        it reads from the end: self-loops at edges 3000 and 5000 fall in
+        the middle slice and one at 7000 in the last. Both builders refuse
+        the first in file order, where they read the records."""
         per_slice = mlgraph._SCATTER // 3
         count = 2 * per_slice + per_slice // 2
         assert count > 8192
@@ -612,6 +613,92 @@ class TestReadNetworkOracle:
             mm.read_network(path)
         with pytest.raises(InputError, match=f"^{want}$"):
             mm.build_network(layers=["L0", "L1"], edges=edges)
+
+
+class TestSelfLoopRefusedWhereRead:
+    """``build_network`` and ``read_network`` refuse a self-loop where they
+    read its record, so the assembler never meets one."""
+
+    TEXTS = {
+        "none": "%order L M\nL a b\nL b c\nM a c\n%presence M d\n",
+        "first-of-two": "L a b\nM c c\nL d d\nM a b\n",
+        "renumbered": "%order M L\nL a b\nL b b\n%presence M a\n%presence L e\n",
+    }
+    REFUSALS = {"none": None, "first-of-two": "self-loop on 'c' in layer 'M'",
+                "renumbered": "self-loop on 'b' in layer 'L'"}
+
+    @pytest.fixture
+    def loop_free_assembler(self, monkeypatch):
+        assemble = mlgraph._assemble
+
+        def checked(entity_index, layer_ids, presence, edges, ordering):
+            it = iter(edges)
+            loops = [(li, u) for li, u, v in zip(it, it, it) if u == v]
+            assert loops == [], "a self-loop reached the assembler"
+            return assemble(entity_index, layer_ids, presence, edges, ordering)
+
+        monkeypatch.setattr(mlgraph, "_assemble", checked)
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_builders_keep_their_refusals(self, tmp_path, loop_free_assembler, name):
+        text = self.TEXTS[name]
+        path = tmp_path / "net.mlg"
+        path.write_text(text, encoding="utf-8")
+        layers, edges, presence, _ = mm.parse_network_text(text)
+        want = self.REFUSALS[name]
+        # the parser keeps the self-loops it records
+        assert any(u == v for _, u, v in edges) == (want is not None)
+        for mode in ("auto", "none", "natural-pairwise"):
+            got = _outcome(mm.read_network, path, mode)
+            oracle = _outcome(literal_read_network, text, mode)
+            if want is None:
+                _assert_same_network(got, oracle)
+            else:
+                assert got == oracle == ("InputError", want)
+        built = _outcome(mm.build_network, layers=layers, edges=edges, presence=presence)
+        if want is None:
+            assert built.num_edges() == 3
+        else:
+            assert built == ("InputError", want)
+
+    def test_aggregation_builds_loop_free_layers(self, loop_free_assembler):
+        spec = mm.PlantedSpec(entities=24, communities=2, layers=3, p_in=0.8, p_out=0.05,
+                              presence=1.0, seed=4)
+        net, planted = mm.planted_multilayer(spec)
+        config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=0.5))
+        assert mm.nmi(mm.aggregate_majority(net, config).partition, planted) == 1.0
+
+
+# a refusal that comes before a self-loop's, or after it, on one file
+PRECEDENCE = {
+    "later malformed line": ("L a a\nL b c\nL x\n", "line 3: expected 3 tokens"),
+    "non-permutation order": ("%order L\nM a b\nL c c\n",
+                              "layer ordering is not a permutation of the declared layers"),
+    "entity only in the loop": ("L a b\nL c c\n", "self-loop on 'c' in layer 'L'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECEDENCE))
+def test_self_loop_precedence(tmp_path, name):
+    text, want = PRECEDENCE[name]
+    path = tmp_path / "net.mlg"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(mm.read_network, path) == ("InputError", want)
+    assert _outcome(literal_read_network, text) == ("InputError", want)
+
+
+def test_self_loop_beats_an_entity_present_in_no_layer():
+    with pytest.raises(InputError, match="^self-loop on 'c' in layer 'L'$"):
+        mm.build_network(entities=["ghost"], layers=["L"],
+                         edges=[("L", "a", "b"), ("L", "c", "c")])
+
+
+def test_bad_byte_after_a_self_loop_comes_first(tmp_path):
+    path = tmp_path / "net.mlg"
+    path.write_bytes(b"L a a\nL b c\xff\n")
+    with pytest.raises(InputError) as info:
+        mm.read_network(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (byte 11)"
 
 
 @settings(max_examples=60, deadline=None)

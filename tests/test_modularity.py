@@ -17,6 +17,41 @@ from _gen import (natural_orderings, occurrence_ids, random_multilayer, random_s
                   random_structure, with_ordering)
 
 
+class TestStructureOfAnotherNetwork:
+    """Every score, and each objective's ``score``, refuses a structure
+    built on another network object, even one of equal content, before any
+    other check."""
+
+    @staticmethod
+    def networks(layers):
+        edges = [(l, u, v) for l in layers for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]]
+        a = mm.build_network(layers=layers, edges=edges)
+        # the same records, declared in another entity order
+        b = mm.build_network(entities=[3, 2, 1, 0], layers=layers, edges=edges)
+        return a, b, mm.CommunityStructure.from_entity_partition(a, {0: 0, 1: 0, 2: 1, 3: 1})
+
+    def test_every_score_refuses(self):
+        a, b, cs = self.networks(["L", "M"])
+        single, equal, single_cs = self.networks(["L"])
+        scores = [(a, b, lambda net: mm.multislice_modularity(net, cs, 1.0, 0.5)),
+                  (a, b, lambda net: mm.multilayer_modularity(net, cs)),
+                  (a, b, lambda net: mm.MultisliceObjective(gamma=1.0, omega=0.5).score(net, cs)),
+                  (a, b, lambda net: mm.MultilayerObjective().score(net, cs)),
+                  (single, equal, lambda net: mm.newman_modularity(net, single_cs))]
+        for own, other, score in scores:
+            score(own)
+            with pytest.raises(InputError, match="^the community structure was built on "
+                                                 "another network$"):
+                score(other)
+
+    def test_refused_before_the_parameters(self):
+        a, b, cs = self.networks(["L", "M"])
+        with pytest.raises(InputError, match="another network"):
+            mm.multislice_modularity(b, cs, [1.0], -1.0)
+        with pytest.raises(InputError, match="another network"):
+            mm.newman_modularity(b, cs)
+
+
 class TestNewman:
     def test_whole_graph_is_zero(self, two_triangles):
         nodes = two_triangles.entity_ids

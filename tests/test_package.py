@@ -69,6 +69,33 @@ def test_exported_names_are_pinned():
         assert not hasattr(mm.ScoreReport, name)
 
 
+def _names(node) -> list:
+    """The names an AST node imports, reads or looks up as an attribute."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def test_only_the_two_builders_assemble():
+    # build_network and read_network refuse self-loops where they read their
+    # records, then call the assembler; nothing else reaches it
+    package = Path(mm.__file__).parent
+    outside = [path.name for path in sorted(package.glob("*.py")) if path.stem != "mlgraph"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if "_assemble" in _names(node)]
+    assert outside == []
+    assert not hasattr(mm.detect, "_assemble")
+    tree = ast.parse((package / "mlgraph.py").read_text(encoding="utf-8"))
+    callers = {function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call) and _names(node.func) == ["_assemble"]}
+    assert callers == {"build_network", "read_network"}
+
+
 def test_every_exported_name_resolves():
     assert len(set(mm.__all__)) == len(mm.__all__)
     missing = [name for name in mm.__all__ if not hasattr(mm, name)]
