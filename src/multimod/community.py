@@ -57,8 +57,11 @@ class CommunityStructure:
         """``assignment`` maps every present (entity, layer) pair to a label."""
         labels = [[_UNASSIGNED] * net.num_entities for _ in range(net.num_layers)]
         for (entity, layer), label in assignment.items():
-            ei = net.entity_index(entity)
-            li = net.layer_index(layer)
+            try:
+                ei = net.entity_index(entity)
+                li = net.layer_index(layer)
+            except KeyError as exc:
+                raise InputError(exc.args[0]) from None
             if ei not in net.presence_idx(li):
                 raise _absent(entity, layer)
             if labels[li][ei] is not _UNASSIGNED:
@@ -122,7 +125,13 @@ class CommunityStructure:
 
     @classmethod
     def from_entity_partition(cls, net: MultilayerNetwork, partition) -> "CommunityStructure":
-        """Expand an entity partition to every layer where the entity is present."""
+        """Expand an entity partition to every layer where the entity is
+        present; an entity the network lacks is an :class:`InputError`."""
+        for entity in partition:
+            try:
+                net.entity_index(entity)
+            except KeyError as exc:
+                raise InputError(exc.args[0]) from None
         return cls._from_entity_labels(
             net, [partition.get(entity, _UNASSIGNED) for entity in net.entity_ids])
 

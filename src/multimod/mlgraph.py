@@ -12,7 +12,6 @@ the network and safe to call concurrently.
 
 from __future__ import annotations
 
-import codecs
 import re
 import statistics
 from bisect import bisect_right
@@ -443,41 +442,29 @@ def read_utf8(path) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark; other
     bytes are an :class:`InputError` that names the first bad byte's offset
     in the file. The readers call it only to report such a byte."""
-    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        # utf-8-sig counts offsets after the mark it strips
-        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
-        raise InputError(f"{path}: not UTF-8 text (byte {start})") from None
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
-# Bytes decoded at a time by _read_lines
+# Characters read at a time by _read_lines, before the rest of the line
 _CHUNK = 1 << 16
 
 
 def _read_lines(path):
     """The lines of a UTF-8 file, as ``read_utf8(path).splitlines()`` gives
-    them, decoded in chunks of ``_CHUNK`` bytes so that the whole text never
-    exists at once. What follows the last complete line of a chunk is
-    carried into the next, so a CRLF, a character or the byte-order mark
-    split between two chunks reads as one. A bad byte raises
-    :class:`UnicodeDecodeError`; read the file inside
+    them, read by the text reader in blocks of about ``_CHUNK`` characters
+    so that the whole text never exists at once. The reader's ``readline``
+    completes each block to the end of its line, so no line and no CRLF is
+    split between blocks. A
+    bad byte raises :class:`UnicodeDecodeError`; read the file inside
     :func:`_bad_bytes_first` to report it."""
     def blocks():  # the lines in lists, which chain hands out one by one
-        decoder = codecs.getincrementaldecoder("utf-8-sig")()
-        carry = []  # the text after the last complete line, in parts
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_CHUNK):
-                text = decoder.decode(chunk)
-                pieces = text.splitlines(keepends=True)
-                if len(pieces) > 1:  # what comes before the last piece is complete
-                    text = "".join(carry) + text
-                    yield text[:len(text) - len(pieces[-1])].splitlines()
-                    carry = [pieces[-1]]
-                elif text:  # a long line is joined once, when it ends
-                    carry.append(text)
-        yield ("".join(carry) + decoder.decode(b"", final=True)).splitlines()
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            while text := handle.read(_CHUNK):
+                yield (text + handle.readline()).splitlines()
 
     return chain.from_iterable(blocks())
 

@@ -84,9 +84,9 @@ LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
 
 @pytest.fixture(params=[1, 2, 3, 5, 7, None], ids=lambda size: f"chunk{size or '-default'}")
 def chunk(request, monkeypatch):
-    """The file readers' chunk size in bytes; None leaves the default. Tiny
-    chunks split a CRLF, a multi-byte character or the byte-order mark
-    between two chunks."""
+    """The file readers' chunk size in characters; None leaves the default.
+    A tiny chunk splits a CRLF between the chunk's ``read`` and the
+    ``readline`` that completes its line."""
     if request.param is not None:
         monkeypatch.setattr(mlgraph, "_CHUNK", request.param)
     return request.param

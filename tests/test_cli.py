@@ -402,6 +402,18 @@ class TestSweep:
         assert len(rows) == 1 + 14
         assert rows[-1].startswith("1.0\t0.0\t")
 
+    def test_step_that_does_not_divide_the_range(self, capsys, ordered3_files):
+        # 0 + 7 * 0.3 passes the default --stop 2.0 by more than the
+        # tolerance, so the sweep ends at the row before it, with no 2.0 row
+        npath, cpath = ordered3_files
+        code, out, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",
+                                    "--step", "0.3"])
+        assert code == 0
+        rows = [row.split("\t") for row in out.strip().splitlines()[1:]]
+        assert [(gamma, omega) for gamma, omega, _ in rows] == [
+            ("1.0", "0.0"), ("1.0", "0.3"), ("1.0", "0.6"), ("1.0", "0.8999999999999999"),
+            ("1.0", "1.2"), ("1.0", "1.5"), ("1.0", "1.7999999999999998")]
+
     def test_bad_step(self, capsys, ordered3_files):
         npath, cpath = ordered3_files
         code, _, _ = run(capsys, ["sweep", npath, cpath, "--protocol", "omega",

@@ -41,6 +41,27 @@ class TestFromEntityPartition:
         with pytest.raises(InputError, match="no community assignment"):
             mm.CommunityStructure.from_entity_partition(two_triangles, {0: 0})
 
+    @pytest.fixture
+    def abc(self):
+        return mm.build_network(layers=["L"], edges=[("L", "a", "b"), ("L", "b", "c")])
+
+    def test_unknown_entity_refused(self, abc, tmp_path):
+        """An id the network lacks is refused as the file reader refuses it,
+        not dropped."""
+        part = {"a": 0, "b": 0, "c": 1, "zz": 5}
+        with pytest.raises(InputError, match=r"^unknown entity 'zz'$"):
+            mm.CommunityStructure.from_entity_partition(abc, part)
+        path = tmp_path / "c.txt"
+        mm.write_flat_partition(part, path)
+        with pytest.raises(InputError, match=r"^line 4: unknown entity 'zz'$"):
+            mm.read_communities(abc, path)
+
+    def test_first_unknown_entity_before_unassigned(self, abc):
+        """The first unknown key in the partition's order is named, ahead of
+        an entity without an assignment."""
+        with pytest.raises(InputError, match=r"^unknown entity 'yy'$"):
+            mm.CommunityStructure.from_entity_partition(abc, {"yy": 0, "a": 0, "xx": 1})
+
 
 class TestAbsentOccurrence:
     @pytest.fixture
@@ -53,6 +74,16 @@ class TestAbsentOccurrence:
         assignment = {t: 0 for t in occurrence_ids(net)}
         assignment[("c", "L2")] = 0
         with pytest.raises(InputError, match="entity is not present in that layer"):
+            mm.CommunityStructure(net, assignment)
+
+    @pytest.mark.parametrize("record, message", [
+        (("zz", "L1"), "unknown entity 'zz'"), (("a", "M"), "unknown layer 'M'")])
+    def test_unknown_id_refused(self, net, record, message):
+        """An assignment naming an id the network lacks is an InputError
+        with the file reader's text, raised at that record."""
+        assignment = {t: 0 for t in occurrence_ids(net)}
+        assignment[record] = 0
+        with pytest.raises(InputError, match=f"^{message}$"):
             mm.CommunityStructure(net, assignment)
 
     def test_assignment_lists_present_occurrences_only(self, net):

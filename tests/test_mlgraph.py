@@ -83,6 +83,11 @@ def test_layer_ordering_needs_scheme_with_sequence(sequence, scheme, message):
         mm.LayerOrdering(sequence, scheme)
 
 
+def test_layer_ordering_refuses_a_repeated_layer():
+    with pytest.raises(InputError, match="^layer ordering contains duplicates$"):
+        mm.LayerOrdering.natural(["L", "L"])
+
+
 class TestDegree:
     def test_isolated_present_is_zero(self):
         net = line_net(["L1"], [("L1", "a", "b")], presence=[("L1", "c")])
@@ -548,6 +553,24 @@ READ_MODES = ("auto", "none", "natural-adjacent", "natural-pairwise", "sideways"
 REFUSALS = {"line ": "line", "unknown ordering mode": "mode", "time-aware": "time-aware",
             "names a layer twice": "duplicate layer", "at least one layer": "no layer",
             "not a permutation": "permutation", "self-loop": "self-loop"}
+
+
+@pytest.mark.parametrize("mark", [b"", "\ufeff".encode("utf-8")], ids=["plain", "mark"])
+def test_line_source_across_the_text_readers_buffer(tmp_path, chunk, mark):
+    """The text reader decodes the file 8192 bytes at a time. A CRLF or a
+    four-byte character at each byte offset from -3 to +3 around its first
+    three buffer ends, amid short lines or ending one long line, reads as
+    one, whatever the chunk size."""
+    path = tmp_path / "net.mlg"
+    lines = ("L a b" * 8 + "\n").encode("utf-8")
+    for end in (8192, 16384, 24576):
+        for shift in range(-3, 4):
+            head = end + shift - len(mark)
+            for filler in (lines * (head // len(lines) + 1), b"x" * head):
+                for item in ("\r\n", "\U0001d11e"):
+                    path.write_bytes(mark + filler[:head] + item.encode("utf-8") + b"L c d\n")
+                    assert list(mlgraph._read_lines(path)) == \
+                        mlgraph.read_utf8(path).splitlines()
 
 
 class TestReadNetworkOracle:
