@@ -59,6 +59,17 @@ def _objective(args):
         _COUPLING_KINDS[args.coupling], time_aware=args.time_aware))
 
 
+def _objective_record(args) -> dict:
+    """The flags the objective reads, as ``detect``'s manifest and ``score``'s
+    qms and newman JSON record them."""
+    if args.objective == "q":
+        return {"objective": "q", "resolution": args.resolution,
+                "coupling": args.coupling, "time_aware": args.time_aware}
+    if args.objective == "qms":
+        return {"objective": "qms", "gamma": args.gamma, "omega": args.omega}
+    return {"objective": "newman"}
+
+
 def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
     parser.add_argument("--objective", choices=objectives, default="q")
     parser.add_argument("--resolution", default="constant:1",
@@ -115,19 +126,12 @@ def cmd_score(args) -> int:
             print(f"objective\tq\ntotal\t{report.total!r}\nnormalization\t{report.normalization}")
             print()
             print(report.to_tsv(), end="")
-    elif args.objective == "qms":
-        value = objective.score(net, cs)
-        if args.output == "json":
-            print(json.dumps({"objective": "qms", "gamma": args.gamma,
-                              "omega": args.omega, "total": value}, sort_keys=True))
-        else:
-            print(f"objective\tqms\ntotal\t{value!r}")
     else:
-        value = newman_modularity(net, cs)
+        value = objective.score(net, cs) if objective else newman_modularity(net, cs)
         if args.output == "json":
-            print(json.dumps({"objective": "newman", "total": value}, sort_keys=True))
+            print(json.dumps({**_objective_record(args), "total": value}, sort_keys=True))
         else:
-            print(f"objective\tnewman\ntotal\t{value!r}")
+            print(f"objective\t{args.objective}\ntotal\t{value!r}")
     return 0
 
 
@@ -162,15 +166,6 @@ def cmd_detect(args) -> int:
     write_communities(result.structure, extended)
     write_flat_partition(result.partition, flattened)
 
-    if args.objective == "q":
-        objective_echo = {
-            "objective": "q",
-            "resolution": args.resolution,
-            "coupling": args.coupling,
-            "time_aware": args.time_aware,
-        }
-    else:
-        objective_echo = {"objective": "qms", "gamma": args.gamma, "omega": args.omega}
     manifest = {
         "command": "detect",
         "version": __version__,
@@ -180,7 +175,7 @@ def cmd_detect(args) -> int:
         "seed": args.seed,
         "max_passes": args.max_passes,
         "min_gain": args.min_gain,
-        "objective": objective_echo,
+        "objective": _objective_record(args),
         "objective_value": result.objective,
         "communities": result.structure.num_communities,
         "passes": result.passes,

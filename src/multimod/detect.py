@@ -519,9 +519,6 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 src = here[unit.entities[0]]
                 found = engine.gather(unit, where)
                 candidates = sorted(c for c in found if c != src)
-                if not candidates:
-                    unit.seen = (moves, (src,))
-                    continue
                 (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
                                                                 candidates)
                 best_gain = 0.0
@@ -613,7 +610,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
         return res.passes, res.moves, [tuple(cs.projection(c, layer)) for c in cs.communities()]
 
     proto = []  # global label -> set of entities seen with it so far
-    votes = {}  # entity -> global label -> layers that gave it
+    votes = [{} for _ in range(net.num_entities)]  # entity -> global label -> layers that gave it
     passes = moves = 0
     for layer_passes, layer_moves, groups in layer_map(run, layers):
         passes += layer_passes
@@ -637,12 +634,12 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
                 proto.append(set())
             proto[g].update(group)
             for e in group:
-                tally = votes.setdefault(e, {})
+                tally = votes[e]
                 tally[g] = tally.get(g, 0) + 1
 
-    ids = net.entity_ids
-    partition = {ids[e]: min(tally, key=lambda g: (-tally[g], g)) for e, tally in votes.items()}
-    cs = CommunityStructure.from_entity_partition(net, partition)
+    # every entity is present in some voting layer, so every tally has a vote
+    cs = CommunityStructure._from_entity_labels(
+        net, [min(tally, key=lambda g: (-tally[g], g)) for tally in votes])
     return DetectResult(structure=cs, objective=config.objective.score(net, cs),
                         passes=passes, moves=moves)
 

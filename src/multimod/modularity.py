@@ -193,7 +193,7 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     times the same-entity occurrence pairs, sum_e C(L_e, 2), counted as the
     shared entities of the unordered layer pairs. Each layer uses its own
     null model, so any layer that contains assigned occurrences but no edges
-    is an error.
+    is an error, and so is a zero normalization (a network with no edge).
     """
     ell = net.num_layers
     if isinstance(gamma, (int, float)):
@@ -210,7 +210,10 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
                 f"its null model is undefined")
     two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
     pairs = sum(net.shared_count_idx(i, j) for j in range(ell) for i in range(j))
-    return gammas, two_e, sum(two_e) + 2 * float(omega) * pairs
+    norm = sum(two_e) + 2 * float(omega) * pairs
+    if norm == 0:
+        raise InputError("degenerate normalization: network has no edges and no couplings")
+    return gammas, two_e, norm
 
 
 def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,

@@ -257,6 +257,12 @@ class TestScore:
                                       "--output", output])
         assert (code, out, err) == (0, expected, "")
 
+    def test_qms_json_pinned(self, capsys, ordered3_files):
+        code, out, err = run(capsys, ["score", *ordered3_files, "--objective", "qms",
+                                      "--gamma", "1", "--omega", "0.5", "--output", "json"])
+        assert (code, out, err) == (0, '{"gamma": 1.0, "objective": "qms", "omega": 0.5, '
+                                       '"total": 0.7616666666666667}\n', "")
+
     def test_unknown_entity_in_communities(self, capsys, tmp_path, triangle_files):
         npath, _ = triangle_files
         cpath = tmp_path / "bad.comm"
@@ -312,6 +318,33 @@ class TestDetect:
         scored = float(parse_kv(score_out)["total"])
         assert scored == pytest.approx(manifest["objective_value"], abs=1e-12)
 
+
+    @pytest.mark.parametrize("method", ["gl", "aggregate"])
+    def test_manifest_objective_is_the_score_record(self, capsys, tmp_path, ordered3_files,
+                                                    method):
+        # one record of the objective's flags: the manifest and score's JSON
+        flags = ["--objective", "qms", "--gamma", "0.5", "--omega", "2"]
+        prefix = str(tmp_path / "run")
+        code, _, _ = run(capsys, ["detect", ordered3_files[0], "--method", method, *flags,
+                                  "--out", prefix])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, ["score", *ordered3_files, *flags, "--output", "json"])
+        assert code == 0
+        record = json.loads(out)
+        del record["total"]
+        assert manifest["objective"] == record == {"objective": "qms", "gamma": 0.5,
+                                                   "omega": 2.0}
+
+    def test_aggregate_qms_on_edgeless_network_refused(self, capsys, tmp_path):
+        # layers named by %order alone: the multislice normalization is zero
+        npath = tmp_path / "empty.mlg"
+        npath.write_text("%order L1 L2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["detect", str(npath), "--method", "aggregate",
+                                      "--objective", "qms", "--out", str(tmp_path / "run")])
+        assert (code, out) == (2, "")
+        assert err == "error: degenerate normalization: network has no edges and no couplings\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.mlg"]
 
     @pytest.mark.parametrize("method,detector", [("gl", "generalized_louvain"),
                                                  ("aggregate", "aggregate_majority")])

@@ -580,6 +580,36 @@ class TestIncrementalGains:
         if resolution.kind == "redundancy":
             assert removal[1][1] == {net.layer_index("b"): -1, net.layer_index("c"): -1}
 
+    @pytest.mark.parametrize("objective", [
+        *(mm.MultilayerObjective(resolution=resolution, coupling=mm.CouplingPolicy(kind))
+          for resolution in (mm.ResolutionPolicy.constant(0.7), mm.ResolutionPolicy.redundancy())
+          for kind in ("none", "symmetric", "asym-inner", "asym-outer")),
+        mm.MultisliceObjective(gamma=[0.5, 1.5], omega=0.7),
+    ], ids=lambda o: (f"{o.resolution.kind}-{o.coupling.kind}"
+                      if isinstance(o, mm.MultilayerObjective) else "qms"))
+    def test_no_candidates_evaluates_the_removal(self, objective):
+        # (4, a) has no neighbour and no other layer: gather finds nothing,
+        # and generalized_louvain asks for its removal alone; it shares its
+        # community with occurrences in both layers, so the projection of a
+        # and its intersection with b change
+        net = mm.build_network(layers=["a", "b"],
+                               edges=[("a", 0, 1), ("a", 1, 2), ("a", 2, 3), ("b", 0, 1),
+                                      ("b", 1, 2)],
+                               presence=[("a", 4)])
+        engine = objective.gain_engine(net)
+        literal = literal_engine(net, objective)
+        idx = lambda e, l: (net.entity_index(e), net.layer_index(l))
+        split = {t: 1 for t in (idx(e, l) for e, l in occurrence_ids(net))}
+        for e, l in [(4, "a"), (0, "a"), (1, "a"), (0, "b")]:
+            split[idx(e, l)] = 0
+        comms = {c: new_comm(engine, [t for t in split if split[t] == c]) for c in (0, 1)}
+        e, l = idx(4, "a")
+        unit = _make_unit(net, l, (e,))
+        found = engine.gather(unit, where_table(net, split))
+        assert found == {}
+        assert engine.evaluate(comms, unit, found, 0, []) == [
+            literal.delta(comms[0], unit, [0, {}], removing=True)]
+
     def test_decay_table_reaches_complete_multiplex(self):
         # K_8 in 3 layers: every pair is redundant in every layer, and the
         # whole network merges into one community holding all of them

@@ -198,6 +198,14 @@ class TestMultislice:
         with pytest.raises(InputError, match="empty"):
             mm.multislice_modularity(net, cs, 1.0, 0.5)
 
+    def test_degenerate_norm(self):
+        # layers with no occurrence and no edge: the normalization is zero
+        net = mm.build_network(layers=["L1", "L2"])
+        cs = mm.CommunityStructure(net, {})
+        for omega in (0.0, 1.0):
+            with pytest.raises(InputError, match="degenerate normalization"):
+                mm.multislice_modularity(net, cs, 1.0, omega)
+
 
 class TestSymmetricCoupling:
     def test_ordered3_value(self, ordered3_cs):

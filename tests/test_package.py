@@ -96,6 +96,15 @@ def test_only_the_two_builders_assemble():
     assert callers == {"build_network", "read_network"}
 
 
+def test_detection_names_no_entity_ids():
+    # detection hands the structure index label tables: the per-layer
+    # networks it builds carry the parent's indices as their entity ids
+    package = Path(mm.__file__).parent
+    tree = ast.parse((package / "detect.py").read_text(encoding="utf-8"))
+    named = {name for node in ast.walk(tree) for name in _names(node)}
+    assert named & {"entity_ids", "entity_index", "from_entity_partition"} == set()
+
+
 def test_every_exported_name_resolves():
     assert len(set(mm.__all__)) == len(mm.__all__)
     missing = [name for name in mm.__all__ if not hasattr(mm, name)]
