@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -126,6 +126,10 @@ class DetectConfig:
     def __post_init__(self):
         if not isinstance(self.objective, (MultilayerObjective, MultisliceObjective)):
             raise PolicyError(f"unknown objective {self.objective!r}")
+        for name in ("seed", "max_passes"):  # a seed of None would seed from the OS
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise PolicyError(f"{name} must be an int, not {value!r}")
         if not (math.isfinite(self.min_gain) and self.min_gain > 0):
             raise PolicyError("min_gain must be a finite number > 0")
         if self.max_passes < 1:
@@ -241,20 +245,19 @@ class _Engine:
                         counts[1] = {lj: 1}
         return found
 
-    def apply(self, comm, unit, patch, removing):
+    def apply(self, comm, unit, patch, sign):
+        """Add the unit and ``patch`` to ``comm`` (``sign`` 1) or remove them
+        (``sign`` -1); an entity whose count reaches 0 leaves ``flat``."""
         l = unit.layer
-        if removing:
-            comm.size[l] -= len(unit.entities)
-            for v in unit.entities:
-                comm.flat[v] -= 1
-                if comm.flat[v] == 0:
-                    del comm.flat[v]
-            comm.deg[l] -= unit.degsum
-        else:
-            comm.size[l] = comm.size.get(l, 0) + len(unit.entities)
-            for v in unit.entities:
-                comm.flat[v] = comm.flat.get(v, 0) + 1
-            comm.deg[l] = comm.deg.get(l, 0) + unit.degsum
+        comm.size[l] = comm.size.get(l, 0) + sign * len(unit.entities)
+        flat = comm.flat
+        for v in unit.entities:
+            n = flat.get(v, 0) + sign
+            if n:
+                flat[v] = n
+            else:
+                del flat[v]
+        comm.deg[l] = comm.deg.get(l, 0) + sign * unit.degsum
         dinter, dnrp = patch
         for lj, dv in dinter.items():
             key = (l, lj) if l < lj else (lj, l)
@@ -490,64 +493,58 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     # layer -> entity -> community, the one store of the assignment
     where = [[None] * net.num_entities for _ in range(net.num_layers)]
     comms = {}
-    units = []  # one singleton per occurrence, entity-major
-    for e in range(net.num_entities):
-        for l in net.entity_layers_idx(e):
-            cid = len(units)
-            unit = _make_unit(net, l, (e,))
-            units.append(unit)
-            where[l][e] = cid
-            comms[cid] = _Comm()
-            engine.apply(comms[cid], unit, _NO_PATCH, removing=False)
+    # one singleton per occurrence, entity-major; its index is its community
+    units = [_make_unit(net, l, (e,))
+             for e in range(net.num_entities) for l in net.entity_layers_idx(e)]
+    for cid, unit in enumerate(units):
+        where[unit.layer][unit.entities[0]] = cid
+        comms[cid] = _Comm()
+        engine.apply(comms[cid], unit, _NO_PATCH, 1)
 
     passes = 0
     moves = 0
     changed = [0] * len(units)  # community -> move count at its last change
-    while True:
-        # local moving at the current granularity
-        while passes < config.max_passes:
-            passes += 1
-            order = list(range(len(units)))
-            rng.shuffle(order)
-            pass_gain = 0.0
-            for ui in order:
-                unit = units[ui]
-                seen = unit.seen
-                if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
-                    continue  # nothing it reads has changed: it stays again
-                here = where[unit.layer]
-                src = here[unit.entities[0]]
-                found = engine.gather(unit, where)
-                candidates = sorted(c for c in found if c != src)
-                (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
-                                                                candidates)
-                best_gain = 0.0
-                best_cid = None
-                best_patch = None
-                for cid, (dq_ins, patch_ins) in zip(candidates, inserts):
-                    gain = dq_rem + dq_ins
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_cid = cid
-                        best_patch = patch_ins
-                if best_cid is None:
-                    unit.seen = (moves, (src, *candidates))
-                    continue
-                engine.apply(comms[src], unit, patch_rem, removing=True)
-                engine.apply(comms[best_cid], unit, best_patch, removing=False)
-                if not comms[src].flat:
-                    del comms[src]
-                for v in unit.entities:
-                    here[v] = best_cid
-                pass_gain += best_gain
-                moves += 1
-                changed[src] = changed[best_cid] = moves
-            if pass_gain <= config.min_gain:
-                break
-        if passes >= config.max_passes:
-            break
-        # aggregate into per-layer super-nodes of the current communities; a
-        # group of one unit is that unit and keeps its record
+    while passes < config.max_passes:
+        # one pass of local moving at the current granularity
+        passes += 1
+        order = units[:]
+        rng.shuffle(order)
+        pass_gain = 0.0
+        for unit in order:
+            seen = unit.seen
+            if seen is not None and all(changed[c] <= seen[0] for c in seen[1]):
+                continue  # nothing it reads has changed: it stays again
+            here = where[unit.layer]
+            src = here[unit.entities[0]]
+            found = engine.gather(unit, where)
+            candidates = sorted(c for c in found if c != src)
+            (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
+                                                            candidates)
+            best_gain = 0.0
+            best_cid = None
+            best_patch = None
+            for cid, (dq_ins, patch_ins) in zip(candidates, inserts):
+                gain = dq_rem + dq_ins
+                if gain > best_gain:
+                    best_gain = gain
+                    best_cid = cid
+                    best_patch = patch_ins
+            if best_cid is None:
+                unit.seen = (moves, (src, *candidates))
+                continue
+            engine.apply(comms[src], unit, patch_rem, -1)
+            engine.apply(comms[best_cid], unit, best_patch, 1)
+            if not comms[src].flat:
+                del comms[src]
+            for v in unit.entities:
+                here[v] = best_cid
+            pass_gain += best_gain
+            moves += 1
+            changed[src] = changed[best_cid] = moves
+        if pass_gain > config.min_gain or passes == config.max_passes:
+            continue
+        # the pass stalled: aggregate into per-layer super-nodes of the current
+        # communities; a group of one unit is that unit and keeps its record
         groups = {}
         for unit in units:
             l = unit.layer
@@ -563,16 +560,14 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                         passes=passes, moves=moves)
 
 
-def _layer_louvain(net, layer, seed, max_passes, min_gain) -> DetectResult:
-    """Louvain on ``layer`` alone (modularity at gamma 1): a network of the
-    layer's present entities and of its edges, whose entity ids are the
-    parent's indices, declared in ascending order."""
+def _layer_louvain(net, layer, config) -> DetectResult:
+    """Louvain on ``layer`` alone under ``config`` (modularity at gamma 1):
+    a network of the layer's present entities and of its edges, whose
+    entity ids are the parent's indices, declared in ascending order."""
     li = net.layer_index(layer)
     alone = build_network(layers=(layer,),
                           presence=[(layer, e) for e in sorted(net.presence_idx(li))],
                           edges=[(layer, u, v) for u, v in net.edges_idx(li)])
-    config = DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=0.0),
-                          seed=seed, max_passes=max_passes, min_gain=min_gain)
     return generalized_louvain(alone, config)
 
 
@@ -604,8 +599,10 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
 
     from ._workers import layer_map  # here, so that gl detection never loads it
 
+    layer_config = replace(config, objective=MultisliceObjective(gamma=1.0, omega=0.0))
+
     def run(layer):  # each community as parent entity indices, which marshal carries
-        res = _layer_louvain(net, layer, config.seed, config.max_passes, config.min_gain)
+        res = _layer_louvain(net, layer, layer_config)
         cs = res.structure
         return res.passes, res.moves, [tuple(cs.projection(c, layer)) for c in cs.communities()]
 

@@ -820,8 +820,8 @@ def literal_generalized_louvain(net, config):
                         best_patch = patch_ins
                 if best_cid is None:
                     continue
-                engine.apply(comms[src], unit, patch_rem, removing=True)
-                engine.apply(comms[best_cid], unit, best_patch, removing=False)
+                engine.apply(comms[src], unit, patch_rem, -1)
+                engine.apply(comms[best_cid], unit, best_patch, 1)
                 if not comms[src].flat:
                     del comms[src]
                 for v in unit.entities:

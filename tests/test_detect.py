@@ -28,7 +28,8 @@ def louvain_partition(net, layer, seed=0):
     """Classic Louvain partition of one layer's graph (node -> community):
     the per-layer run of the aggregation baseline, at the default passes
     and minimum gain."""
-    return detect._layer_louvain(net, layer, seed, 50, 1e-9).partition
+    config = mm.DetectConfig(objective=mm.MultisliceObjective(gamma=1.0, omega=0.0), seed=seed)
+    return detect._layer_louvain(net, layer, config).partition
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +334,63 @@ class TestGeneralizedLouvain:
         aggregated = events.count("unit") > net.num_tuples()
         assert aggregated == (max_passes == 3)
 
+    @pytest.mark.parametrize("objective", [
+        mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                               coupling=mm.CouplingPolicy.asym_inner(time_aware=True)),
+        mm.MultisliceObjective(gamma=1.0, omega=1.0),
+    ], ids=["planted-ml", "qms"])
+    def test_engine_counts_equal_final_structure(self, monkeypatch, benchmark_sized, objective):
+        # every community's incremental counts, after the whole run, equal
+        # the counts of the structure built from the final label table
+        net = with_ordering(benchmark_sized, mm.LayerOrdering.natural(
+            benchmark_sized.layer_ids, mm.PairingScheme.ADJACENT, True))
+        comms = []  # one per occurrence, created in community-id order
+        tables = []
+
+        class LoggedComm(detect._Comm):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                comms.append(self)
+
+        def logged_from_labels(cls, net, labels):
+            tables.append(labels)
+            return from_labels(net, labels)
+
+        from_labels = mm.CommunityStructure._from_labels
+        monkeypatch.setattr(detect, "_Comm", LoggedComm)
+        monkeypatch.setattr(mm.CommunityStructure, "_from_labels",
+                            classmethod(logged_from_labels))
+        cs = mm.generalized_louvain(net, mm.DetectConfig(objective=objective, seed=7)).structure
+        assert len(comms) == net.num_tuples()
+        (labels,) = tables
+
+        def nonzero(counts):
+            return {k: n for k, n in counts.items() if n}
+
+        ids = {}  # engine community -> structure community
+        for c in cs.communities():
+            for li, layer in enumerate(net.layer_ids):
+                for entity in cs.projection(c, layer):
+                    assert ids.setdefault(labels[li][net.entity_index(entity)], c) == c
+        assert [cid for cid, comm in enumerate(comms) if comm.flat] == sorted(ids)
+        layer_ids = net.layer_ids
+        pairs = [(i, j) for i in range(net.num_layers) for j in range(i + 1, net.num_layers)]
+        multilayer = isinstance(objective, mm.MultilayerObjective)
+        for cid, c in ids.items():
+            comm = comms[cid]
+            assert nonzero(comm.size) == nonzero(
+                {li: cs.projection_size(c, l) for li, l in enumerate(layer_ids)})
+            assert nonzero(comm.deg) == nonzero(
+                {li: cs.degree(c, l) for li, l in enumerate(layer_ids)})
+            assert nonzero(comm.inter) == (nonzero(
+                {(i, j): cs.shared_projection_count(c, layer_ids[i], layer_ids[j]) for i, j in pairs})
+                if multilayer else {})
+            assert nonzero(comm.nrp) == (nonzero(
+                {li: cs.redundant_pair_count(c, l) for li, l in enumerate(layer_ids)})
+                if multilayer else {})
+
 
 class TestGather:
     def test_one_gather_equals_literal_count(self):
@@ -397,8 +455,8 @@ class TestIncrementalGains:
             unit = _make_unit(net, t[1], (t[0],))
             found = engine.gather(unit, where_table(net, split))
             (dq_r, patch_r), (dq_i, patch_i) = engine.evaluate(comms, unit, found, src, [dst])
-            engine.apply(comms[src], unit, patch_r, removing=True)
-            engine.apply(comms[dst], unit, patch_i, removing=False)
+            engine.apply(comms[src], unit, patch_r, -1)
+            engine.apply(comms[dst], unit, patch_i, 1)
             split[t] = dst
             assert dq_r + dq_i == pytest.approx(score() - before, abs=1e-12)
             # incremental aggregates must match a from-scratch rebuild
@@ -466,8 +524,7 @@ class TestIncrementalGains:
             for e, l in occurrence_ids(net):
                 t = (net.entity_index(e), net.layer_index(l))
                 comm = detect._Comm()
-                engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH,
-                             removing=False)
+                engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH, 1)
                 rebuilt = new_comm(engine, [t])
                 for field in ("size", "flat", "deg", "inter", "nrp"):
                     assert getattr(comm, field) == getattr(rebuilt, field)
@@ -504,8 +561,8 @@ class TestIncrementalGains:
             for c, insertion in zip(candidates, insertions):
                 assert insertion == literal.delta(comms[c], unit, counts.get(c, [0, {}]),
                                                   removing=False)
-            engine.apply(comms[src], unit, removal[1], removing=True)
-            engine.apply(comms[dst], unit, insertions[candidates.index(dst)][1], removing=False)
+            engine.apply(comms[src], unit, removal[1], -1)
+            engine.apply(comms[dst], unit, insertions[candidates.index(dst)][1], 1)
             for f in unit.entities:
                 split[(f, l)] = dst
 
@@ -757,6 +814,16 @@ def test_non_objective_rejected(twin_triangle_layers, method, objective):
 def test_min_gain_must_be_finite_and_positive(min_gain):
     with pytest.raises(PolicyError, match="min_gain"):
         mm.DetectConfig(min_gain=min_gain)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", None), ("seed", (1, 2)), ("seed", 7.0), ("seed", "7"), ("seed", True),
+    ("max_passes", 2.5), ("max_passes", None), ("max_passes", "3"), ("max_passes", True),
+])
+def test_seed_and_max_passes_must_be_ints(name, value):
+    # a seed of None would seed from the OS, and 2.5 passes would run 3
+    with pytest.raises(PolicyError, match=f"{name} must be an int"):
+        mm.DetectConfig(**{name: value})
 
 
 class TestNmi:
