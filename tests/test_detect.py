@@ -41,6 +41,29 @@ def benchmark_sized():
     return mm.planted_multilayer(spec)[0]
 
 
+# the objectives of the benchmark's two detect workloads
+BENCHMARK_OBJECTIVES = {
+    "qms": mm.MultisliceObjective(gamma=1.0, omega=1.0),
+    "planted-ml": mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                         coupling=mm.CouplingPolicy.asym_inner(time_aware=True)),
+}
+
+
+@pytest.fixture(scope="module", params=list(BENCHMARK_OBJECTIVES))
+def benchmark_sized_run(request, benchmark_sized):
+    """``(net, config, literal run)`` under each benchmark detect objective:
+    the planted-ml one on ``benchmark_sized`` rebuilt under the time-aware
+    natural-adjacent ordering. The literal run takes about 18 s under
+    planted-ml, so the tests that compare against it share it."""
+    objective = BENCHMARK_OBJECTIVES[request.param]
+    net = benchmark_sized
+    if isinstance(objective, mm.MultilayerObjective):
+        net = with_ordering(net, mm.LayerOrdering.natural(
+            net.layer_ids, mm.PairingScheme.ADJACENT, True))
+    config = mm.DetectConfig(objective=objective, seed=7)
+    return net, config, literal_generalized_louvain(net, config)
+
+
 def constant_symmetric(seed=0):
     return mm.DetectConfig(
         objective=mm.MultilayerObjective(resolution=mm.ResolutionPolicy.constant(1),
@@ -215,12 +238,15 @@ class TestGeneralizedLouvain:
                                            coupling=mm.CouplingPolicy(kind, time_aware))
 
     @staticmethod
-    def assert_same_run(net, config):
-        got = mm.generalized_louvain(net, config)
-        want = literal_generalized_louvain(net, config)
+    def assert_same_result(got, want):
         assert got.structure.as_assignment() == want.structure.as_assignment()
         assert (got.passes, got.moves) == (want.passes, want.moves)
         assert got.objective == want.objective
+
+    @staticmethod
+    def assert_same_run(net, config):
+        TestGeneralizedLouvain.assert_same_result(mm.generalized_louvain(net, config),
+                                                  literal_generalized_louvain(net, config))
 
     def test_matches_literal_loop(self):
         # skipping units whose communities did not change must not alter the run
@@ -266,10 +292,29 @@ class TestGeneralizedLouvain:
         for run_seed in (0, 7):
             self.assert_same_run(net, mm.DetectConfig(objective=objective, seed=run_seed))
 
-    def test_matches_literal_loop_on_benchmark_sized_network(self, benchmark_sized):
+    def test_matches_literal_loop_on_benchmark_sized_network(self, benchmark_sized_run):
         # aggregation keeps most units here, and with them their skip records
-        objective = mm.MultisliceObjective(gamma=1.0, omega=1.0)
-        self.assert_same_run(benchmark_sized, mm.DetectConfig(objective=objective, seed=7))
+        net, config, want = benchmark_sized_run
+        self.assert_same_result(mm.generalized_louvain(net, config), want)
+
+    def test_unchanged_candidates_are_not_rescored(self, monkeypatch, benchmark_sized_run):
+        # a unit whose own community has not changed since it last stayed
+        # put is scored only against the candidates changed since then
+        net, config, want = benchmark_sized_run
+        engine_class = type(config.objective.gain_engine(net))
+        evaluate = engine_class.evaluate
+        narrowed = 0
+
+        def logged_evaluate(self, comms, unit, found, src, candidates):
+            nonlocal narrowed
+            touched = set(found) - {src}
+            assert set(candidates) <= touched and list(candidates) == sorted(candidates)
+            narrowed += set(candidates) != touched
+            return evaluate(self, comms, unit, found, src, candidates)
+
+        monkeypatch.setattr(engine_class, "evaluate", logged_evaluate)
+        self.assert_same_result(mm.generalized_louvain(net, config), want)
+        assert narrowed
 
     def test_skip_carries_across_aggregation(self, monkeypatch, benchmark_sized):
         events = []
@@ -667,6 +712,86 @@ class TestIncrementalGains:
         assert engine.evaluate(comms, unit, found, 0, []) == [
             literal.delta(comms[0], unit, [0, {}], removing=True)]
 
+    # layers a, b and c over entities 0..5, each entity in every layer
+    SKIP_EDGES = [("a", 0, 1), ("a", 1, 2), ("a", 0, 2), ("a", 3, 4), ("a", 4, 5), ("a", 3, 5),
+                  ("b", 0, 1), ("b", 1, 2), ("b", 3, 4), ("b", 4, 5), ("b", 2, 3),
+                  ("c", 0, 2), ("c", 1, 2), ("c", 3, 5), ("c", 2, 3), ("c", 4, 5)]
+    # moving (0, b) into community 1 adds 0 to its intersection with a only,
+    # and community 1 holds entities 1 and 2 in both b and c
+    INTO_ONE_PARTNER = {(0, "b"): 0, (0, "a"): 1, **{(e, l): 1 for e in (1, 2) for l in "abc"}}
+
+    @staticmethod
+    def check_one_move(ordering, kind, split, moved):
+        """Place the occurrences of the three-layer network under
+        ``ordering`` by ``split`` ((entity, layer) -> community, 2 for the
+        rest) and evaluate moving occurrence ``moved`` out of its community
+        and into every other one it touches, under redundancy resolution
+        and ``kind`` coupling (time-aware when asymmetric under a natural
+        ordering). Every dq and patch must equal the literal engine's bit
+        for bit. Returns the engine, the communities and the counts, for
+        the caller to check which terms the move leaves unchanged."""
+        net = mm.build_network(layers=["a", "b", "c"], edges=TestIncrementalGains.SKIP_EDGES,
+                               ordering=ordering)
+        time_aware = ordering.is_natural and kind.startswith("asym")
+        objective = mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                                           coupling=mm.CouplingPolicy(kind, time_aware))
+        engine = _MultilayerEngine(net, objective)
+        literal = LiteralMultilayerEngine(net, objective)
+        idx = lambda e, l: (net.entity_index(e), net.layer_index(l))
+        assign = {idx(e, l): split.get((e, l), 2) for e, l in occurrence_ids(net)}
+        comms = {c: new_comm(engine, [t for t in assign if assign[t] == c])
+                 for c in set(assign.values())}
+        e, l = idx(*moved)
+        unit = _make_unit(net, l, (e,))
+        where = where_table(net, assign)
+        found = engine.gather(unit, where)
+        src = assign[(e, l)]
+        candidates = sorted(c for c in found if c != src)
+        removal, *insertions = engine.evaluate(comms, unit, found, src, candidates)
+        assert removal == literal.delta(comms[src], unit, found.get(src, [0, {}]), removing=True)
+        for c, insertion in zip(candidates, insertions):
+            assert insertion == literal.delta(comms[c], unit, found[c], removing=False)
+        return engine, comms, found
+
+    @pytest.mark.parametrize("kind", ["asym-inner", "asym-outer"])
+    def test_own_term_without_intersection(self, kind):
+        # (0, a) leaves community 0 and may enter community 3, neither of
+        # which holds anything outside a: every term whose source is a has
+        # no intersection, before or after, while that source's size changes
+        split = {(0, "a"): 0, (1, "a"): 0, (2, "a"): 3}
+        engine, comms, found = self.check_one_move(mm.LayerOrdering.unordered(), kind, split,
+                                                   (0, "a"))
+        assert sorted(found) == [0, 2, 3]
+        assert engine.own_terms[0]
+        for c in (0, 3):
+            assert not found[c][1] and not comms[c].inter
+
+    @pytest.mark.parametrize("kind,ordering", [
+        ("asym-outer", mm.LayerOrdering.natural(["a", "b", "c"], mm.PairingScheme.ADJACENT, True)),
+        ("asym-inner", mm.LayerOrdering.unordered()),
+    ], ids=["outer-adjacent", "inner-unordered"])
+    def test_other_source_term_with_unchanged_intersection(self, kind, ordering):
+        # the (b, c) term whose source projection is c: entering community 1
+        # leaves both that projection and the intersection as they were
+        engine, comms, found = self.check_one_move(ordering, kind, self.INTO_ONE_PARTNER,
+                                                   (0, "b"))
+        assert found[1][1] == {0: 1}
+        assert comms[1].inter[(1, 2)] == 2
+        assert any(other == 2 and side == 2 for _, other, side, *_ in engine.terms[1])
+
+    @pytest.mark.parametrize("ordering", [
+        mm.LayerOrdering.unordered(),
+        mm.LayerOrdering.natural(["a", "b", "c"], mm.PairingScheme.PAIRWISE),
+    ], ids=["unordered", "natural-pairwise"])
+    def test_symmetric_move_changes_one_of_two_partners(self, ordering):
+        # b is coupled to a and to c; entering community 1 changes only the
+        # intersection with a
+        engine, comms, found = self.check_one_move(ordering, "symmetric", self.INTO_ONE_PARTNER,
+                                                   (0, "b"))
+        assert found[1][1] == {0: 1}
+        assert comms[1].inter[(1, 2)] == 2
+        assert {other for _, other, *_ in engine.terms[1]} == {0, 2}
+
     def test_decay_table_reaches_complete_multiplex(self):
         # K_8 in 3 layers: every pair is redundant in every layer, and the
         # whole network merges into one community holding all of them
@@ -814,6 +939,18 @@ def test_non_objective_rejected(twin_triangle_layers, method, objective):
 def test_min_gain_must_be_finite_and_positive(min_gain):
     with pytest.raises(PolicyError, match="min_gain"):
         mm.DetectConfig(min_gain=min_gain)
+
+
+@pytest.mark.parametrize("min_gain", ["1", None, True, False, (1e-9,), 1j])
+def test_min_gain_must_be_a_real_number(min_gain):
+    # a string or None used to raise a bare TypeError, and True passed as 1
+    with pytest.raises(PolicyError, match="min_gain must be a finite number"):
+        mm.DetectConfig(min_gain=min_gain)
+
+
+@pytest.mark.parametrize("min_gain", [1, 0.5, 1e-12])
+def test_min_gain_accepts_positive_real_numbers(min_gain):
+    assert mm.DetectConfig(min_gain=min_gain).min_gain == min_gain
 
 
 @pytest.mark.parametrize("name,value", [
