@@ -1,27 +1,23 @@
 """Command-line front end: stats, score, detect, sweep.
 
 Exit codes: 0 success, 2 input or parse error, 3 policy conflict,
-4 resource guard tripped.
+4 resource guard tripped, 141 standard output closed by its reader.
+
+Each command imports the modules it runs inside its ``cmd_*`` function, so
+a process loads only what its command needs: ``stats`` the network and the
+worker map, ``sweep`` also the community and scoring modules, ``score``
+also detection (for the objectives), ``detect`` everything.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import statistics
 import sys
-from dataclasses import astuple
 
 from . import __version__
-from .community import read_communities, write_communities, write_flat_partition
-from .detect import (DetectConfig, MultilayerObjective, MultisliceObjective,
-                     aggregate_majority, generalized_louvain)
 from .errors import GuardError, InputError, PolicyError
-from .mlgraph import LayerStats, read_network
-from .modularity import (CouplingPolicy, ResolutionPolicy, _check_multislice_values,
-                         multilayer_modularity, multislice_modularity, newman_modularity)
 
 _COUPLING_KINDS = {
     "none": "none",
@@ -31,7 +27,9 @@ _COUPLING_KINDS = {
 }
 
 
-def _parse_resolution(text: str) -> ResolutionPolicy:
+def _parse_resolution(text: str):
+    from .modularity import ResolutionPolicy
+
     if text == "redundancy":
         return ResolutionPolicy.redundancy()
     if text.startswith("constant:"):
@@ -48,6 +46,9 @@ def _objective(args):
     ``MultisliceObjective`` for qms, None for newman. The commands build it,
     and so check their flags, before they read any file, so a bad flag
     costs no load."""
+    from .detect import MultilayerObjective, MultisliceObjective
+    from .modularity import CouplingPolicy
+
     if args.time_aware and args.ordering == "none":
         raise PolicyError("--time-aware requires --ordering natural-adjacent or natural-pairwise")
     if args.objective == "qms":
@@ -85,7 +86,12 @@ def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
 
 
 def cmd_stats(args) -> int:
-    from ._workers import layer_map  # here, so that only stats and aggregate load it
+    # statistics before the fork, so that layer_map's children find it loaded
+    import statistics
+    from dataclasses import astuple
+
+    from ._workers import layer_map
+    from .mlgraph import LayerStats, read_network
 
     net = read_network(args.network, ordering_mode="auto")
     # the layers' statistics in up to min(layers, usable CPUs) processes, as
@@ -115,6 +121,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_score(args) -> int:
+    import json
+
+    from .community import read_communities
+    from .mlgraph import read_network
+    from .modularity import multilayer_modularity, newman_modularity
+
     objective = _objective(args)
     net = read_network(args.network, ordering_mode=args.ordering)
     cs = read_communities(net, args.communities)
@@ -145,6 +157,12 @@ def _sha256(path) -> str:
 
 
 def cmd_detect(args) -> int:
+    import json
+
+    from .community import write_communities, write_flat_partition
+    from .detect import DetectConfig, aggregate_majority, generalized_louvain
+    from .mlgraph import read_network
+
     config = DetectConfig(objective=_objective(args), seed=args.seed,
                           max_passes=args.max_passes, min_gain=args.min_gain)
     # fail before the load and the detection; a prefix naming a directory
@@ -205,6 +223,8 @@ _SWEEP_MAX_ROWS = 100_000
 def _sweep_points(args) -> list:
     """The sweep's (gamma, omega) rows, from the flags alone; each is
     checked here, so a bad point costs no load."""
+    from .modularity import _check_multislice_values
+
     default_start, default_stop = _SWEEP_RANGES[args.protocol]
     start = default_start if args.start is None else args.start
     stop = default_stop if args.stop is None else args.stop
@@ -243,6 +263,10 @@ def _sweep_points(args) -> list:
 
 
 def cmd_sweep(args) -> int:
+    from .community import read_communities
+    from .mlgraph import read_network
+    from .modularity import multislice_modularity
+
     points = _sweep_points(args)
     net = read_network(args.network, ordering_mode="none")  # qms reads no ordering
     cs = read_communities(net, args.communities)
@@ -297,7 +321,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader who quit is found here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout quit: nothing more can reach it, and the
+        # interpreter's last flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,6 @@ the network and safe to call concurrently.
 from __future__ import annotations
 
 import re
-import statistics
 from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
@@ -217,6 +216,8 @@ class MultilayerNetwork:
         the average path length is reported as 0.0, and a layer with no
         present entity reports 0.0 for every field.
         """
+        import statistics  # here, so that loading a network does not import it
+
         li = self.layer_index(layer)
         nodes = sorted(self._presence[li])
         if not nodes:
@@ -284,6 +285,8 @@ def _mean_clustering(adj, nodes) -> float:
     of both ``a`` and ``b``, and counted at all three nodes; the later
     neighbours are a suffix of each ascending neighbour tuple.
     """
+    import statistics
+
     later = {v: set(nb[bisect_right(nb, v):]) for v, nb in adj.items()}
     links = dict.fromkeys(adj, 0)
     for a, after_a in later.items():

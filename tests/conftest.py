@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import multimod as mm
@@ -90,3 +95,13 @@ def chunk(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(mlgraph, "_CHUNK", request.param)
     return request.param
+
+
+def python_fresh(*args):
+    """Python on ``args`` in a fresh process that imports this package, with
+    a timeout: an unbounded run fails instead of hanging the suite."""
+    src = Path(mm.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=60, env=env)

@@ -6,19 +6,18 @@ import argparse
 import hashlib
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import multimod as mm
 import multimod.cli as cli
+from multimod import detect, mlgraph, modularity
 from multimod.cli import main
 
 from _brute import multislice_direct
 from _gen import save_planted
-from conftest import ordered3_network_text, ordered3_partition_text
+from conftest import ordered3_network_text, ordered3_partition_text, python_fresh
 
 
 _POLICY = {"--objective", "--resolution", "--coupling", "--time-aware", "--ordering",
@@ -38,16 +37,6 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def python_fresh(*args):
-    """Python on ``args`` in a fresh process that imports this package, with
-    a timeout: an unbounded run fails instead of hanging the suite."""
-    src = Path(mm.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def run_fresh(argv):
@@ -353,7 +342,7 @@ class TestDetect:
         def never(*args, **kwargs):
             raise AssertionError("detection started")
 
-        monkeypatch.setattr(cli, detector, never)
+        monkeypatch.setattr(detect, detector, never)
         missing = tmp_path / "missing"
         code, out, err = run(capsys, ["detect", ordered3_files[0], "--method", method,
                                       "--out", str(missing / "run")])
@@ -368,7 +357,7 @@ class TestDetect:
         def never(*args, **kwargs):
             raise AssertionError("detection started")
 
-        monkeypatch.setattr(cli, "generalized_louvain", never)
+        monkeypatch.setattr(detect, "generalized_louvain", never)
         work = tmp_path / "work"
         (work / "results").mkdir(parents=True)
         monkeypatch.chdir(work)
@@ -456,7 +445,7 @@ class TestSweep:
     def test_point_that_does_not_move_ends(self, monkeypatch):
         # 1e308 + i * 0.1 rounds back to 1e308: the row that reads as --stop
         # is the last, though no later point ever passes it
-        check = cli._check_multislice_values
+        check = modularity._check_multislice_values
         calls = []
 
         def counted(gamma, omega):
@@ -465,7 +454,7 @@ class TestSweep:
                 raise AssertionError("the sweep does not end")
             check(gamma, omega)
 
-        monkeypatch.setattr(cli, "_check_multislice_values", counted)
+        monkeypatch.setattr(modularity, "_check_multislice_values", counted)
         args = argparse.Namespace(protocol="omega", start=1e308, stop=1e308, step=0.1)
         assert cli._sweep_points(args) == [(1.0, 1e308)]
         assert calls == [(1.0, 1e308)]
@@ -497,7 +486,7 @@ class TestFlagsBeforeLoad:
         def never(*args, **kwargs):
             raise AssertionError("the network was read")
 
-        monkeypatch.setattr(cli, "read_network", never)
+        monkeypatch.setattr(mlgraph, "read_network", never)
 
     @pytest.mark.parametrize("argv,code", [
         (["score", "NET", "COMM", "--resolution", "bogus"], 3),
@@ -537,7 +526,7 @@ class TestFlagsBeforeLoad:
 
     def test_qms_score_ignores_the_resolution_flag(self, capsys, triangle_files, monkeypatch):
         # --resolution belongs to the q objective; qms scoring reads the files
-        monkeypatch.setattr(cli, "read_network", mm.read_network)
+        monkeypatch.undo()  # the real network reader
         code, out, _ = run(capsys, ["score", *triangle_files, "--objective", "qms",
                                     "--resolution", "bogus"])
         assert code == 0
@@ -639,33 +628,71 @@ class TestHostileInputs:
 
 
 HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle")
+# the package modules each command loads, besides the package itself: a
+# network load needs mlgraph alone, the scores community and modularity,
+# score's objectives detect, and no command the synthetic benchmark
+_SCORING = {"cli", "errors", "mlgraph", "community", "modularity"}
+COMMANDS = {
+    "score": (["score", "{net}", "{comm}"], _SCORING | {"detect"}),
+    "sweep": (["sweep", "{net}", "{comm}", "--protocol", "omega"], _SCORING),
+    "stats": (["stats", "{net}"], {"cli", "errors", "mlgraph", "_workers"}),
+    "detect": (["detect", "{net}", "--out", "{out}"], _SCORING | {"detect"}),
+    "aggregate": (["detect", "{net}", "--method", "aggregate", "--out", "{out}"],
+                  _SCORING | {"detect", "_workers"}),
+}
 
 
-@pytest.mark.parametrize("argv", [["score", "{net}", "{comm}"],
-                                  ["sweep", "{net}", "{comm}", "--protocol", "omega"],
-                                  ["stats", "{net}"],
-                                  ["detect", "{net}", "--out", "{out}"],
-                                  ["detect", "{net}", "--method", "aggregate", "--out", "{out}"]],
-                         ids=["score", "sweep", "stats", "detect", "aggregate"])
-def test_only_detect_loads_hashlib(ordered3_files, tmp_path, argv):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_detect_loads_hashlib(ordered3_files, tmp_path, command):
     """Only ``detect`` writes digests, so no other command loads hashlib
-    and the OpenSSL library behind it; and no command loads a process pool
-    or pickle, whose imports would slow every start."""
+    and the OpenSSL library behind it; no command loads a process pool
+    or pickle, whose imports would slow every start; and ``import multimod``
+    loads only the errors, each command only the package modules it runs."""
+    argv, modules = COMMANDS[command]
     net, comm = ordered3_files
     argv = [arg.format(net=net, comm=comm, out=tmp_path / "out") for arg in argv]
     watched = ("hashlib", *HEAVY_MODULES)
     proc = python_fresh("-c", "\n".join([
-        "import sys",
+        "import json, sys",
         f"watched = {watched!r}",
         "before = [m in sys.modules for m in watched]",
+        "package = lambda: sorted(m[9:] for m in sys.modules if m.startswith('multimod.'))",
+        "import multimod",
+        "imported = package()",
         "from multimod.cli import main",
         f"code = main({argv!r})",
-        "print(code, *(b or m not in sys.modules for b, m in zip(before, watched)))"]))
-    code, hashlib_absent, *heavy_absent = proc.stdout.splitlines()[-1].split()
-    assert code == "0"
+        "print(json.dumps([code, [b or m not in sys.modules for b, m in zip(before, watched)],",
+        "                  imported, package()]))"]))
+    code, (hashlib_absent, *heavy_absent), imported, loaded = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert code == 0
     if argv[0] != "detect":
-        assert hashlib_absent == "True"
-    assert heavy_absent == ["True"] * len(HEAVY_MODULES)
+        assert hashlib_absent
+    assert heavy_absent == [True] * len(HEAVY_MODULES)
+    assert imported == ["errors"]
+    assert set(loaded) == modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{net}", "{comm}", "--protocol", "gamma", "--step", "0.0001"],
+    ["stats", "{net}"],
+], ids=["sweep-20001-rows", "stats"])
+def test_closed_stdout_exits_141(triangle_files, argv):
+    # the reader quits before the output is written, whether the command
+    # writes more than a pipe holds (the sweep's 20,001 rows) or less (stats,
+    # whose output stdout's buffer holds until the end): no error message,
+    # and the status a shell reports for a producer killed by SIGPIPE
+    net, comm = triangle_files
+    argv = [arg.format(net=net, comm=comm) for arg in argv]
+    proc = python_fresh("-c", "\n".join([
+        "import os, subprocess, sys",
+        "env = {k: v for k, v in os.environ.items() if k != 'PYTHONUNBUFFERED'}",
+        f"child = subprocess.Popen([sys.executable, '-m', 'multimod.cli', *{argv!r}], env=env,",
+        "                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)",
+        "child.stdout.close()",
+        "err = child.stderr.read()",
+        "print(child.wait(timeout=60), repr(err))"]))
+    assert proc.stdout.splitlines()[-1] == "141 b''"
 
 
 # Outputs pinned on seeded planted networks: scores, optimizer trajectory

@@ -6,10 +6,13 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import multimod as mm
+
+from conftest import python_fresh
 
 ORACLES = ("multilayer_modularity_direct", "best_partition_exhaustive")
 
@@ -109,6 +112,31 @@ def test_every_exported_name_resolves():
     assert len(set(mm.__all__)) == len(mm.__all__)
     missing = [name for name in mm.__all__ if not hasattr(mm, name)]
     assert missing == []
+
+
+def test_namespace_is_lazy():
+    # in a fresh process: each exported name and submodule is loaded on first
+    # access, as the object its home module defines, and listed before then
+    proc = python_fresh("-c", "\n".join([
+        "import importlib, json, multimod",
+        "eager = sorted(n for n in multimod.__all__ if n in vars(multimod))",
+        "listed = dir(multimod)",
+        "homes = multimod._HOME",
+        "same = {n: getattr(multimod, n) is getattr(importlib.import_module('multimod.' + m), n)",
+        "        for n, m in homes.items()}",
+        "modules = {m: getattr(multimod, m) is importlib.import_module('multimod.' + m)",
+        "           for m in multimod._LAZY}",
+        "print(json.dumps([eager, listed, homes, same, modules]))"]))
+    eager, listed, homes, same, modules = json.loads(proc.stdout)
+    assert eager == ["GuardError", "InputError", "PolicyError", "__version__"]
+    assert sorted(homes) == sorted(set(mm.__all__) - set(eager))
+    assert len(homes) == sum(len(names) for names in mm._LAZY.values())
+    assert set(mm.__all__) | set(mm._LAZY) <= set(listed)
+    assert set(same.values()) == {True}
+    assert modules == dict.fromkeys(["mlgraph", "community", "modularity", "detect",
+                                     "synthbench"], True)
+    for name, module in homes.items():
+        assert getattr(mm, name).__module__ == f"multimod.{module}"
 
 
 def test_oracles_are_not_exported():
