@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 input or parse error, 3 policy conflict,
 Each command imports the modules it runs inside its ``cmd_*`` function, so
 a process loads only what its command needs: ``stats`` the network and the
 worker map, ``sweep`` also the community and scoring modules, ``score``
-also detection (for the objectives), ``detect`` everything.
+also detection for the q and qms objectives (a newman score builds none),
+``detect`` everything.
 """
 
 from __future__ import annotations
@@ -45,16 +46,17 @@ def _objective(args):
     """The objective the flags name: a ``MultilayerObjective`` for q, a
     ``MultisliceObjective`` for qms, None for newman. The commands build it,
     and so check their flags, before they read any file, so a bad flag
-    costs no load."""
-    from .detect import MultilayerObjective, MultisliceObjective
-    from .modularity import CouplingPolicy
-
+    costs no load. Each branch imports only its own objective class."""
     if args.time_aware and args.ordering == "none":
         raise PolicyError("--time-aware requires --ordering natural-adjacent or natural-pairwise")
     if args.objective == "qms":
+        from .detect import MultisliceObjective
         return MultisliceObjective(gamma=args.gamma, omega=args.omega)
     if args.objective != "q":
         return None
+    from .detect import MultilayerObjective
+    from .modularity import CouplingPolicy
+
     resolution = _parse_resolution(args.resolution)  # checked before the coupling
     return MultilayerObjective(resolution=resolution, coupling=CouplingPolicy(
         _COUPLING_KINDS[args.coupling], time_aware=args.time_aware))

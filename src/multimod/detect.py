@@ -30,6 +30,20 @@ gain are the same floats now, so none of those candidates can win the
 strictly positive best, and the choice among the rest is unchanged. The
 record it leaves names every community it touched, not just those scored.
 
+Within a visit, the multilayer engine stops scoring a candidate once it
+provably cannot win. Take an insertion that changes no intersection and no
+redundant-pair count (``dinter`` and ``dnrp`` both empty, known after the
+redundant-pair walk). Its null term is ``g * d_new * d_new - g * d_old *
+d_old`` with ``d_new >= d_old >= 0`` and ``g`` (gamma, or a decay) ``>= 0``,
+so it is ``>= +0.0``. Its coupling terms are own terms alone, each ``n``
+shared entities over a source projection that only grows, so each is
+``<= 0`` and so is their sum from +0.0. Round-to-nearest is monotone in
+every operand, so ``(ddint - d_null / norm + d_coup) / norm <= ddint /
+norm`` and the gain ``dq_rem + dq_ins <= dq_rem + ddint / norm``. When that
+bound is ``<=`` the running best, the candidate cannot win the strict
+comparison, and its null and coupling terms are not computed; the
+candidates before and after it are scored and compared as before.
+
 Aggregation groups the units by community and layer. Units partition the
 occurrences and all of a unit's entities share one community, so the block
 of a community in a layer is the union of the units it holds there, and it
@@ -52,10 +66,12 @@ serves both: it counts, for every community a unit touches, the unit's
 edges into it and how many of the unit's entities it holds in each other
 layer (the change of each projection intersection; the multislice score
 sums them into the occurrence pairs worth omega each).
-``evaluate`` then returns the removal's and every candidate's gain in one
-call per visit, reading the unit's layer, sizes and tables once; the
-multilayer score adds redundant-pair counts, the multislice score a
-constant per-pair coupling. The multilayer gains read the scorer's
+``evaluate`` then scores the removal and the candidates in one call per
+visit, reading the unit's layer, sizes and tables once, and returns the
+move: the running best of ``dq_rem + dq_ins``. The multilayer score adds
+redundant-pair counts, the multislice score a constant per-pair coupling.
+Each community keeps its per-layer counts (projection sizes, degrees,
+redundant pairs) in lists indexed by layer. The multilayer gains read the scorer's
 coupling plan (``coupling_plan``, under the network's layer ordering, the
 only one an objective uses): its normalization, and its records copied
 into per-layer coupling terms with nothing resolved again. They also read
@@ -163,16 +179,17 @@ class DetectResult:
 
 class _Comm:
     """Mutable per-community aggregates; all counters are exact integers.
-    ``inter`` and ``nrp`` stay empty under the multislice objective."""
+    ``size``, ``deg`` and ``nrp`` hold one count per layer of the network.
+    ``inter`` stays empty and ``nrp`` zero under the multislice objective."""
 
     __slots__ = ("size", "flat", "deg", "inter", "nrp")
 
-    def __init__(self):
-        self.size = {}          # l -> entities held in l (the projection's size)
-        self.flat = {}          # e -> occurrence count
-        self.deg = {}           # l -> int
-        self.inter = {}         # (i, j) i < j -> entities held in both i and j
-        self.nrp = {}           # l -> redundant pairs supported by l
+    def __init__(self, layers):
+        self.size = [0] * layers  # l -> entities held in l (the projection's size)
+        self.flat = {}            # e -> occurrence count
+        self.deg = [0] * layers   # l -> total intra-layer degree held in l
+        self.inter = {}           # (i, j) i < j -> entities held in both i and j
+        self.nrp = [0] * layers   # l -> redundant pairs supported by l
 
 
 class _Unit:
@@ -211,11 +228,16 @@ class _Engine:
     counts both gains read for every community a unit touches (Blondel et
     al. 2008; ``where[l][e]`` is the community of entity ``e`` in layer
     ``l``), and :meth:`apply`. A subclass supplies ``evaluate(comms, unit,
-    found, src, candidates)``, one call per visit: a list of ``(dq,
-    patch)``, the unit's removal from ``src`` first and then its insertion
-    into each candidate, in candidate order. ``dq`` is the exact objective
-    change and the patch the pending ``(dinter, dnrp)`` changes
-    :meth:`apply` commits; the per-unit set-up is read once per visit. A
+    found, src, candidates, floor=0.0)``, one call per visit, which returns
+    ``(dq_rem, patch_rem, best)``: the unit's removal from ``src``, and the
+    move the local-moving rule picks. ``best`` is ``(dq_ins, cid,
+    patch_ins)`` for the first candidate, in candidate order, whose
+    ``dq_rem + dq_ins`` is the greatest and above ``floor``, or None when
+    no candidate's is. Each ``dq`` is the exact objective change, computed
+    in one float order, and each patch the pending ``(dinter, dnrp)``
+    changes :meth:`apply` commits; the per-unit set-up is read once per
+    visit and no list of gains is built. With ``floor=-math.inf`` and one
+    candidate, ``best`` holds that candidate's own ``dq`` and patch. A
     community the unit does not touch has no entry in ``found`` and reads
     as ``_UNTOUCHED``. A singleton community is an empty ``_Comm`` with its
     occurrence applied under ``_NO_PATCH``: one occurrence has no
@@ -262,7 +284,7 @@ class _Engine:
         """Add the unit and ``patch`` to ``comm`` (``sign`` 1) or remove them
         (``sign`` -1); an entity whose count reaches 0 leaves ``flat``."""
         l = unit.layer
-        comm.size[l] = comm.size.get(l, 0) + sign * len(unit.entities)
+        comm.size[l] += sign * len(unit.entities)
         flat = comm.flat
         for v in unit.entities:
             n = flat.get(v, 0) + sign
@@ -270,13 +292,14 @@ class _Engine:
                 flat[v] = n
             else:
                 del flat[v]
-        comm.deg[l] = comm.deg.get(l, 0) + sign * unit.degsum
+        comm.deg[l] += sign * unit.degsum
         dinter, dnrp = patch
         for lj, dv in dinter.items():
             key = (l, lj) if l < lj else (lj, l)
             comm.inter[key] = comm.inter.get(key, 0) + dv
+        nrp = comm.nrp
         for lj, dv in dnrp.items():
-            comm.nrp[lj] = comm.nrp.get(lj, 0) + dv
+            nrp[lj] += dv
 
 
 class _MultilayerEngine(_Engine):
@@ -316,9 +339,9 @@ class _MultilayerEngine(_Engine):
             if not self.symmetric:
                 self.own_terms[src].append((key, j if src == i else i, src, vint, vsize, penalty))
 
-    def evaluate(self, comms, unit, found, src, candidates):
+    def evaluate(self, comms, unit, found, src, candidates, floor=0.0):
         """The exact objective change and patch of moving ``unit`` out of
-        ``src`` and then into each candidate.
+        ``src``, and the best move into a candidate (see ``_Engine``).
 
         Terms that are exactly zero are not added. A coupling term whose
         intersection does not change (``d = dinter.get(other, 0)`` is 0)
@@ -339,12 +362,17 @@ class _MultilayerEngine(_Engine):
         A patch with no redundant-pair change shares the read-only
         ``_NO_OCC``.
 
-        ``generalized_louvain`` passes the candidates whose gains it needs,
-        not always every community the unit touches (see its docstring).
-        On the benchmark's three planted-ml networks (perfbench generator
-        seed 7000) its 124,146 visits evaluate 870,944 gains, removals
-        included, against 1,054,393 when every touched community is
-        scored.
+        An insertion with no ``dinter`` and no ``dnrp`` whose bound
+        ``dq_rem + ddint / norm`` is at most the running best is dropped
+        before its null and coupling terms (the module docstring gives the
+        argument). ``generalized_louvain`` passes the candidates whose gains
+        it needs, not always every community the unit touches (see its
+        docstring). On the benchmark's three planted-ml networks (perfbench
+        generator seeds 7000000-7000002) its 124,146 visits reach 870,944
+        gains, removals included, against 1,054,393 when every touched
+        community is scored; 462,986 of the 746,798 insertions change no
+        intersection and no redundant-pair count, and the bound stops
+        348,704 of them.
         """
         l = unit.layer
         S = unit.entities
@@ -361,7 +389,8 @@ class _MultilayerEngine(_Engine):
         terms = self.terms[l]
         own_terms = self.own_terms[l]
 
-        out = []
+        dq_rem = patch_rem = best = None
+        best_gain = floor
         removing = True
         for cid in (src, *candidates):
             comm = comms[cid]
@@ -370,7 +399,7 @@ class _MultilayerEngine(_Engine):
                 # the unit's own ``within`` edges count twice in ``k_s``
                 ddint = -(2 * k_s - 2 * within)
                 ddeg = -degsum
-                dinter = {lj: -cnt for lj, cnt in occ.items()}
+                dinter = {lj: -cnt for lj, cnt in occ.items()} if occ else _NO_OCC
                 sign, crossing, psize_delta = -1, 1, -size
             else:
                 ddint = 2 * (k_s + within)
@@ -398,7 +427,6 @@ class _MultilayerEngine(_Engine):
                                 for lj in sl:
                                     dnrp[lj] = dnrp.get(lj, 0) + sign
                 else:
-                    dnrp = {}
                     moved = set()
                     for v in S:
                         if flat.get(v, 0) != crossing:
@@ -406,25 +434,30 @@ class _MultilayerEngine(_Engine):
                         for u, sl in rp_adj[v]:
                             # partner in the community before the move xor already moved
                             if (flat.get(u, 0) > 0) != (u in moved):
+                                if dnrp is _NO_OCC:
+                                    dnrp = {}
                                 for lj in sl:
                                     dnrp[lj] = dnrp.get(lj, 0) + sign
                         moved.add(v)
 
+            if not (removing or occ or dnrp) and dq_rem + ddint / norm <= best_gain:
+                continue  # the insertion bound: the null and coupling terms only lower it
+
             # objective delta; fixed layer order keeps float accumulation reproducible
             deg = comm.deg
+            nrp = comm.nrp
             if dnrp:
-                nrp = comm.nrp
                 d_null = 0.0
                 for lj in sorted({l, *dnrp}):
-                    d_old = deg.get(lj, 0)
+                    d_old = deg[lj]
                     d_new = d_old + (ddeg if lj == l else 0)
-                    n_old = nrp.get(lj, 0)
+                    n_old = nrp[lj]
                     d_null += (decay[n_old + dnrp.get(lj, 0)] * d_new * d_new
                                - decay[n_old] * d_old * d_old)
             else:
-                d_old = deg.get(l, 0)
+                d_old = deg[l]
                 d_new = d_old + ddeg
-                g = decay[comm.nrp.get(l, 0)] if redundancy else gamma
+                g = decay[nrp[l]] if redundancy else gamma
                 d_null = g * d_new * d_new - g * d_old * d_old
 
             d_coup = 0.0
@@ -443,22 +476,30 @@ class _MultilayerEngine(_Engine):
                     n = inter.get(key, 0)
                     if not d and (side != l or not n):
                         continue
-                    psize = sizes.get(side, 0)
+                    psize = sizes[side]
                     before = n / vint * vs / psize * penalty if psize else 0.0
                     if side == l:
                         psize += psize_delta
                     after = (n + d) / vint * vs / psize * penalty if psize else 0.0
                     d_coup += after - before
 
-            out.append(((ddint - d_null / norm + d_coup) / norm, (dinter, dnrp)))
-            removing = False
-        return out
+            dq = (ddint - d_null / norm + d_coup) / norm
+            if removing:
+                dq_rem = dq
+                patch_rem = (dinter, dnrp)
+                removing = False
+            elif dq_rem + dq > best_gain:
+                best_gain = dq_rem + dq
+                best = (dq, cid, (dinter, dnrp))
+        return dq_rem, patch_rem, best
 
 
 class _MultisliceEngine(_Engine):
     """Exact gains of the multislice objective: a per-layer gamma null model
     and a constant omega per same-entity occurrence pair, the sum of the
-    per-layer counts ``gather`` returns."""
+    per-layer counts ``gather`` returns. Every candidate is scored: a
+    bound like the multilayer one would read the same counts and take
+    about as many operations as the gain itself."""
 
     def __init__(self, net, objective):
         super().__init__(net)
@@ -466,9 +507,10 @@ class _MultisliceEngine(_Engine):
             net, objective.gamma, objective.omega)
         self.omega = float(objective.omega)
 
-    def evaluate(self, comms, unit, found, src, candidates):
-        """The exact objective change of moving ``unit`` out of ``src`` and
-        then into each candidate; every patch is ``_NO_PATCH``."""
+    def evaluate(self, comms, unit, found, src, candidates, floor=0.0):
+        """The exact objective change of moving ``unit`` out of ``src``, and
+        the best move into a candidate (see ``_Engine``); every patch is
+        ``_NO_PATCH``."""
         l = unit.layer
         within = unit.within
         degsum = unit.degsum
@@ -481,18 +523,23 @@ class _MultisliceEngine(_Engine):
         # occurrence pairs it forms with a community are its per-layer counts
         k_s, occ = found.get(src, _UNTOUCHED)
         pairs = sum(occ.values()) if occ else 0
-        d_old = comms[src].deg.get(l, 0)
+        d_old = comms[src].deg[l]
         d_new = d_old - degsum
         d_null = gamma * (d_new * d_new - d_old * d_old) / two_e
-        out = [((-(2 * k_s - 2 * within) - d_null + omega2 * -pairs) / norm, _NO_PATCH)]
+        dq_rem = (-(2 * k_s - 2 * within) - d_null + omega2 * -pairs) / norm
+        best = None
+        best_gain = floor
         for cid in candidates:
             k_s, occ = found.get(cid, _UNTOUCHED)
             pairs = sum(occ.values()) if occ else 0
-            d_old = comms[cid].deg.get(l, 0)
+            d_old = comms[cid].deg[l]
             d_new = d_old + degsum
             d_null = gamma * (d_new * d_new - d_old * d_old) / two_e
-            out.append(((2 * (k_s + within) - d_null + omega2 * pairs) / norm, _NO_PATCH))
-        return out
+            dq = (2 * (k_s + within) - d_null + omega2 * pairs) / norm
+            if dq_rem + dq > best_gain:
+                best_gain = dq_rem + dq
+                best = (dq, cid, _NO_PATCH)
+        return dq_rem, _NO_PATCH, best
 
 
 def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectResult:
@@ -507,9 +554,10 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     on the blocks, stopping once aggregation no longer coarsens anything (or
     ``max_passes`` sweeps have run; no aggregation follows the last one).
 
-    Each visit gathers the unit's counts once and asks the engine for every
-    gain it needs in one call; the choice of move is made here, for both
-    engines. A unit that was evaluated and stayed put is skipped on later
+    Each visit gathers the unit's counts once and asks the engine, in one
+    call, for the removal's gain and the best move among the candidates it
+    needs; the engine applies the move rule, the same for both objectives,
+    and the move is made here. A unit that was evaluated and stayed put is skipped on later
     visits until one of the communities it read (its own and every
     candidate) is changed by a move; while its own community is unchanged,
     only the candidates changed since are scored. Aggregation groups the
@@ -534,7 +582,7 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
              for e in range(net.num_entities) for l in net.entity_layers_idx(e)]
     for cid, unit in enumerate(units):
         where[unit.layer][unit.entities[0]] = cid
-        comms[cid] = _Comm()
+        comms[cid] = _Comm(net.num_layers)
         engine.apply(comms[cid], unit, _NO_PATCH, 1)
 
     passes = 0
@@ -563,30 +611,21 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
                 # its own community is as it was when it last stayed put:
                 # only a candidate changed since then can win
                 candidates = sorted(c for c in found if changed[c] > t)
-            (dq_rem, patch_rem), *inserts = engine.evaluate(comms, unit, found, src,
-                                                            candidates)
-            best_gain = 0.0
-            best_cid = None
-            best_patch = None
-            for cid, (dq_ins, patch_ins) in zip(candidates, inserts):
-                gain = dq_rem + dq_ins
-                if gain > best_gain:
-                    best_gain = gain
-                    best_cid = cid
-                    best_patch = patch_ins
-            if best_cid is None:
+            dq_rem, patch_rem, best = engine.evaluate(comms, unit, found, src, candidates)
+            if best is None:
                 # its own community and every one it touched, each once
                 unit.seen = (moves, tuple(found) if src in found else (src, *found))
                 continue
+            dq_ins, dst, patch_ins = best
             engine.apply(comms[src], unit, patch_rem, -1)
-            engine.apply(comms[best_cid], unit, best_patch, 1)
+            engine.apply(comms[dst], unit, patch_ins, 1)
             if not comms[src].flat:
                 del comms[src]
             for v in unit.entities:
-                here[v] = best_cid
-            pass_gain += best_gain
+                here[v] = dst
+            pass_gain += dq_rem + dq_ins
             moves += 1
-            changed[src] = changed[best_cid] = moves
+            changed[src] = changed[dst] = moves
         if pass_gain > config.min_gain or passes == config.max_passes:
             continue
         # the pass stalled: aggregate into per-layer super-nodes of the current

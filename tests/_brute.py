@@ -579,7 +579,7 @@ def new_comm(engine, tuples):
     ``tuples``, rebuilt from scratch: what ``engine`` must hold after moving
     them in one by one. The multilayer intersections and redundant pairs are
     counted only for a multilayer engine."""
-    comm = _Comm()
+    comm = _Comm(engine.net.num_layers)
     proj = {}  # l -> the entities the community holds in l
     for e, l in tuples:
         proj.setdefault(l, set()).add(e)
@@ -598,7 +598,7 @@ def new_comm(engine, tuples):
         for layers in literal_pair_layers(engine.net, comm.flat).values():
             if len(layers) >= 2:
                 for l in layers:
-                    comm.nrp[l] = comm.nrp.get(l, 0) + 1
+                    comm.nrp[l] += 1
     return comm
 
 
@@ -686,7 +686,7 @@ class LiteralMultilayerEngine(_MultilayerEngine):
         if self.coupling.kind == "symmetric":
             return inter / vint * penalty
         src = i if self.coupling.kind == "asym-inner" else j
-        psize = comm.size.get(src, 0)
+        psize = comm.size[src]
         if src == layer:
             psize += psize_delta
         if psize == 0:
@@ -722,10 +722,10 @@ class LiteralMultilayerEngine(_MultilayerEngine):
         affected = sorted({l, *dnrp})
         d_null = 0.0
         for lj in affected:
-            d_old = comm.deg.get(lj, 0)
+            d_old = comm.deg[lj]
             d_new = d_old + (ddeg if lj == l else 0)
-            g_old = self._gamma(comm.nrp.get(lj, 0))
-            g_new = self._gamma(comm.nrp.get(lj, 0) + dnrp.get(lj, 0))
+            g_old = self._gamma(comm.nrp[lj])
+            g_new = self._gamma(comm.nrp[lj] + dnrp.get(lj, 0))
             d_null += g_new * d_new * d_new - g_old * d_old * d_old
 
         d_coup = 0.0
@@ -748,7 +748,7 @@ class LiteralMultisliceEngine(_MultisliceEngine):
         l = unit.layer
         k_s, occ = counts
         ddint = _ddint(unit, k_s, removing)
-        d_old = comm.deg.get(l, 0)
+        d_old = comm.deg[l]
         # occurrence pairs the unit's entities form with the community elsewhere
         dcpairs = sum(occ.values())
         if removing:

@@ -630,10 +630,11 @@ class TestHostileInputs:
 HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle")
 # the package modules each command loads, besides the package itself: a
 # network load needs mlgraph alone, the scores community and modularity,
-# score's objectives detect, and no command the synthetic benchmark
+# score's q and qms objectives detect, and no command the synthetic benchmark
 _SCORING = {"cli", "errors", "mlgraph", "community", "modularity"}
 COMMANDS = {
     "score": (["score", "{net}", "{comm}"], _SCORING | {"detect"}),
+    "score-newman": (["score", "{tri_net}", "{tri_comm}", "--objective", "newman"], _SCORING),
     "sweep": (["sweep", "{net}", "{comm}", "--protocol", "omega"], _SCORING),
     "stats": (["stats", "{net}"], {"cli", "errors", "mlgraph", "_workers"}),
     "detect": (["detect", "{net}", "--out", "{out}"], _SCORING | {"detect"}),
@@ -643,14 +644,17 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_only_detect_loads_hashlib(ordered3_files, tmp_path, command):
+def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, command):
     """Only ``detect`` writes digests, so no other command loads hashlib
     and the OpenSSL library behind it; no command loads a process pool
     or pickle, whose imports would slow every start; and ``import multimod``
-    loads only the errors, each command only the package modules it runs."""
+    loads only the errors, each command only the package modules it runs
+    (a newman score, on the one-layer triangle, builds no objective)."""
     argv, modules = COMMANDS[command]
     net, comm = ordered3_files
-    argv = [arg.format(net=net, comm=comm, out=tmp_path / "out") for arg in argv]
+    tri_net, tri_comm = triangle_files
+    argv = [arg.format(net=net, comm=comm, tri_net=tri_net, tri_comm=tri_comm,
+                       out=tmp_path / "out") for arg in argv]
     watched = ("hashlib", *HEAVY_MODULES)
     proc = python_fresh("-c", "\n".join([
         "import json, sys",

@@ -305,12 +305,12 @@ class TestGeneralizedLouvain:
         evaluate = engine_class.evaluate
         narrowed = 0
 
-        def logged_evaluate(self, comms, unit, found, src, candidates):
+        def logged_evaluate(self, comms, unit, found, src, candidates, floor=0.0):
             nonlocal narrowed
             touched = set(found) - {src}
             assert set(candidates) <= touched and list(candidates) == sorted(candidates)
             narrowed += set(candidates) != touched
-            return evaluate(self, comms, unit, found, src, candidates)
+            return evaluate(self, comms, unit, found, src, candidates, floor)
 
         monkeypatch.setattr(engine_class, "evaluate", logged_evaluate)
         self.assert_same_result(mm.generalized_louvain(net, config), want)
@@ -395,8 +395,8 @@ class TestGeneralizedLouvain:
         class LoggedComm(detect._Comm):
             __slots__ = ()
 
-            def __init__(self):
-                super().__init__()
+            def __init__(self, layers):
+                super().__init__(layers)
                 comms.append(self)
 
         def logged_from_labels(cls, net, labels):
@@ -425,16 +425,13 @@ class TestGeneralizedLouvain:
         multilayer = isinstance(objective, mm.MultilayerObjective)
         for cid, c in ids.items():
             comm = comms[cid]
-            assert nonzero(comm.size) == nonzero(
-                {li: cs.projection_size(c, l) for li, l in enumerate(layer_ids)})
-            assert nonzero(comm.deg) == nonzero(
-                {li: cs.degree(c, l) for li, l in enumerate(layer_ids)})
+            assert comm.size == [cs.projection_size(c, l) for l in layer_ids]
+            assert comm.deg == [cs.degree(c, l) for l in layer_ids]
             assert nonzero(comm.inter) == (nonzero(
                 {(i, j): cs.shared_projection_count(c, layer_ids[i], layer_ids[j]) for i, j in pairs})
                 if multilayer else {})
-            assert nonzero(comm.nrp) == (nonzero(
-                {li: cs.redundant_pair_count(c, l) for li, l in enumerate(layer_ids)})
-                if multilayer else {})
+            assert comm.nrp == ([cs.redundant_pair_count(c, l) for l in layer_ids]
+                                if multilayer else [0] * net.num_layers)
 
 
 class TestGather:
@@ -499,7 +496,9 @@ class TestIncrementalGains:
             before = score()
             unit = _make_unit(net, t[1], (t[0],))
             found = engine.gather(unit, where_table(net, split))
-            (dq_r, patch_r), (dq_i, patch_i) = engine.evaluate(comms, unit, found, src, [dst])
+            dq_r, patch_r, (dq_i, moved_to, patch_i) = engine.evaluate(
+                comms, unit, found, src, [dst], floor=-math.inf)
+            assert moved_to == dst
             engine.apply(comms[src], unit, patch_r, -1)
             engine.apply(comms[dst], unit, patch_i, 1)
             split[t] = dst
@@ -507,7 +506,9 @@ class TestIncrementalGains:
             # incremental aggregates must match a from-scratch rebuild
             for c in (0, 1):
                 rebuilt = new_comm(engine, [o for o in occurrences if split[o] == c])
-                for field in ("size", "flat", "deg", "inter", "nrp"):
+                for field in ("size", "deg", "nrp"):  # one count per layer
+                    assert getattr(comms[c], field) == getattr(rebuilt, field)
+                for field in ("flat", "inter"):
                     live = {k: v for k, v in getattr(comms[c], field).items() if v}
                     fresh = {k: v for k, v in getattr(rebuilt, field).items() if v}
                     assert live == fresh
@@ -568,18 +569,65 @@ class TestIncrementalGains:
             engine = objective.gain_engine(net)
             for e, l in occurrence_ids(net):
                 t = (net.entity_index(e), net.layer_index(l))
-                comm = detect._Comm()
+                comm = detect._Comm(net.num_layers)
                 engine.apply(comm, _make_unit(net, t[1], (t[0],)), detect._NO_PATCH, 1)
                 rebuilt = new_comm(engine, [t])
                 for field in ("size", "flat", "deg", "inter", "nrp"):
                     assert getattr(comm, field) == getattr(rebuilt, field)
 
     @staticmethod
+    def check_evaluate(engine, literal, comms, unit, found, counts, src, candidates):
+        """Check ``engine.evaluate`` against the literal engine's ``delta``,
+        read from ``counts``, bit for bit: one call per candidate with floor
+        -inf returns the removal's ``dq`` and patch and that candidate's,
+        and one call over every candidate returns the first maximum of
+        ``dq_rem + dq_ins`` above the floor, or None, at the default floor
+        (the move ``generalized_louvain`` makes), at each candidate's gain
+        and just below it. Under the multilayer objective, an insertion
+        that changes no intersection and no redundant-pair count must gain
+        at most ``dq_rem + ddint / norm``. Returns the literal ``(dq, patch)`` of
+        the removal and of each candidate, and whether that bound was at
+        most the running best for some candidate at the default floor,
+        which is when the engine skips the candidate's null and coupling
+        terms."""
+        removal = literal.delta(comms[src], unit, counts.get(src, [0, {}]), removing=True)
+        dq_rem = removal[0]
+        multilayer = isinstance(literal, LiteralMultilayerEngine)
+        insertions = {}
+        bounds = {}
+        for c in candidates:
+            k_s, occ = counts.get(c, [0, {}])
+            dq, patch = insertions[c] = literal.delta(comms[c], unit, [k_s, occ],
+                                                      removing=False)
+            assert engine.evaluate(comms, unit, found, src, [c], floor=-math.inf) == (
+                *removal, (dq, c, patch))
+            if multilayer and not any(patch):
+                bounds[c] = dq_rem + 2 * (k_s + unit.within) / literal.norm
+                assert dq_rem + dq <= bounds[c]
+        bound_held = False
+        gains = [dq_rem + dq for dq, _ in insertions.values()]
+        for floor in (0.0, *gains, *(math.nextafter(gain, -math.inf) for gain in gains)):
+            best = None
+            best_gain = floor
+            for c in candidates:
+                dq, patch = insertions[c]
+                bound_held = bound_held or (floor == 0.0 and c in bounds
+                                            and bounds[c] <= best_gain)
+                if dq_rem + dq > best_gain:
+                    best_gain = dq_rem + dq
+                    best = (dq, c, patch)
+            assert engine.evaluate(comms, unit, found, src, candidates, floor=floor) == (
+                *removal, best)
+        return removal, insertions, bound_held
+
+    @staticmethod
     def check_literal_gains(rng, net, objective):
         """Move random blocks of one community's occurrences in one layer
-        between random communities and check that the removal's and every
-        other community's ``dq`` and patch equal the literal engine's bit
-        for bit, each read from the literal engine's own gather."""
+        between random communities and check, with ``check_evaluate``, the
+        removal's and every other community's ``dq`` and patch and the
+        chosen move against the literal engine, each read from the literal
+        engine's own gather. Returns the number of moves in which the
+        insertion bound held for some candidate."""
         engine = objective.gain_engine(net)
         literal = literal_engine(net, objective)
         occurrences = [(net.entity_index(e), net.layer_index(l)) for e, l in occurrence_ids(net)]
@@ -587,6 +635,7 @@ class TestIncrementalGains:
         split = {t: rng.randrange(k) for t in occurrences}
         comms = {c: new_comm(engine, [t for t in occurrences if split[t] == c])
                  for c in range(k)}
+        bound_states = 0
         for _ in range(30):
             e, l = rng.choice(occurrences)
             src = split[(e, l)]
@@ -599,17 +648,14 @@ class TestIncrementalGains:
             found = engine.gather(unit, where)
             counts = literal.gather(unit, where)
             assert found.keys() == counts.keys()
-            removal, *insertions = engine.evaluate(comms, unit, found, src, candidates)
-            assert removal == literal.delta(comms[src], unit, counts.get(src, [0, {}]),
-                                            removing=True)
-            assert len(insertions) == len(candidates)
-            for c, insertion in zip(candidates, insertions):
-                assert insertion == literal.delta(comms[c], unit, counts.get(c, [0, {}]),
-                                                  removing=False)
+            removal, insertions, bound_held = TestIncrementalGains.check_evaluate(
+                engine, literal, comms, unit, found, counts, src, candidates)
+            bound_states += bound_held
             engine.apply(comms[src], unit, removal[1], -1)
-            engine.apply(comms[dst], unit, insertions[candidates.index(dst)][1], 1)
+            engine.apply(comms[dst], unit, insertions[dst][1], 1)
             for f in unit.entities:
                 split[(f, l)] = dst
+        return bound_states
 
     @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
                                             mm.ResolutionPolicy.redundancy()])
@@ -636,6 +682,28 @@ class TestIncrementalGains:
             objective = mm.MultilayerObjective(resolution=resolution,
                                                coupling=mm.CouplingPolicy(kind, time_aware))
             self.check_literal_gains(rng, with_ordering(net, ordering), objective)
+
+    @pytest.mark.parametrize("resolution", [mm.ResolutionPolicy.constant(0.7),
+                                            mm.ResolutionPolicy.redundancy()])
+    @pytest.mark.parametrize("kind", ["none", "symmetric", "asym-inner", "asym-outer"])
+    @pytest.mark.parametrize("scheme", [None, mm.PairingScheme.ADJACENT])
+    def test_insertion_bound_is_exact_and_runs(self, resolution, kind, scheme):
+        # the choice under the bound is the literal choice, and the bound
+        # decides some of the candidates in these states
+        rng = random.Random(101)
+        spec = mm.PlantedSpec(entities=40, communities=3, layers=3, p_in=0.4,
+                              p_out=0.05, presence=0.8, seed=9)
+        networks = [mm.planted_multilayer(spec)[0], *(random_multilayer(rng) for _ in range(6))]
+        time_aware = scheme is not None and kind.startswith("asym")
+        objective = mm.MultilayerObjective(resolution=resolution,
+                                           coupling=mm.CouplingPolicy(kind, time_aware))
+        bound_states = 0
+        for net in networks:
+            ordering = (mm.LayerOrdering.unordered() if scheme is None else
+                        mm.LayerOrdering.natural(net.layer_ids, scheme, time_aware))
+            bound_states += self.check_literal_gains(rng, with_ordering(net, ordering),
+                                                     objective)
+        assert bound_states > 0
 
     def test_multislice_gains_equal_literal_engine(self):
         rng = random.Random(91)
@@ -676,9 +744,7 @@ class TestIncrementalGains:
         unit = _make_unit(net, l, (e,))
         found = engine.gather(unit, where_table(net, split))
         assert list(found) == [1]
-        removal, insertion = engine.evaluate(comms, unit, found, 0, [1])
-        assert removal == literal.delta(comms[0], unit, [0, {}], removing=True)
-        assert insertion == literal.delta(comms[1], unit, found[1], removing=False)
+        removal, _, _ = self.check_evaluate(engine, literal, comms, unit, found, found, 0, [1])
         if resolution.kind == "redundancy":
             assert removal[1][1] == {net.layer_index("b"): -1, net.layer_index("c"): -1}
 
@@ -709,8 +775,8 @@ class TestIncrementalGains:
         unit = _make_unit(net, l, (e,))
         found = engine.gather(unit, where_table(net, split))
         assert found == {}
-        assert engine.evaluate(comms, unit, found, 0, []) == [
-            literal.delta(comms[0], unit, [0, {}], removing=True)]
+        assert engine.evaluate(comms, unit, found, 0, [], floor=-math.inf) == (
+            *literal.delta(comms[0], unit, [0, {}], removing=True), None)
 
     # layers a, b and c over entities 0..5, each entity in every layer
     SKIP_EDGES = [("a", 0, 1), ("a", 1, 2), ("a", 0, 2), ("a", 3, 4), ("a", 4, 5), ("a", 3, 5),
@@ -747,10 +813,9 @@ class TestIncrementalGains:
         found = engine.gather(unit, where)
         src = assign[(e, l)]
         candidates = sorted(c for c in found if c != src)
-        removal, *insertions = engine.evaluate(comms, unit, found, src, candidates)
-        assert removal == literal.delta(comms[src], unit, found.get(src, [0, {}]), removing=True)
-        for c, insertion in zip(candidates, insertions):
-            assert insertion == literal.delta(comms[c], unit, found[c], removing=False)
+        assert candidates
+        TestIncrementalGains.check_evaluate(engine, literal, comms, unit, found, found, src,
+                                            candidates)
         return engine, comms, found
 
     @pytest.mark.parametrize("kind", ["asym-inner", "asym-outer"])
@@ -804,8 +869,8 @@ class TestIncrementalGains:
         assert all(g == log_decay(n) for n, g in enumerate(engine.decay))
         everything = new_comm(engine, [(net.entity_index(e), net.layer_index(l))
                                        for e, l in occurrence_ids(net)])
-        assert everything.nrp == {0: 28, 1: 28, 2: 28}
-        assert len(engine.decay) > max(everything.nrp.values())
+        assert everything.nrp == [28, 28, 28]
+        assert len(engine.decay) > max(everything.nrp)
         config = mm.DetectConfig(objective=objective)
         assert mm.generalized_louvain(net, config).structure.num_communities == 1
         TestGeneralizedLouvain.assert_same_run(net, config)
