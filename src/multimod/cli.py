@@ -90,7 +90,6 @@ def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
 def cmd_stats(args) -> int:
     # statistics before the fork, so that layer_map's children find it loaded
     import statistics
-    from dataclasses import astuple
 
     from ._workers import layer_map
     from .mlgraph import LayerStats, read_network
@@ -98,7 +97,7 @@ def cmd_stats(args) -> int:
     net = read_network(args.network, ordering_mode="auto")
     # the layers' statistics in up to min(layers, usable CPUs) processes, as
     # four floats each, which marshal carries bit for bit
-    stats = layer_map(lambda layer: astuple(net.monoplex_stats(layer)), net.layer_ids)
+    stats = layer_map(lambda layer: tuple(net.monoplex_stats(layer)), net.layer_ids)
     per_layer = [(layer, LayerStats(*s)) for layer, s in zip(net.layer_ids, stats)]
     lines = ["key\tvalue"]
     lines.append(f"entities\t{net.num_entities}")
@@ -149,12 +148,17 @@ def cmd_score(args) -> int:
     return 0
 
 
+# bytes the manifest digests read at a time, so an output is never held whole
+_DIGEST_BLOCK = 1 << 16
+
+
 def _sha256(path) -> str:
     import hashlib  # here, so that only detect pays for loading OpenSSL
 
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        digest.update(handle.read())
+        while block := handle.read(_DIGEST_BLOCK):
+            digest.update(block)
     return digest.hexdigest()
 
 

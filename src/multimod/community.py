@@ -22,7 +22,6 @@ is seen from both ends. All counts are exact integers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -209,6 +208,8 @@ class CommunityStructure:
         """Supporting-layer mass of the redundant pairs of ``c``, normalized by
         the layer count times the number of connected pairs; 0 when the
         community has no connected pair."""
+        from fractions import Fraction  # here, as in the projection couplings
+
         counts, linked = self._redundancy_counts(c)
         if not linked:
             return Fraction(0)

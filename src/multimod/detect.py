@@ -94,14 +94,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Real
 from types import MappingProxyType
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import MultilayerNetwork, build_network
+from .mlgraph import _OMITTED, MultilayerNetwork, _record, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          _check_multislice_values, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
@@ -109,17 +108,16 @@ from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
 _EMPTY = ()
 
 
-@dataclass(frozen=True)
-class MultisliceObjective:
+class MultisliceObjective(_record("MultisliceObjective", "gamma omega")):
     """Optimize the multislice score with fixed gamma(s) and coupling weight."""
 
-    gamma: object = 1.0  # scalar or per-layer sequence
-    omega: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gamma: object = 1.0, omega: float = 0.0):  # gamma: scalar or per layer
         # the checks that need no network, before any file is read; the
         # per-layer count and the edgeless layers are checked by the engine
-        _check_multislice_values(self.gamma, self.omega)
+        _check_multislice_values(gamma, omega)
+        return super().__new__(cls, gamma, omega)
 
     def gain_engine(self, net):
         return _MultisliceEngine(net, self)
@@ -128,12 +126,16 @@ class MultisliceObjective:
         return multislice_modularity(net, cs, self.gamma, self.omega)
 
 
-@dataclass(frozen=True)
-class MultilayerObjective:
+class MultilayerObjective(_record("MultilayerObjective", "resolution coupling")):
     """Optimize the multilayer score under the given policies."""
 
-    resolution: ResolutionPolicy = field(default_factory=lambda: ResolutionPolicy.constant(1.0))
-    coupling: CouplingPolicy = field(default_factory=CouplingPolicy.none)
+    __slots__ = ()
+
+    def __new__(cls, resolution: ResolutionPolicy = _OMITTED,
+                coupling: CouplingPolicy = _OMITTED):
+        return super().__new__(
+            cls, ResolutionPolicy.constant(1.0) if resolution is _OMITTED else resolution,
+            CouplingPolicy.none() if coupling is _OMITTED else coupling)
 
     def gain_engine(self, net):
         return _MultilayerEngine(net, self)
@@ -142,34 +144,38 @@ class MultilayerObjective:
         return multilayer_modularity(net, cs, self.resolution, self.coupling).total
 
 
-@dataclass(frozen=True)
-class DetectConfig:
-    objective: object = field(default_factory=MultilayerObjective)
-    seed: int = 0
-    max_passes: int = 50
-    min_gain: float = 1e-9
+class DetectConfig(_record("DetectConfig", "objective seed max_passes min_gain")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.objective, (MultilayerObjective, MultisliceObjective)):
-            raise PolicyError(f"unknown objective {self.objective!r}")
-        for name in ("seed", "max_passes"):  # a seed of None would seed from the OS
-            value = getattr(self, name)
+    def __new__(cls, objective: object = _OMITTED, seed: int = 0, max_passes: int = 50,
+                min_gain: float = 1e-9):
+        if objective is _OMITTED:
+            objective = MultilayerObjective()
+        if not isinstance(objective, (MultilayerObjective, MultisliceObjective)):
+            raise PolicyError(f"unknown objective {objective!r}")
+        # a seed of None would seed from the OS
+        for name, value in (("seed", seed), ("max_passes", max_passes)):
             if type(value) is not int:
                 raise PolicyError(f"{name} must be an int, not {value!r}")
-        min_gain = self.min_gain  # a bool is an int, but no gain threshold
+        # a bool is an int, but no gain threshold
         if (isinstance(min_gain, bool) or not isinstance(min_gain, Real)
                 or not (math.isfinite(min_gain) and min_gain > 0)):
             raise PolicyError(f"min_gain must be a finite number > 0, not {min_gain!r}")
-        if self.max_passes < 1:
+        if max_passes < 1:
             raise PolicyError("max_passes must be >= 1")
+        return super().__new__(cls, objective, seed, max_passes, min_gain)
 
 
-@dataclass(frozen=True)
-class DetectResult:
-    structure: CommunityStructure
-    objective: float           # re-scored value of `structure`
-    passes: int
-    moves: int
+class DetectResult(_record("DetectResult", "structure objective passes moves")):
+    """``objective`` is the re-scored value of ``structure``. No ``__slots__``:
+    the cached ``partition`` lives in the instance's ``__dict__``, which no
+    assignment reaches."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def partition(self) -> dict:
@@ -684,7 +690,7 @@ def aggregate_majority(net: MultilayerNetwork, config: DetectConfig) -> DetectRe
 
     from ._workers import layer_map  # here, so that gl detection never loads it
 
-    layer_config = replace(config, objective=MultisliceObjective(gamma=1.0, omega=0.0))
+    layer_config = config._replace(objective=MultisliceObjective(gamma=1.0, omega=0.0))
 
     def run(layer):  # each community as parent entity indices, which marshal carries
         res = _layer_louvain(net, layer, layer_config)

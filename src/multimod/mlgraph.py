@@ -14,14 +14,29 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
 
 from .errors import InputError
+
+
+# a record field's "not given", where None is a value the record refuses or keeps
+_OMITTED = object()
+
+
+def _record(typename, field_names):
+    """The named-tuple base of the immutable record class ``typename``.
+
+    A subclass with defaults or checks states them in its ``__new__``. The
+    base's ``_make``, and so ``_replace``, goes through that constructor, so
+    a replaced field is checked as a constructed one is.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 class PairingScheme(Enum):
@@ -31,8 +46,7 @@ class PairingScheme(Enum):
     PAIRWISE = "pairwise"  # each layer pairs with every later layer
 
 
-@dataclass(frozen=True)
-class LayerOrdering:
+class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
     """Optional natural order over the layers plus the pairing constraint.
 
     ``sequence is None`` means the layers are unordered and every layer pairs
@@ -40,19 +54,19 @@ class LayerOrdering:
     ``time_aware`` additionally requires a natural ordering.
     """
 
-    sequence: tuple | None = None
-    scheme: PairingScheme | None = None
-    time_aware: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sequence is None:
-            if self.scheme is not None or self.time_aware:
+    def __new__(cls, sequence: tuple | None = None, scheme: PairingScheme | None = None,
+                time_aware: bool = False):
+        if sequence is None:
+            if scheme is not None or time_aware:
                 raise InputError("unordered layers admit no pairing scheme or time-awareness")
         else:
-            if len(set(self.sequence)) != len(self.sequence):
+            if len(set(sequence)) != len(sequence):
                 raise InputError("layer ordering contains duplicates")
-            if self.scheme is None:
+            if scheme is None:
                 raise InputError("a natural layer ordering requires a pairing scheme")
+        return super().__new__(cls, sequence, scheme, time_aware)
 
     @classmethod
     def unordered(cls) -> "LayerOrdering":
@@ -68,14 +82,11 @@ class LayerOrdering:
         return self.sequence is not None
 
 
-@dataclass(frozen=True)
-class LayerStats:
+class LayerStats(_record("LayerStats",
+                         "degree_mean degree_std avg_path_length clustering_coefficient")):
     """Single-layer structural summary."""
 
-    degree_mean: float
-    degree_std: float
-    avg_path_length: float
-    clustering_coefficient: float
+    __slots__ = ()
 
 
 class MultilayerNetwork:

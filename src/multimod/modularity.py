@@ -27,26 +27,23 @@ composite scores are floats accumulated with ``math.fsum`` in a fixed order
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import MultilayerNetwork
+from .mlgraph import _OMITTED, MultilayerNetwork, _record
 
 
-@dataclass(frozen=True)
-class ResolutionPolicy:
+class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
     """Null-model multiplier: a constant, or derived from community redundancy."""
 
-    kind: str  # "constant" | "redundancy"
-    gamma: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "redundancy"):
-            raise PolicyError(f"unknown resolution policy {self.kind!r}")
-        if self.kind == "constant" and not (math.isfinite(self.gamma) and self.gamma >= 0):
+    def __new__(cls, kind: str, gamma: float = 1.0):  # kind: "constant" | "redundancy"
+        if kind not in ("constant", "redundancy"):
+            raise PolicyError(f"unknown resolution policy {kind!r}")
+        if kind == "constant" and not (math.isfinite(gamma) and gamma >= 0):
             raise PolicyError("constant resolution requires a finite gamma >= 0")
+        return super().__new__(cls, kind, gamma)
 
     @classmethod
     def constant(cls, gamma: float = 1.0) -> "ResolutionPolicy":
@@ -62,18 +59,18 @@ class ResolutionPolicy:
         return cs.redundancy_resolution(c, layer)
 
 
-@dataclass(frozen=True)
-class CouplingPolicy:
+class CouplingPolicy(_record("CouplingPolicy", "kind time_aware")):
     """Inter-layer coupling selector; ``none`` switches the coupling term off."""
 
-    kind: str  # "none" | "symmetric" | "asym-inner" | "asym-outer"
-    time_aware: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("none", "symmetric", "asym-inner", "asym-outer"):
-            raise PolicyError(f"unknown coupling policy {self.kind!r}")
-        if self.time_aware and self.kind not in ("asym-inner", "asym-outer"):
+    # kind: "none" | "symmetric" | "asym-inner" | "asym-outer"
+    def __new__(cls, kind: str, time_aware: bool = False):
+        if kind not in ("none", "symmetric", "asym-inner", "asym-outer"):
+            raise PolicyError(f"unknown coupling policy {kind!r}")
+        if time_aware and kind not in ("asym-inner", "asym-outer"):
             raise PolicyError("time-aware coupling requires an asymmetric policy")
+        return super().__new__(cls, kind, time_aware)
 
     @classmethod
     def none(cls) -> "CouplingPolicy":
@@ -96,19 +93,13 @@ class CouplingPolicy:
         return 0 if self.kind == "none" else 1
 
 
-@dataclass(frozen=True)
-class ScoreTerm:
+class ScoreTerm(_record("ScoreTerm", "community layer intra null_model coupling")):
     """Raw (un-normalized) contribution of one community in one layer."""
 
-    community: int
-    layer: object
-    intra: float
-    null_model: float
-    coupling: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(_record("ScoreReport", "total normalization terms policy")):
     """Decomposed multilayer modularity value.
 
     ``total`` is the fsum over communities, in index order, of each
@@ -117,10 +108,12 @@ class ScoreReport:
     to it exactly.
     """
 
-    total: float
-    normalization: int
-    terms: tuple = ()
-    policy: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, total: float, normalization: int, terms: tuple = (),
+                policy: dict = _OMITTED):
+        return super().__new__(cls, total, normalization, terms,
+                               {} if policy is _OMITTED else policy)
 
     def to_dict(self) -> dict:
         return {
@@ -251,6 +244,8 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
 def symmetric_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> Fraction:
     """Shared projection of the community over the shared node set of the two
     layers; 0 when the layers share no entity."""
+    from fractions import Fraction  # here, so that only building a rational loads it
+
     shared_nodes = cs.net.shared_entity_count(layer_i, layer_j)
     if shared_nodes == 0:
         return Fraction(0)
@@ -263,6 +258,8 @@ def asymmetric_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> Fra
 
     Values may exceed 1; no clamping is applied.
     """
+    from fractions import Fraction
+
     proj = cs.projection_size(c, layer_i)
     if proj == 0:
         return Fraction(0)

@@ -8,33 +8,28 @@ entity partition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InputError
-from .mlgraph import LayerOrdering, PairingScheme, build_network
+from .mlgraph import LayerOrdering, PairingScheme, _record, build_network
 
 
-@dataclass(frozen=True)
-class PlantedSpec:
+class PlantedSpec(_record("PlantedSpec",
+                          "entities communities layers p_in p_out presence seed")):
     """Parameters of the planted-partition multilayer generator."""
 
-    entities: int
-    communities: int
-    layers: int
-    p_in: float
-    p_out: float
-    presence: float = 1.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.p_out <= self.p_in <= 1:
+    def __new__(cls, entities: int, communities: int, layers: int, p_in: float, p_out: float,
+                presence: float = 1.0, seed: int = 0):
+        if not 0 <= p_out <= p_in <= 1:
             raise InputError("need 0 <= p_out <= p_in <= 1")
-        if not 0 < self.presence <= 1:
+        if not 0 < presence <= 1:
             raise InputError("need 0 < presence <= 1")
-        if not 0 < self.communities <= self.entities:
+        if not 0 < communities <= entities:
             raise InputError("need 0 < communities <= entities")
-        if self.layers < 1:
+        if layers < 1:
             raise InputError("need at least one layer")
+        return super().__new__(cls, entities, communities, layers, p_in, p_out, presence, seed)
 
 
 def planted_multilayer(spec: PlantedSpec):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import os
 import subprocess
 import sys
@@ -105,3 +106,40 @@ def python_fresh(*args):
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def live_children() -> dict:
+    """pid -> command line of each live child process of this process, as
+    /proc lists the children of each of its threads; None where /proc lists
+    no children (no /proc, or a kernel that does not keep the lists). A
+    zombie, dead and waiting to be reaped, is not live."""
+    lists = glob.glob("/proc/self/task/*/children")
+    if not lists:
+        return None
+    alive = {}
+    for path in lists:
+        try:
+            pids = Path(path).read_text().split()
+        except OSError:  # the thread ended
+            continue
+        for pid in pids:
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+                cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+            except OSError:  # the child ended
+                continue
+            if state != "Z":
+                alive[int(pid)] = cmdline.replace(b"\0", b" ").decode(errors="replace").strip()
+    return alive
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_children():
+    """Fails the run when a child process of pytest is alive after the last
+    test: a child that holds the output pipe keeps a piped run from
+    returning after the summary. It only reports; it kills nothing."""
+    yield
+    alive = live_children()
+    if alive:
+        pytest.fail("child processes outlived the tests: " + "; ".join(
+            f"pid {pid}: {cmdline!r}" for pid, cmdline in sorted(alive.items())), pytrace=False)

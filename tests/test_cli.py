@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -627,7 +628,7 @@ class TestHostileInputs:
         assert "bad.comm: not UTF-8" in err
 
 
-HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle")
+HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle", "dataclasses", "inspect")
 # the package modules each command loads, besides the package itself: a
 # network load needs mlgraph alone, the scores community and modularity,
 # score's q and qms objectives detect, and no command the synthetic benchmark
@@ -646,16 +647,18 @@ COMMANDS = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, command):
     """Only ``detect`` writes digests, so no other command loads hashlib
-    and the OpenSSL library behind it; no command loads a process pool
-    or pickle, whose imports would slow every start; and ``import multimod``
-    loads only the errors, each command only the package modules it runs
-    (a newman score, on the one-layer triangle, builds no objective)."""
+    and the OpenSSL library behind it; no command loads a process pool,
+    pickle, dataclasses or inspect, whose imports would slow every start;
+    only ``stats`` loads fractions, through statistics, since these runs
+    build no rational; and ``import multimod`` loads only the errors, each
+    command only the package modules it runs (a newman score, on the
+    one-layer triangle, builds no objective)."""
     argv, modules = COMMANDS[command]
     net, comm = ordered3_files
     tri_net, tri_comm = triangle_files
     argv = [arg.format(net=net, comm=comm, tri_net=tri_net, tri_comm=tri_comm,
                        out=tmp_path / "out") for arg in argv]
-    watched = ("hashlib", *HEAVY_MODULES)
+    watched = ("hashlib", "fractions", *HEAVY_MODULES)
     proc = python_fresh("-c", "\n".join([
         "import json, sys",
         f"watched = {watched!r}",
@@ -667,11 +670,12 @@ def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, com
         f"code = main({argv!r})",
         "print(json.dumps([code, [b or m not in sys.modules for b, m in zip(before, watched)],",
         "                  imported, package()]))"]))
-    code, (hashlib_absent, *heavy_absent), imported, loaded = json.loads(
+    code, (hashlib_absent, fractions_absent, *heavy_absent), imported, loaded = json.loads(
         proc.stdout.splitlines()[-1])
     assert code == 0
     if argv[0] != "detect":
         assert hashlib_absent
+    assert fractions_absent == (command != "stats")
     assert heavy_absent == [True] * len(HEAVY_MODULES)
     assert imported == ["errors"]
     assert set(loaded) == modules
@@ -777,6 +781,25 @@ def test_golden_outputs(capsys, tmp_path, name):
                "flat": _sha256((tmp_path / "run.flat").read_bytes())}
     assert code == 0
     assert got == expected
+
+
+@pytest.mark.parametrize("size", [0, 40, 1000], ids=["empty", "under-a-block", "many-blocks"])
+def test_manifest_digest_reads_blocks(monkeypatch, tmp_path, size):
+    # with 64-byte blocks, 1000 bytes span sixteen, the last one partial
+    reads = []
+
+    class RecordingFile(io.FileIO):
+        def read(self, n=-1):
+            reads.append(n)
+            return super().read(n)
+
+    monkeypatch.setattr(cli, "_DIGEST_BLOCK", 64)
+    monkeypatch.setattr(cli, "open", lambda path, mode: RecordingFile(path, "r"), raising=False)
+    path = tmp_path / "output"
+    data = bytes(i % 251 for i in range(size))
+    path.write_bytes(data)
+    assert cli._sha256(path) == _sha256(data)
+    assert reads == [64] * (size // 64 + 1 + (size % 64 > 0))
 
 
 def test_options_are_pinned():

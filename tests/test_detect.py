@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -315,6 +314,28 @@ class TestGeneralizedLouvain:
         monkeypatch.setattr(engine_class, "evaluate", logged_evaluate)
         self.assert_same_result(mm.generalized_louvain(net, config), want)
         assert narrowed
+
+    def test_summed_gains_equal_rescored_difference(self, monkeypatch, benchmark_sized_run):
+        # at production size, the incremental bookkeeping does not drift from
+        # the scorer: the gains of every move made add up to the rescored
+        # difference between the final structure and the singletons
+        net, config, want = benchmark_sized_run
+        engine_class = type(config.objective.gain_engine(net))
+        evaluate = engine_class.evaluate
+        gains = []
+
+        def logged_evaluate(self, comms, unit, found, src, candidates, floor=0.0):
+            dq_rem, patch_rem, best = evaluate(self, comms, unit, found, src, candidates, floor)
+            if best is not None:  # a move
+                gains.append(dq_rem + best[0])
+            return dq_rem, patch_rem, best
+
+        monkeypatch.setattr(engine_class, "evaluate", logged_evaluate)
+        got = mm.generalized_louvain(net, config)
+        singletons = mm.CommunityStructure(net, {t: i for i, t in enumerate(occurrence_ids(net))})
+        assert len(gains) == got.moves == want.moves
+        drift = math.fsum(gains) - (got.objective - config.objective.score(net, singletons))
+        assert abs(drift) <= 1e-9
 
     def test_skip_carries_across_aggregation(self, monkeypatch, benchmark_sized):
         events = []
@@ -955,7 +976,7 @@ class TestAggregateMajority:
 
     def test_partition_is_the_majority_vote_on_first_use(self, monkeypatch,
                                                           twin_triangle_layers):
-        assert "partition" not in {f.name for f in dataclasses.fields(mm.DetectResult)}
+        assert "partition" not in mm.DetectResult._fields
         vote = mm.CommunityStructure.flatten_majority
         reads = []
 

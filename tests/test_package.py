@@ -161,6 +161,22 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, about 1 MB and several milliseconds a
+    # process: the records are named tuples instead
+    importers = []
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            importers += [path.name for m in modules if m == "dataclasses"]
+    assert importers == []
+
+
 def _parameters(obj):
     try:
         return inspect.signature(obj).parameters

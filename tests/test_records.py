@@ -1,0 +1,179 @@
+"""Records: the package's immutable value types are named tuples that keep
+the defaults, checks, equality, hashing and repr text they had as frozen
+dataclasses, and whose ``_replace`` checks a field as the constructor does."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+import multimod as mm
+from multimod.errors import InputError, PolicyError
+
+# a field the record does not have: the constructor and _replace refuse it
+UNKNOWN = ({"extra": 1}, (TypeError, ValueError), "'extra'")
+
+# name -> (required fields, every other field's default, a refused value as
+# (fields, exception, message), two instances with their repr text)
+RECORDS = {
+    "LayerOrdering": (
+        {}, {"sequence": None, "scheme": None, "time_aware": False},
+        ({"time_aware": True}, InputError,
+         "unordered layers admit no pairing scheme or time-awareness"),
+        [(lambda: mm.LayerOrdering(),
+          "LayerOrdering(sequence=None, scheme=None, time_aware=False)"),
+         (lambda: mm.LayerOrdering.natural(("a", "b"), mm.PairingScheme.PAIRWISE, True),
+          "LayerOrdering(sequence=('a', 'b'), scheme=<PairingScheme.PAIRWISE: 'pairwise'>, "
+          "time_aware=True)")]),
+    "LayerStats": (
+        {"degree_mean": 1.0, "degree_std": 0.5, "avg_path_length": 2.0,
+         "clustering_coefficient": 0.25}, {}, UNKNOWN,
+        [(lambda: mm.LayerStats(1.0, 0.5, 2.0, 0.25),
+          "LayerStats(degree_mean=1.0, degree_std=0.5, avg_path_length=2.0, "
+          "clustering_coefficient=0.25)"),
+         (lambda: mm.LayerStats(0.0, 0.0, 0.0, 0.0),
+          "LayerStats(degree_mean=0.0, degree_std=0.0, avg_path_length=0.0, "
+          "clustering_coefficient=0.0)")]),
+    "ResolutionPolicy": (
+        {"kind": "constant"}, {"gamma": 1.0},
+        ({"gamma": -1.0}, PolicyError, "constant resolution requires a finite gamma >= 0"),
+        [(lambda: mm.ResolutionPolicy.constant(0.5),
+          "ResolutionPolicy(kind='constant', gamma=0.5)"),
+         (lambda: mm.ResolutionPolicy.redundancy(),
+          "ResolutionPolicy(kind='redundancy', gamma=1.0)")]),
+    "CouplingPolicy": (
+        {"kind": "none"}, {"time_aware": False},
+        ({"time_aware": True}, PolicyError, "time-aware coupling requires an asymmetric policy"),
+        [(lambda: mm.CouplingPolicy.none(), "CouplingPolicy(kind='none', time_aware=False)"),
+         (lambda: mm.CouplingPolicy.asym_outer(True),
+          "CouplingPolicy(kind='asym-outer', time_aware=True)")]),
+    "ScoreTerm": (
+        {"community": 0, "layer": "L1", "intra": 2.0, "null_model": 0.5, "coupling": 0.0}, {},
+        UNKNOWN,
+        [(lambda: mm.ScoreTerm(0, "L1", 2.0, 0.5, 0.0),
+          "ScoreTerm(community=0, layer='L1', intra=2.0, null_model=0.5, coupling=0.0)"),
+         (lambda: mm.ScoreTerm(3, 7, 1.5, 0.25, -0.125),
+          "ScoreTerm(community=3, layer=7, intra=1.5, null_model=0.25, coupling=-0.125)")]),
+    "ScoreReport": (
+        {"total": 0.5, "normalization": 10}, {"terms": (), "policy": {}}, UNKNOWN,
+        [(lambda: mm.ScoreReport(0.5, 10),
+          "ScoreReport(total=0.5, normalization=10, terms=(), policy={})"),
+         (lambda: mm.ScoreReport(0.25, 4, (mm.ScoreTerm(1, "x", 1.0, 0.5, 0.0),),
+                                 {"objective": "multilayer"}),
+          "ScoreReport(total=0.25, normalization=4, terms=(ScoreTerm(community=1, layer='x', "
+          "intra=1.0, null_model=0.5, coupling=0.0),), policy={'objective': 'multilayer'})")]),
+    "MultisliceObjective": (
+        {}, {"gamma": 1.0, "omega": 0.0},
+        ({"omega": -1.0}, PolicyError, "omega must be a finite number >= 0"),
+        [(lambda: mm.MultisliceObjective(), "MultisliceObjective(gamma=1.0, omega=0.0)"),
+         (lambda: mm.MultisliceObjective(gamma=(1.0, 0.5), omega=0.25),
+          "MultisliceObjective(gamma=(1.0, 0.5), omega=0.25)")]),
+    "MultilayerObjective": (
+        {}, {"resolution": mm.ResolutionPolicy.constant(1.0),
+             "coupling": mm.CouplingPolicy.none()},
+        UNKNOWN,
+        [(lambda: mm.MultilayerObjective(),
+          "MultilayerObjective(resolution=ResolutionPolicy(kind='constant', gamma=1.0), "
+          "coupling=CouplingPolicy(kind='none', time_aware=False))"),
+         (lambda: mm.MultilayerObjective(mm.ResolutionPolicy.redundancy(),
+                                         mm.CouplingPolicy.asym_inner(True)),
+          "MultilayerObjective(resolution=ResolutionPolicy(kind='redundancy', gamma=1.0), "
+          "coupling=CouplingPolicy(kind='asym-inner', time_aware=True))")]),
+    "DetectConfig": (
+        {}, {"objective": mm.MultilayerObjective(), "seed": 0, "max_passes": 50,
+             "min_gain": 1e-9},
+        ({"objective": None}, PolicyError, "unknown objective None"),
+        [(lambda: mm.DetectConfig(),
+          "DetectConfig(objective=MultilayerObjective(resolution=ResolutionPolicy("
+          "kind='constant', gamma=1.0), coupling=CouplingPolicy(kind='none', "
+          "time_aware=False)), seed=0, max_passes=50, min_gain=1e-09)"),
+         (lambda: mm.DetectConfig(mm.MultisliceObjective(omega=1.0), seed=3, max_passes=5,
+                                  min_gain=1e-06),
+          "DetectConfig(objective=MultisliceObjective(gamma=1.0, omega=1.0), seed=3, "
+          "max_passes=5, min_gain=1e-06)")]),
+    "DetectResult": (
+        {"structure": None, "objective": 0.5, "passes": 1, "moves": 2}, {}, UNKNOWN,
+        [(lambda: mm.DetectResult(None, 0.5, 1, 2),
+          "DetectResult(structure=None, objective=0.5, passes=1, moves=2)"),
+         (lambda: mm.DetectResult("s", -0.25, 3, 0),
+          "DetectResult(structure='s', objective=-0.25, passes=3, moves=0)")]),
+    "PlantedSpec": (
+        {"entities": 10, "communities": 2, "layers": 3, "p_in": 0.5, "p_out": 0.1},
+        {"presence": 1.0, "seed": 0},
+        ({"p_out": 0.9}, InputError, "need 0 <= p_out <= p_in <= 1"),
+        [(lambda: mm.PlantedSpec(10, 2, 3, 0.5, 0.1),
+          "PlantedSpec(entities=10, communities=2, layers=3, p_in=0.5, p_out=0.1, "
+          "presence=1.0, seed=0)"),
+         (lambda: mm.PlantedSpec(100, 3, 2, 0.3, 0.02, presence=0.8, seed=7),
+          "PlantedSpec(entities=100, communities=3, layers=2, p_in=0.3, p_out=0.02, "
+          "presence=0.8, seed=7)")]),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaviour(name):
+    cls = getattr(mm, name)
+    required, defaults, (refused, error, message), pinned = RECORDS[name]
+    record = cls(**required)
+    assert isinstance(record, tuple)
+    assert record._asdict() == {**required, **defaults}
+    assert record == tuple({**required, **defaults}.values())
+
+    # a refused value, by the constructor and by _replace alike
+    with pytest.raises(error, match=re.escape(message)):
+        cls(**{**required, **refused})
+    with pytest.raises(error, match=re.escape(message)):
+        record._replace(**refused)
+
+    for field in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record == cls(**required)
+
+    # equal instances compare and hash equal; a record holding a dict hashes
+    # as a tuple holding it does, by refusing
+    again = cls(**required)
+    assert record == again and not record != again
+    if any(isinstance(value, dict) for value in record):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(again) == hash(tuple(record))
+
+    for make, text in pinned:
+        assert repr(make()) == text
+        assert make() == make()
+
+
+def test_records_are_all_listed():
+    records = {name for name in mm.__all__
+               if isinstance(getattr(mm, name), type) and issubclass(getattr(mm, name), tuple)}
+    assert records == set(RECORDS)
+
+
+def test_defaults_are_built_per_call():
+    assert mm.ScoreReport(0.0, 1).policy is not mm.ScoreReport(0.0, 1).policy
+    assert mm.DetectConfig().objective == mm.MultilayerObjective()
+
+
+def test_replace_keeps_the_class_and_checks():
+    config = mm.DetectConfig(seed=3)
+    moved = config._replace(max_passes=2)
+    assert type(moved) is mm.DetectConfig
+    assert moved == mm.DetectConfig(seed=3, max_passes=2)
+    with pytest.raises(PolicyError, match="max_passes must be >= 1"):
+        config._replace(max_passes=0)
+    with pytest.raises(PolicyError, match="seed must be an int"):
+        mm.DetectConfig._make((mm.MultilayerObjective(), None, 50, 1e-9))
+
+
+def test_detect_result_caches_partition_and_refuses_assignment(twin_triangle_layers):
+    result = mm.generalized_louvain(twin_triangle_layers, mm.DetectConfig())
+    first = result.partition
+    assert result.partition is first
+    with pytest.raises(AttributeError, match="cannot assign to field 'partition'"):
+        result.partition = {}
+    with pytest.raises(AttributeError, match="cannot delete field 'moves'"):
+        del result.moves
+    assert result.partition is first

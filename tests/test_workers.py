@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ import multimod as mm
 from multimod import _workers
 from multimod.cli import main
 from multimod.errors import InputError
+
+from conftest import live_children
 
 # five layers: two CPUs split them 2 + 3, three CPUs 1 + 2 + 2
 FIVE_LAYERS = mm.PlantedSpec(entities=80, communities=4, layers=5, p_in=0.3, p_out=0.02,
@@ -177,3 +183,25 @@ def test_serial_without_fork(monkeypatch, case):
             thread.join(10)
             assert not thread.is_alive()
     assert_no_children()
+
+
+def test_live_children_lists_a_running_child_and_not_a_zombie():
+    # the session's leaked-child check reads these lists
+    if live_children() is None:
+        pytest.skip("/proc lists no child processes here")
+    running = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    ended = subprocess.Popen([sys.executable, "-c", ""])
+    try:
+        deadline = time.monotonic() + 30
+        while Path(f"/proc/{ended.pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z":
+            assert time.monotonic() < deadline, "the empty child did not exit"
+            time.sleep(0.01)
+        alive = live_children()
+        assert "time.sleep(60)" in alive[running.pid]
+        assert ended.pid not in alive
+    finally:
+        running.kill()
+        running.wait(timeout=30)
+        ended.wait(timeout=30)
+    alive = live_children()
+    assert running.pid not in alive and ended.pid not in alive
