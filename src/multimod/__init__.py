@@ -12,24 +12,8 @@ from .errors import GuardError, InputError, PolicyError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GuardError", "InputError", "PolicyError",
-    "LayerOrdering", "LayerStats", "MultilayerNetwork",
-    "PairingScheme", "build_network", "parse_network_text", "read_network",
-    "write_network",
-    "CommunityStructure", "read_communities", "write_communities",
-    "write_flat_partition",
-    "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
-    "asymmetric_coupling", "distance_penalty",
-    "multilayer_modularity", "multislice_modularity", "newman_modularity",
-    "symmetric_coupling", "time_aware_coupling",
-    "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
-    "aggregate_majority", "generalized_louvain", "nmi",
-    "PlantedSpec", "planted_multilayer",
-    "__version__",
-]
-
-# the submodules loaded on first access, each with the exported names it defines
+# the submodules loaded on first access, each with the exported names it
+# defines: with the errors and the version, the whole public surface
 _LAZY = {
     "mlgraph": ("LayerOrdering", "LayerStats", "MultilayerNetwork", "PairingScheme",
                 "build_network", "parse_network_text", "read_network", "write_network"),
@@ -44,6 +28,7 @@ _LAZY = {
     "synthbench": ("PlantedSpec", "planted_multilayer"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = ["GuardError", "InputError", "PolicyError", *_HOME, "__version__"]
 
 
 def __getattr__(name):

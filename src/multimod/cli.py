@@ -333,7 +333,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader of stdout quit: nothing more can reach it, and the
         # interpreter's last flush must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except PolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)

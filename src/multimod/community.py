@@ -35,6 +35,18 @@ def log_decay(x) -> float:
     return 2.0 / (1.0 + math.log2(1.0 + x))
 
 
+def _degrees(adj, members: set) -> tuple:
+    """``(deg, dint)`` of the entity set ``members`` in one layer, whose
+    adjacency is ``adj``: their total degree, and the part of it inside
+    ``members``, twice the edges among them."""
+    deg = dint = 0
+    for ei in members:
+        nb = adj.get(ei, ())
+        deg += len(nb)
+        dint += len(members.intersection(nb))
+    return deg, dint
+
+
 # marks an occurrence without a label in a label table; any other value,
 # None included, is a label
 _UNASSIGNED = object()
@@ -110,15 +122,7 @@ class CommunityStructure:
         self._dint = [dict() for _ in range(k)]
         for c in range(k):
             for li, members in self._proj[c].items():
-                adj = net.adj_idx(li)
-                deg = 0
-                dint = 0
-                for ei in members:
-                    nb = adj.get(ei, ())
-                    deg += len(nb)
-                    dint += len(members.intersection(nb))
-                self._deg[c][li] = deg
-                self._dint[c][li] = dint
+                self._deg[c][li], self._dint[c][li] = _degrees(net.adj_idx(li), members)
         self._counts = [None] * k   # redundancy counts, on first use
         self._coupled = [None] * k  # coupled instance pairs, on first use
 

@@ -98,14 +98,12 @@ from functools import cached_property
 from numbers import Real
 from types import MappingProxyType
 
-from .community import CommunityStructure, log_decay
+from .community import CommunityStructure, _degrees, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import _OMITTED, MultilayerNetwork, _record, build_network
+from .mlgraph import MultilayerNetwork, _record, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          _check_multislice_values, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
-
-_EMPTY = ()
 
 
 class MultisliceObjective(_record("MultisliceObjective", "gamma omega")):
@@ -126,16 +124,11 @@ class MultisliceObjective(_record("MultisliceObjective", "gamma omega")):
         return multislice_modularity(net, cs, self.gamma, self.omega)
 
 
-class MultilayerObjective(_record("MultilayerObjective", "resolution coupling")):
+class MultilayerObjective(_record("MultilayerObjective", "resolution coupling",
+                                  (ResolutionPolicy.constant(1.0), CouplingPolicy.none()))):
     """Optimize the multilayer score under the given policies."""
 
     __slots__ = ()
-
-    def __new__(cls, resolution: ResolutionPolicy = _OMITTED,
-                coupling: CouplingPolicy = _OMITTED):
-        return super().__new__(
-            cls, ResolutionPolicy.constant(1.0) if resolution is _OMITTED else resolution,
-            CouplingPolicy.none() if coupling is _OMITTED else coupling)
 
     def gain_engine(self, net):
         return _MultilayerEngine(net, self)
@@ -147,10 +140,8 @@ class MultilayerObjective(_record("MultilayerObjective", "resolution coupling"))
 class DetectConfig(_record("DetectConfig", "objective seed max_passes min_gain")):
     __slots__ = ()
 
-    def __new__(cls, objective: object = _OMITTED, seed: int = 0, max_passes: int = 50,
-                min_gain: float = 1e-9):
-        if objective is _OMITTED:
-            objective = MultilayerObjective()
+    def __new__(cls, objective: object = MultilayerObjective(), seed: int = 0,
+                max_passes: int = 50, min_gain: float = 1e-9):
         if not isinstance(objective, (MultilayerObjective, MultisliceObjective)):
             raise PolicyError(f"unknown objective {objective!r}")
         # a seed of None would seed from the OS
@@ -222,11 +213,8 @@ _UNTOUCHED = (0, _NO_OCC)
 
 def _make_unit(net, layer, entities):
     entities = tuple(sorted(entities))
-    adj = net.adj_idx(layer)
-    eset = set(entities)
-    within = sum(len(eset.intersection(adj.get(v, _EMPTY))) for v in entities) // 2
-    degsum = sum(len(adj.get(v, _EMPTY)) for v in entities)
-    return _Unit(layer, entities, within, degsum)
+    degsum, dint = _degrees(net.adj_idx(layer), set(entities))
+    return _Unit(layer, entities, dint // 2, degsum)
 
 
 class _Engine:
@@ -266,7 +254,7 @@ class _Engine:
         here = where[l]
         found = {}
         for v in unit.entities:
-            for u in adj.get(v, _EMPTY):
+            for u in adj.get(v, ()):
                 c = here[u]
                 counts = found.get(c)
                 if counts is None:

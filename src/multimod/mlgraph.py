@@ -27,14 +27,16 @@ from .errors import InputError
 _OMITTED = object()
 
 
-def _record(typename, field_names):
+def _record(typename, field_names, defaults=()):
     """The named-tuple base of the immutable record class ``typename``.
 
-    A subclass with defaults or checks states them in its ``__new__``. The
-    base's ``_make``, and so ``_replace``, goes through that constructor, so
-    a replaced field is checked as a constructed one is.
+    ``defaults``, for the rightmost fields, are shared by every instance, so
+    each must be immutable. A subclass with checks states them, and its
+    defaults, in its ``__new__``. The base's ``_make``, and so ``_replace``,
+    goes through that constructor, so a replaced field is checked as a
+    constructed one is.
     """
-    base = namedtuple(typename, field_names)
+    base = namedtuple(typename, field_names, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

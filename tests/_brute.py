@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import multimod as mm
 from multimod.community import log_decay
-from multimod.detect import (_EMPTY, DetectResult, _Comm, _make_unit, _MultilayerEngine,
+from multimod.detect import (DetectResult, _Comm, _make_unit, _MultilayerEngine,
                              _MultisliceEngine)
 from multimod.mlgraph import _assemble
 
@@ -587,7 +587,7 @@ def new_comm(engine, tuples):
     for l, members in proj.items():
         adj = engine.net.adj_idx(l)
         comm.size[l] = len(members)
-        comm.deg[l] = sum(len(adj.get(v, _EMPTY)) for v in members)
+        comm.deg[l] = sum(len(adj.get(v, ())) for v in members)
     if not isinstance(engine, _MultilayerEngine):
         return comm
     layers = sorted(proj)

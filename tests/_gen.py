@@ -137,3 +137,19 @@ def blocked_multilayer(rng: random.Random, blocks: int = 100, block_size: int = 
             block = (block + 1) % blocks
         assignment[(u, layer)] = block
     return net, CommunityStructure(net, assignment)
+
+
+def ring_of_cliques(cliques: int, size: int, layers: int):
+    """``cliques`` cliques of ``size`` entities in a ring, copied into every
+    one of ``layers`` layers: clique i holds entities ``i * size`` to
+    ``(i + 1) * size - 1``, and its last entity is linked to the next
+    clique's first. Two or more layers get a natural adjacent ordering."""
+    layer_ids = [f"l{j}" for j in range(layers)]
+    n = cliques * size
+    ring = [(u, v) for c in range(cliques) for u in range(c * size, (c + 1) * size)
+            for v in range(u + 1, (c + 1) * size)]
+    ring += [((c + 1) * size - 1, (c + 1) * size % n) for c in range(cliques)]
+    ordering = (LayerOrdering.natural(layer_ids, PairingScheme.ADJACENT) if layers > 1
+                else None)
+    return build_network(entities=range(n), layers=layer_ids, ordering=ordering,
+                         edges=[(layer, u, v) for layer in layer_ids for u, v in ring])

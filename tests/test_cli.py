@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -701,6 +702,24 @@ def test_closed_stdout_exits_141(triangle_files, argv):
         "err = child.stderr.read()",
         "print(child.wait(timeout=60), repr(err))"]))
     assert proc.stdout.splitlines()[-1] == "141 b''"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists no open descriptors")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch, triangle_files):
+    # in one process, each command whose reader quit exits 141 and closes
+    # the descriptor it opened to point stdout at os.devnull
+    net, _ = triangle_files
+
+    def stats_onto_closed_pipe():
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            return main(["stats", str(net)])
+
+    before = len(os.listdir("/proc/self/fd"))
+    assert [stats_onto_closed_pipe() for _ in range(3)] == [141] * 3
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # Outputs pinned on seeded planted networks: scores, optimizer trajectory

@@ -108,6 +108,29 @@ class TestLouvainLayer:
             louvain_partition(net, "M")
 
 
+def assert_engine_counts(net, cs, comm_of, objective):
+    """Each community ``c`` of ``cs`` and ``objective``'s engine community
+    ``comm_of[c]`` hold the same projection sizes, degrees, non-zero
+    intersections and redundant-pair counts; the multislice engine keeps
+    neither of the last two, and constant resolution no redundant pairs."""
+    def nonzero(counts):
+        return {k: n for k, n in counts.items() if n}
+
+    multilayer = isinstance(objective, mm.MultilayerObjective)
+    redundancy = multilayer and objective.resolution.kind == "redundancy"
+    layer_ids = net.layer_ids
+    pairs = [(i, j) for i in range(net.num_layers) for j in range(i + 1, net.num_layers)]
+    for c in cs.communities():
+        comm = comm_of[c]
+        assert comm.size == [cs.projection_size(c, l) for l in layer_ids]
+        assert comm.deg == [cs.degree(c, l) for l in layer_ids]
+        assert nonzero(comm.inter) == (nonzero(
+            {(i, j): cs.shared_projection_count(c, layer_ids[i], layer_ids[j]) for i, j in pairs})
+            if multilayer else {})
+        assert comm.nrp == ([cs.redundant_pair_count(c, l) for l in layer_ids]
+                            if redundancy else [0] * net.num_layers)
+
+
 class TestGeneralizedLouvain:
     def test_recovers_twin_triangles(self, twin_triangle_layers):
         res = mm.generalized_louvain(twin_triangle_layers, constant_symmetric(seed=3))
@@ -432,27 +455,71 @@ class TestGeneralizedLouvain:
         assert len(comms) == net.num_tuples()
         (labels,) = tables
 
-        def nonzero(counts):
-            return {k: n for k, n in counts.items() if n}
-
         ids = {}  # engine community -> structure community
         for c in cs.communities():
             for li, layer in enumerate(net.layer_ids):
                 for entity in cs.projection(c, layer):
                     assert ids.setdefault(labels[li][net.entity_index(entity)], c) == c
         assert [cid for cid, comm in enumerate(comms) if comm.flat] == sorted(ids)
-        layer_ids = net.layer_ids
-        pairs = [(i, j) for i in range(net.num_layers) for j in range(i + 1, net.num_layers)]
-        multilayer = isinstance(objective, mm.MultilayerObjective)
-        for cid, c in ids.items():
-            comm = comms[cid]
-            assert comm.size == [cs.projection_size(c, l) for l in layer_ids]
-            assert comm.deg == [cs.degree(c, l) for l in layer_ids]
-            assert nonzero(comm.inter) == (nonzero(
-                {(i, j): cs.shared_projection_count(c, layer_ids[i], layer_ids[j]) for i, j in pairs})
-                if multilayer else {})
-            assert comm.nrp == ([cs.redundant_pair_count(c, l) for l in layer_ids]
-                                if multilayer else [0] * net.num_layers)
+        assert_engine_counts(net, cs, {c: comms[cid] for cid, c in ids.items()}, objective)
+
+    @pytest.mark.parametrize("objective", [
+        mm.MultisliceObjective(gamma=1.0, omega=0.5),
+        mm.MultilayerObjective(resolution=mm.ResolutionPolicy.redundancy(),
+                               coupling=mm.CouplingPolicy.asym_inner(time_aware=True)),
+        mm.MultilayerObjective(coupling=mm.CouplingPolicy.symmetric()),
+    ], ids=["qms", "q-redundancy-asym-inner-time-aware", "q-constant-symmetric"])
+    def test_move_path_builds_any_labelling(self, objective):
+        # the engine's own move path builds the counts of any labelling: from
+        # the singleton state, each occurrence, entity-major, is moved into
+        # the community of the first occurrence with its label
+        spec = mm.PlantedSpec(entities=120, communities=4, layers=3, p_in=0.2,
+                              p_out=0.02, presence=0.8, seed=3)
+        net = mm.planted_multilayer(spec)[0]
+        net = with_ordering(net, mm.LayerOrdering.natural(
+            net.layer_ids, mm.PairingScheme.ADJACENT, True))
+        rng = random.Random(11)
+        labels = [[rng.randrange(6) for _ in range(net.num_entities)]
+                  for _ in range(net.num_layers)]
+
+        # the singleton state that generalized_louvain starts from
+        engine = objective.gain_engine(net)
+        where = [[None] * net.num_entities for _ in range(net.num_layers)]
+        comms = {}
+        units = [_make_unit(net, l, (e,))
+                 for e in range(net.num_entities) for l in net.entity_layers_idx(e)]
+        for cid, unit in enumerate(units):
+            where[unit.layer][unit.entities[0]] = cid
+            comms[cid] = detect._Comm(net.num_layers)
+            engine.apply(comms[cid], unit, detect._NO_PATCH, 1)
+
+        home = {}  # label -> community of its first occurrence
+        for unit in units:
+            here = where[unit.layer]
+            (e,) = unit.entities
+            src = here[e]
+            dst = home.setdefault(labels[unit.layer][e], src)
+            if dst == src:
+                continue
+            found = engine.gather(unit, where)
+            _, patch_rem, (_, cid, patch_ins) = engine.evaluate(
+                comms, unit, found, src, [dst], floor=-math.inf)
+            assert cid == dst
+            engine.apply(comms[src], unit, patch_rem, -1)
+            engine.apply(comms[dst], unit, patch_ins, 1)
+            assert not comms[src].flat
+            del comms[src]
+            here[e] = dst
+
+        # the structure numbers the labels by first occurrence, entity-major,
+        # the order of the remaining communities' ids
+        cs = mm.CommunityStructure._from_labels(net, labels)
+        ids = sorted(comms)
+        assert len(ids) == cs.num_communities == 6
+        assert cs.as_assignment() == {
+            (net.entity_ids[e], net.layer_ids[l]): ids.index(where[l][e])
+            for e in range(net.num_entities) for l in net.entity_layers_idx(e)}
+        assert_engine_counts(net, cs, [comms[cid] for cid in ids], objective)
 
 
 class TestGather:

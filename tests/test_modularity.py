@@ -14,7 +14,7 @@ from multimod.modularity import coupling_plan, multislice_parameters
 from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
                     literal_newman, multislice_direct, newman_direct)
 from _gen import (natural_orderings, occurrence_ids, random_multilayer, random_single_layer,
-                  random_structure, with_ordering)
+                  random_structure, ring_of_cliques, with_ordering)
 
 
 class TestStructureOfAnotherNetwork:
@@ -602,3 +602,137 @@ class TestScoreReportSerialization:
         assert len(d["terms"]) == 9
         total = math.fsum(t["intra"] - t["null_model"] + t["coupling"] for t in d["terms"])
         assert total / d["normalization"] == pytest.approx(report.total, abs=1e-12)
+
+
+_CONSTANT = mm.ResolutionPolicy.constant(1.0)
+_REDUNDANCY = mm.ResolutionPolicy.redundancy()
+RING_SCORES = {
+    "qms-omega0": lambda net, cs: mm.multislice_modularity(net, cs, 1.0, 0.0),
+    "qms-omega1": lambda net, cs: mm.multislice_modularity(net, cs, 1.0, 1.0),
+    "q-constant-none": lambda net, cs: mm.multilayer_modularity(
+        net, cs, _CONSTANT, mm.CouplingPolicy.none()).total,
+    "q-constant-symmetric": lambda net, cs: mm.multilayer_modularity(
+        net, cs, _CONSTANT, mm.CouplingPolicy.symmetric()).total,
+    "q-constant-asym-inner": lambda net, cs: mm.multilayer_modularity(
+        net, cs, _CONSTANT, mm.CouplingPolicy.asym_inner()).total,
+    "q-redundancy-none": lambda net, cs: mm.multilayer_modularity(
+        net, cs, _REDUNDANCY, mm.CouplingPolicy.none()).total,
+    "q-redundancy-symmetric": lambda net, cs: mm.multilayer_modularity(
+        net, cs, _REDUNDANCY, mm.CouplingPolicy.symmetric()).total,
+}
+# the smallest even number of 5-cliques, on 1 to 4 layers, from which *pairs*
+# scores above *cliques*: each layer added lowers the global null's
+# effective resolution, and redundancy resolution merges at once
+MERGES_FROM = {
+    "qms-omega0": (24, 24, 24, 24),
+    "qms-omega1": (24, 24, 24, 24),
+    "q-constant-none": (24, 12, 8, 6),
+    "q-constant-symmetric": (24, 10, 6, 6),
+    "q-constant-asym-inner": (24, 12, 10, 8),
+    "q-redundancy-none": (46, 4, 4, 4),
+}
+# (score, layers, cliques) -> the best of *cliques*, *pairs* and *one* (ties
+# to the earlier) and their three scores, on either side of each threshold;
+# a change to a score's definition re-records these, never loosens them
+RING_PINS = {
+    ("qms-omega0", 1, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("qms-omega0", 1, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("qms-omega0", 2, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("qms-omega0", 2, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("qms-omega0", 3, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("qms-omega0", 3, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("qms-omega0", 4, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("qms-omega0", 4, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("qms-omega1", 1, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("qms-omega1", 1, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("qms-omega1", 2, 22):
+        ("cliques", (0.8888888888888888, 0.8888888888888888, 0.18518518518518517)),
+    ("qms-omega1", 2, 24):
+        ("pairs", (0.8919753086419753, 0.8950617283950617, 0.18518518518518517)),
+    ("qms-omega1", 3, 22): ("cliques", (0.90625, 0.90625, 0.3125)),
+    ("qms-omega1", 3, 24): ("pairs", (0.9088541666666666, 0.9114583333333334, 0.3125)),
+    ("qms-omega1", 4, 22):
+        ("cliques", (0.918918918918919, 0.918918918918919, 0.40540540540540543)),
+    ("qms-omega1", 4, 24):
+        ("pairs", (0.9211711711711711, 0.9234234234234235, 0.40540540540540543)),
+    ("q-constant-none", 1, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("q-constant-none", 1, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("q-constant-none", 2, 10): ("cliques", (0.8590909090909091, 0.8545454545454545, 0.5)),
+    ("q-constant-none", 2, 12): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.5)),
+    ("q-constant-none", 3, 6):
+        ("cliques", (0.8535353535353535, 0.8434343434343434, 0.6666666666666666)),
+    ("q-constant-none", 3, 8):
+        ("pairs", (0.8674242424242424, 0.8712121212121212, 0.6666666666666666)),
+    ("q-constant-none", 4, 4): ("cliques", (0.8465909090909091, 0.8295454545454546, 0.75)),
+    ("q-constant-none", 4, 6): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.75)),
+    ("q-constant-symmetric", 1, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("q-constant-symmetric", 1, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("q-constant-symmetric", 2, 8):
+        ("cliques", (0.7015603566529492, 0.69710219478738, 0.48516803840877915)),
+    ("q-constant-symmetric", 2, 10):
+        ("pairs", (0.7093964334705076, 0.7132373113854596, 0.4847050754458162)),
+    ("q-constant-symmetric", 3, 4):
+        ("cliques", (0.65440778799351, 0.6402109248242294, 0.5769334775554354)),
+    ("q-constant-symmetric", 3, 6):
+        ("pairs", (0.6688299981972238, 0.6709933297277808, 0.5749954930593114)),
+    ("q-constant-symmetric", 4, 4):
+        ("cliques", (0.6495619074978454, 0.6487000861821316, 0.6130781384659582)),
+    ("q-constant-symmetric", 4, 6):
+        ("pairs", (0.6590299722302021, 0.6697548597146413, 0.6109594943981614)),
+    ("q-constant-asym-inner", 1, 22): ("cliques", (0.8636363636363636, 0.8636363636363636, 0.0)),
+    ("q-constant-asym-inner", 1, 24): ("pairs", (0.8674242424242424, 0.8712121212121212, 0.0)),
+    ("q-constant-asym-inner", 2, 10):
+        ("cliques", (0.7260631001371742, 0.720644718792867, 0.4847050754458162)),
+    ("q-constant-asym-inner", 2, 12):
+        ("pairs", (0.7315957933241883, 0.7317101051668953, 0.4843964334705076)),
+    ("q-constant-asym-inner", 3, 8):
+        ("cliques", (0.6963899405083829, 0.6951054624121147, 0.5740265008112494)),
+    ("q-constant-asym-inner", 3, 10):
+        ("pairs", (0.7012979989183342, 0.7049215792320173, 0.5734451054624121)),
+    ("q-constant-asym-inner", 4, 6):
+        ("cliques", (0.6802164129081683, 0.6782294359858277, 0.6109594943981614)),
+    ("q-constant-asym-inner", 4, 8):
+        ("pairs", (0.6860097673082448, 0.689816144785981, 0.6099001723642632)),
+    ("q-redundancy-none", 1, 44): ("cliques", (0.8636363636363636, 0.8636363636363636, -1.0)),
+    ("q-redundancy-none", 1, 46): ("pairs", (0.8656126482213439, 0.867588932806324, -1.0)),
+    ("q-redundancy-none", 2, 4):
+        ("pairs", (0.8530299530365152, 0.8629608290886377, 0.8459607780457364)),
+    ("q-redundancy-none", 3, 4):
+        ("one", (0.8717169383879799, 0.8934890375742434, 0.8973071853638243)),
+    ("q-redundancy-none", 4, 4):
+        ("one", (0.8810604310637121, 0.9087531418170461, 0.9229803890228682)),
+    ("q-redundancy-symmetric", 3, 8):
+        ("one", (0.68957537747553, 0.7174850086312469, 0.7178262751862009)),
+}
+
+
+def ring_scores(score, layers, cliques):
+    """The scores of ring(cliques, 5, layers)'s *cliques*, *pairs* (cliques
+    2i and 2i + 1 merged) and *one* partitions."""
+    net = ring_of_cliques(cliques, 5, layers)
+    return tuple(
+        RING_SCORES[score](net, mm.CommunityStructure.from_entity_partition(
+            net, {e: e // width for e in range(cliques * 5)}))
+        for width in (5, 10, cliques * 5))
+
+
+class TestResolutionLimit:
+    """Known answers on a ring of cliques copied into every layer, whose
+    right partition is *cliques* (Fortunato & Barthelemy 2007)."""
+
+    @pytest.mark.parametrize("score", MERGES_FROM)
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    def test_pairs_first_beat_cliques_at_the_pinned_size(self, score, layers):
+        merges_from = MERGES_FROM[score][layers - 1]
+        for cliques in range(4, merges_from + 1, 2):
+            together, pairs, _ = ring_scores(score, layers, cliques)
+            assert (pairs > together) == (cliques == merges_from), cliques
+        assert (score, layers, merges_from) in RING_PINS
+        assert merges_from == 4 or (score, layers, merges_from - 2) in RING_PINS
+
+    @pytest.mark.parametrize("key", RING_PINS, ids=lambda key: "-".join(map(str, key)))
+    def test_ring_scores_are_pinned(self, key):
+        best, pinned = RING_PINS[key]
+        scores = ring_scores(*key)
+        assert scores == pinned
+        assert ("cliques", "pairs", "one")[scores.index(max(scores))] == best

@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import multimod as mm
 
 from conftest import python_fresh
@@ -175,6 +177,15 @@ def test_no_module_imports_dataclasses():
                 continue
             importers += [path.name for m in modules if m == "dataclasses"]
     assert importers == []
+
+
+def test_every_module_parses_with_the_oldest_supported_grammar():
+    # pyproject.toml claims Python 3.10, which the suite may not run on:
+    # parse each module with 3.10's grammar, which refuses 3.11's except*
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def _parameters(obj):
