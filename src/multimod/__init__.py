@@ -21,8 +21,7 @@ _LAZY = {
                   "write_flat_partition"),
     "modularity": ("CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
                    "asymmetric_coupling", "distance_penalty", "multilayer_modularity",
-                   "multislice_modularity", "newman_modularity", "symmetric_coupling",
-                   "time_aware_coupling"),
+                   "multislice_modularity", "newman_modularity", "symmetric_coupling"),
     "detect": ("DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
                "aggregate_majority", "generalized_louvain", "nmi"),
     "synthbench": ("PlantedSpec", "planted_multilayer"),

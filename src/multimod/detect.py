@@ -202,11 +202,12 @@ class _Unit:
         self.seen = None        # (move count, communities read) when it last stayed put
 
 
-_NO_PATCH = ({}, {})
 # no other-layer occurrences: ``gather`` shares it among the communities a
 # unit reaches only through edges, and a patch may hold it, as its
 # intersection changes or as its redundant-pair changes
 _NO_OCC = MappingProxyType({})
+# the patch of a move that changes no intersection and no redundant pair
+_NO_PATCH = (_NO_OCC, _NO_OCC)
 # the counts of a community the unit does not touch
 _UNTOUCHED = (0, _NO_OCC)
 
@@ -568,15 +569,16 @@ def generalized_louvain(net: MultilayerNetwork, config: DetectConfig) -> DetectR
     engine = config.objective.gain_engine(net)
     rng = random.Random(config.seed)
 
+    ell = net.num_layers
     # layer -> entity -> community, the one store of the assignment
-    where = [[None] * net.num_entities for _ in range(net.num_layers)]
+    where = [[None] * net.num_entities for _ in range(ell)]
     comms = {}
     # one singleton per occurrence, entity-major; its index is its community
     units = [_make_unit(net, l, (e,))
              for e in range(net.num_entities) for l in net.entity_layers_idx(e)]
     for cid, unit in enumerate(units):
         where[unit.layer][unit.entities[0]] = cid
-        comms[cid] = _Comm(net.num_layers)
+        comms[cid] = _Comm(ell)
         engine.apply(comms[cid], unit, _NO_PATCH, 1)
 
     passes = 0

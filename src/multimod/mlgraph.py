@@ -23,10 +23,6 @@ from pathlib import Path
 from .errors import InputError
 
 
-# a record field's "not given", where None is a value the record refuses or keeps
-_OMITTED = object()
-
-
 def _record(typename, field_names, defaults=()):
     """The named-tuple base of the immutable record class ``typename``.
 

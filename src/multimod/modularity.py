@@ -15,9 +15,11 @@ projection each asymmetric coupling is rescaled by, the penalties, the
 natural-ordering check and the normalization they imply are decided once,
 in :func:`coupling_plan`, which the multilayer gain engine reads as well.
 The scorer values each planned coupling with the public
-:func:`symmetric_coupling` or :func:`asymmetric_coupling`, so the paper's
-coupling formula is written once; only the gain engine and the
-normalization read the plan's shared and size counts.
+:func:`symmetric_coupling` or :func:`asymmetric_coupling`, times the
+planned penalty, so the paper's coupling formula is written once: a
+time-aware term is the asymmetric value times :func:`distance_penalty` of
+the layers' distance. Only the gain engine and the normalization read the
+plan's shared and size counts.
 
 Projection-based coupling values are returned as exact rationals; the
 composite scores are floats accumulated with ``math.fsum`` in a fixed order
@@ -30,7 +32,15 @@ import math
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import _OMITTED, MultilayerNetwork, _record
+from .mlgraph import MultilayerNetwork, _record
+
+
+def _nonnegative(value) -> bool:
+    """Whether ``value`` is a finite real number >= 0; a bool is a flag, not a number."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value) and value >= 0
+    except (TypeError, OverflowError):  # no real number, or an int too large for a float
+        return False
 
 
 class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
@@ -41,7 +51,7 @@ class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
     def __new__(cls, kind: str, gamma: float = 1.0):  # kind: "constant" | "redundancy"
         if kind not in ("constant", "redundancy"):
             raise PolicyError(f"unknown resolution policy {kind!r}")
-        if kind == "constant" and not (math.isfinite(gamma) and gamma >= 0):
+        if kind == "constant" and not _nonnegative(gamma):
             raise PolicyError("constant resolution requires a finite gamma >= 0")
         return super().__new__(cls, kind, gamma)
 
@@ -68,6 +78,8 @@ class CouplingPolicy(_record("CouplingPolicy", "kind time_aware")):
     def __new__(cls, kind: str, time_aware: bool = False):
         if kind not in ("none", "symmetric", "asym-inner", "asym-outer"):
             raise PolicyError(f"unknown coupling policy {kind!r}")
+        if not isinstance(time_aware, bool):
+            raise PolicyError(f"time_aware must be a bool, not {time_aware!r}")
         if time_aware and kind not in ("asym-inner", "asym-outer"):
             raise PolicyError("time-aware coupling requires an asymmetric policy")
         return super().__new__(cls, kind, time_aware)
@@ -111,9 +123,10 @@ class ScoreReport(_record("ScoreReport", "total normalization terms policy")):
     __slots__ = ()
 
     def __new__(cls, total: float, normalization: int, terms: tuple = (),
-                policy: dict = _OMITTED):
+                policy: dict | None = None):
+        # None, not {}: a default dict would be one dict shared by every report
         return super().__new__(cls, total, normalization, terms,
-                               {} if policy is _OMITTED else policy)
+                               {} if policy is None else policy)
 
     def to_dict(self) -> dict:
         return {
@@ -169,12 +182,12 @@ def _finite(total: float, name: str) -> float:
 
 
 def _check_multislice_values(gamma, omega) -> None:
-    """Reject a gamma (a scalar or one value per layer) or an omega that is
-    not a finite number >= 0: the multislice checks that need no network."""
-    gammas = (gamma,) if isinstance(gamma, (int, float)) else gamma
-    if not all(math.isfinite(g) and g >= 0 for g in gammas):
+    """Reject a gamma (a scalar, or a list or tuple of values per layer) or an
+    omega that is not a finite number >= 0: the checks that need no network."""
+    gammas = gamma if isinstance(gamma, (list, tuple)) else (gamma,)
+    if not all(_nonnegative(g) for g in gammas):
         raise PolicyError("gamma must be a finite number >= 0")
-    if not (math.isfinite(omega) and omega >= 0):
+    if not _nonnegative(omega):
         raise PolicyError("omega must be a finite number >= 0")
 
 
@@ -188,14 +201,12 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     null model, so any layer that contains assigned occurrences but no edges
     is an error, and so is a zero normalization (a network with no edge).
     """
+    _check_multislice_values(gamma, omega)
     ell = net.num_layers
-    if isinstance(gamma, (int, float)):
-        gammas = [float(gamma)] * ell
-    else:
-        gammas = [float(g) for g in gamma]
-        if len(gammas) != ell:
-            raise PolicyError(f"expected {ell} per-layer gamma values, got {len(gammas)}")
-    _check_multislice_values(gammas, omega)
+    per_layer = isinstance(gamma, (list, tuple))
+    gammas = [float(g) for g in gamma] if per_layer else [float(gamma)] * ell
+    if len(gammas) != ell:
+        raise PolicyError(f"expected {ell} per-layer gamma values, got {len(gammas)}")
     for li, layer in enumerate(net.layer_ids):
         if net.presence_idx(li) and not net.num_edges(layer):
             raise InputError(
@@ -215,7 +226,7 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
 
     Args:
         gamma: per-layer resolution, a scalar broadcast to all layers or a
-            sequence with one value per layer (dense layer order).
+            list or tuple with one value per layer (dense layer order).
         omega: coupling weight applied to every unordered layer pair sharing
             an entity's occurrences.
 
@@ -270,24 +281,10 @@ def asymmetric_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> Fra
 
 def distance_penalty(distance: int) -> float:
     """Smooth decay factor for coupling layers ``distance`` positions apart."""
-    if distance < 1:
-        raise PolicyError("layer distance must be >= 1")
+    # a bool is an int, but no distance
+    if type(distance) is not int or distance < 1:
+        raise PolicyError(f"layer distance must be an int >= 1, not {distance!r}")
     return log_decay(distance)
-
-
-def _require_natural(net: MultilayerNetwork) -> None:
-    if not net.ordering.is_natural:
-        raise PolicyError("time-aware coupling requires a natural layer ordering")
-
-
-def time_aware_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> float:
-    """Asymmetric coupling scaled down by the positional distance of the two
-    layers in the network's natural order; distance 1 applies no penalty."""
-    net = cs.net
-    _require_natural(net)
-    # a natural ordering is the dense layer order, so indices are positions
-    distance = abs(net.layer_index(layer_j) - net.layer_index(layer_i))
-    return float(asymmetric_coupling(cs, c, layer_i, layer_j)) * distance_penalty(distance)
 
 
 def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
@@ -309,8 +306,8 @@ def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
     record with the public coupling functions, source layer first;
     ``shared`` and ``size`` are read only by ``norm`` and the gain engine.
     """
-    if coupling.time_aware:
-        _require_natural(net)
+    if coupling.time_aware and not net.ordering.is_natural:
+        raise PolicyError("time-aware coupling requires a natural layer ordering")
     records = []
     if coupling.beta:
         outer = coupling.kind == "asym-outer"

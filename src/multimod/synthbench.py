@@ -21,6 +21,11 @@ class PlantedSpec(_record("PlantedSpec",
 
     def __new__(cls, entities: int, communities: int, layers: int, p_in: float, p_out: float,
                 presence: float = 1.0, seed: int = 0):
+        # a seed of None would seed from the OS, and a bool is an int but no count
+        for name, value in (("entities", entities), ("communities", communities),
+                            ("layers", layers), ("seed", seed)):
+            if type(value) is not int:
+                raise InputError(f"{name} must be an int, not {value!r}")
         if not 0 <= p_out <= p_in <= 1:
             raise InputError("need 0 <= p_out <= p_in <= 1")
         if not 0 < presence <= 1:

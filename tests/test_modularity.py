@@ -14,7 +14,7 @@ from multimod.modularity import coupling_plan, multislice_parameters
 from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
                     literal_newman, multislice_direct, newman_direct)
 from _gen import (natural_orderings, occurrence_ids, random_multilayer, random_single_layer,
-                  random_structure, ring_of_cliques, with_ordering)
+                  random_structure, ring_of_cliques, time_aware_terms, with_ordering)
 
 
 class TestStructureOfAnotherNetwork:
@@ -274,19 +274,35 @@ class TestAsymmetricCoupling:
 
 
 class TestTimeAwareCoupling:
+    """A time-aware term, as the scorer computes it, is the asymmetric value
+    times the distance penalty of each layer pair it holds."""
+
     def test_distance_one_is_no_penalty(self, ordered3, ordered3_cs):
+        # ordered3 is adjacent: L1's term holds the one pair L1 -> L2
         c1 = ordered3_cs.as_assignment()[("e01", "L1")]
         asym = float(mm.asymmetric_coupling(ordered3_cs, c1, "L1", "L2"))
-        assert mm.time_aware_coupling(ordered3_cs, c1, "L1", "L2") == asym
+        report = mm.multilayer_modularity(ordered3, ordered3_cs,
+                                          coupling=mm.CouplingPolicy.asym_inner(time_aware=True))
+        [term] = [t for t in report.terms if (t.community, t.layer) == (c1, "L1")]
+        assert term.coupling == asym
 
     def test_distance_three(self):
+        # t0 shares its entities with t3 alone: its term holds one pair, at distance 3
         layers = ["t0", "t1", "t2", "t3"]
-        edges = [(l, "a", "b") for l in layers]
+        edges = [("t0", "a", "b"), ("t1", "c", "d"), ("t2", "e", "f"), ("t3", "a", "b")]
         ordering = mm.LayerOrdering.natural(layers, mm.PairingScheme.PAIRWISE)
         net = mm.build_network(layers=layers, edges=edges, ordering=ordering)
-        cs = mm.CommunityStructure.from_entity_partition(net, {"a": 0, "b": 0})
+        cs = mm.CommunityStructure.from_entity_partition(net, dict.fromkeys("abcdef", 0))
         asym = float(mm.asymmetric_coupling(cs, 0, "t0", "t3"))
-        assert mm.time_aware_coupling(cs, 0, "t0", "t3") == pytest.approx(asym * 2 / 3)
+        assert asym > 0
+        # t3's projection is t3 itself too, so asym-outer rescales the pair alike
+        assert float(mm.asymmetric_coupling(cs, 0, "t3", "t0")) == asym
+        for kind in ("asym-inner", "asym-outer"):
+            report = mm.multilayer_modularity(net, cs, coupling=mm.CouplingPolicy(kind, True))
+            term = report.terms[0]
+            assert term.layer == "t0"
+            assert term.coupling == pytest.approx(asym * 2 / 3)
+            assert term.coupling == asym * mm.distance_penalty(3)
 
     def test_penalty_values(self):
         assert mm.distance_penalty(1) == 1.0
@@ -295,32 +311,42 @@ class TestTimeAwareCoupling:
         with pytest.raises(PolicyError, match=">= 1"):
             mm.distance_penalty(0)
 
+    def test_penalty_refuses_a_distance_that_is_no_int(self):
+        # a bool is an int, but no distance
+        for distance in (True, False, 1.5, 2.0, "2", None):
+            with pytest.raises(PolicyError, match=">= 1"):
+                mm.distance_penalty(distance)
+
     def test_unordered_error(self, twin_triangle_layers):
+        # the score and the gain engine refuse it alike, from the coupling plan
         cs = mm.CommunityStructure.from_entity_partition(
             twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
-        with pytest.raises(PolicyError):
-            mm.time_aware_coupling(cs, 0, "x", "y")
+        for kind in ("asym-inner", "asym-outer"):
+            coupling = mm.CouplingPolicy(kind, time_aware=True)
+            with pytest.raises(PolicyError, match="requires a natural layer ordering"):
+                mm.multilayer_modularity(twin_triangle_layers, cs, coupling=coupling)
+            config = mm.DetectConfig(mm.MultilayerObjective(coupling=coupling))
+            with pytest.raises(PolicyError, match="requires a natural layer ordering"):
+                mm.generalized_louvain(twin_triangle_layers, config)
 
     def test_never_exceeds_asymmetric(self):
         rng = random.Random(8)
+        far = 0
         for _ in range(30):
             net = random_multilayer(rng)
             if net.num_layers < 2:
                 continue
-            ordering = natural_orderings(net)[1]
-            net = with_ordering(net, ordering)
-            cs = random_structure(rng, net)
-            seq = ordering.sequence
-            for c in cs.communities():
-                for i in range(len(seq)):
-                    for j in range(i + 1, len(seq)):
-                        asym = float(mm.asymmetric_coupling(cs, c, seq[i], seq[j]))
-                        ta = mm.time_aware_coupling(cs, c, seq[i], seq[j])
-                        assert ta <= asym + 1e-15
-                        if j - i == 1:
-                            assert ta == asym
-                        elif asym > 0:
-                            assert ta < asym
+            for ordering in natural_orderings(net):
+                onet = with_ordering(net, ordering)
+                cs = random_structure(rng, onet)
+                for aware, plain, holds_far in time_aware_terms(onet, cs):
+                    assert aware <= plain
+                    if holds_far:
+                        assert aware < plain
+                        far += 1
+                    else:
+                        assert aware == plain
+        assert far > 0
 
 
 def valid_couplings(ordering):
@@ -578,10 +604,7 @@ class TestMultilayerModularity:
                     for c in ocs.communities():
                         for i, j, penalty in literal_coupling_pairs(onet, coupling):
                             src, other = (j, i) if coupling.kind == "asym-outer" else (i, j)
-                            if coupling.time_aware:
-                                v = mm.time_aware_coupling(ocs, c, ids[src], ids[other])
-                            else:
-                                v = float(f(ocs, c, ids[src], ids[other])) * penalty
+                            v = float(f(ocs, c, ids[src], ids[other])) * penalty
                             want.setdefault((c, i), []).append(v)
                     report = mm.multilayer_modularity(onet, ocs, coupling=coupling)
                     for t in report.terms:

@@ -33,7 +33,7 @@ EXPORTED = {
     "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
     "asymmetric_coupling", "distance_penalty",
     "multilayer_modularity", "multislice_modularity", "newman_modularity",
-    "symmetric_coupling", "time_aware_coupling",
+    "symmetric_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
     "aggregate_majority", "generalized_louvain", "nmi",
     "PlantedSpec", "planted_multilayer",
@@ -72,6 +72,13 @@ def test_exported_names_are_pinned():
         assert not hasattr(mm.CommunityStructure, name)
     for name in ("recompute_total", "community_total"):
         assert not hasattr(mm.ScoreReport, name)
+    # deleted: only tests called it; a time-aware term is asymmetric_coupling
+    # times the distance_penalty the coupling plan gives its record
+    assert not hasattr(mm, "time_aware_coupling")
+    for name in ("time_aware_coupling", "_require_natural"):
+        assert not hasattr(mm.modularity, name)
+    # deleted: ScoreReport defaults its policy to None, the last field it served
+    assert not hasattr(mm.mlgraph, "_OMITTED")
 
 
 def _names(node) -> list:
@@ -99,6 +106,24 @@ def test_only_the_two_builders_assemble():
                for node in ast.walk(function)
                if isinstance(node, ast.Call) and _names(node.func) == ["_assemble"]}
     assert callers == {"build_network", "read_network"}
+
+
+def test_only_the_coupling_plan_applies_the_distance_penalty():
+    # the time-aware penalty is decided once: the scorer and the gain engine
+    # read it from the plan's records
+    def penalties(tree) -> int:
+        return sum(isinstance(node, ast.Call) and _names(node.func) == ["distance_penalty"]
+                   for node in ast.walk(tree))
+
+    package = Path(mm.__file__).parent
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        plans = [function for function in tree.body
+                 if isinstance(function, ast.FunctionDef) and function.name == "coupling_plan"]
+        calls[path.name] = (penalties(tree), sum(penalties(plan) for plan in plans))
+    assert {name: counts for name, counts in calls.items() if counts != (0, 0)} == {
+        "modularity.py": (1, 1)}
 
 
 def test_detection_names_no_entity_ids():

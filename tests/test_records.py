@@ -157,6 +157,40 @@ def test_defaults_are_built_per_call():
     assert mm.DetectConfig().objective == mm.MultilayerObjective()
 
 
+def test_resolution_policy_refuses_a_gamma_that_is_no_real_number():
+    # a bool is an int, but no resolution; an int too large for a float is not finite
+    for gamma in ("1", True, None, 1j, 10 ** 400):
+        with pytest.raises(PolicyError, match="constant resolution requires a finite gamma"):
+            mm.ResolutionPolicy("constant", gamma)
+    with pytest.raises(PolicyError, match="constant resolution requires a finite gamma"):
+        mm.ResolutionPolicy.constant(0.5)._replace(gamma="1")
+
+
+def test_coupling_policy_refuses_a_time_aware_value_that_is_no_bool():
+    for value in ("yes", None, 1, 0.0):
+        with pytest.raises(PolicyError, match="time_aware must be a bool"):
+            mm.CouplingPolicy("asym-inner", value)
+    with pytest.raises(PolicyError, match="time_aware must be a bool"):
+        mm.CouplingPolicy.asym_outer()._replace(time_aware="yes")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"omega": "1"}, "omega"), ({"omega": True}, "omega"), ({"omega": None}, "omega"),
+    ({"gamma": {"A": 1}}, "gamma"), ({"gamma": True}, "gamma"), ({"gamma": "1"}, "gamma"),
+    ({"gamma": [1.0, True]}, "gamma"), ({"gamma": (1.0, "1")}, "gamma")])
+def test_multislice_values_refuse_what_is_no_real_number(fields, message, twin_triangle_layers):
+    # a bool is an int, but no parameter; the objective and the score refuse alike
+    match = f"^{message} must be a finite number >= 0$"
+    with pytest.raises(PolicyError, match=match):
+        mm.MultisliceObjective(**fields)
+    with pytest.raises(PolicyError, match=match):
+        mm.MultisliceObjective()._replace(**fields)
+    cs = mm.CommunityStructure.from_entity_partition(
+        twin_triangle_layers, dict.fromkeys(twin_triangle_layers.entity_ids, 0))
+    with pytest.raises(PolicyError, match=match):
+        mm.multislice_modularity(twin_triangle_layers, cs, **fields)
+
+
 def test_replace_keeps_the_class_and_checks():
     config = mm.DetectConfig(seed=3)
     moved = config._replace(max_passes=2)

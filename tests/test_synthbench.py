@@ -71,6 +71,17 @@ class TestPlantedGenerator:
         with pytest.raises(InputError, match="at least one layer"):
             mm.PlantedSpec(entities=5, communities=2, layers=0, p_in=0.5, p_out=0.1)
 
+    def test_sizes_and_seed_must_be_ints(self):
+        # a seed of None would seed from the OS, and a bool is an int but no count
+        spec = mm.PlantedSpec(entities=10, communities=2, layers=2, p_in=0.5, p_out=0.1)
+        for field, value in (("seed", None), ("seed", 1.0), ("seed", True),
+                             ("entities", 10.0), ("entities", "10"), ("communities", 2.0),
+                             ("layers", True), ("layers", 2.0)):
+            with pytest.raises(InputError, match=f"^{field} must be an int, not "):
+                mm.PlantedSpec(**{**spec._asdict(), field: value})
+            with pytest.raises(InputError, match=f"^{field} must be an int, not "):
+                spec._replace(**{field: value})
+
     def test_save_round_trip(self, tmp_path):
         spec = mm.PlantedSpec(entities=10, communities=2, layers=2,
                               p_in=0.9, p_out=0.1, presence=0.9, seed=3)
