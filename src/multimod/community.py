@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import InputError
 from .mlgraph import MultilayerNetwork, _bad_bytes_first, _read_lines, check_ids
@@ -125,6 +126,7 @@ class CommunityStructure:
                 self._deg[c][li], self._dint[c][li] = _degrees(net.adj_idx(li), members)
         self._counts = [None] * k   # redundancy counts, on first use
         self._coupled = [None] * k  # coupled instance pairs, on first use
+        self._majority = None       # the flattened partition, on first use
 
     @classmethod
     def from_entity_partition(cls, net: MultilayerNetwork, partition) -> "CommunityStructure":
@@ -233,21 +235,21 @@ class CommunityStructure:
 
     # -- flattening --------------------------------------------------------------
 
-    def flatten_majority(self) -> dict:
-        """Entity partition by majority vote over the entity's occurrences.
-
-        Ties break toward the lowest community index.
-        """
-        out = {}
-        where = self._where
-        for ei in range(self.net.num_entities):
-            votes = {}
-            for li in self.net.entity_layers_idx(ei):
-                c = where[li][ei]
-                votes[c] = votes.get(c, 0) + 1
-            best = min(votes, key=lambda c: (-votes[c], c))
-            out[self.net.entity_ids[ei]] = best
-        return out
+    def flatten_majority(self) -> MappingProxyType:
+        """Entity partition by majority vote over the entity's occurrences,
+        computed on first use and kept: every call returns the same read-only
+        mapping. Ties break toward the lowest community index."""
+        if self._majority is None:
+            out = {}
+            where = self._where
+            for ei in range(self.net.num_entities):
+                votes = {}
+                for li in self.net.entity_layers_idx(ei):
+                    c = where[li][ei]
+                    votes[c] = votes.get(c, 0) + 1
+                out[self.net.entity_ids[ei]] = min(votes, key=lambda c: (-votes[c], c))
+            self._majority = MappingProxyType(out)  # stored whole, so no read sees it half-built
+        return self._majority
 
     def as_assignment(self) -> dict:
         """Plain {(entity, layer): community} mapping, in entity-major order."""

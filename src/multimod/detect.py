@@ -94,13 +94,11 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
-from numbers import Real
 from types import MappingProxyType
 
 from .community import CommunityStructure, _degrees, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import MultilayerNetwork, _record, build_network
+from .mlgraph import MultilayerNetwork, _nonnegative, _record, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
                          _check_multislice_values, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
@@ -112,10 +110,10 @@ class MultisliceObjective(_record("MultisliceObjective", "gamma omega")):
     __slots__ = ()
 
     def __new__(cls, gamma: object = 1.0, omega: float = 0.0):  # gamma: scalar or per layer
-        # the checks that need no network, before any file is read; the
-        # per-layer count and the edgeless layers are checked by the engine
-        _check_multislice_values(gamma, omega)
-        return super().__new__(cls, gamma, omega)
+        # the checks that need no network, before any file is read, and the
+        # floats they return are held; the per-layer count and the edgeless
+        # layers are checked by the engine
+        return super().__new__(cls, *_check_multislice_values(gamma, omega))
 
     def gain_engine(self, net):
         return _MultisliceEngine(net, self)
@@ -124,11 +122,17 @@ class MultisliceObjective(_record("MultisliceObjective", "gamma omega")):
         return multislice_modularity(net, cs, self.gamma, self.omega)
 
 
-class MultilayerObjective(_record("MultilayerObjective", "resolution coupling",
-                                  (ResolutionPolicy.constant(1.0), CouplingPolicy.none()))):
+class MultilayerObjective(_record("MultilayerObjective", "resolution coupling")):
     """Optimize the multilayer score under the given policies."""
 
     __slots__ = ()
+
+    def __new__(cls, resolution: ResolutionPolicy = ResolutionPolicy.constant(1.0),
+                coupling: CouplingPolicy = CouplingPolicy.none()):
+        for value, kind in ((resolution, ResolutionPolicy), (coupling, CouplingPolicy)):
+            if not isinstance(value, kind):
+                raise PolicyError(f"expected a {kind.__name__}, not {value!r}")
+        return super().__new__(cls, resolution, coupling)
 
     def gain_engine(self, net):
         return _MultilayerEngine(net, self)
@@ -148,9 +152,7 @@ class DetectConfig(_record("DetectConfig", "objective seed max_passes min_gain")
         for name, value in (("seed", seed), ("max_passes", max_passes)):
             if type(value) is not int:
                 raise PolicyError(f"{name} must be an int, not {value!r}")
-        # a bool is an int, but no gain threshold
-        if (isinstance(min_gain, bool) or not isinstance(min_gain, Real)
-                or not (math.isfinite(min_gain) and min_gain > 0)):
+        if not (_nonnegative(min_gain) and min_gain > 0):
             raise PolicyError(f"min_gain must be a finite number > 0, not {min_gain!r}")
         if max_passes < 1:
             raise PolicyError("max_passes must be >= 1")
@@ -158,19 +160,14 @@ class DetectConfig(_record("DetectConfig", "objective seed max_passes min_gain")
 
 
 class DetectResult(_record("DetectResult", "structure objective passes moves")):
-    """``objective`` is the re-scored value of ``structure``. No ``__slots__``:
-    the cached ``partition`` lives in the instance's ``__dict__``, which no
-    assignment reaches."""
+    """``objective`` is the re-scored value of ``structure``."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __slots__ = ()
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def partition(self) -> dict:
-        """Entity -> community: the structure's majority vote, on first use."""
+    @property
+    def partition(self) -> MappingProxyType:
+        """Entity -> community, read-only: the majority vote the structure
+        keeps from first use."""
         return self.structure.flatten_majority()
 
 
@@ -498,9 +495,8 @@ class _MultisliceEngine(_Engine):
 
     def __init__(self, net, objective):
         super().__init__(net)
-        self.gammas, self.two_e, self.norm = multislice_parameters(
+        self.gammas, self.two_e, self.norm, self.omega = multislice_parameters(
             net, objective.gamma, objective.omega)
-        self.omega = float(objective.omega)
 
     def evaluate(self, comms, unit, found, src, candidates, floor=0.0):
         """The exact objective change of moving ``unit`` out of ``src``, and

@@ -12,6 +12,7 @@ the network and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
@@ -23,18 +24,24 @@ from pathlib import Path
 from .errors import InputError
 
 
-def _record(typename, field_names, defaults=()):
+def _record(typename, field_names):
     """The named-tuple base of the immutable record class ``typename``.
 
-    ``defaults``, for the rightmost fields, are shared by every instance, so
-    each must be immutable. A subclass with checks states them, and its
-    defaults, in its ``__new__``. The base's ``_make``, and so ``_replace``,
-    goes through that constructor, so a replaced field is checked as a
-    constructed one is.
+    A subclass with defaults or checks states them in its ``__new__``. The
+    base's ``_make``, and so ``_replace``, goes through that constructor, so
+    a replaced field is checked as a constructed one is.
     """
-    base = namedtuple(typename, field_names, defaults=defaults)
+    base = namedtuple(typename, field_names)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
+
+
+def _nonnegative(value) -> bool:
+    """Whether ``value`` is a finite real number >= 0; a bool is a flag, not a number."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value) and value >= 0
+    except (TypeError, ValueError, OverflowError):  # no number, a signalling NaN, too large
+        return False
 
 
 class PairingScheme(Enum):
@@ -56,14 +63,17 @@ class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
 
     def __new__(cls, sequence: tuple | None = None, scheme: PairingScheme | None = None,
                 time_aware: bool = False):
+        if not isinstance(time_aware, bool):
+            raise InputError(f"time_aware must be a bool, not {time_aware!r}")
         if sequence is None:
             if scheme is not None or time_aware:
                 raise InputError("unordered layers admit no pairing scheme or time-awareness")
         else:
             if len(set(sequence)) != len(sequence):
                 raise InputError("layer ordering contains duplicates")
-            if scheme is None:
-                raise InputError("a natural layer ordering requires a pairing scheme")
+            if not isinstance(scheme, PairingScheme):
+                raise InputError(f"a natural layer ordering requires a pairing scheme, "
+                                 f"not {scheme!r}")
         return super().__new__(cls, sequence, scheme, time_aware)
 
     @classmethod

@@ -32,15 +32,7 @@ import math
 
 from .community import CommunityStructure, log_decay
 from .errors import InputError, PolicyError
-from .mlgraph import MultilayerNetwork, _record
-
-
-def _nonnegative(value) -> bool:
-    """Whether ``value`` is a finite real number >= 0; a bool is a flag, not a number."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value) and value >= 0
-    except (TypeError, OverflowError):  # no real number, or an int too large for a float
-        return False
+from .mlgraph import MultilayerNetwork, _nonnegative, _record
 
 
 class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
@@ -51,13 +43,13 @@ class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
     def __new__(cls, kind: str, gamma: float = 1.0):  # kind: "constant" | "redundancy"
         if kind not in ("constant", "redundancy"):
             raise PolicyError(f"unknown resolution policy {kind!r}")
-        if kind == "constant" and not _nonnegative(gamma):
-            raise PolicyError("constant resolution requires a finite gamma >= 0")
-        return super().__new__(cls, kind, gamma)
+        if not _nonnegative(gamma):
+            raise PolicyError(f"{kind} resolution requires a finite gamma >= 0")
+        return super().__new__(cls, kind, float(gamma))
 
     @classmethod
     def constant(cls, gamma: float = 1.0) -> "ResolutionPolicy":
-        return cls("constant", float(gamma))
+        return cls("constant", gamma)
 
     @classmethod
     def redundancy(cls) -> "ResolutionPolicy":
@@ -181,30 +173,32 @@ def _finite(total: float, name: str) -> float:
     return total
 
 
-def _check_multislice_values(gamma, omega) -> None:
+def _check_multislice_values(gamma, omega) -> tuple:
     """Reject a gamma (a scalar, or a list or tuple of values per layer) or an
-    omega that is not a finite number >= 0: the checks that need no network."""
-    gammas = gamma if isinstance(gamma, (list, tuple)) else (gamma,)
-    if not all(_nonnegative(g) for g in gammas):
+    omega that is not a finite number >= 0, the checks that need no network;
+    return both as floats, a per-layer gamma as a tuple."""
+    per_layer = isinstance(gamma, (list, tuple))
+    if not all(_nonnegative(g) for g in (gamma if per_layer else (gamma,))):
         raise PolicyError("gamma must be a finite number >= 0")
     if not _nonnegative(omega):
         raise PolicyError("omega must be a finite number >= 0")
+    return (tuple(map(float, gamma)) if per_layer else float(gamma)), float(omega)
 
 
 def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     """Validate multislice parameters against ``net``.
 
     Returns the per-layer gamma list (a scalar is broadcast), each layer's
-    ``2 m_l`` and the normalization: twice the edge count plus twice omega
-    times the same-entity occurrence pairs, sum_e C(L_e, 2), counted as the
-    shared entities of the unordered layer pairs. Each layer uses its own
+    ``2 m_l``, the normalization and omega as a float. The normalization is
+    twice the edge count plus twice omega times the same-entity occurrence
+    pairs, sum_e C(L_e, 2), counted as the shared entities of the unordered
+    layer pairs. Each layer uses its own
     null model, so any layer that contains assigned occurrences but no edges
     is an error, and so is a zero normalization (a network with no edge).
     """
-    _check_multislice_values(gamma, omega)
+    gamma, omega = _check_multislice_values(gamma, omega)
     ell = net.num_layers
-    per_layer = isinstance(gamma, (list, tuple))
-    gammas = [float(g) for g in gamma] if per_layer else [float(gamma)] * ell
+    gammas = list(gamma) if isinstance(gamma, tuple) else [gamma] * ell
     if len(gammas) != ell:
         raise PolicyError(f"expected {ell} per-layer gamma values, got {len(gammas)}")
     for li, layer in enumerate(net.layer_ids):
@@ -214,10 +208,10 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
                 f"its null model is undefined")
     two_e = [2 * net.num_edges(layer) for layer in net.layer_ids]
     pairs = sum(net.shared_count_idx(i, j) for j in range(ell) for i in range(j))
-    norm = sum(two_e) + 2 * float(omega) * pairs
+    norm = sum(two_e) + 2 * omega * pairs
     if norm == 0:
         raise InputError("degenerate normalization: network has no edges and no couplings")
-    return gammas, two_e, norm
+    return gammas, two_e, norm, omega
 
 
 def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
@@ -234,7 +228,7 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     omega so large that the score is not finite is a :class:`PolicyError`.
     """
     _check_structure(net, cs)
-    gammas, two_es, norm = multislice_parameters(net, gamma, omega)
+    gammas, two_es, norm, omega = multislice_parameters(net, gamma, omega)
     community_sums = []
     for c in cs.communities():
         layer_terms = []

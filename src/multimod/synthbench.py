@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .mlgraph import LayerOrdering, PairingScheme, _record, build_network
+from .mlgraph import LayerOrdering, PairingScheme, _nonnegative, _record, build_network
 
 
 class PlantedSpec(_record("PlantedSpec",
@@ -26,7 +26,10 @@ class PlantedSpec(_record("PlantedSpec",
                             ("layers", layers), ("seed", seed)):
             if type(value) is not int:
                 raise InputError(f"{name} must be an int, not {value!r}")
-        if not 0 <= p_out <= p_in <= 1:
+        for name, value in (("p_in", p_in), ("p_out", p_out), ("presence", presence)):
+            if not _nonnegative(value):
+                raise InputError(f"{name} must be a finite number >= 0, not {value!r}")
+        if not p_out <= p_in <= 1:
             raise InputError("need 0 <= p_out <= p_in <= 1")
         if not 0 < presence <= 1:
             raise InputError("need 0 < presence <= 1")

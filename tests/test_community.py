@@ -63,6 +63,17 @@ class TestFromEntityPartition:
             mm.CommunityStructure.from_entity_partition(abc, {"yy": 0, "a": 0, "xx": 1})
 
 
+def test_an_assignment_naming_an_occurrence_twice_is_refused(two_triangles):
+    class Repeating(dict):  # a mapping whose items() gives each pair twice
+        def items(self):
+            return [*super().items(), *super().items()]
+
+    layer = two_triangles.layer_ids[0]
+    assignment = Repeating({(e, layer): 0 for e in two_triangles.entity_ids})
+    with pytest.raises(InputError, match=rf"^duplicate assignment for \(0, {layer!r}\)$"):
+        mm.CommunityStructure(two_triangles, assignment)
+
+
 class TestAbsentOccurrence:
     @pytest.fixture
     def net(self):
@@ -337,6 +348,32 @@ class TestFlattenMajority:
             cs2 = mm.CommunityStructure(
                 net2, {(e, renamed[l]): c for (e, l), c in cs.as_assignment().items()})
             assert cs2.flatten_majority() == flat
+
+    def test_vote_is_kept_read_only_and_stored_only_when_whole(self, monkeypatch,
+                                                               twin_triangle_layers):
+        net = twin_triangle_layers
+        cs = mm.CommunityStructure.from_entity_partition(
+            net, {e: i % 2 for i, e in enumerate(net.entity_ids)})
+        layers_of = mlgraph.MultilayerNetwork.entity_layers_idx
+        calls = []
+
+        def while_voting(self, ei):  # no other read may see a half-built vote
+            calls.append(ei)
+            assert cs._majority is None
+            return layers_of(self, ei)
+
+        monkeypatch.setattr(mlgraph.MultilayerNetwork, "entity_layers_idx", while_voting)
+        flat = cs.flatten_majority()
+        assert calls == list(range(net.num_entities))
+        monkeypatch.undo()
+        assert cs.flatten_majority() is flat
+        assert flat == {e: i % 2 for i, e in enumerate(net.entity_ids)}
+        entity = net.entity_ids[0]
+        with pytest.raises(TypeError):
+            flat[entity] = 9
+        with pytest.raises(TypeError):
+            del flat[entity]
+        assert cs.flatten_majority()[entity] == 0
 
 
 class TestPartitionInvariants:

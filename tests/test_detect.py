@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -1049,15 +1051,18 @@ class TestAggregateMajority:
 
         def on_read(cs):  # raises in a forked per-layer run too: the parent reruns it
             assert reads, "majority vote computed before the partition was read"
-            reads.append(cs)
+            reads.append((cs, cs._majority is None))  # whether this read computes the vote
             return vote(cs)
 
         monkeypatch.setattr(mm.CommunityStructure, "flatten_majority", on_read)
         res = mm.aggregate_majority(twin_triangle_layers, constant_symmetric(seed=0))
         reads.append(None)
-        assert res.partition == vote(res.structure)
-        assert res.partition is res.partition
-        assert reads == [None, res.structure]
+        first = res.partition
+        assert res.partition is first
+        # the vote of an equal structure built apart, which has computed nothing yet
+        assert first == vote(mm.CommunityStructure(twin_triangle_layers,
+                                                   res.structure.as_assignment()))
+        assert reads == [None, (res.structure, True), (res.structure, False)]
 
     def test_error_on_edgeless_layer(self):
         net = mm.build_network(layers=["a", "b"], edges=[("a", 0, 1)],
@@ -1094,9 +1099,11 @@ def test_min_gain_must_be_finite_and_positive(min_gain):
         mm.DetectConfig(min_gain=min_gain)
 
 
-@pytest.mark.parametrize("min_gain", ["1", None, True, False, (1e-9,), 1j])
+@pytest.mark.parametrize("min_gain", ["1", None, True, False, (1e-9,), 1j, 10 ** 400,
+                                      Fraction(10 ** 400), Decimal("sNaN")])
 def test_min_gain_must_be_a_real_number(min_gain):
-    # a string or None used to raise a bare TypeError, and True passed as 1
+    # a string or None used to raise a bare TypeError, and True passed as 1;
+    # a number too large for a float raised OverflowError
     with pytest.raises(PolicyError, match="min_gain must be a finite number"):
         mm.DetectConfig(min_gain=min_gain)
 

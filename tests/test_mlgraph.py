@@ -88,6 +88,29 @@ def test_layer_ordering_refuses_a_repeated_layer():
         mm.LayerOrdering.natural(["L", "L"])
 
 
+@pytest.mark.parametrize("make", [
+    lambda scheme, flag: mm.LayerOrdering.natural(["a", "b", "c"], scheme, flag),
+    lambda scheme, flag: mm.LayerOrdering(("a", "b", "c"), scheme, flag),
+    lambda scheme, flag: mm.LayerOrdering.natural(["a", "b", "c"])._replace(
+        scheme=scheme, time_aware=flag),
+], ids=["natural", "constructor", "replace"])
+def test_layer_ordering_refuses_a_scheme_or_flag_of_another_type(make):
+    # a scheme given by its value once paired every later layer, as pairwise does
+    with pytest.raises(InputError, match="requires a pairing scheme, not 'adjacent'$"):
+        make("adjacent", False)
+    for flag in ("yes", 1, None):
+        with pytest.raises(InputError, match=f"^time_aware must be a bool, not {flag!r}$"):
+            make(mm.PairingScheme.ADJACENT, flag)
+    assert make(mm.PairingScheme.ADJACENT, True).time_aware is True
+
+
+def test_unordered_layers_refuse_a_time_aware_flag_of_another_type():
+    for make in (lambda: mm.LayerOrdering(None, None, 0),
+                 lambda: mm.LayerOrdering.unordered()._replace(time_aware=0)):
+        with pytest.raises(InputError, match="^time_aware must be a bool, not 0$"):
+            make()
+
+
 class TestDegree:
     def test_isolated_present_is_zero(self):
         net = line_net(["L1"], [("L1", "a", "b")], presence=[("L1", "c")])

@@ -174,8 +174,9 @@ class TestMultislice:
             pairs = sum(math.comb(len(net.entity_layers_idx(ei)), 2)
                         for ei in range(net.num_entities))
             deep += any(len(net.entity_layers_idx(ei)) >= 3 for ei in range(net.num_entities))
-            gammas, two_e, norm = multislice_parameters(net, 1.0, 1.0)
+            gammas, two_e, norm, omega = multislice_parameters(net, 1.0, 1)
             assert gammas == [1.0] * net.num_layers
+            assert type(omega) is float and omega == 1.0
             assert two_e == [2 * net.num_edges(layer) for layer in net.layer_ids]
             assert norm == 2 * net.num_edges() + 2 * pairs
         assert deep  # some entity sits in three or more layers

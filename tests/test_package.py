@@ -166,6 +166,12 @@ def test_namespace_is_lazy():
         assert getattr(mm, name).__module__ == f"multimod.{module}"
 
 
+def test_dir_lists_the_surface_and_the_submodules_in_order():
+    listed = dir(mm)
+    assert listed == sorted(listed)
+    assert set(mm.__all__) | set(mm._LAZY) <= set(listed)
+
+
 def test_oracles_are_not_exported():
     for name in ORACLES:
         assert name not in mm.__all__

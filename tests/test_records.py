@@ -4,7 +4,10 @@ dataclasses, and whose ``_replace`` checks a field as the constructor does."""
 
 from __future__ import annotations
 
+import inspect
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -158,10 +161,16 @@ def test_defaults_are_built_per_call():
 
 
 def test_resolution_policy_refuses_a_gamma_that_is_no_real_number():
-    # a bool is an int, but no resolution; an int too large for a float is not finite
-    for gamma in ("1", True, None, 1j, 10 ** 400):
-        with pytest.raises(PolicyError, match="constant resolution requires a finite gamma"):
-            mm.ResolutionPolicy("constant", gamma)
+    # a bool is an int, but no resolution; an int too large for a float is not
+    # finite. constant() once made 1.0 of True and 2.0 of "2"
+    for gamma in ("1", "2", True, None, 1j, 10 ** 400, Decimal("sNaN")):
+        for make in (lambda: mm.ResolutionPolicy("constant", gamma),
+                     lambda: mm.ResolutionPolicy.constant(gamma)):
+            with pytest.raises(PolicyError, match="constant resolution requires a finite gamma"):
+                make()
+        # the redundancy kind reads no gamma, but its field holds a number too
+        with pytest.raises(PolicyError, match="redundancy resolution requires a finite gamma"):
+            mm.ResolutionPolicy("redundancy", gamma)
     with pytest.raises(PolicyError, match="constant resolution requires a finite gamma"):
         mm.ResolutionPolicy.constant(0.5)._replace(gamma="1")
 
@@ -177,7 +186,8 @@ def test_coupling_policy_refuses_a_time_aware_value_that_is_no_bool():
 @pytest.mark.parametrize("fields, message", [
     ({"omega": "1"}, "omega"), ({"omega": True}, "omega"), ({"omega": None}, "omega"),
     ({"gamma": {"A": 1}}, "gamma"), ({"gamma": True}, "gamma"), ({"gamma": "1"}, "gamma"),
-    ({"gamma": [1.0, True]}, "gamma"), ({"gamma": (1.0, "1")}, "gamma")])
+    ({"gamma": [1.0, True]}, "gamma"), ({"gamma": (1.0, "1")}, "gamma"),
+    ({"omega": Decimal("sNaN")}, "omega")])
 def test_multislice_values_refuse_what_is_no_real_number(fields, message, twin_triangle_layers):
     # a bool is an int, but no parameter; the objective and the score refuse alike
     match = f"^{message} must be a finite number >= 0$"
@@ -205,9 +215,95 @@ def test_replace_keeps_the_class_and_checks():
 def test_detect_result_caches_partition_and_refuses_assignment(twin_triangle_layers):
     result = mm.generalized_louvain(twin_triangle_layers, mm.DetectConfig())
     first = result.partition
-    assert result.partition is first
-    with pytest.raises(AttributeError, match="cannot assign to field 'partition'"):
+    assert result.partition is first is result.structure.flatten_majority()
+    with pytest.raises(TypeError):  # read-only: no caller edits the structure's vote
+        first[next(iter(first))] = 9
+    # the named tuple's own refusals; before Python 3.11 a property says "can't set"
+    with pytest.raises(AttributeError, match="'partition' of 'DetectResult' object has no "
+                                             "setter|can't set attribute 'partition'"):
         result.partition = {}
-    with pytest.raises(AttributeError, match="cannot delete field 'moves'"):
+    with pytest.raises(AttributeError, match="can't delete attribute"):
         del result.moves
     assert result.partition is first
+
+
+def test_no_record_has_an_instance_dict_or_its_own_assignment():
+    for name, (required, *_) in RECORDS.items():
+        cls = getattr(mm, name)
+        assert not hasattr(cls(**required), "__dict__"), name
+        for klass in cls.__mro__[:-2]:  # all but tuple and object
+            assert "__setattr__" not in vars(klass) and "__delattr__" not in vars(klass), name
+    # each record states its defaults in its own __new__
+    assert list(inspect.signature(mm.mlgraph._record).parameters) == ["typename", "field_names"]
+
+
+# record -> (required fields, its error class, each field that holds a
+# number, a flag, a pairing scheme, a policy or a policy kind)
+TYPED_FIELDS = {
+    "LayerOrdering": ({"sequence": ("a", "b"), "scheme": mm.PairingScheme.ADJACENT},
+                      InputError, ("scheme", "time_aware")),
+    "ResolutionPolicy": ({"kind": "constant"}, PolicyError, ("kind", "gamma")),
+    "CouplingPolicy": ({"kind": "asym-inner"}, PolicyError, ("kind", "time_aware")),
+    "MultisliceObjective": ({}, PolicyError, ("gamma", "omega")),
+    "MultilayerObjective": ({}, PolicyError, ("resolution", "coupling")),
+    "DetectConfig": ({}, PolicyError, ("objective", "seed", "max_passes", "min_gain")),
+    "PlantedSpec": (RECORDS["PlantedSpec"][0], InputError,
+                    ("entities", "communities", "layers", "p_in", "p_out", "presence", "seed")),
+}
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name, (_, _, fields)
+                                         in TYPED_FIELDS.items() for field in fields])
+def test_typed_fields_refuse_a_value_of_no_such_type(name, field):
+    cls = getattr(mm, name)
+    required, error, _ = TYPED_FIELDS[name]
+    record = cls(**required)
+    for make in (lambda: cls(**{**required, field: object()}),
+                 lambda: record._replace(**{field: object()})):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert refused.type is error
+
+
+def test_resolution_gamma_is_held_as_the_float_it_checked():
+    for gamma in (Decimal("0.75"), Fraction(3, 4), 0.75):
+        policy = mm.ResolutionPolicy("constant", gamma)
+        assert type(policy.gamma) is float and policy == mm.ResolutionPolicy.constant(0.75)
+    assert repr(mm.ResolutionPolicy.constant(2)) == "ResolutionPolicy(kind='constant', gamma=2.0)"
+
+
+@pytest.mark.parametrize("gamma", [Decimal("0.75"), Fraction(3, 4)])
+def test_an_exact_gamma_scores_and_detects_as_its_float(gamma, twin_triangle_layers):
+    net = twin_triangle_layers
+    cs = mm.CommunityStructure.from_entity_partition(net, {e: e // 2 for e in net.entity_ids})
+    for coupling in (mm.CouplingPolicy.none(), mm.CouplingPolicy.symmetric()):
+        exact = mm.MultilayerObjective(mm.ResolutionPolicy("constant", gamma), coupling)
+        rounded = mm.MultilayerObjective(mm.ResolutionPolicy.constant(0.75), coupling)
+        assert mm.multilayer_modularity(net, cs, *exact) == mm.multilayer_modularity(
+            net, cs, *rounded)
+        found, expected = (mm.generalized_louvain(net, mm.DetectConfig(objective, seed=1))
+                           for objective in (exact, rounded))
+        assert (found.structure.as_assignment(), found.objective, found.passes, found.moves) \
+            == (expected.structure.as_assignment(), expected.objective, expected.passes,
+                expected.moves)
+    # the multislice score and objective hold the floats of exact values too
+    assert mm.multislice_modularity(net, cs, gamma, Decimal("0.5")) == \
+        mm.multislice_modularity(net, cs, 0.75, 0.5)
+    assert mm.MultisliceObjective([gamma, 1], Fraction(1, 2)) == mm.MultisliceObjective(
+        (0.75, 1.0), 0.5)
+
+
+def test_multislice_gamma_list_is_held_as_a_tuple_of_floats():
+    given = [1.0, 0.5]
+    objective = mm.MultisliceObjective(gamma=given, omega=1)
+    given[0] = -1.0  # a later edit of the caller's list changes nothing checked
+    assert objective == mm.MultisliceObjective(gamma=(1.0, 0.5), omega=1.0)
+    assert repr(objective) == "MultisliceObjective(gamma=(1.0, 0.5), omega=1.0)"
+    assert hash(objective) == hash(((1.0, 0.5), 1.0))
+
+
+def test_multilayer_objective_refuses_what_is_no_policy():
+    with pytest.raises(PolicyError, match="^expected a ResolutionPolicy, not None$"):
+        mm.MultilayerObjective(resolution=None)
+    with pytest.raises(PolicyError, match="^expected a CouplingPolicy, not 'none'$"):
+        mm.MultilayerObjective()._replace(coupling="none")

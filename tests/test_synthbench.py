@@ -82,6 +82,16 @@ class TestPlantedGenerator:
             with pytest.raises(InputError, match=f"^{field} must be an int, not "):
                 spec._replace(**{field: value})
 
+    def test_probabilities_must_be_real_numbers(self):
+        # a string raised a bare TypeError, and True passed as 1
+        spec = mm.PlantedSpec(entities=10, communities=2, layers=2, p_in=0.5, p_out=0.1)
+        with pytest.raises(InputError, match=r"^p_in must be a finite number >= 0, not '0\.5'$"):
+            mm.PlantedSpec(10, 2, 2, "0.5", 0.1)
+        for field in ("p_in", "p_out", "presence"):
+            for value in (True, None, float("nan")):
+                with pytest.raises(InputError, match=f"^{field} must be a finite number >= 0"):
+                    spec._replace(**{field: value})
+
     def test_save_round_trip(self, tmp_path):
         spec = mm.PlantedSpec(entities=10, communities=2, layers=2,
                               p_in=0.9, p_out=0.1, presence=0.9, seed=3)
