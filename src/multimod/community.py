@@ -27,7 +27,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import InputError
-from .mlgraph import MultilayerNetwork, _bad_bytes_first, _read_lines, check_ids
+from .mlgraph import MultilayerNetwork, _lines, check_ids
 
 
 def log_decay(x) -> float:
@@ -276,8 +276,8 @@ def read_communities(net: MultilayerNetwork, path) -> CommunityStructure:
     extended = None  # "u L c" records: layer -> entity -> label
     flat = None      # "u c" records: entity -> label
     absent = None    # the first extended record of an absent occurrence
-    with _bad_bytes_first(path):
-        for lineno, line in enumerate(_read_lines(path), start=1):
+    with _lines(path) as lines:
+        for lineno, line in lines:
             if "#" in line:
                 line = line.split("#", 1)[0]
             tokens = line.split()

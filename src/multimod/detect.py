@@ -100,7 +100,7 @@ from .community import CommunityStructure, _degrees, log_decay
 from .errors import InputError, PolicyError
 from .mlgraph import MultilayerNetwork, _nonnegative, _record, build_network
 from .modularity import (CouplingPolicy, ResolutionPolicy, coupling_plan,
-                         _check_multislice_values, multilayer_modularity,
+                         _check_multislice_values, _check_policies, multilayer_modularity,
                          multislice_modularity, multislice_parameters)
 
 
@@ -129,9 +129,7 @@ class MultilayerObjective(_record("MultilayerObjective", "resolution coupling"))
 
     def __new__(cls, resolution: ResolutionPolicy = ResolutionPolicy.constant(1.0),
                 coupling: CouplingPolicy = CouplingPolicy.none()):
-        for value, kind in ((resolution, ResolutionPolicy), (coupling, CouplingPolicy)):
-            if not isinstance(value, kind):
-                raise PolicyError(f"expected a {kind.__name__}, not {value!r}")
+        _check_policies(resolution, coupling)
         return super().__new__(cls, resolution, coupling)
 
     def gain_engine(self, net):

@@ -55,7 +55,8 @@ class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
     """Optional natural order over the layers plus the pairing constraint.
 
     ``sequence is None`` means the layers are unordered and every layer pairs
-    with every other one. A natural ordering needs a pairing scheme;
+    with every other one. A natural ordering is held as a tuple of distinct,
+    hashable layer ids (not a string) and needs a pairing scheme;
     ``time_aware`` additionally requires a natural ordering.
     """
 
@@ -69,7 +70,15 @@ class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
             if scheme is not None or time_aware:
                 raise InputError("unordered layers admit no pairing scheme or time-awareness")
         else:
-            if len(set(sequence)) != len(sequence):
+            try:
+                if isinstance(sequence, str):  # it would iterate as its characters
+                    raise TypeError
+                sequence = tuple(sequence)
+                distinct = len(set(sequence))
+            except TypeError:  # a string, not iterable, or an unhashable layer id
+                raise InputError(f"a layer ordering must be a sequence of hashable layer "
+                                 f"ids, not {sequence!r}") from None
+            if distinct != len(sequence):
                 raise InputError("layer ordering contains duplicates")
             if not isinstance(scheme, PairingScheme):
                 raise InputError(f"a natural layer ordering requires a pairing scheme, "
@@ -83,7 +92,7 @@ class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
     @classmethod
     def natural(cls, sequence, scheme: PairingScheme = PairingScheme.ADJACENT,
                 time_aware: bool = False) -> "LayerOrdering":
-        return cls(tuple(sequence), scheme, time_aware)
+        return cls(sequence, scheme, time_aware)
 
     @property
     def is_natural(self) -> bool:
@@ -327,7 +336,7 @@ def _layer_sequence(layers, ordering: LayerOrdering) -> tuple:
     if not layers:
         raise InputError("a multilayer network needs at least one layer")
     if ordering.is_natural:
-        if set(ordering.sequence) != set(layers) or len(ordering.sequence) != len(layers):
+        if set(ordering.sequence) != set(layers):
             raise InputError("layer ordering is not a permutation of the declared layers")
         return ordering.sequence
     return tuple(layers)
@@ -400,7 +409,7 @@ def _assemble(entity_index, layer_ids, presence, edges, ordering) -> MultilayerN
     )
 
 
-def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | None = None,
+def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering = LayerOrdering(),
                   presence=()) -> MultilayerNetwork:
     """Assemble a normalized, deduplicated multilayer network.
 
@@ -409,8 +418,9 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
         layers: layer ids in declaration order; duplicates are an error.
         edges: iterable of (layer, u, v) intra-layer edges; endpoints register
             the entities; duplicates collapse; self-loops are rejected.
-        ordering: optional LayerOrdering; a natural ordering must be a
-            permutation of the layers and fixes the dense layer indexing.
+        ordering: a LayerOrdering, unordered by default; a natural ordering
+            must be a permutation of the layers and fixes the dense layer
+            indexing. Anything else is an :class:`InputError`.
         presence: iterable of (layer, entity) declaring presence without edges.
 
     Entities are indexed in first-seen order: declared, then by presence,
@@ -419,7 +429,8 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering | No
     layer_list = list(layers)
     if len(set(layer_list)) != len(layer_list):
         raise InputError("duplicate layer id in layer declaration")
-    ordering = LayerOrdering.unordered() if ordering is None else ordering
+    if not isinstance(ordering, LayerOrdering):
+        raise InputError(f"expected a LayerOrdering, not {ordering!r}")
     layer_ids = _layer_sequence(layer_list, ordering)
     layer_index = {l: i for i, l in enumerate(layer_ids)}
 
@@ -471,35 +482,32 @@ def read_utf8(path) -> str:
     return text.removeprefix("\ufeff")
 
 
-# Characters read at a time by _read_lines, before the rest of the line
+# Characters read at a time by _lines, before the rest of the line
 _CHUNK = 1 << 16
 
 
-def _read_lines(path):
-    """The lines of a UTF-8 file, as ``read_utf8(path).splitlines()`` gives
-    them, read by the text reader in blocks of about ``_CHUNK`` characters
-    so that the whole text never exists at once. The reader's ``readline``
-    completes each block to the end of its line, so no line and no CRLF is
-    split between blocks. A
-    bad byte raises :class:`UnicodeDecodeError`; read the file inside
-    :func:`_bad_bytes_first` to report it."""
+@contextmanager
+def _lines(path):
+    """The lines of a UTF-8 file as ``(lineno, line)`` pairs, those of
+    ``enumerate(read_utf8(path).splitlines(), start=1)``. The text reader
+    reads blocks of about ``_CHUNK`` characters, each completed to the end
+    of its line by ``readline``, so the whole text never exists at once and
+    no line or CRLF is split. A bad byte anywhere in the file is reported as
+    :func:`read_utf8` reports it, before any :class:`InputError` raised
+    while the lines are read; the file is closed on every exit."""
     def blocks():  # the lines in lists, which chain hands out one by one
         with open(path, encoding="utf-8-sig", newline="") as handle:
             while text := handle.read(_CHUNK):
                 yield (text + handle.readline()).splitlines()
 
-    return chain.from_iterable(blocks())
-
-
-@contextmanager
-def _bad_bytes_first(path):
-    """Report a bad byte anywhere in ``path`` as :func:`read_utf8` does,
-    before any :class:`InputError` raised while its lines are read."""
+    source = blocks()
     try:
-        yield
+        yield enumerate(chain.from_iterable(source), start=1)
     except (InputError, UnicodeDecodeError):
         read_utf8(path)  # raises when the file holds a bad byte
         raise
+    finally:
+        source.close()
 
 
 def check_ids(ids, kind: str, leads_record: bool = False) -> None:
@@ -522,7 +530,7 @@ def check_ids(ids, kind: str, leads_record: bool = False) -> None:
 
 
 def _parse_indices(lines) -> tuple:
-    """One pass over the lines of edge-list text, straight into indices.
+    """One pass over ``(lineno, line)`` pairs of edge-list text, straight into indices.
 
     Returns ``(entities, layers, presence, edges, order, loop)``.
     ``entities`` and ``layers`` map each id to an index, in order of first
@@ -542,7 +550,7 @@ def _parse_indices(lines) -> tuple:
     append = edges.append
     order = None
     loop = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         if "#" in line:
             line = line.split("#", 1)[0]
         tokens = line.split()
@@ -596,7 +604,8 @@ def parse_network_text(text: str):
     the layer ids in order of first mention, and the ``(layer, u, v)`` edge
     and ``(layer, entity)`` presence records in file order. ``read_network``
     reads the same records into indices instead."""
-    entities, layers, presence, edges, order, _ = _parse_indices(text.splitlines())
+    entities, layers, presence, edges, order, _ = _parse_indices(
+        enumerate(text.splitlines(), start=1))
     ids = tuple(entities)
     names = tuple(layers)
     it = iter(edges)
@@ -638,22 +647,21 @@ def read_network(path, ordering_mode: str = "auto", time_aware: bool = False) ->
     indices (``_parse_indices``), then assembled from them, with
     ``build_network``'s entity order, layer order and errors. A bad byte
     anywhere in the file is reported before any malformed line, and the
-    ordering's errors before the first self-loop.
+    ordering's errors before the first self-loop. The mode picks the
+    sequence and scheme, and :class:`LayerOrdering` checks them with ``time_aware``.
     """
-    with _bad_bytes_first(path):
-        entities, layers, presence, edges, order, loop = _parse_indices(_read_lines(path))
+    with _lines(path) as lines:
+        entities, layers, presence, edges, order, loop = _parse_indices(lines)
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
     if ordering_mode == "none":
-        ordering = LayerOrdering.unordered()
-        if time_aware:
-            raise InputError("time-aware coupling requires a natural layer ordering")
+        sequence = scheme = None
     elif ordering_mode in ("natural-adjacent", "natural-pairwise"):
-        scheme = PairingScheme.ADJACENT if ordering_mode.endswith("adjacent") else PairingScheme.PAIRWISE
         sequence = order if order is not None else tuple(layers)
-        ordering = LayerOrdering.natural(sequence, scheme, time_aware)
+        scheme = PairingScheme(ordering_mode.removeprefix("natural-"))
     else:
         raise InputError(f"unknown ordering mode {ordering_mode!r}")
+    ordering = LayerOrdering(sequence, scheme, time_aware)
     layer_ids = _layer_sequence(tuple(layers), ordering)
     if loop is not None:
         raise InputError(loop)

@@ -324,9 +324,16 @@ def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
 # -- multilayer modularity --------------------------------------------------------
 
 
+def _check_policies(resolution, coupling) -> None:
+    """Refuse policies of the wrong types, for the objective and the scorer alike."""
+    for value, kind in ((resolution, ResolutionPolicy), (coupling, CouplingPolicy)):
+        if not isinstance(value, kind):
+            raise PolicyError(f"expected a {kind.__name__}, not {value!r}")
+
+
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
-                          resolution: ResolutionPolicy | None = None,
-                          coupling: CouplingPolicy | None = None) -> ScoreReport:
+                          resolution: ResolutionPolicy = ResolutionPolicy.constant(1.0),
+                          coupling: CouplingPolicy = CouplingPolicy.none()) -> ScoreReport:
     """Multilayer modularity with pluggable resolution and coupling policies.
 
     For each community and layer the score accumulates the internal degree,
@@ -340,10 +347,10 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     exactly to classic modularity. On several layers the one-community
     partition then scores ``1 - sum_l (m_l / m) ** 2`` (``1 - 1/L`` for L
     layers of equal edge count m_l), a baseline to read ``q`` values against.
+    A policy of the wrong type is refused as ``MultilayerObjective`` refuses it.
     """
     _check_structure(net, cs)
-    resolution = ResolutionPolicy.constant(1.0) if resolution is None else resolution
-    coupling = CouplingPolicy.none() if coupling is None else coupling
+    _check_policies(resolution, coupling)
     if net.num_edges() == 0:
         raise InputError("multilayer modularity is undefined on an edgeless network")
     records, norm = coupling_plan(net, coupling)

@@ -116,7 +116,8 @@ def literal_parse_network_text(text: str):
     return layers, edges, presences, order
 
 
-def literal_build_network(entities=(), layers=(), edges=(), ordering=None, presence=()) -> dict:
+def literal_build_network(entities=(), layers=(), edges=(), ordering=mm.LayerOrdering(),
+                          presence=()) -> dict:
     """The network builder in its earlier form, through a set of sorted edge
     tuples per layer. Returns the fields it gave the network: ids, presence,
     adjacency (nodes ascending, each mapped to its ascending neighbour
@@ -126,7 +127,6 @@ def literal_build_network(entities=(), layers=(), edges=(), ordering=None, prese
         raise mm.InputError("duplicate layer id in layer declaration")
     if not layer_list:
         raise mm.InputError("a multilayer network needs at least one layer")
-    ordering = mm.LayerOrdering.unordered() if ordering is None else ordering
     if ordering.is_natural:
         if set(ordering.sequence) != set(layer_list) or len(ordering.sequence) != len(layer_list):
             raise mm.InputError("layer ordering is not a permutation of the declared layers")
@@ -196,16 +196,15 @@ def literal_read_network(text: str, ordering_mode: str = "auto", time_aware: boo
     if ordering_mode == "auto":
         ordering_mode = "natural-adjacent" if order is not None else "none"
     if ordering_mode == "none":
-        ordering = mm.LayerOrdering.unordered()
-        if time_aware:
-            raise mm.InputError("time-aware coupling requires a natural layer ordering")
+        sequence = scheme = None
     elif ordering_mode in ("natural-adjacent", "natural-pairwise"):
         scheme = (mm.PairingScheme.ADJACENT if ordering_mode.endswith("adjacent")
                   else mm.PairingScheme.PAIRWISE)
         sequence = order if order is not None else tuple(layers)
-        ordering = mm.LayerOrdering.natural(sequence, scheme, time_aware)
     else:
         raise mm.InputError(f"unknown ordering mode {ordering_mode!r}")
+    # the ordering refuses a time-aware flag without a natural order
+    ordering = mm.LayerOrdering(sequence, scheme, time_aware)
     return literal_build_network(layers=layers, edges=edges, presence=presences,
                                  ordering=ordering)
 
@@ -542,8 +541,8 @@ def _restricted_growth_strings(n: int, max_blocks: int):
 
 
 def best_partition_exhaustive(net: mm.MultilayerNetwork,
-                              resolution: mm.ResolutionPolicy | None = None,
-                              coupling: mm.CouplingPolicy | None = None,
+                              resolution: mm.ResolutionPolicy = mm.ResolutionPolicy.constant(1.0),
+                              coupling: mm.CouplingPolicy = mm.CouplingPolicy.none(),
                               max_communities: int | None = None):
     """Exhaustive optimum of the multilayer score over occurrence partitions.
 

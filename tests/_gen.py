@@ -169,6 +169,6 @@ def ring_of_cliques(cliques: int, size: int, layers: int):
             for v in range(u + 1, (c + 1) * size)]
     ring += [((c + 1) * size - 1, (c + 1) * size % n) for c in range(cliques)]
     ordering = (LayerOrdering.natural(layer_ids, PairingScheme.ADJACENT) if layers > 1
-                else None)
+                else LayerOrdering())
     return build_network(entities=range(n), layers=layer_ids, ordering=ordering,
                          edges=[(layer, u, v) for layer in layer_ids for u, v in ring])

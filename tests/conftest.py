@@ -98,6 +98,26 @@ def chunk(request, monkeypatch):
     return request.param
 
 
+def line_source_matches_text(path) -> bool:
+    """Whether the readers' line source gives the lines of the whole text of
+    ``path``, numbered from 1: ``enumerate(read_utf8(path).splitlines(), start=1)``."""
+    with mlgraph._lines(path) as lines:
+        return list(lines) == list(enumerate(mlgraph.read_utf8(path).splitlines(), start=1))
+
+
+@pytest.fixture
+def opened_files(monkeypatch):
+    """The files the readers' line source opens, in opening order."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(mlgraph, "open", recording_open, raising=False)
+    return opened
+
+
 def python_fresh(*args):
     """Python on ``args`` in a fresh process that imports this package, with
     a timeout: an unbounded run fails instead of hanging the suite."""

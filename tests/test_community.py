@@ -15,7 +15,7 @@ from multimod.errors import InputError
 
 from _brute import literal_pair_layers, literal_read_communities
 from _gen import blocked_multilayer, occurrence_ids, random_multilayer, random_structure
-from conftest import LINE_BREAKS, ORDERED3_PARTITION
+from conftest import LINE_BREAKS, ORDERED3_PARTITION, line_source_matches_text
 
 
 class TestFromEntityPartition:
@@ -500,6 +500,20 @@ class TestCommunityFiles:
         with pytest.raises(InputError, match="c.txt: not UTF-8"):
             mm.read_communities(string_net, path)
 
+    @pytest.mark.parametrize("tail", [b"", b"a \xff\n"], ids=["no-bad-byte", "bad-byte"])
+    def test_closes_its_file_after_a_refusal(self, tmp_path, string_net, chunk, opened_files,
+                                             tail):
+        """A malformed line, with or without a later bad byte, is refused
+        with the file already closed, whatever the chunk size."""
+        path = tmp_path / "c.txt"
+        data = b"a 0\nb\n" + b"c 0\n" * 20 + tail
+        path.write_bytes(data)
+        with pytest.raises(InputError) as info:
+            mm.read_communities(string_net, path)
+        assert str(info.value) == (f"{path}: not UTF-8 text (byte {len(data) - 2})" if tail
+                                   else "line 2: expected 2 or 3 tokens")
+        assert len(opened_files) == 1 and opened_files[0].closed
+
     @pytest.mark.parametrize("mark", [b"", "\ufeff".encode("utf-8")], ids=["plain", "mark"])
     def test_bad_byte_beyond_the_first_chunk_comes_first(self, tmp_path, mark):
         """A file longer than one chunk whose first record is malformed and
@@ -612,7 +626,7 @@ class TestReadCommunitiesOracle:
             net = _string_ids(random_multilayer(rng, max_tuples=14))
             text = _random_community_text(rng, net, faults=rng.choice([0, 0, 1, 2]))
             path.write_bytes(rng.choice(["", "\ufeff"]).encode("utf-8") + text.encode("utf-8"))
-            assert list(mlgraph._read_lines(path)) == mlgraph.read_utf8(path).splitlines()
+            assert line_source_matches_text(path)
             try:
                 want = list(literal_read_communities(net, path).items())
             except InputError as exc:

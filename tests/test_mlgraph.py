@@ -14,7 +14,7 @@ from multimod.errors import InputError
 
 from _brute import (literal_avg_path_length, literal_build_network, literal_mean_clustering,
                     literal_parse_network_text, literal_read_network)
-from conftest import LINE_BREAKS, ordered3_network_text
+from conftest import LINE_BREAKS, line_source_matches_text, ordered3_network_text
 
 
 def line_net(layers, edges, **kw):
@@ -102,6 +102,30 @@ def test_layer_ordering_refuses_a_scheme_or_flag_of_another_type(make):
         with pytest.raises(InputError, match=f"^time_aware must be a bool, not {flag!r}$"):
             make(mm.PairingScheme.ADJACENT, flag)
     assert make(mm.PairingScheme.ADJACENT, True).time_aware is True
+
+
+@pytest.mark.parametrize("make", [
+    lambda sequence: mm.LayerOrdering(sequence, mm.PairingScheme.ADJACENT),
+    lambda sequence: mm.LayerOrdering.natural(sequence),
+    lambda sequence: mm.LayerOrdering.natural(["x"])._replace(sequence=sequence),
+], ids=["constructor", "natural", "replace"])
+def test_layer_ordering_holds_its_sequence_as_a_tuple_of_hashable_ids(make):
+    for sequence in (["a", "b"], ("a", "b"), (layer for layer in "ab")):
+        ordering = make(sequence)
+        assert type(ordering.sequence) is tuple and ordering.sequence == ("a", "b")
+    # a string once was held as given, and the others raised a bare TypeError
+    for sequence in ("ab", object(), ("a", ["b"]), 3):
+        with pytest.raises(InputError, match="^a layer ordering must be a sequence of "
+                                             "hashable layer ids, not "):
+            make(sequence)
+
+
+def test_build_network_refuses_an_ordering_that_is_no_layer_ordering():
+    # "natural" once raised a bare AttributeError
+    for ordering in ("natural", None, ("L1", "L2")):
+        with pytest.raises(InputError, match="^expected a LayerOrdering, not "):
+            line_net(["L1", "L2"], [("L1", "a", "b")], ordering=ordering)
+    assert line_net(["L1"], [("L1", "a", "b")]).ordering == mm.LayerOrdering()
 
 
 def test_unordered_layers_refuse_a_time_aware_flag_of_another_type():
@@ -532,7 +556,7 @@ class TestParseBuildOracle:
             assert parsed == literal_parse_network_text(text)
             layers, edges, presences, order = parsed
             sequence = order if order is not None else tuple(layers)
-            for ordering in (None, mm.LayerOrdering.natural(sequence)):
+            for ordering in (mm.LayerOrdering(), mm.LayerOrdering.natural(sequence)):
                 _build_both(layers=layers, edges=edges, presence=presences, ordering=ordering)
 
     def test_declared_int_and_tuple_ids_match_oracle(self):
@@ -545,7 +569,7 @@ class TestParseBuildOracle:
             used = {e for _, u, v in edges for e in (u, v)} | {e for _, e in presence}
             declared = rng.sample(sorted(used, key=repr), rng.randint(0, len(used)))
             ordering = mm.LayerOrdering.natural(rng.sample(layers, len(layers))) \
-                if rng.random() < 0.5 else None
+                if rng.random() < 0.5 else mm.LayerOrdering()
             net = _build_both(entities=declared, layers=layers, edges=edges, presence=presence,
                               ordering=ordering)
             assert net.entity_ids[:len(declared)] == tuple(declared)
@@ -563,7 +587,7 @@ class TestParseBuildOracle:
                 edges.insert(rng.randint(0, len(edges)), rng.choice(faulty))
             presence = rng.choice([[], [("A", "lone")], [("Q", "a"), ("A", "lone")]])
             declared = rng.choice([[], ["ghost"], ["a", "ghost", "other"]])
-            ordering = rng.choice([None, mm.LayerOrdering.natural(("B", "A")),
+            ordering = rng.choice([mm.LayerOrdering(), mm.LayerOrdering.natural(("B", "A")),
                                    mm.LayerOrdering.natural(("A",))])
             layer_decl = rng.choice([layers, layers + ["A"], []])
             _build_both(entities=declared, layers=layer_decl, edges=edges, presence=presence,
@@ -592,8 +616,41 @@ def test_line_source_across_the_text_readers_buffer(tmp_path, chunk, mark):
             for filler in (lines * (head // len(lines) + 1), b"x" * head):
                 for item in ("\r\n", "\U0001d11e"):
                     path.write_bytes(mark + filler[:head] + item.encode("utf-8") + b"L c d\n")
-                    assert list(mlgraph._read_lines(path)) == \
-                        mlgraph.read_utf8(path).splitlines()
+                    assert line_source_matches_text(path)
+
+
+@pytest.mark.parametrize("tail", [b"", b"L x \xff\n"], ids=["no-bad-byte", "bad-byte"])
+def test_read_network_closes_its_file_after_a_refusal(tmp_path, chunk, opened_files, tail):
+    """A malformed line, with or without a later bad byte, is refused with
+    the file already closed, whatever the chunk size."""
+    path = tmp_path / "net.mlg"
+    data = b"L a b\nL a\n" + b"L c d\n" * 20 + tail
+    path.write_bytes(data)
+    with pytest.raises(InputError) as info:
+        mm.read_network(path)
+    assert str(info.value) == (f"{path}: not UTF-8 text (byte {len(data) - 2})" if tail
+                               else "line 2: expected 3 tokens")
+    assert len(opened_files) == 1 and opened_files[0].closed
+
+
+def test_read_network_refuses_a_time_aware_flag_as_the_ordering_does(tmp_path):
+    # the mode picks only the sequence and the scheme: every mode refuses a
+    # flag of another type with one message, and "none" a time-aware flag
+    # with the unordered ordering's own
+    path = tmp_path / "net.mlg"
+    path.write_text("%order L1 L2\nL1 a b\nL2 a b\n", encoding="utf-8")
+    refusals = {}
+    for mode in ("auto", "none", "natural-adjacent", "natural-pairwise"):
+        for flag in ("yes", True):
+            try:
+                mm.read_network(path, mode, flag)
+            except InputError as exc:
+                refusals[mode, flag] = str(exc)
+    with pytest.raises(InputError) as unordered:
+        mm.LayerOrdering(None, None, True)
+    assert refusals == {**{(mode, "yes"): "time_aware must be a bool, not 'yes'" for mode in
+                           ("auto", "none", "natural-adjacent", "natural-pairwise")},
+                        ("none", True): str(unordered.value)}
 
 
 class TestReadNetworkOracle:
@@ -610,7 +667,7 @@ class TestReadNetworkOracle:
             assert _outcome(mm.parse_network_text, text) == \
                 _outcome(literal_parse_network_text, text)
             path.write_bytes(rng.choice(["", "\ufeff"]).encode("utf-8") + text.encode("utf-8"))
-            assert list(mlgraph._read_lines(path)) == mlgraph.read_utf8(path).splitlines()
+            assert line_source_matches_text(path)
             for mode in READ_MODES:
                 for time_aware in (False, True):
                     got = _outcome(mm.read_network, path, mode, time_aware)
@@ -621,7 +678,7 @@ class TestReadNetworkOracle:
                     else:
                         _assert_same_network(got, want)
                         # %presence entities come first, whatever the line order
-                        parsed = mlgraph._parse_indices(text.splitlines())
+                        parsed = mlgraph._parse_indices(enumerate(text.splitlines(), start=1))
                         renumbered += got.entity_ids != tuple(parsed[0])
         assert refused == set(REFUSALS.values())
         assert renumbered > 0

@@ -478,6 +478,31 @@ def test_overflowing_score_is_refused(twin_triangle_layers, resolution, coupling
         mm.multilayer_modularity(twin_triangle_layers, cs, resolution, coupling)
 
 
+@pytest.mark.parametrize("resolution, coupling", [
+    ("redundancy", mm.CouplingPolicy.none()),
+    (None, mm.CouplingPolicy.symmetric()),
+    (mm.ResolutionPolicy.redundancy(), mm.ResolutionPolicy.constant(1.0)),
+    (mm.ResolutionPolicy.constant(1.0), None),
+], ids=["resolution-kind", "resolution-none", "resolution-as-coupling", "coupling-none"])
+def test_scorer_refuses_what_the_objective_refuses(twin_triangle_layers, resolution, coupling):
+    # the first three once died with AttributeError in the scorer
+    cs = mm.CommunityStructure.from_entity_partition(
+        twin_triangle_layers, {e: e // 3 for e in twin_triangle_layers.entity_ids})
+    with pytest.raises(PolicyError) as objective:
+        mm.MultilayerObjective(resolution, coupling)
+    with pytest.raises(PolicyError) as scorer:
+        mm.multilayer_modularity(twin_triangle_layers, cs, resolution, coupling)
+    assert str(scorer.value) == str(objective.value)
+    assert str(scorer.value).startswith("expected a ")
+
+
+def test_scorer_has_the_objectives_defaults(twin_triangle_layers):
+    cs = mm.CommunityStructure.from_entity_partition(
+        twin_triangle_layers, {e: e // 3 for e in twin_triangle_layers.entity_ids})
+    assert mm.multilayer_modularity(twin_triangle_layers, cs) == mm.multilayer_modularity(
+        twin_triangle_layers, cs, *mm.MultilayerObjective())
+
+
 class TestMultilayerModularity:
     def test_single_layer_reduces_to_newman(self, two_triangles):
         part = {e: (0 if e < 3 else 1) for e in two_triangles.entity_ids}

@@ -79,6 +79,10 @@ def test_exported_names_are_pinned():
         assert not hasattr(mm.modularity, name)
     # deleted: ScoreReport defaults its policy to None, the last field it served
     assert not hasattr(mm.mlgraph, "_OMITTED")
+    # deleted: both readers iterate _lines, which reads the lines and
+    # reports a bad byte first
+    for name in ("_read_lines", "_bad_bytes_first"):
+        assert not hasattr(mm.mlgraph, name)
 
 
 def _names(node) -> list:
@@ -124,6 +128,74 @@ def test_only_the_coupling_plan_applies_the_distance_penalty():
         calls[path.name] = (penalties(tree), sum(penalties(plan) for plan in plans))
     assert {name: counts for name, counts in calls.items() if counts != (0, 0)} == {
         "modularity.py": (1, 1)}
+
+
+def _text_reads(tree) -> int:
+    """Calls under ``tree`` that open a file to read text: ``read_text``, and
+    the built-in or a path's ``open`` with no binary, writing or update mode
+    (``os.open`` takes flags, not a mode, and opens no text)."""
+    count = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or _names(node.func) not in (["open"], ["read_text"]):
+            continue
+        if _names(node.func) == ["read_text"]:
+            count += 1
+            continue
+        builtin = isinstance(node.func, ast.Name)
+        if not builtin and _names(node.func.value) == ["os"]:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        modes += node.args[1:2] if builtin else node.args[:1]
+        mode = modes[0].value if modes else "r"
+        count += not set(mode) & set("bwax+")
+    return count
+
+
+def test_only_the_line_source_reads_text():
+    # the readers see a file only through _lines, which reports a bad byte first
+    package = Path(mm.__file__).parent
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if _text_reads(node):
+                readers.setdefault(path.name, []).append(getattr(node, "name", None))
+    assert readers == {"mlgraph.py": ["_lines"]}
+
+
+def test_one_function_checks_the_policy_types():
+    # the objective and the scorer refuse a wrong policy type through one check
+    package = Path(mm.__file__).parent
+    checkers = set()
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            for function in scope.body if isinstance(scope, (ast.Module, ast.ClassDef)) else ():
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                name = function.name if isinstance(scope, ast.Module) \
+                    else f"{scope.name}.{function.name}"
+                # the body only: a default policy in the signature is no check
+                named = {n for statement in function.body for node in ast.walk(statement)
+                         for n in _names(node)}
+                if "isinstance" in named and {"ResolutionPolicy", "CouplingPolicy"} & named:
+                    checkers.add(name)
+                if "_check_policies" in named:
+                    callers.add(name)
+    assert checkers == {"_check_policies"}
+    assert callers == {"MultilayerObjective.__new__", "multilayer_modularity"}
+
+
+def test_read_network_builds_its_ordering_in_one_call():
+    # the mode picks the sequence and scheme; LayerOrdering does every check
+    package = Path(mm.__file__).parent
+    tree = ast.parse((package / "mlgraph.py").read_text(encoding="utf-8"))
+    reader, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "read_network")
+    calls = [_names(node.func) for node in ast.walk(reader) if isinstance(node, ast.Call)]
+    assert calls.count(["LayerOrdering"]) == 1
+    assert ["natural"] not in calls and ["unordered"] not in calls
 
 
 def test_detection_names_no_entity_ids():

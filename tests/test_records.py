@@ -241,7 +241,7 @@ def test_no_record_has_an_instance_dict_or_its_own_assignment():
 # number, a flag, a pairing scheme, a policy or a policy kind)
 TYPED_FIELDS = {
     "LayerOrdering": ({"sequence": ("a", "b"), "scheme": mm.PairingScheme.ADJACENT},
-                      InputError, ("scheme", "time_aware")),
+                      InputError, ("sequence", "scheme", "time_aware")),
     "ResolutionPolicy": ({"kind": "constant"}, PolicyError, ("kind", "gamma")),
     "CouplingPolicy": ({"kind": "asym-inner"}, PolicyError, ("kind", "time_aware")),
     "MultisliceObjective": ({}, PolicyError, ("gamma", "omega")),
