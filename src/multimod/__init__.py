@@ -20,8 +20,8 @@ _LAZY = {
     "community": ("CommunityStructure", "read_communities", "write_communities",
                   "write_flat_partition"),
     "modularity": ("CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
-                   "asymmetric_coupling", "distance_penalty", "multilayer_modularity",
-                   "multislice_modularity", "newman_modularity", "symmetric_coupling"),
+                   "distance_penalty", "multilayer_modularity", "multislice_modularity",
+                   "newman_modularity"),
     "detect": ("DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
                "aggregate_majority", "generalized_louvain", "nmi"),
     "synthbench": ("PlantedSpec", "planted_multilayer"),

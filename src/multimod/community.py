@@ -119,6 +119,7 @@ class CommunityStructure:
         self._where = where  # layer -> entity -> community, None where absent
         self._proj = proj    # community -> layer -> set of entities
         k = len(proj)
+        # community -> layer -> count, as the scores' community terms read them
         self._deg = [dict() for _ in range(k)]
         self._dint = [dict() for _ in range(k)]
         for c in range(k):
@@ -214,7 +215,7 @@ class CommunityStructure:
         """Supporting-layer mass of the redundant pairs of ``c``, normalized by
         the layer count times the number of connected pairs; 0 when the
         community has no connected pair."""
-        from fractions import Fraction  # here, as in the projection couplings
+        from fractions import Fraction  # here, so that only building a rational loads it
 
         counts, linked = self._redundancy_counts(c)
         if not linked:

@@ -51,12 +51,17 @@ class PairingScheme(Enum):
     PAIRWISE = "pairwise"  # each layer pairs with every later layer
 
 
+# text and byte strings iterate as their characters or byte values, never
+# as layer ids: a layer declaration or an ordering refuses them
+_STRINGS = (str, bytes, bytearray, memoryview)
+
+
 class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
     """Optional natural order over the layers plus the pairing constraint.
 
     ``sequence is None`` means the layers are unordered and every layer pairs
     with every other one. A natural ordering is held as a tuple of distinct,
-    hashable layer ids (not a string) and needs a pairing scheme;
+    hashable layer ids (not a text or byte string) and needs a pairing scheme;
     ``time_aware`` additionally requires a natural ordering.
     """
 
@@ -71,7 +76,7 @@ class LayerOrdering(_record("LayerOrdering", "sequence scheme time_aware")):
                 raise InputError("unordered layers admit no pairing scheme or time-awareness")
         else:
             try:
-                if isinstance(sequence, str):  # it would iterate as its characters
+                if isinstance(sequence, _STRINGS):
                     raise TypeError
                 sequence = tuple(sequence)
                 distinct = len(set(sequence))
@@ -415,17 +420,22 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering = La
 
     Args:
         entities: optional upfront entity declarations (ids, any hashable).
-        layers: layer ids in declaration order; duplicates are an error.
+        layers: layer ids in declaration order; duplicates, and a text or
+            byte string in place of the collection, are an error.
         edges: iterable of (layer, u, v) intra-layer edges; endpoints register
-            the entities; duplicates collapse; self-loops are rejected.
+            the entities; duplicates collapse; self-loops and records of
+            another length are rejected.
         ordering: a LayerOrdering, unordered by default; a natural ordering
             must be a permutation of the layers and fixes the dense layer
             indexing. Anything else is an :class:`InputError`.
-        presence: iterable of (layer, entity) declaring presence without edges.
+        presence: iterable of (layer, entity) declaring presence without
+            edges; a record of another length is rejected.
 
     Entities are indexed in first-seen order: declared, then by presence,
     then by edge. Every entity must end up present in at least one layer.
     """
+    if isinstance(layers, _STRINGS):
+        raise InputError(f"layers must be a collection of layer ids, not {layers!r}")
     layer_list = list(layers)
     if len(set(layer_list)) != len(layer_list):
         raise InputError("duplicate layer id in layer declaration")
@@ -440,13 +450,21 @@ def build_network(entities=(), layers=(), edges=(), ordering: LayerOrdering = La
     for e in entities:
         intern(e, len(entity_index))
     flat_presence = []
-    for layer, entity in presence:
+    for record in presence:
+        try:
+            layer, entity = record
+        except (TypeError, ValueError):
+            raise InputError(f"a presence record is (layer, entity), not {record!r}") from None
         li = layer_index.get(layer)
         if li is None:
             raise InputError(f"presence declaration references unknown layer {layer!r}")
         flat_presence += (li, intern(entity, len(entity_index)))
     flat_edges = []
-    for layer, u, v in edges:
+    for record in edges:
+        try:
+            layer, u, v = record
+        except (TypeError, ValueError):
+            raise InputError(f"an edge record is (layer, u, v), not {record!r}") from None
         li = layer_index.get(layer)
         if li is None:
             raise InputError(f"edge ({u!r}, {v!r}) references unknown layer {layer!r}")

@@ -1,29 +1,26 @@
 """Quality functions for single-layer and multilayer community structures.
 
 Three scores live here; each takes the network and a
-:class:`CommunityStructure` and reads each community's degree and internal
-degree per layer from the structure. ``newman_modularity`` is the classic
-measure on a single-layer network. ``multislice_modularity`` couples the
+:class:`CommunityStructure`. ``newman_modularity`` is the classic measure
+on a single-layer network. ``multislice_modularity`` couples the
 occurrences of an entity across every unordered layer pair with a constant
 weight and keeps a layer-local null model. ``multilayer_modularity``
 normalizes globally, lets the resolution factor vary per layer and
 community, and scores the inter-layer couplings through community
-projections, optionally restricted and penalized by a natural layer
-ordering. The ordering is the network's
-(``net.ordering``); no score takes another. Which layer pairs couple, the
-projection each asymmetric coupling is rescaled by, the penalties, the
-natural-ordering check and the normalization they imply are decided once,
-in :func:`coupling_plan`, which the multilayer gain engine reads as well.
-The scorer values each planned coupling with the public
-:func:`symmetric_coupling` or :func:`asymmetric_coupling`, times the
-planned penalty, so the paper's coupling formula is written once: a
-time-aware term is the asymmetric value times :func:`distance_penalty` of
-the layers' distance. Only the gain engine and the normalization read the
-plan's shared and size counts.
+projections, optionally restricted and penalized by the network's natural
+layer ordering (``net.ordering``); no score takes another. Which layer
+pairs couple, the projection each asymmetric coupling is rescaled by, the
+penalties, the natural-ordering check and the normalization they imply
+are decided once, in :func:`coupling_plan`, which the multilayer gain
+engine reads as well.
 
-Projection-based coupling values are returned as exact rationals; the
-composite scores are floats accumulated with ``math.fsum`` in a fixed order
-(community index, then layer index), so results are bit-reproducible.
+Each objective writes its community term once, as a pure function of the
+community's integer counts (``_newman_term``, ``_qms_term``, ``_q_term``),
+which its scorer reads from the structure's per-layer maps by layer index.
+The ``q`` term values a planned coupling from the plan record's own
+counts with one integer division, which rounds the exact rational once.
+Scores are accumulated with ``math.fsum`` in a fixed order (community
+index, then layer index), so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -54,11 +51,6 @@ class ResolutionPolicy(_record("ResolutionPolicy", "kind gamma")):
     @classmethod
     def redundancy(cls) -> "ResolutionPolicy":
         return cls("redundancy")
-
-    def value(self, cs: CommunityStructure, c: int, layer) -> float:
-        if self.kind == "constant":
-            return self.gamma
-        return cs.redundancy_resolution(c, layer)
 
 
 class CouplingPolicy(_record("CouplingPolicy", "kind time_aware")):
@@ -149,17 +141,22 @@ def _check_structure(net: MultilayerNetwork, cs: CommunityStructure) -> None:
         raise InputError("the community structure was built on another network")
 
 
+def _newman_term(dint: int, deg: int, two_m: int) -> float:
+    """A community's classic term from its internal degree and degree; the
+    qms term at one layer divides after the sum and differs in the last bit."""
+    return dint / two_m - (deg / two_m) ** 2
+
+
 def newman_modularity(net: MultilayerNetwork, cs: CommunityStructure) -> float:
     """Classic modularity (Newman & Girvan 2004) of ``cs`` on a single-layer
     network, from each community's degree and internal degree."""
     _check_structure(net, cs)
     if net.num_layers != 1:
         raise PolicyError("the newman objective requires a single-layer network")
-    layer = net.layer_ids[0]
-    two_m = 2 * net.num_edges(layer)
+    two_m = 2 * net.num_edges(net.layer_ids[0])
     if two_m == 0:
         raise InputError("modularity is undefined on an edgeless graph")
-    return math.fsum(cs.internal_degree(c, layer) / two_m - (cs.degree(c, layer) / two_m) ** 2
+    return math.fsum(_newman_term(cs._dint[c].get(0, 0), cs._deg[c].get(0, 0), two_m)
                      for c in cs.communities())
 
 
@@ -214,6 +211,19 @@ def multislice_parameters(net: MultilayerNetwork, gamma, omega: float):
     return gammas, two_e, norm, omega
 
 
+def _qms_term(dint: dict, deg: dict, pairs: int, gammas, two_es, omega: float) -> float:
+    """A community's unnormalized multislice term from its internal degree
+    and degree maps (layer index -> count) and its same-entity occurrence
+    pairs: ``dint - gamma d^2 / 2m`` per layer with edges, plus the pairs."""
+    terms = []
+    for li, two_e in enumerate(two_es):
+        if two_e:
+            d = deg.get(li, 0)
+            terms.append(dint.get(li, 0) - gammas[li] * d * d / two_e)
+    terms.append(2.0 * omega * pairs)
+    return math.fsum(terms)
+
+
 def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
                           gamma=1.0, omega: float = 0.0) -> float:
     """Multislice modularity with constant inter-layer coupling weight.
@@ -229,48 +239,12 @@ def multislice_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     """
     _check_structure(net, cs)
     gammas, two_es, norm, omega = multislice_parameters(net, gamma, omega)
-    community_sums = []
-    for c in cs.communities():
-        layer_terms = []
-        for li, layer in enumerate(net.layer_ids):
-            two_e = two_es[li]
-            if two_e == 0:
-                continue
-            d = cs.degree(c, layer)
-            layer_terms.append(cs.internal_degree(c, layer) - gammas[li] * d * d / two_e)
-        layer_terms.append(2.0 * omega * cs.coupled_instance_pairs(c))
-        community_sums.append(math.fsum(layer_terms))
-    return _finite(math.fsum(community_sums) / norm, "multislice")
+    total = math.fsum(_qms_term(cs._dint[c], cs._deg[c], cs.coupled_instance_pairs(c),
+                                gammas, two_es, omega) for c in cs.communities())
+    return _finite(total / norm, "multislice")
 
 
-# -- projection-based inter-layer coupling --------------------------------------
-
-
-def symmetric_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> Fraction:
-    """Shared projection of the community over the shared node set of the two
-    layers; 0 when the layers share no entity."""
-    from fractions import Fraction  # here, so that only building a rational loads it
-
-    shared_nodes = cs.net.shared_entity_count(layer_i, layer_j)
-    if shared_nodes == 0:
-        return Fraction(0)
-    return Fraction(cs.shared_projection_count(c, layer_i, layer_j), shared_nodes)
-
-
-def asymmetric_coupling(cs: CommunityStructure, c: int, layer_i, layer_j) -> Fraction:
-    """Symmetric coupling rescaled by how small the community's projection on
-    the source layer is relative to that layer; 0 for an empty projection.
-
-    Values may exceed 1; no clamping is applied.
-    """
-    from fractions import Fraction
-
-    proj = cs.projection_size(c, layer_i)
-    if proj == 0:
-        return Fraction(0)
-    li = cs.net.layer_index(layer_i)
-    layer_size = len(cs.net.presence_idx(li))
-    return symmetric_coupling(cs, c, layer_i, layer_j) * Fraction(layer_size, proj)
+# -- inter-layer coupling plan --------------------------------------------------
 
 
 def distance_penalty(distance: int) -> float:
@@ -296,9 +270,8 @@ def coupling_plan(net: MultilayerNetwork, coupling: CouplingPolicy):
     unordered network lists each layer pair from both sides, so its
     records count each coupling edge twice.
 
-    The scorer reads ``i``, ``j``, ``src`` and ``penalty`` and values each
-    record with the public coupling functions, source layer first;
-    ``shared`` and ``size`` are read only by ``norm`` and the gain engine.
+    The ``q`` term and the gain engine value each record from its own
+    ``shared`` and ``size`` counts and the community's projections.
     """
     if coupling.time_aware and not net.ordering.is_natural:
         raise PolicyError("time-aware coupling requires a natural layer ordering")
@@ -331,6 +304,34 @@ def _check_policies(resolution, coupling) -> None:
             raise PolicyError(f"expected a {kind.__name__}, not {value!r}")
 
 
+def _q_term(dint: dict, deg: dict, proj: dict, nrp, inter, by_layer, norm: int,
+            gamma: float, symmetric: bool) -> tuple:
+    """``(term, rows)`` of one community under the multilayer objective,
+    from its internal degree, degree and projection size maps (layer index
+    -> count), its redundant pair counts per layer (None under the constant
+    resolution ``gamma``) and, in ``inter[li]``, its projections'
+    intersection for each plan record of ``by_layer[li]``. A record ``(i,
+    j, src, shared, size, penalty)`` with intersection ``n`` is worth ``n /
+    shared`` when symmetric, ``n * size / (shared * proj[src])`` when
+    asymmetric (0.0 for an empty source projection), times ``penalty``.
+    ``rows`` holds each layer's ``(intra, null, coupling)``; ``term`` is the
+    unnormalized fsum of their ``intra - null + coupling``."""
+    rows = []
+    for li, records in enumerate(by_layer):
+        d = deg.get(li, 0)
+        null = (gamma if nrp is None else log_decay(nrp[li])) * d * d / norm
+        values = []
+        for n, (_, _, src, shared, size, penalty) in zip(inter[li], records):
+            if symmetric:
+                value = n / shared
+            else:
+                p = proj.get(src, 0)
+                value = n * size / (shared * p) if p else 0.0
+            values.append(value * penalty)
+        rows.append((float(dint.get(li, 0)), null, math.fsum(values)))
+    return math.fsum(intra - null + coup for intra, null, coup in rows), rows
+
+
 def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
                           resolution: ResolutionPolicy = ResolutionPolicy.constant(1.0),
                           coupling: CouplingPolicy = CouplingPolicy.none()) -> ScoreReport:
@@ -358,22 +359,20 @@ def multilayer_modularity(net: MultilayerNetwork, cs: CommunityStructure,
     by_layer = [[] for _ in ids]
     for record in records:
         by_layer[record[0]].append(record)
-    value = symmetric_coupling if coupling.kind == "symmetric" else asymmetric_coupling
+    redundancy = resolution.kind == "redundancy"
+    symmetric = coupling.kind == "symmetric"
 
     terms = []
     community_sums = []
     for c in cs.communities():
-        layer_terms = []
-        for li, layer in enumerate(ids):
-            intra = float(cs.internal_degree(c, layer))
-            d = cs.degree(c, layer)
-            null = resolution.value(cs, c, layer) * d * d / norm
-            # source layer first; a symmetric value is the same either way
-            coup = math.fsum(float(value(cs, c, ids[src], ids[j if src == i else i])) * penalty
-                             for i, j, src, _, _, penalty in by_layer[li])
-            terms.append(ScoreTerm(c, layer, intra, null, coup))
-            layer_terms.append(intra - null + coup)
-        community_sums.append(math.fsum(layer_terms))
+        p = cs._proj[c]
+        inter = [[len(p[i] & p[j]) if i in p and j in p else 0 for i, j, *_ in layer_records]
+                 for layer_records in by_layer]
+        term, rows = _q_term(cs._dint[c], cs._deg[c], {li: len(s) for li, s in p.items()},
+                             cs._redundancy_counts(c)[0] if redundancy else None, inter,
+                             by_layer, norm, resolution.gamma, symmetric)
+        terms += (ScoreTerm(c, layer, *row) for layer, row in zip(ids, rows))
+        community_sums.append(term)
     total = _finite(math.fsum(community_sums) / norm, "multilayer")
 
     ordering = net.ordering

@@ -12,7 +12,9 @@ literal gain engines, local-moving loop and aggregation baseline at the
 end, are different in kind: they are earlier,
 unoptimised forms of the package's own code, and serve to check that the
 optimised forms give the same networks, structures, aggregates, error
-messages and bit-identical gains and runs.
+messages and bit-identical gains and runs. The coupling values are exact
+rationals from the member sets, and the union counts of two communities
+are found edge by edge, to feed the package's own community terms.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from multimod.community import log_decay
 from multimod.detect import (DetectResult, _Comm, _make_unit, _MultilayerEngine,
                              _MultisliceEngine)
 from multimod.mlgraph import _assemble
+from multimod.modularity import _q_term, _qms_term, coupling_plan, multislice_parameters
 
 from _gen import occurrence_ids
 
@@ -519,6 +522,125 @@ def multilayer_modularity_direct(net: mm.MultilayerNetwork, cs: mm.CommunityStru
                     coup += value
             total += dint - gamma * d * d / norm + beta * coup
     return total / norm
+
+
+# -- literal coupling values and the term of a union ---------------------------------
+
+
+def _literal_projection(cs, c, layer) -> set:
+    """Entities of community ``c`` on ``layer``, from the assignment."""
+    return {e for (e, l), cc in cs.as_assignment().items() if l == layer and cc == c}
+
+
+def _literal_layer(net, layer) -> set:
+    """Entities present on ``layer``, by id."""
+    li = net.layer_index(layer)
+    return {net.entity_ids[e] for e in net.presence_idx(li)}
+
+
+def literal_symmetric_coupling(cs, c, layer_i, layer_j) -> Fraction:
+    """The paper's symmetric coupling of community ``c`` between two layers:
+    its members on both over the entities the layers share; 0 when they
+    share none."""
+    shared = _literal_layer(cs.net, layer_i) & _literal_layer(cs.net, layer_j)
+    if not shared:
+        return Fraction(0)
+    both = _literal_projection(cs, c, layer_i) & _literal_projection(cs, c, layer_j)
+    return Fraction(len(both), len(shared))
+
+
+def literal_asymmetric_coupling(cs, c, layer_i, layer_j) -> Fraction:
+    """The symmetric coupling times the source layer ``layer_i``'s size over
+    the community's projection on it; 0 for an empty projection."""
+    proj = _literal_projection(cs, c, layer_i)
+    if not proj:
+        return Fraction(0)
+    size = len(_literal_layer(cs.net, layer_i))
+    return literal_symmetric_coupling(cs, c, layer_i, layer_j) * Fraction(size, len(proj))
+
+
+def time_aware_terms(net, cs) -> list:
+    """``(aware, plain, far)`` for each community and layer of ``cs`` on
+    ``net``, which has a natural ordering: the term's coupling under
+    time-aware and under plain asym-inner coupling, and whether the layer
+    pairs with a layer at distance >= 2 where the community's asymmetric
+    coupling is positive."""
+    aware = mm.multilayer_modularity(net, cs,
+                                     coupling=mm.CouplingPolicy.asym_inner(time_aware=True))
+    plain = mm.multilayer_modularity(net, cs, coupling=mm.CouplingPolicy.asym_inner())
+    out = []
+    for a, p in zip(aware.terms, plain.terms, strict=True):
+        i = net.layer_index(a.layer)
+        far = any(net.layer_index(other) - i >= 2
+                  and literal_asymmetric_coupling(cs, a.community, a.layer, other) > 0
+                  for other in net.valid_pairings(a.layer))
+        out.append((a.coupling, p.coupling, far))
+    return out
+
+
+def union_counts(net, cs, a, b) -> dict:
+    """The counts a community term reads, for the union of communities
+    ``a`` and ``b`` of ``cs``: each is the two communities' own counts plus
+    the cross counts between them, found edge by edge and set by set; the
+    redundant pair counts, which do not add, are counted over the union's
+    flattened membership. Maps are keyed by layer index, and ``inter`` by
+    the ordered layer pair ``(i, j)``."""
+    ell = net.num_layers
+    pa, pb = ([cs._proj[c].get(li, set()) for li in range(ell)] for c in (a, b))
+    dint, deg, size = {}, {}, {}
+    for li in range(ell):
+        cross = sum((u in pa[li] and v in pb[li]) or (u in pb[li] and v in pa[li])
+                    for u, v in net.edges_idx(li))
+        dint[li] = cs._dint[a].get(li, 0) + cs._dint[b].get(li, 0) + 2 * cross
+        deg[li] = cs._deg[a].get(li, 0) + cs._deg[b].get(li, 0)
+        size[li] = len(pa[li]) + len(pb[li])
+    cross_pairs = sum(len(pa[i] & pb[j]) for i in range(ell) for j in range(ell) if i != j)
+    pairs = cs.coupled_instance_pairs(a) + cs.coupled_instance_pairs(b) + cross_pairs
+    inter = {(i, j): len(pa[i] & pa[j]) + len(pb[i] & pb[j])
+             + len(pa[i] & pb[j]) + len(pb[i] & pa[j])
+             for i in range(ell) for j in range(ell) if i != j}
+    flat = set().union(*pa, *pb)
+    supports = [ls for ls in literal_pair_layers(net, flat).values() if len(ls) >= 2]
+    nrp = [sum(li in ls for ls in supports) for li in range(ell)]
+    return {"dint": dint, "deg": deg, "size": size, "pairs": pairs, "inter": inter,
+            "nrp": nrp}
+
+
+def check_merged_term(net, cs, a, b, objective) -> None:
+    """Assert that ``objective``'s community term on the union counts of
+    ``a`` and ``b`` is, bit for bit, the term its scorer gives the community
+    that merges them: under ``q`` the per-layer rows and their sum, under
+    both the total, which adds the other communities' terms."""
+    merged = mm.CommunityStructure(
+        net, {t: a if c == b else c for t, c in cs.as_assignment().items()})
+    first = next(t for t, c in cs.as_assignment().items() if c in (a, b))
+    m = merged.as_assignment()[first]
+    u = union_counts(net, cs, a, b)
+    if isinstance(objective, mm.MultisliceObjective):
+        gammas, two_es, norm, omega = multislice_parameters(net, objective.gamma,
+                                                            objective.omega)
+        term = _qms_term(u["dint"], u["deg"], u["pairs"], gammas, two_es, omega)
+        others = [_qms_term(merged._dint[c], merged._deg[c], merged.coupled_instance_pairs(c),
+                            gammas, two_es, omega) for c in merged.communities() if c != m]
+        total = mm.multislice_modularity(net, merged, objective.gamma, objective.omega)
+    else:
+        resolution, coupling = objective
+        records, norm = coupling_plan(net, coupling)
+        by_layer = [[r for r in records if r[0] == li] for li in range(net.num_layers)]
+        inter = [[u["inter"][(i, j)] for i, j, *_ in rs] for rs in by_layer]
+        term, rows = _q_term(u["dint"], u["deg"], u["size"],
+                             u["nrp"] if resolution.kind == "redundancy" else None, inter,
+                             by_layer, norm, resolution.gamma, coupling.kind == "symmetric")
+        report = mm.multilayer_modularity(net, merged, resolution, coupling)
+        got = {c: [(t.intra, t.null_model, t.coupling) for t in report.terms
+                   if t.community == c] for c in merged.communities()}
+        assert rows == got[m]
+        scored = math.fsum(intra - null + coup for intra, null, coup in got[m])
+        assert term.hex() == scored.hex()
+        others = [math.fsum(intra - null + coup for intra, null, coup in got[c])
+                  for c in merged.communities() if c != m]
+        total = report.total
+    assert total.hex() == (math.fsum([term, *others]) / norm).hex()
 
 
 # -- exhaustive optimum over tiny instances ------------------------------------------

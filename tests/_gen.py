@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import random
 
-from multimod import (CommunityStructure, CouplingPolicy, LayerOrdering, PairingScheme,
-                      asymmetric_coupling, build_network, multilayer_modularity,
+from multimod import (CommunityStructure, LayerOrdering, PairingScheme, build_network,
                       write_flat_partition, write_network)
 
 
@@ -85,24 +84,6 @@ def natural_orderings(net):
         LayerOrdering.natural(net.layer_ids, PairingScheme.ADJACENT),
         LayerOrdering.natural(net.layer_ids, PairingScheme.PAIRWISE),
     )
-
-
-def time_aware_terms(net, cs) -> list:
-    """``(aware, plain, far)`` for each community and layer of ``cs`` on
-    ``net``, which has a natural ordering: the term's coupling under
-    time-aware and under plain asym-inner coupling, and whether the layer
-    pairs with a layer at distance >= 2 where the community's asymmetric
-    coupling is positive."""
-    aware = multilayer_modularity(net, cs, coupling=CouplingPolicy.asym_inner(time_aware=True))
-    plain = multilayer_modularity(net, cs, coupling=CouplingPolicy.asym_inner())
-    out = []
-    for a, p in zip(aware.terms, plain.terms, strict=True):
-        i = net.layer_index(a.layer)
-        far = any(net.layer_index(other) - i >= 2
-                  and asymmetric_coupling(cs, a.community, a.layer, other) > 0
-                  for other in net.valid_pairings(a.layer))
-        out.append((a.coupling, p.coupling, far))
-    return out
 
 
 def with_ordering(net, ordering):

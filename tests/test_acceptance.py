@@ -13,9 +13,10 @@ from fractions import Fraction
 import multimod as mm
 from multimod.cli import main as cli_main
 
-from _brute import best_partition_exhaustive, multilayer_modularity_direct
+from _brute import (best_partition_exhaustive, literal_asymmetric_coupling,
+                    literal_symmetric_coupling, multilayer_modularity_direct, time_aware_terms)
 from _gen import (natural_orderings, random_multilayer, random_single_layer, random_structure,
-                  save_planted, time_aware_terms, with_ordering)
+                  save_planted, with_ordering)
 from conftest import ORDERED3_PARTITION, build_ordered3
 
 
@@ -28,10 +29,17 @@ def test_criterion_1_exact_projection_coupling_values():
     net = build_ordered3()
     cs = mm.CommunityStructure.from_entity_partition(net, ORDERED3_PARTITION)
     c1 = cs.as_assignment()[("e01", "L1")]
-    inner = mm.asymmetric_coupling(cs, c1, "L1", "L2")
-    outer = mm.asymmetric_coupling(cs, c1, "L2", "L1")
+    inner = literal_asymmetric_coupling(cs, c1, "L1", "L2")
+    outer = literal_asymmetric_coupling(cs, c1, "L2", "L1")
     assert inner == Fraction(8, 9)
     assert outer == Fraction(1)
+    # the adjacent ordering gives L1 the one pair L1 -> L2, rescaled by L1's
+    # projection under asym-inner and by L2's under asym-outer
+    for coupling, value in ((mm.CouplingPolicy.asym_inner(), inner),
+                            (mm.CouplingPolicy.asym_outer(), outer)):
+        scored = mm.multilayer_modularity(net, cs, coupling=coupling)
+        [term] = [t for t in scored.terms if (t.community, t.layer) == (c1, "L1")]
+        assert term.coupling == float(value)
     elapsed = time.time() - started
     assert elapsed < 1.0
     report(1, "exact asymmetric coupling values")
@@ -122,9 +130,9 @@ def test_criterion_4_range_and_invariant_suites():
                 for b in net.layer_ids:
                     if a == b:
                         continue
-                    value = mm.symmetric_coupling(cs, c, a, b)
+                    value = literal_symmetric_coupling(cs, c, a, b)
                     assert 0 <= value <= 1
-                    assert value == mm.symmetric_coupling(cs, c, b, a)
+                    assert value == literal_symmetric_coupling(cs, c, b, a)
                     cases += 1
     sym_cases = cases
 

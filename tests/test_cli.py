@@ -636,6 +636,8 @@ HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "pickle", "dataclasses
 _SCORING = {"cli", "errors", "mlgraph", "community", "modularity"}
 COMMANDS = {
     "score": (["score", "{net}", "{comm}"], _SCORING | {"detect"}),
+    "score-redundancy": (["score", "{net}", "{comm}", "--resolution", "redundancy",
+                          "--coupling", "asym-inner"], _SCORING | {"detect"}),
     "score-newman": (["score", "{tri_net}", "{tri_comm}", "--objective", "newman"], _SCORING),
     "sweep": (["sweep", "{net}", "{comm}", "--protocol", "omega"], _SCORING),
     "stats": (["stats", "{net}"], {"cli", "errors", "mlgraph", "_workers"}),
@@ -650,8 +652,9 @@ def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, com
     """Only ``detect`` writes digests, so no other command loads hashlib
     and the OpenSSL library behind it; no command loads a process pool,
     pickle, dataclasses or inspect, whose imports would slow every start;
-    only ``stats`` loads fractions, through statistics, since these runs
-    build no rational; and ``import multimod`` loads only the errors, each
+    only ``stats`` loads fractions, through statistics, since no score
+    builds a rational under any resolution or coupling; and ``import
+    multimod`` loads only the errors, each
     command only the package modules it runs (a newman score, on the
     one-layer triangle, builds no objective)."""
     argv, modules = COMMANDS[command]
@@ -752,6 +755,20 @@ GOLDEN = {
         ["score", "--objective", "q", "--resolution", "redundancy",
          "--coupling", "asym-outer", "--time-aware", "--ordering", "natural-pairwise"],
         {"stdout": "f06acc33e1ceef0aa017039baa8be70614c4cb349a04a885e98334ff2bb03766"}),
+    "score-q-sym-json": (
+        ["score", "--objective", "q", "--coupling", "sym", "--output", "json"],
+        {"stdout": "fe7563bcc23901b1953f835d203e8c813b31c3a4b353bb81f7d4af7377f4646a"}),
+    "score-q-asym-inner-adjacent-json": (
+        ["score", "--objective", "q", "--coupling", "asym-inner",
+         "--ordering", "natural-adjacent", "--output", "json"],
+        {"stdout": "287c8d93ebce3fc4130c40459fb7ceb743e456024f232f085b60dd4c2a001ce3"}),
+    "score-q-constant-json": (
+        ["score", "--objective", "q", "--resolution", "constant:0.5", "--coupling", "none",
+         "--output", "json"],
+        {"stdout": "6f3776d2cc4f2debc7caf10c8a045e77e8bcf077870a286f9ea38307ffbb30b7"}),
+    "score-qms-json": (
+        ["score", "--objective", "qms", "--omega", "1", "--output", "json"],
+        {"stdout": "29fd00deeba6ff5cc107bb82bd53209ca3407de74d21e83cda3c2360e5447312"}),
     "stats": (
         ["stats"],
         {"stdout": "71f0eeafa274440f957b14fbc22d991893d89a66eb974d1a67ab1a057b65ebdc"}),

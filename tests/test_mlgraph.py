@@ -120,6 +120,39 @@ def test_layer_ordering_holds_its_sequence_as_a_tuple_of_hashable_ids(make):
             make(sequence)
 
 
+def test_layer_ordering_refuses_a_byte_string():
+    # bytes once were held as their byte values: (97, 98)
+    for sequence in (b"ab", bytearray(b"ab"), memoryview(b"ab")):
+        with pytest.raises(InputError, match="^a layer ordering must be a sequence of "
+                                             "hashable layer ids, not "):
+            mm.LayerOrdering(sequence, mm.PairingScheme.ADJACENT)
+
+
+@pytest.mark.parametrize("layers", ["L1", b"L1", bytearray(b"L1")],
+                         ids=["str", "bytes", "bytearray"])
+def test_build_network_refuses_a_string_of_layers(layers):
+    # "L1" once built the two layers "L" and "1"
+    with pytest.raises(InputError, match="^layers must be a collection of layer ids, not "):
+        mm.build_network(layers=layers, edges=[("L", "a", "b")])
+
+
+@pytest.mark.parametrize("edges,presence,message", [
+    ([("L", "a")], (), r"^an edge record is \(layer, u, v\), not \('L', 'a'\)$"),
+    ([("L", "a", "b", "c")], (),
+     r"^an edge record is \(layer, u, v\), not \('L', 'a', 'b', 'c'\)$"),
+    ([7], (), r"^an edge record is \(layer, u, v\), not 7$"),
+    ((), [("L",)], r"^a presence record is \(layer, entity\), not \('L',\)$"),
+    ((), [("L", "a", "b")],
+     r"^a presence record is \(layer, entity\), not \('L', 'a', 'b'\)$"),
+    ((), [None], r"^a presence record is \(layer, entity\), not None$"),
+], ids=["short-edge", "long-edge", "edge-no-record", "short-presence", "long-presence",
+        "presence-no-record"])
+def test_build_network_names_a_record_of_another_length(edges, presence, message):
+    # each once raised a bare ValueError or TypeError from the unpacking
+    with pytest.raises(InputError, match=message):
+        mm.build_network(layers=["L"], edges=[("L", "x", "y"), *edges], presence=presence)
+
+
 def test_build_network_refuses_an_ordering_that_is_no_layer_ordering():
     # "natural" once raised a bare AttributeError
     for ordering in ("natural", None, ("L1", "L2")):

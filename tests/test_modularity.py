@@ -11,10 +11,12 @@ import pytest
 import multimod as mm
 from multimod.errors import InputError, PolicyError
 from multimod.modularity import coupling_plan, multislice_parameters
-from _brute import (literal_coupling_pairs, literal_total_degree, multilayer_modularity_direct,
-                    literal_newman, multislice_direct, newman_direct)
-from _gen import (natural_orderings, occurrence_ids, random_multilayer, random_single_layer,
-                  random_structure, ring_of_cliques, time_aware_terms, with_ordering)
+from _brute import (check_merged_term, literal_asymmetric_coupling, literal_coupling_pairs,
+                    literal_newman, literal_symmetric_coupling, literal_total_degree,
+                    multilayer_modularity_direct, multislice_direct, newman_direct,
+                    time_aware_terms, union_counts)
+from _gen import (blocked_multilayer, natural_orderings, occurrence_ids, random_multilayer,
+                  random_single_layer, random_structure, ring_of_cliques, with_ordering)
 
 
 class TestStructureOfAnotherNetwork:
@@ -208,21 +210,34 @@ class TestMultislice:
                 mm.multislice_modularity(net, cs, 1.0, omega)
 
 
+def term_coupling(net, cs, coupling, c, layer) -> float:
+    """The coupling of community ``c``'s term on ``layer`` in the score."""
+    report = mm.multilayer_modularity(net, cs, coupling=coupling)
+    [term] = [t for t in report.terms if (t.community, t.layer) == (c, layer)]
+    return term.coupling
+
+
 class TestSymmetricCoupling:
-    def test_ordered3_value(self, ordered3_cs):
+    def test_ordered3_value(self, ordered3, ordered3_cs):
+        # ordered3 is adjacent: L1's term holds the one pair L1 -> L2
         c1 = ordered3_cs.as_assignment()[("e01", "L1")]
-        assert mm.symmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(2, 9)
+        assert literal_symmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(2, 9)
+        assert term_coupling(ordered3, ordered3_cs, mm.CouplingPolicy.symmetric(),
+                             c1, "L1") == float(Fraction(2, 9))
 
     def test_full_cover(self, twin_triangle_layers):
         cs = mm.CommunityStructure.from_entity_partition(
             twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
-        assert mm.symmetric_coupling(cs, 0, "x", "y") == 1
+        assert literal_symmetric_coupling(cs, 0, "x", "y") == 1
+        assert term_coupling(twin_triangle_layers, cs, mm.CouplingPolicy.symmetric(),
+                             0, "x") == 1.0
 
     def test_disjoint_layers(self):
         net = mm.build_network(layers=["x", "y"],
                                edges=[("x", "a", "b"), ("y", "c", "d")])
         cs = mm.CommunityStructure.from_entity_partition(net, dict.fromkeys("abcd", 0))
-        assert mm.symmetric_coupling(cs, 0, "x", "y") == 0
+        assert literal_symmetric_coupling(cs, 0, "x", "y") == 0
+        assert term_coupling(net, cs, mm.CouplingPolicy.symmetric(), 0, "x") == 0.0
 
     def test_symmetry_property(self):
         rng = random.Random(77)
@@ -234,24 +249,31 @@ class TestSymmetricCoupling:
                     for lb in net.layer_ids:
                         if la == lb:
                             continue
-                        v = mm.symmetric_coupling(cs, c, la, lb)
+                        v = literal_symmetric_coupling(cs, c, la, lb)
                         assert 0 <= v <= 1
-                        assert v == mm.symmetric_coupling(cs, c, lb, la)
+                        assert v == literal_symmetric_coupling(cs, c, lb, la)
 
 
 class TestAsymmetricCoupling:
-    def test_ordered3_inner_value(self, ordered3_cs):
+    def test_ordered3_inner_value(self, ordered3, ordered3_cs):
         c1 = ordered3_cs.as_assignment()[("e01", "L1")]
-        assert mm.asymmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(8, 9)
+        assert literal_asymmetric_coupling(ordered3_cs, c1, "L1", "L2") == Fraction(8, 9)
+        assert term_coupling(ordered3, ordered3_cs, mm.CouplingPolicy.asym_inner(),
+                             c1, "L1") == float(Fraction(8, 9))
 
-    def test_ordered3_outer_value(self, ordered3_cs):
+    def test_ordered3_outer_value(self, ordered3, ordered3_cs):
+        # asym-outer rescales L1's pair L1 -> L2 by L2's projection
         c1 = ordered3_cs.as_assignment()[("e01", "L1")]
-        assert mm.asymmetric_coupling(ordered3_cs, c1, "L2", "L1") == 1
+        assert literal_asymmetric_coupling(ordered3_cs, c1, "L2", "L1") == 1
+        assert term_coupling(ordered3, ordered3_cs, mm.CouplingPolicy.asym_outer(),
+                             c1, "L1") == 1.0
 
     def test_full_overlap(self, twin_triangle_layers):
         cs = mm.CommunityStructure.from_entity_partition(
             twin_triangle_layers, {e: 0 for e in twin_triangle_layers.entity_ids})
-        assert mm.asymmetric_coupling(cs, 0, "x", "y") == 1
+        assert literal_asymmetric_coupling(cs, 0, "x", "y") == 1
+        assert term_coupling(twin_triangle_layers, cs, mm.CouplingPolicy.asym_inner(),
+                             0, "x") == 1.0
 
     def test_relation_to_symmetric(self):
         rng = random.Random(31)
@@ -263,8 +285,8 @@ class TestAsymmetricCoupling:
                     for lb in net.layer_ids:
                         if la == lb:
                             continue
-                        sym = mm.symmetric_coupling(cs, c, la, lb)
-                        asym = mm.asymmetric_coupling(cs, c, la, lb)
+                        sym = literal_symmetric_coupling(cs, c, la, lb)
+                        asym = literal_asymmetric_coupling(cs, c, la, lb)
                         proj = cs.projection_size(c, la)
                         vsize = len(net.presence_idx(net.layer_index(la)))
                         if proj:
@@ -281,11 +303,9 @@ class TestTimeAwareCoupling:
     def test_distance_one_is_no_penalty(self, ordered3, ordered3_cs):
         # ordered3 is adjacent: L1's term holds the one pair L1 -> L2
         c1 = ordered3_cs.as_assignment()[("e01", "L1")]
-        asym = float(mm.asymmetric_coupling(ordered3_cs, c1, "L1", "L2"))
-        report = mm.multilayer_modularity(ordered3, ordered3_cs,
-                                          coupling=mm.CouplingPolicy.asym_inner(time_aware=True))
-        [term] = [t for t in report.terms if (t.community, t.layer) == (c1, "L1")]
-        assert term.coupling == asym
+        asym = float(literal_asymmetric_coupling(ordered3_cs, c1, "L1", "L2"))
+        assert term_coupling(ordered3, ordered3_cs, mm.CouplingPolicy.asym_inner(time_aware=True),
+                             c1, "L1") == asym
 
     def test_distance_three(self):
         # t0 shares its entities with t3 alone: its term holds one pair, at distance 3
@@ -294,10 +314,10 @@ class TestTimeAwareCoupling:
         ordering = mm.LayerOrdering.natural(layers, mm.PairingScheme.PAIRWISE)
         net = mm.build_network(layers=layers, edges=edges, ordering=ordering)
         cs = mm.CommunityStructure.from_entity_partition(net, dict.fromkeys("abcdef", 0))
-        asym = float(mm.asymmetric_coupling(cs, 0, "t0", "t3"))
+        asym = float(literal_asymmetric_coupling(cs, 0, "t0", "t3"))
         assert asym > 0
         # t3's projection is t3 itself too, so asym-outer rescales the pair alike
-        assert float(mm.asymmetric_coupling(cs, 0, "t3", "t0")) == asym
+        assert float(literal_asymmetric_coupling(cs, 0, "t3", "t0")) == asym
         for kind in ("asym-inner", "asym-outer"):
             report = mm.multilayer_modularity(net, cs, coupling=mm.CouplingPolicy(kind, True))
             term = report.terms[0]
@@ -611,10 +631,10 @@ class TestMultilayerModularity:
                         slow = multilayer_modularity_direct(onet, ocs, res, coup)
                         assert fast == pytest.approx(slow, abs=1e-12)
 
-    def test_coupling_terms_are_the_public_functions(self):
+    def test_coupling_terms_are_the_literal_values(self):
         # each term's coupling is the exact sum, over the layer's literal
-        # pairs, of the public coupling function (source layer first) times
-        # the penalty; a pair sharing no entity adds an exact 0
+        # pairs, of the literal rational coupling value (source layer first)
+        # times the penalty; a pair sharing no entity adds an exact 0
         rng = random.Random(16)
         for _ in range(30):
             net = random_multilayer(rng)
@@ -624,8 +644,8 @@ class TestMultilayerModularity:
                 ocs = mm.CommunityStructure(onet, cs.as_assignment())
                 ids = onet.layer_ids
                 for coupling in valid_couplings(ordering):
-                    f = (mm.symmetric_coupling if coupling.kind == "symmetric"
-                         else mm.asymmetric_coupling)
+                    f = (literal_symmetric_coupling if coupling.kind == "symmetric"
+                         else literal_asymmetric_coupling)
                     want = {}
                     for c in ocs.communities():
                         for i, j, penalty in literal_coupling_pairs(onet, coupling):
@@ -636,6 +656,53 @@ class TestMultilayerModularity:
                     for t in report.terms:
                         key = (t.community, onet.layer_index(t.layer))
                         assert t.coupling == math.fsum(want.get(key, ()))
+
+
+class TestMergedTerm:
+    """Each objective's community term, on the counts of the union of two
+    communities, is the term the scorer gives the community that merges
+    them: a merge gain needs no structure built for the merge."""
+
+    @staticmethod
+    def objectives(net):
+        gammas = [0.5 + 0.25 * li for li in range(net.num_layers)]
+        yield mm.MultisliceObjective(1.0, 0.0)
+        yield mm.MultisliceObjective(gammas, 0.7)
+        for resolution in (mm.ResolutionPolicy.constant(0.5), mm.ResolutionPolicy.redundancy()):
+            for coupling in valid_couplings(net.ordering):
+                yield mm.MultilayerObjective(resolution, coupling)
+
+    def check_all_pairs(self, net, cs) -> int:
+        checks = 0
+        for ordering in (mm.LayerOrdering.unordered(), *natural_orderings(net)):
+            onet = with_ordering(net, ordering)
+            ocs = mm.CommunityStructure(onet, cs.as_assignment())
+            for objective in self.objectives(onet):
+                for a in ocs.communities():
+                    for b in range(a + 1, ocs.num_communities):
+                        check_merged_term(onet, ocs, a, b, objective)
+                        checks += 1
+        return checks
+
+    def test_random_structures(self):
+        rng = random.Random(36)
+        checks = 0
+        for _ in range(60):
+            net = random_multilayer(rng)
+            if any(not net.num_edges(layer) for layer in net.layer_ids):
+                continue  # the multislice null model needs every layer's edges
+            checks += self.check_all_pairs(net, random_structure(rng, net))
+        assert checks > 1200
+
+    def test_blocks_split_across_communities(self):
+        # entities lie in two communities, so the union's redundant pair
+        # counts are not the two communities' counts added
+        net, cs = blocked_multilayer(random.Random(3), blocks=3, block_size=6, layers=3,
+                                     p_split=0.4)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            added = [x + y for x, y in zip(*(cs._redundancy_counts(c)[0] for c in (a, b)))]
+            assert union_counts(net, cs, a, b)["nrp"] != added
+        assert self.check_all_pairs(net, cs) > 0
 
 
 class TestScoreReportSerialization:

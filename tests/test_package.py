@@ -30,10 +30,8 @@ EXPORTED = {
     "PairingScheme", "build_network", "parse_network_text", "read_network",
     "write_network",
     "CommunityStructure", "read_communities", "write_communities", "write_flat_partition",
-    "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm",
-    "asymmetric_coupling", "distance_penalty",
+    "CouplingPolicy", "ResolutionPolicy", "ScoreReport", "ScoreTerm", "distance_penalty",
     "multilayer_modularity", "multislice_modularity", "newman_modularity",
-    "symmetric_coupling",
     "DetectConfig", "DetectResult", "MultilayerObjective", "MultisliceObjective",
     "aggregate_majority", "generalized_louvain", "nmi",
     "PlantedSpec", "planted_multilayer",
@@ -83,6 +81,13 @@ def test_exported_names_are_pinned():
     # reports a bad byte first
     for name in ("_read_lines", "_bad_bytes_first"):
         assert not hasattr(mm.mlgraph, name)
+    # deleted: the q term values each plan record from its own counts and
+    # picks its resolution from the policy; the tests check it against
+    # literal rationals
+    for name in ("symmetric_coupling", "asymmetric_coupling"):
+        assert not hasattr(mm, name)
+        assert not hasattr(mm.modularity, name)
+    assert not hasattr(mm.ResolutionPolicy, "value")
 
 
 def _names(node) -> list:
@@ -128,6 +133,61 @@ def test_only_the_coupling_plan_applies_the_distance_penalty():
         calls[path.name] = (penalties(tree), sum(penalties(plan) for plan in plans))
     assert {name: counts for name, counts in calls.items() if counts != (0, 0)} == {
         "modularity.py": (1, 1)}
+
+
+def _squares(tree) -> bool:
+    """Whether ``tree`` squares a name, ``x ** 2`` or ``... * x * x``: the
+    null model of a community term, which squares the community's degree."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        if isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2:
+            return True
+        if isinstance(node.op, ast.Mult) and isinstance(node.right, ast.Name):
+            left = node.left.right if isinstance(node.left, ast.BinOp) \
+                and isinstance(node.left.op, ast.Mult) else node.left
+            if _names(left) == [node.right.id]:
+                return True
+    return False
+
+
+def test_each_objective_has_one_community_term():
+    # a community's counts become its term in one function per objective,
+    # and each scorer calls its own, from nowhere else in the package
+    package = Path(mm.__file__).parent
+    terms = {"_newman_term": "newman_modularity", "_qms_term": "multislice_modularity",
+             "_q_term": "multilayer_modularity"}
+    squaring = []
+    callers = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            if path.name == "modularity.py" and _squares(function):
+                squaring.append(function.name)
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id in terms:
+                    callers.setdefault(node.func.id, []).append(function.name)
+    assert callers == {term: [scorer] for term, scorer in terms.items()}
+    # the gain engine in detect.py keeps its own measured fast paths
+    assert squaring == list(terms)
+
+
+def test_only_the_redundancy_builds_a_rational():
+    # the scores divide integers instead, so no score loads fractions and
+    # decimal; CommunityStructure.redundancy imports it where it builds one
+    importers = []
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            for node in ast.iter_child_nodes(function):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and "fractions" in (
+                        [node.module] if isinstance(node, ast.ImportFrom)
+                        else [alias.name for alias in node.names]):
+                    importers.append(f"{path.name}: {getattr(function, 'name', None)}")
+    assert importers == ["community.py: redundancy"]
 
 
 def _text_reads(tree) -> int:
