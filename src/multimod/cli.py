@@ -88,11 +88,8 @@ def _add_policy_flags(parser, objectives=("q", "qms", "newman")):
 
 
 def cmd_stats(args) -> int:
-    # statistics before the fork, so that layer_map's children find it loaded
-    import statistics
-
     from ._workers import layer_map
-    from .mlgraph import LayerStats, read_network
+    from .mlgraph import LayerStats, _mean, _pstdev, read_network
 
     net = read_network(args.network, ordering_mode="auto")
     # the layers' statistics in up to min(layers, usable CPUs) processes, as
@@ -109,8 +106,8 @@ def cmd_stats(args) -> int:
                       ("avg_path_length", lambda s: s.avg_path_length),
                       ("clustering", lambda s: s.clustering_coefficient)):
         values = [pick(s) for _, s in per_layer]
-        lines.append(f"{key}_mean\t{statistics.fmean(values)!r}")
-        lines.append(f"{key}_std\t{statistics.pstdev(values)!r}")
+        lines.append(f"{key}_mean\t{_mean(values)!r}")
+        lines.append(f"{key}_std\t{_pstdev(values)!r}")
     lines.append("")
     lines.append("layer\tnodes\tedges\tdegree_mean\tdegree_std\tavg_path_length\tclustering")
     for li, (layer, s) in enumerate(per_layer):
@@ -153,9 +150,18 @@ _DIGEST_BLOCK = 1 << 16
 
 
 def _sha256(path) -> str:
-    import hashlib  # here, so that only detect pays for loading OpenSSL
+    # the interpreter's own SHA-256 first, as the standard library's random
+    # module takes its SHA-512: hashlib would map the OpenSSL library for the
+    # digests of two files. Imported here, so that only detect pays for it.
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         while block := handle.read(_DIGEST_BLOCK):
             digest.update(block)

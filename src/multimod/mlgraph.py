@@ -249,8 +249,6 @@ class MultilayerNetwork:
         the average path length is reported as 0.0, and a layer with no
         present entity reports 0.0 for every field.
         """
-        import statistics  # here, so that loading a network does not import it
-
         li = self.layer_index(layer)
         nodes = sorted(self._presence[li])
         if not nodes:
@@ -258,8 +256,8 @@ class MultilayerNetwork:
         adj = self._adj[li]
         degrees = [len(adj.get(v, ())) for v in nodes]
         return LayerStats(
-            degree_mean=statistics.fmean(degrees),
-            degree_std=statistics.pstdev(degrees),
+            degree_mean=_mean(degrees),
+            degree_std=_pstdev(degrees),
             avg_path_length=_avg_path_length(adj, nodes),
             clustering_coefficient=_mean_clustering(adj, nodes),
         )
@@ -318,8 +316,6 @@ def _mean_clustering(adj, nodes) -> float:
     of both ``a`` and ``b``, and counted at all three nodes; the later
     neighbours are a suffix of each ascending neighbour tuple.
     """
-    import statistics
-
     later = {v: set(nb[bisect_right(nb, v):]) for v, nb in adj.items()}
     links = dict.fromkeys(adj, 0)
     for a, after_a in later.items():
@@ -332,7 +328,44 @@ def _mean_clustering(adj, nodes) -> float:
     for v in nodes:
         k = len(adj.get(v, ()))
         values.append(2 * links[v] / (k * (k - 1)) if k >= 2 else 0.0)
-    return statistics.fmean(values)
+    return _mean(values)
+
+
+def _mean(xs) -> float:
+    """The mean of a non-empty list of numbers, as ``statistics.fmean`` gives it."""
+    return math.fsum(xs) / len(xs)
+
+
+# bits of the integer square root in _pstdev: two float significands and three
+# more, so that its round-to-odd last bit keeps every bit the float drops
+_SQRT_BITS = 2 * 53 + 3
+
+
+def _pstdev(xs) -> float:
+    """The population standard deviation of a non-empty list of ints and
+    finite floats: the square root of the exact variance, rounded once, as
+    ``statistics.pstdev`` gives it from Python 3.11 on (3.10 rounds the
+    variance to a float, then its square root again).
+
+    Over the values' common power-of-two denominator the variance is an
+    exact fraction ``n / m`` of integers. Its square root is truncated to at
+    least 54 bits, with the last bit set when anything was cut (round to
+    odd), so the one division into a float rounds it correctly.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    total = sum(nums)
+    n = len(nums) * sum(v * v for v in nums) - total * total
+    m = (len(nums) * scale) ** 2
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _layer_sequence(layers, ordering: LayerOrdering) -> tuple:

@@ -118,13 +118,14 @@ def opened_files(monkeypatch):
     return opened
 
 
-def python_fresh(*args):
-    """Python on ``args`` in a fresh process that imports this package, with
-    a timeout: an unbounded run fails instead of hanging the suite."""
+def python_fresh(*args, python=sys.executable):
+    """The interpreter ``python`` (by default the running one) on ``args`` in
+    a fresh process that imports this package, with a timeout: an unbounded
+    run fails instead of hanging the suite."""
     src = Path(mm.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args],
+    return subprocess.run([python, *args],
                           capture_output=True, text=True, timeout=60, env=env)
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -647,22 +649,27 @@ COMMANDS = {
 }
 
 
+# the interpreter's own SHA-256, which detect's digests take before hashlib
+LEAN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, command):
-    """Only ``detect`` writes digests, so no other command loads hashlib
-    and the OpenSSL library behind it; no command loads a process pool,
-    pickle, dataclasses or inspect, whose imports would slow every start;
-    only ``stats`` loads fractions, through statistics, since no score
-    builds a rational under any resolution or coupling; and ``import
-    multimod`` loads only the errors, each
-    command only the package modules it runs (a newman score, on the
-    one-layer triangle, builds no objective)."""
+def test_no_command_loads_hashlib_or_statistics(ordered3_files, triangle_files, tmp_path,
+                                                 command):
+    """No command loads hashlib, and the OpenSSL library behind it, where
+    the interpreter has its own SHA-256 for detect's digests; no command
+    loads statistics, fractions or decimal, since stats computes its own
+    mean and deviation and no score builds a rational under any resolution
+    or coupling; no command loads a process pool, pickle, dataclasses or
+    inspect, whose imports would slow every start; and ``import multimod``
+    loads only the errors, each command only the package modules it runs
+    (a newman score, on the one-layer triangle, builds no objective)."""
     argv, modules = COMMANDS[command]
     net, comm = ordered3_files
     tri_net, tri_comm = triangle_files
     argv = [arg.format(net=net, comm=comm, tri_net=tri_net, tri_comm=tri_comm,
                        out=tmp_path / "out") for arg in argv]
-    watched = ("hashlib", "fractions", *HEAVY_MODULES)
+    watched = ("hashlib", "_hashlib", "statistics", "fractions", "decimal", *HEAVY_MODULES)
     proc = python_fresh("-c", "\n".join([
         "import json, sys",
         f"watched = {watched!r}",
@@ -672,15 +679,13 @@ def test_only_detect_loads_hashlib(ordered3_files, triangle_files, tmp_path, com
         "imported = package()",
         "from multimod.cli import main",
         f"code = main({argv!r})",
-        "print(json.dumps([code, [b or m not in sys.modules for b, m in zip(before, watched)],",
+        "print(json.dumps([code, [m for b, m in zip(before, watched) if not b and m in sys.modules],",
         "                  imported, package()]))"]))
-    code, (hashlib_absent, fractions_absent, *heavy_absent), imported, loaded = json.loads(
-        proc.stdout.splitlines()[-1])
+    code, loaded_watched, imported, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    if argv[0] != "detect":
-        assert hashlib_absent
-    assert fractions_absent == (command != "stats")
-    assert heavy_absent == [True] * len(HEAVY_MODULES)
+    if argv[0] == "detect" and not LEAN_SHA256:
+        loaded_watched = [m for m in loaded_watched if m not in ("hashlib", "_hashlib")]
+    assert loaded_watched == []
     assert imported == ["errors"]
     assert set(loaded) == modules
 
@@ -844,3 +849,74 @@ def test_options_are_pinned():
     commands = {None: parser, **sub.choices}
     assert {name: {flag for action in p._actions for flag in action.option_strings}
             for name, p in commands.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("source", ["lean", "hashlib"])
+@pytest.mark.parametrize("blocks, rest", [(0, 0), (1, 0), (3, 1000)],
+                         ids=["empty", "one-block", "blocks-and-remainder"])
+def test_manifest_digest_is_sha256(monkeypatch, tmp_path, blocks, rest, source):
+    # the interpreter's own SHA-256 where it has one, else hashlib's: with the
+    # lean modules hidden, the fallback runs
+    data = bytes(i % 251 for i in range(blocks * cli._DIGEST_BLOCK + rest))
+    expected = _sha256(data)
+    path = tmp_path / "output"
+    path.write_bytes(data)
+    calls = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda: calls.append(1) or real())
+    if source == "hashlib":
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert cli._sha256(path) == expected
+    assert calls == ([1] if source == "hashlib" or not LEAN_SHA256 else [])
+
+
+@pytest.fixture(scope="module")
+def other_pythons():
+    """Every other CPython 3.10 or later installed next to the running one
+    that starts; the test is skipped when there is none."""
+    here = Path(sys.base_prefix).resolve()
+    found = [str(python) for python in sorted(here.parent.glob("3.1*/bin/python3"))
+             if python.resolve().parents[1] != here
+             and subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0]
+    if not found:
+        pytest.skip("no other CPython 3.10+ next to the running interpreter")
+    return found
+
+
+# a network whose stats differed under 3.10, whose pstdev rounds twice
+CROSS_SPEC = mm.PlantedSpec(entities=30, communities=3, layers=3, p_in=0.3, p_out=0.05,
+                            presence=0.8, seed=34)
+CROSS_COMMANDS = {
+    "stats": ["stats"],
+    "detect-qms": ["detect", "--objective", "qms", "--omega", "1"],
+    "detect-q": ["detect", "--resolution", "redundancy", "--coupling", "asym-inner",
+                 "--time-aware", "--ordering", "natural-adjacent"],
+    "aggregate": ["detect", "--method", "aggregate", "--objective", "qms", "--omega", "1"],
+}
+
+
+@pytest.mark.parametrize("command", CROSS_COMMANDS)
+def test_outputs_identical_on_every_interpreter(tmp_path, other_pythons, command):
+    # every interpreter writes to the same paths, so the manifests need no masking
+    net, planted = mm.planted_multilayer(CROSS_SPEC)
+    npath = tmp_path / "net.mlg"
+    save_planted(net, planted, npath, tmp_path / "planted.flat")
+    name, *flags = CROSS_COMMANDS[command]
+    argv = [name, str(npath), *flags]
+    outputs = ()
+    if name == "detect":
+        argv += ["--out", str(tmp_path / "run")]
+        outputs = ("communities", "flat", "manifest.json")
+
+    def outcome(python):
+        for out in outputs:  # no interpreter reads another's files
+            (tmp_path / f"run.{out}").unlink(missing_ok=True)
+        proc = python_fresh("-m", "multimod.cli", *argv, python=python)
+        return {"stdout": proc.stdout, "stderr": proc.stderr, "code": proc.returncode,
+                **{out: (tmp_path / f"run.{out}").read_bytes() for out in outputs}}
+
+    expected = outcome(sys.executable)
+    assert expected["code"] == 0
+    for python in other_pythons:
+        assert outcome(python) == expected, python

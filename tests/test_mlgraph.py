@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +314,52 @@ class TestMonoplexStats:
         for n in (2, 3, 10, 57):
             net = line_net(["L"], [("L", i, i + 1) for i in range(n - 1)])
             assert net.monoplex_stats("L").avg_path_length == (n + 1) / 3
+
+
+_INTS = st.integers(min_value=-10**30, max_value=10**30)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# lists of ints, of finite floats, and of one value repeated
+SAMPLES = st.one_of(
+    st.lists(_INTS, min_size=1, max_size=40), st.lists(_FLOATS, min_size=1, max_size=40),
+    st.builds(lambda x, k: [x] * k, _INTS | _FLOATS, st.integers(min_value=1, max_value=40)))
+
+
+def outcome(f, xs):
+    """``f(xs)``, or OverflowError where a float sum overflows."""
+    try:
+        return f(xs)
+    except OverflowError:
+        return OverflowError
+
+
+class TestMeanAndDeviation:
+    """The mean and population deviation that ``stats`` prints."""
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's pstdev rounds twice")
+    @settings(deadline=None)
+    @given(xs=SAMPLES)
+    def test_equal_the_standard_library(self, xs):
+        assert outcome(mlgraph._mean, xs) == outcome(statistics.fmean, xs)
+        assert mlgraph._pstdev(xs) == statistics.pstdev(xs)
+
+    @settings(deadline=None)
+    @given(xs=SAMPLES)
+    def test_deviation_is_the_rounded_root_of_the_exact_variance(self, xs):
+        # the midpoints to the result's float neighbours bracket the exact root
+        std = mlgraph._pstdev(xs)
+        exact = [Fraction(x) for x in xs]
+        mean = sum(exact) / len(exact)
+        variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+        below = (Fraction(std) + Fraction(math.nextafter(std, 0.0))) / 2
+        above = Fraction(std) + Fraction(math.ulp(std)) / 2
+        assert std >= 0
+        assert below ** 2 <= variance <= above ** 2
+
+    def test_rounds_once(self):
+        # the exact variance is 158/9; rounding it to a float first, as
+        # 3.10's pstdev did, moves its square root up by one ulp
+        assert mlgraph._pstdev([2, 9, 12]) == 4.189935029992178
+        assert math.sqrt(158 / 9) == 4.189935029992179
 
 
 @settings(max_examples=40, deadline=None)
